@@ -51,9 +51,7 @@ from .value import (
     Barrier,
     ValueDataset,
     ValueModel,
-    barrier_value,
     collect_dataset,
-    eval_value,
     fit_value,
     mc_cost_to_go,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "UncertaintySample",
     "ValueDataset",
     "ValueModel",
-    "barrier_value",
     "cem_improve",
     "centralized_filter",
     "certify_grid",
@@ -98,7 +95,6 @@ __all__ = [
     "draw_risk_samples",
     "entropic_risk",
     "eval_policy",
-    "eval_value",
     "fit_value",
     "load_policy",
     "load_value_model",

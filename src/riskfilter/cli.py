@@ -11,6 +11,7 @@ COMMAND is one of train-value, run, sweep-beta, sweep-xi, certify.
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import click
 
@@ -25,7 +26,7 @@ from .experiments import COMMANDS, run_experiment
 @click.option("--seed", default=None, type=int, help="Override the base seed.")
 @click.option("--out", default="", help="Override the output directory.")
 def cli(command: str, config_path: str, seed: int | None, out: str) -> int:
-    cfg = parse_config(config_path)
+    cfg = parse_config(Path(config_path) if config_path else "")
     if seed is not None:
         cfg = config_with(cfg, seed=seed)
     if out:

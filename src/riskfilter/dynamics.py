@@ -64,7 +64,10 @@ class MasModel:
     """Immutable multi-agent system model.
 
     ``transition`` must be a pure deterministic function of
-    ``(x, u, sample)``.  ``state_weights`` holds the diagonal of each
+    ``(x, u, sample)``; ``transition_batch`` maps ``(x, u (B, A), thetas
+    (S,), noises (S, M, d_x)) -> (B, S, M, d_x)`` with entry [b, s] equal
+    to ``transition(x, split_action(u[b]), sample s)`` bit for bit.
+    ``state_weights`` holds the diagonal of each
     agent's quadratic reward weight; ``action_weight`` is the scalar
     coefficient of the (isotropic) action penalty.
     """
@@ -83,19 +86,12 @@ class MasModel:
     transition: TransitionFn = field(repr=False)
     safe_fn: Callable[[np.ndarray], bool] = field(repr=False)
     cost_fn: Callable[[np.ndarray], float] = field(repr=False)
-    # Optional vectorization of the transition over uncertainty samples:
-    # (x, u, thetas (S,), noises (S, M, d_x)) -> (S, M, d_x), elementwise
-    # identical to per-sample transition calls.  None falls back to a loop.
-    transition_batch: Callable | None = field(default=None, repr=False)
+    transition_batch: Callable = field(repr=False)
 
     @property
     def actuated_agents(self) -> tuple:
         """Indices of agents with a nonempty action space."""
         return tuple(i for i, d in enumerate(self.action_dims) if d > 0)
-
-    @property
-    def flat_dim(self) -> int:
-        return self.n_agents * self.state_dim
 
     def validate_state(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -122,6 +118,12 @@ class MasModel:
                 )
             out.append(ui)
         return out
+
+    def split_action(self, row) -> list:
+        """Joint action from its flat row of A = sum(action_dims) entries, the
+        agents' vectors in agent order; the one place joint actions are assembled.
+        The row is copied, so the result keeps no candidate block alive."""
+        return np.split(np.array(row, dtype=float), np.cumsum(self.action_dims)[:-1])
 
     def step(self, x: np.ndarray, u: Sequence, sample: UncertaintySample) -> np.ndarray:
         """Apply the transition map once.  Deterministic in (x, u, sample)."""
@@ -162,10 +164,6 @@ class MasModel:
     def zero_action(self) -> list:
         return [np.zeros(d) for d in self.action_dims]
 
-    def clip_action(self, u: Sequence) -> list:
-        return [np.clip(np.asarray(ui, dtype=float), self.action_low, self.action_high)
-                for ui in u]
-
     def flatten_state(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float).reshape(-1)
 
@@ -199,14 +197,14 @@ def _spring_transition_batch(x, u, thetas, noises):
     e1 = x[0, 0] - x[2, 0]
     e2 = x[1, 0] - x[2, 0]
     half_t2 = 0.5 * thetas * thetas
-    g = np.empty((thetas.size, 3))
-    g[:, 0] = 5.0 * u[0][0] - half_t2 * e1
-    g[:, 1] = 5.0 * u[1][0] - half_t2 * e2
-    g[:, 2] = half_t2 * (e1 + e2)
-    out = np.empty((thetas.size, 3, 2))
-    out[:, :, 0] = x[:, 0] + 0.1 * x[:, 1] + noises[:, :, 0]
-    out[:, :, 1] = (x[:, 1] + 0.1 * g
-                    - 0.1 * np.sin(np.clip(x[:, 1], -1.0, 1.0)) + noises[:, :, 1])
+    g = np.empty((u.shape[0], thetas.size, 3))
+    g[:, :, 0] = 5.0 * u[:, 0:1] - half_t2 * e1
+    g[:, :, 1] = 5.0 * u[:, 1:2] - half_t2 * e2
+    g[:, :, 2] = half_t2 * (e1 + e2)
+    out = np.empty((u.shape[0], thetas.size, 3, 2))
+    out[..., 0] = x[:, 0] + 0.1 * x[:, 1] + noises[:, :, 0]
+    out[..., 1] = (x[:, 1] + 0.1 * g
+                   - 0.1 * np.sin(np.clip(x[:, 1], -1.0, 1.0)) + noises[:, :, 1])
     return out
 
 
@@ -226,10 +224,9 @@ def _collision_transition(x, u, s):
 
 
 def _collision_transition_batch(x, u, thetas, noises):
-    uvec = np.array([ui[0] for ui in u])
-    out = np.empty((thetas.size, x.shape[0], 2))
-    out[:, :, 0] = x[:, 0] + 0.01 * x[:, 1] + thetas[:, None] * np.sin(x[:, 0]) + noises[:, :, 0]
-    out[:, :, 1] = x[:, 1] + uvec + noises[:, :, 1]
+    out = np.empty((u.shape[0], thetas.size, x.shape[0], 2))
+    out[..., 0] = x[:, 0] + 0.01 * x[:, 1] + thetas[:, None] * np.sin(x[:, 0]) + noises[:, :, 0]
+    out[..., 1] = x[:, 1] + u[:, None, :] + noises[:, :, 1]
     return out
 
 

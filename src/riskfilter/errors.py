@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code taxonomy: configuration problems
-exit 1, a missing value-model file exits 2, guarantee-domain violations
-exit 3, and I/O failures exit 4.
+exit 1, a missing or unreadable model file exits 2, guarantee-domain
+violations exit 3, and I/O failures exit 4.
 """
 
 
@@ -34,4 +34,5 @@ class GuaranteeDomainError(RiskFilterError):
 
 
 class MissingModelError(RiskFilterError):
-    """A required value-model file was not found."""
+    """A required model file is missing or unreadable: truncated, corrupt,
+    of an unknown version or kind, or holding the wrong type of model."""

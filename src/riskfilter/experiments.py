@@ -17,8 +17,8 @@ seed, artifact version): floats are printed as shortest round-trip
 decimals and nothing time- or machine-dependent is recorded.  The output
 directory itself is excluded from the manifest for the same reason.
 
-Exit codes: 0 success, 1 configuration error, 2 missing value-model
-file, 3 guarantee-domain violation, 4 I/O failure.
+Exit codes: 0 success, 1 configuration error, 2 missing or unreadable
+model file, 3 guarantee-domain violation, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -228,21 +228,18 @@ def _cmd_run(cfg: ExperimentConfig, out_dir: Path) -> list:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, out_dir: Path, axis: str) -> list:
+    if cfg.controller not in ("switching", "centralized"):
+        raise ConfigError("invalid-value", f"sweep-{axis} needs a filter, but "
+                          f"run.controller = {cfg.controller} runs none")
     model = cfg.build_model()
     values = cfg.beta_values() if axis == "beta" else cfg.xi_values()
 
     def factory(v):
         if axis == "beta":
-            fcfg = cfg.filter_config(beta=v)
-            barrier = _load_barrier(cfg, out_dir)
-        else:
-            fcfg = cfg.filter_config(xi=v)
-            barrier = _load_barrier(cfg, out_dir, xi=v)
-        nominal = cfg.nominal_policy(model)
-        safe = _safe_policy(cfg, model)
-        if cfg.controller == "centralized":
-            return CentralizedController(barrier=barrier, nominal=nominal, safe=safe, cfg=fcfg)
-        return SwitchingController(barrier=barrier, nominal=nominal, safe=safe, cfg=fcfg)
+            return _make_controller(cfg, model, _load_barrier(cfg, out_dir),
+                                    cfg.filter_config(beta=v))
+        return _make_controller(cfg, model, _load_barrier(cfg, out_dir, xi=v),
+                                cfg.filter_config(xi=v))
 
     _load_barrier(cfg, out_dir)  # fail fast before the first factory call
     sampler = cfg.init_sampler(model)
@@ -311,7 +308,7 @@ def run_experiment(cfg: ExperimentConfig, command: str) -> int:
         print(f"configuration error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
     except MissingModelError as exc:
-        print(f"missing model: {exc}", file=sys.stderr)
+        print(f"missing or unreadable model file: {exc}", file=sys.stderr)
         return 2
     except GuaranteeDomainError as exc:
         step = getattr(exc, "step_index", None)

@@ -25,11 +25,13 @@ Continuous minimization is approximated by a distance-ordered grid search
 (both benchmark presets have one action dimension per agent), with the
 nominal action always tried first, so whenever the nominal action is
 feasible it is returned unchanged.
+
+Every margin comes from one kernel, ``_margins``; each solve builds one
+block of flat joint-action rows and makes one kernel call on it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -151,36 +153,47 @@ def check_condition(
     if samples is None:
         samples = draw_risk_samples(model, cfg.n_samples, seed)
     x = model.validate_state(x)
-    u = model.validate_action(u)
-    margin = _margin_fn(model, barrier, x, cfg, samples)(u)
+    row = np.concatenate(model.validate_action(u))
+    margin = float(_margins(model, barrier, x, cfg, samples, row[None, :])[0])
     return margin >= cfg.tolerance, margin
 
 
-def _margin_fn(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig, samples: list):
-    """Margin evaluator for one solve: x validated and h(x) computed once.
+# (row, sample) pairs per kernel pass: bounds the activations a solve holds
+# at once (a 730-row centralized block would otherwise take ~6 MB).
+_PASS_PAIRS = 640
 
-    The returned closure trusts its action argument (the filters assemble
-    candidates internally).  check_condition funnels through the same
-    closure, so every margin in the package comes from one arithmetic
-    path and re-evaluations are bitwise reproducible.
+
+def _margins(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig,
+             samples: list, rows: np.ndarray) -> np.ndarray:
+    """Risk margins of a (B, A) block of flat joint actions at the validated state x.
+
+    Per pass over up to _PASS_PAIRS / S rows, one ``transition_batch`` call
+    gives the (b, S, M, d_x) successors, one ``barrier.value`` call their
+    (b, S) values and one ``risk_lower`` call reduces the samples.  The
+    stack stays 3-D, so a row's margin has the same bits in any block or
+    pass and re-checks are exact.
     """
     h_now = float(barrier.value(x.reshape(-1)))
-    batch = model.transition_batch
-    if batch is not None:
-        thetas = np.array([s.theta for s in samples])
-        noises = np.stack([s.noise for s in samples])
-
-    def margin_of(u) -> float:
-        if batch is not None:
-            nexts = batch(x, u, thetas, noises).reshape(len(samples), -1)
-        else:
-            nexts = np.stack([model.transition(x, u, s).reshape(-1) for s in samples])
-        values = np.asarray(barrier.value(nexts), dtype=float)
+    thetas = np.array([s.theta for s in samples])
+    noises = np.stack([s.noise for s in samples])
+    step = max(1, _PASS_PAIRS // len(samples))
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), step):
+        nexts = model.transition_batch(x, rows[start:start + step], thetas, noises)
+        values = np.asarray(barrier.value(nexts.reshape(*nexts.shape[:2], -1)), dtype=float)
         if not np.all(np.isfinite(values)):
             raise ContractViolationError("barrier produced non-finite values")
-        return risk_lower(values, cfg.beta) - cfg.alpha * h_now - cfg.epsilon
+        out[start:start + step] = risk_lower(values, cfg.beta) - cfg.alpha * h_now - cfg.epsilon
+    return out
 
-    return margin_of
+
+def _grid(dims: int, cfg: FilterConfig, low: float, high: float) -> np.ndarray:
+    """All G^dims points of the per-dimension action grid, first dimension slowest."""
+    axis = np.linspace(low, high, cfg.grid_size)
+    grid = np.empty((1, 0))
+    for _ in range(dims):
+        grid = np.column_stack([np.repeat(grid, axis.size, axis=0), np.tile(axis, len(grid))])
+    return grid
 
 
 def _ordered_candidates(nominal: np.ndarray, cfg: FilterConfig, low: float, high: float) -> np.ndarray:
@@ -189,32 +202,29 @@ def _ordered_candidates(nominal: np.ndarray, cfg: FilterConfig, low: float, high
     The stable sort keeps the nominal action first among ties, so a
     feasible nominal action is always returned exactly.
     """
-    dims = nominal.size
-    axis = np.linspace(low, high, cfg.grid_size)
-    grid = np.stack([g.ravel() for g in np.meshgrid(*([axis] * dims), indexing="ij")], axis=-1)
-    cands = np.vstack([nominal[None, :], grid])
+    cands = np.vstack([nominal[None, :], _grid(nominal.size, cfg, low, high)])
     order = np.argsort(np.sum((cands - nominal[None, :]) ** 2, axis=1), kind="stable")
     return cands[order]
 
 
-def _other_agent_combos(model: MasModel, agent: int, cfg: FilterConfig) -> list:
-    """Grid combinations of all other actuated agents' actions.
+def _against_grid(model: MasModel, agent: int, cands: np.ndarray, cfg: FilterConfig) -> np.ndarray:
+    """(C * K, A) rows pairing each of ``agent``'s C candidates with the K
+    points of the grid over all other action dimensions, candidate-major.
 
-    Returns a list of dicts {agent index: action vector}; the single
-    empty dict when no other agent is actuated (the worst case then
-    degenerates to the plain condition).
+    An agent with d > 1 gets all G^d points, not only the diagonal; with no
+    other actuated agent K = 1 and the worst case is the plain condition.
     """
-    others = [j for j in model.actuated_agents if j != agent]
-    axis = np.linspace(model.action_low, model.action_high, cfg.grid_size)
-    per_agent = [[np.full(model.action_dims[j], v) for v in axis] for j in others]
-    combos = []
-    for combo in itertools.product(*per_agent):
-        combos.append(dict(zip(others, combo)))
-    return combos
+    own = np.repeat(np.arange(model.n_agents) == agent, model.action_dims)
+    combos = _grid(int(np.sum(~own)), cfg, model.action_low, model.action_high)
+    rows = np.empty((len(cands), len(combos), own.size))
+    rows[:, :, own] = cands[:, None, :]
+    rows[:, :, ~own] = combos[None, :, :]
+    return rows.reshape(-1, own.size)
 
 
-def _assemble(model: MasModel, parts: dict) -> list:
-    return [parts.get(i, np.zeros(d)) for i, d in enumerate(model.action_dims)]
+def _first_feasible(margins: np.ndarray, cfg: FilterConfig) -> int | None:
+    hits = np.flatnonzero(margins >= cfg.tolerance)
+    return int(hits[0]) if hits.size else None
 
 
 def centralized_filter(
@@ -228,25 +238,20 @@ def centralized_filter(
     """Joint filter: nearest feasible joint action to the nominal one.
 
     Candidates are the nominal joint action plus the grid over every
-    actuated agent's box, examined in ascending distance to nominal with
-    one shared sample draw.  Returns None when no candidate satisfies the
-    condition.
+    actuated agent's box, all evaluated in one block with one shared
+    sample draw; the first in ascending distance to nominal that
+    satisfies the condition is returned, or None when none does.
     """
     samples = draw_risk_samples(model, cfg.n_samples, seed)
     x = model.validate_state(x)
-    margin_of = _margin_fn(model, barrier, x, cfg, samples)
-    u_nom = pi_nom(x)
-    actuated = model.actuated_agents
-    splits = np.cumsum([model.action_dims[i] for i in actuated])[:-1]
-    nom_flat = np.concatenate([np.asarray(u_nom[i], dtype=float) for i in actuated])
-    for cand in _ordered_candidates(nom_flat, cfg, model.action_low, model.action_high):
-        parts = dict(zip(actuated, np.split(cand, splits)))
-        u = _assemble(model, parts)
-        margin = margin_of(u)
-        if margin >= cfg.tolerance:
-            return FilterOutcome(action=u, branch=Branch.CENTRALIZED,
-                                 feasible=True, margin=margin)
-    return None
+    nominal = np.concatenate(model.validate_action(pi_nom(x)))
+    cands = _ordered_candidates(nominal, cfg, model.action_low, model.action_high)
+    margins = _margins(model, barrier, x, cfg, samples, cands)
+    i = _first_feasible(margins, cfg)
+    if i is None:
+        return None
+    return FilterOutcome(action=model.split_action(cands[i]), branch=Branch.CENTRALIZED,
+                         feasible=True, margin=float(margins[i]))
 
 
 def pessimistic_filter(
@@ -260,10 +265,10 @@ def pessimistic_filter(
 ) -> FilterOutcome | None:
     """Per-agent worst-case filter.
 
-    For each candidate u_i (nominal first, then the grid in ascending
-    distance to nominal) the margin is minimized over the grid of all
-    other actuated agents' actions, with one shared sample draw reused
-    across the entire solve.  Returns the nearest candidate whose
+    Each candidate u_i (nominal first, then the grid in ascending
+    distance to nominal) is paired with every grid combination of the
+    other actuated agents' actions; all pairs are evaluated in one block
+    with one shared sample draw.  Returns the nearest candidate whose
     worst-case margin clears the tolerance, or None: infeasibility is an
     expected outcome near the constraint boundary, not a fault.
     """
@@ -271,29 +276,15 @@ def pessimistic_filter(
         raise ContractViolationError(f"agent {agent} is unactuated")
     samples = draw_risk_samples(model, cfg.n_samples, seed)
     x = model.validate_state(x)
-    margin_of = _margin_fn(model, barrier, x, cfg, samples)
-    u_nom = pi_nom(x)
-    combos = _other_agent_combos(model, agent, cfg)
-    nom_i = np.asarray(u_nom[agent], dtype=float)
-    # The combo that defeated the previous candidate is tried first; the
-    # scanned set is unchanged, so feasibility and the recorded worst-case
-    # margin are unaffected.
-    first = 0
-    for cand in _ordered_candidates(nom_i, cfg, model.action_low, model.action_high):
-        worst = np.inf
-        feasible = True
-        for j in range(len(combos)):
-            idx = first if j == 0 else (j - 1 if j <= first else j)
-            margin = margin_of(_assemble(model, {agent: cand, **combos[idx]}))
-            worst = min(worst, margin)
-            if margin < cfg.tolerance:
-                feasible = False
-                first = idx
-                break
-        if feasible:
-            return FilterOutcome(action=cand, branch=Branch.PESSIMISTIC,
-                                 feasible=True, margin=float(worst), agent=agent)
-    return None
+    nominal = np.asarray(pi_nom(x)[agent], dtype=float)
+    cands = _ordered_candidates(nominal, cfg, model.action_low, model.action_high)
+    margins = _margins(model, barrier, x, cfg, samples, _against_grid(model, agent, cands, cfg))
+    worst = margins.reshape(len(cands), -1).min(axis=1)
+    i = _first_feasible(worst, cfg)
+    if i is None:
+        return None
+    return FilterOutcome(action=cands[i], branch=Branch.PESSIMISTIC,
+                         feasible=True, margin=float(worst[i]), agent=agent)
 
 
 def worst_case_margin(
@@ -307,12 +298,9 @@ def worst_case_margin(
 ) -> float:
     """Exact minimum margin of one agent's action over the others' grid."""
     x = model.validate_state(x)
-    margin_of = _margin_fn(model, barrier, x, cfg, samples)
-    action = np.asarray(action, dtype=float)
-    worst = np.inf
-    for combo in _other_agent_combos(model, agent, cfg):
-        worst = min(worst, margin_of(_assemble(model, {agent: action, **combo})))
-    return float(worst)
+    cand = np.asarray(action, dtype=float).reshape(1, -1)
+    return float(np.min(_margins(model, barrier, x, cfg, samples,
+                                 _against_grid(model, agent, cand, cfg))))
 
 
 def proximity_radius(model: MasModel, cfg: FilterConfig, h_now: float | None = None) -> float:

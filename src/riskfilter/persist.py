@@ -15,16 +15,20 @@ A value-model file stores the layer sizes, normalization statistics,
 discount/horizon metadata and weight matrices; a policy file stores the
 gain matrix, reference state, and action-space description.  Files are
 independent of the barrier threshold, which stays a runtime parameter.
+
+Loading never trusts the file: anything but a complete, consistent
+container of the expected type raises MissingModelError (exit 2).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolationError, MissingModelError
+from .errors import MissingModelError
 from .policies import Policy
 from .value import ValueModel
 
@@ -55,37 +59,69 @@ def write_container(path, records: dict) -> None:
 
 
 def read_container(path) -> dict:
+    """Named records of a container file; every count, length and shape is
+    checked against the buffer before it is unpacked.  A file that is not a
+    complete container of this version raises MissingModelError."""
     path = Path(path)
     if not path.exists():
         raise MissingModelError(f"model file not found: {path}")
     buf = path.read_bytes()
     if buf[:4] != MAGIC:
-        raise ContractViolationError(f"{path} is not a model container (bad magic)")
-    version, count = struct.unpack_from("<II", buf, 4)
+        raise MissingModelError(f"{path} is not a model container (bad magic)")
+    pos = 4
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise MissingModelError(f"{path} is truncated")
+        pos += n
+        return buf[pos - n:pos]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    def text(n: int) -> str:
+        try:
+            return take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise MissingModelError(f"{path} holds a string that is not UTF-8") from None
+
+    version, count = unpack("<II")
     if version != VERSION:
-        raise ContractViolationError(f"unsupported container version {version}")
-    offset = 12
+        raise MissingModelError(f"unsupported container version {version} in {path}")
     records = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        name = buf[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        kind, head = struct.unpack_from("<BI", buf, offset)
-        offset += 5
+        name = text(*unpack("<I"))
+        kind, head = unpack("<BI")
         if kind == _KIND_STRING:
-            records[name] = buf[offset:offset + head].decode("utf-8")
-            offset += head
+            records[name] = text(head)
         elif kind == _KIND_ARRAY:
-            shape = struct.unpack_from(f"<{head}Q", buf, offset)
-            offset += 8 * head
-            n = int(np.prod(shape)) if head else 1
-            arr = np.frombuffer(buf, dtype="<f8", count=n, offset=offset).reshape(shape)
-            records[name] = arr.copy()
-            offset += 8 * n
+            shape = unpack(f"<{head}Q")
+            if any(n > len(buf) for n in shape):
+                raise MissingModelError(f"array {name!r} in {path} has an impossible shape")
+            data = take(8 * math.prod(shape))
+            records[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
         else:
-            raise ContractViolationError(f"unknown record kind {kind} in {path}")
+            raise MissingModelError(f"unknown record kind {kind} in {path}")
+    if pos != len(buf):
+        raise MissingModelError(f"{path} has {len(buf) - pos} bytes after its last record")
     return records
+
+
+def _string(rec: dict, name: str, path) -> str:
+    value = rec.get(name)
+    if not isinstance(value, str):
+        raise MissingModelError(f"{path} has no valid {name!r} record")
+    return value
+
+
+def _array(rec: dict, name: str, path, shape: tuple | None = None) -> np.ndarray:
+    """A finite array record, of ``shape`` when given."""
+    value = rec.get(name)
+    if not (isinstance(value, np.ndarray) and np.all(np.isfinite(value))
+            and shape in (None, value.shape)):
+        raise MissingModelError(f"{path} has no valid {name!r} record")
+    return value
 
 
 def save_value_model(model: ValueModel, path) -> None:
@@ -106,20 +142,21 @@ def save_value_model(model: ValueModel, path) -> None:
 
 def load_value_model(path) -> ValueModel:
     rec = read_container(path)
-    if rec.get("type") != "value_model":
-        raise ContractViolationError(f"{path} does not hold a value model")
-    sizes = tuple(int(s) for s in rec["layer_sizes"])
-    n_layers = len(sizes) - 1
-    weights = tuple(rec[f"w{i}"] for i in range(n_layers))
-    biases = tuple(rec[f"b{i}"].ravel() for i in range(n_layers))
-    y_mean, y_scale = rec["y_stats"]
-    gamma, horizon, train_seed, final_mse = rec["meta"]
+    if _string(rec, "type", path) != "value_model":
+        raise MissingModelError(f"{path} does not hold a value model")
+    # Sizes that pass the weight-shape checks below describe the arrays exactly.
+    sizes = tuple(int(s) for s in _array(rec, "layer_sizes", path).ravel())
+    if len(sizes) < 2:
+        raise MissingModelError(f"{path} has no valid 'layer_sizes' record")
+    pairs = list(zip(sizes[:-1], sizes[1:]))
+    y_mean, y_scale = _array(rec, "y_stats", path, (2,))
+    gamma, horizon, train_seed, final_mse = _array(rec, "meta", path, (4,))
     return ValueModel(
         layer_sizes=sizes,
-        weights=weights,
-        biases=biases,
-        x_mean=rec["x_mean"].ravel(),
-        x_scale=rec["x_scale"].ravel(),
+        weights=tuple(_array(rec, f"w{i}", path, pair) for i, pair in enumerate(pairs)),
+        biases=tuple(_array(rec, f"b{i}", path, pair[1:]) for i, pair in enumerate(pairs)),
+        x_mean=_array(rec, "x_mean", path, sizes[:1]),
+        x_scale=_array(rec, "x_scale", path, sizes[:1]),
         y_mean=float(y_mean),
         y_scale=float(y_scale),
         gamma=float(gamma),
@@ -140,25 +177,28 @@ def save_policy(policy: Policy, path) -> None:
     }
     if policy.setpoints is not None:
         records["setpoints"] = policy.setpoints
-    if policy.table_breaks is not None:
-        records["table_breaks"] = policy.table_breaks
-        records["table_values"] = policy.table_values
     write_container(path, records)
 
 
 def load_policy(path) -> Policy:
     rec = read_container(path)
-    if rec.get("type") != "policy":
-        raise ContractViolationError(f"{path} does not hold a policy")
-    low, high = rec["action_box"]
+    if _string(rec, "type", path) != "policy":
+        raise MissingModelError(f"{path} does not hold a policy")
+    kind = _string(rec, "kind", path)
+    if kind not in ("proportional", "improved"):
+        raise MissingModelError(f"{path} holds a policy of unknown kind {kind!r}")
+    action_dims = tuple(int(d) for d in _array(rec, "action_dims", path).ravel())
+    gains = _array(rec, "gains", path)
+    if gains.ndim != 2 or gains.shape[0] != len(action_dims) or min(action_dims, default=0) < 0:
+        raise MissingModelError(f"{path} has no valid 'gains' or 'action_dims' record")
+    low, high = _array(rec, "action_box", path, (2,))
     return Policy(
-        kind=rec["kind"],
-        gains=rec["gains"],
-        x_ref=rec["x_ref"].ravel(),
-        action_dims=tuple(int(d) for d in rec["action_dims"]),
+        kind=kind,
+        gains=gains,
+        x_ref=_array(rec, "x_ref", path, gains.shape[1:]),
+        action_dims=action_dims,
         action_low=float(low),
         action_high=float(high),
-        setpoints=rec.get("setpoints"),
-        table_breaks=rec.get("table_breaks"),
-        table_values=rec.get("table_values"),
+        setpoints=(_array(rec, "setpoints", path, (len(action_dims),))
+                   if "setpoints" in rec else None),
     )

@@ -31,20 +31,16 @@ class Policy:
     are ignored).  ``setpoints`` optionally gives each agent its own
     position reference in place of the shared one; agents that must stay
     apart (collision constraints) need distinct setpoints, since feedback
-    to a shared reference drives them into each other.  A tabulated
-    policy instead looks its scalar action up by position error, via
-    ``table_breaks`` / ``table_values``.
+    to a shared reference drives them into each other.
     """
 
-    kind: str                       # proportional | tabulated | improved
+    kind: str                       # proportional | improved
     gains: np.ndarray               # (M, d_x)
     x_ref: np.ndarray               # (d_x,)
     action_dims: tuple
     action_low: float
     action_high: float
     setpoints: np.ndarray | None = None       # (M,) per-agent position refs
-    table_breaks: np.ndarray | None = None   # (n_bins - 1,) ascending edges
-    table_values: np.ndarray | None = None   # (M, n_bins)
 
     def __call__(self, x):
         return eval_policy(self, x)
@@ -69,11 +65,7 @@ def eval_policy(policy: Policy, x) -> list:
         if d == 0:
             out.append(np.zeros(0))
             continue
-        if policy.kind == "tabulated":
-            idx = int(np.searchsorted(policy.table_breaks, err[i, 0]))
-            raw = policy.table_values[i, idx]
-        else:
-            raw = -float(policy.gains[i] @ err[i])
+        raw = -float(policy.gains[i] @ err[i])
         out.append(np.clip(np.array([raw]), policy.action_low, policy.action_high))
     return out
 
@@ -160,8 +152,6 @@ def cem_improve(
         raise ContractViolationError(f"iterations must be >= 0, got {iterations}")
     if population < 2:
         raise ContractViolationError(f"population must be >= 2, got {population}")
-    if init_policy.kind == "tabulated":
-        raise ContractViolationError("cem_improve searches gain parameters, not tables")
 
     actuated = model.actuated_agents
     if iterations == 0:

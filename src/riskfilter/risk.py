@@ -11,6 +11,9 @@ variant -R_beta[-C] used on the barrier side of the safety condition: it
 lies between min and mean, whereas the upper operator lies between mean
 and max.  beta = 0 is the explicit risk-neutral branch (plain mean);
 beta -> infinity approaches the worst case.
+
+Both reduce over the last axis: a 1-D sample gives a float, a (..., S)
+stack one value per row, bit-identical to the row's own 1-D call.
 """
 
 from __future__ import annotations
@@ -21,26 +24,28 @@ from .errors import ContractViolationError
 
 
 def _as_sample(values) -> np.ndarray:
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size == 0:
+    v = np.atleast_1d(np.asarray(values, dtype=float))
+    if v.shape[-1] == 0:
         raise ContractViolationError("risk of an empty sample set is undefined")
     if not np.all(np.isfinite(v)):
         raise ContractViolationError("sample set contains non-finite values")
     return v
 
 
-def entropic_risk(values, beta: float) -> float:
+def entropic_risk(values, beta: float) -> float | np.ndarray:
     """(1/beta) * log(mean(exp(beta * values))), risk-neutral mean at beta = 0."""
     v = _as_sample(values)
     if beta < 0:
         raise ContractViolationError(f"risk parameter must be >= 0, got {beta}")
     if beta == 0:
-        return float(np.mean(v))
-    z = beta * v
-    m = float(np.max(z))
-    return (m + float(np.log(np.mean(np.exp(z - m))))) / beta
+        out = np.mean(v, axis=-1)
+    else:
+        z = beta * v
+        m = np.max(z, axis=-1, keepdims=True)
+        out = (m[..., 0] + np.log(np.mean(np.exp(z - m), axis=-1))) / beta
+    return float(out) if v.ndim == 1 else out
 
 
-def risk_lower(values, beta: float) -> float:
+def risk_lower(values, beta: float) -> float | np.ndarray:
     """Lower certainty equivalent -R_beta[-values]; min <= result <= mean."""
-    return -entropic_risk(-_as_sample(values), beta)
+    return -entropic_risk(-np.asarray(values, dtype=float), beta)

@@ -63,7 +63,7 @@ class SwitchingController:
     cfg: FilterConfig
 
     def act(self, model: MasModel, x, rollout_seed: int, step: int) -> StepDecision:
-        parts = {}
+        parts = []
         branches = [""] * model.n_agents
         feasible = [True] * model.n_agents
         for agent in model.actuated_agents:
@@ -71,11 +71,11 @@ class SwitchingController:
             out = switching_filter(
                 model, self.barrier, agent, x, self.nominal, self.safe, self.cfg, seed
             )
-            parts[agent] = np.asarray(out.action, dtype=float)
+            parts.append(out.action)
             branches[agent] = out.branch.value
             feasible[agent] = out.feasible
-        action = [parts.get(i, np.zeros(d)) for i, d in enumerate(model.action_dims)]
-        return StepDecision(action=action, branches=tuple(branches), feasible=tuple(feasible))
+        return StepDecision(action=model.split_action(np.concatenate(parts)),
+                            branches=tuple(branches), feasible=tuple(feasible))
 
 
 @dataclass(frozen=True)
@@ -98,15 +98,15 @@ class CentralizedController:
                 branches[agent] = out.branch.value
             return StepDecision(action=out.action, branches=tuple(branches),
                                 feasible=tuple(feasible))
-        parts = {}
+        parts = []
         for agent in model.actuated_agents:
-            parts[agent] = proximity_filter(
+            parts.append(proximity_filter(
                 model, agent, x, self.nominal, self.safe, self.cfg, barrier=self.barrier
-            )
+            ))
             branches[agent] = Branch.PROXIMITY.value
             feasible[agent] = False
-        action = [parts.get(i, np.zeros(d)) for i, d in enumerate(model.action_dims)]
-        return StepDecision(action=action, branches=tuple(branches), feasible=tuple(feasible))
+        return StepDecision(action=model.split_action(np.concatenate(parts)),
+                            branches=tuple(branches), feasible=tuple(feasible))
 
 
 @dataclass(frozen=True)

@@ -153,36 +153,24 @@ class ValueModel:
         return self.layer_sizes[0]
 
     def predict(self, x) -> float | np.ndarray:
-        """Evaluate V_hat at one flattened state, one joint state, or a batch.
-
-        Accepts a flat vector (input_dim,), a joint state whose total size
-        is input_dim, or a batch (n, input_dim); returns a scalar for the
-        first two, an (n,) array for the batch.
+        """V_hat over the last axis of x (..., input_dim): a float for one flat
+        state, an array of the leading shape for a stack.  Each layer is one
+        ``@`` on the stack as given, so every (S, input_dim) slice gets the
+        bits of its own 2-D call; the filters rely on this (never flatten).
         """
         x = np.asarray(x, dtype=float)
-        single = False
-        if x.ndim == 1:
-            if x.size != self.input_dim:
-                raise ContractViolationError(
-                    f"input dimension {x.size} does not match {self.input_dim}"
-                )
-            x = x[None, :]
-            single = True
-        elif x.ndim == 2 and x.shape[1] == self.input_dim:
-            pass
-        elif x.ndim == 2 and x.size == self.input_dim:
-            x = x.reshape(1, -1)
-            single = True
-        else:
+        if x.ndim == 0 or x.shape[-1] != self.input_dim:
             raise ContractViolationError(
                 f"input shape {x.shape} does not match input dimension {self.input_dim}"
             )
-        z = (x - self.x_mean) / self.x_scale
+        z = (np.atleast_2d(x) - self.x_mean) / self.x_scale
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = np.tanh(z @ w + b)
-        out = (z @ self.weights[-1] + self.biases[-1]).ravel()
+            z = z @ w
+            z += b  # in place: same bits, fewer live activation arrays
+            np.tanh(z, out=z)
+        out = (z @ self.weights[-1] + self.biases[-1])[..., 0]
         out = np.maximum(out * self.y_scale + self.y_mean, 0.0)
-        return float(out[0]) if single else out
+        return float(out[0]) if x.ndim == 1 else out
 
 
 def fit_value(dataset: ValueDataset, config: ApproxConfig, seed: int) -> ValueModel:
@@ -267,18 +255,14 @@ def fit_value(dataset: ValueDataset, config: ApproxConfig, seed: int) -> ValueMo
     )
 
 
-def eval_value(value_model: ValueModel, x) -> float | np.ndarray:
-    """Deterministic forward evaluation of V_hat, clamped at 0."""
-    return value_model.predict(x)
-
-
 @dataclass(frozen=True)
 class Barrier:
     """Barrier h(x) = xi - V_hat(x) over a fitted (or stubbed) value model.
 
-    ``value_model`` only needs a ``predict`` method; membership in the
-    sublevel set {V_hat <= xi} is exactly ``value(x) >= 0``, with no
-    tolerance.
+    ``value_model`` only needs a ``predict`` method with the same
+    (..., input_dim) -> (...) contract as ``ValueModel.predict``, and so
+    does ``value``.  Membership in the sublevel set {V_hat <= xi} is
+    exactly ``value(x) >= 0``, with no tolerance.
     """
 
     value_model: object
@@ -289,8 +273,3 @@ class Barrier:
 
     def in_sublevel(self, x) -> bool:
         return bool(self.value(x) >= 0.0)
-
-
-def barrier_value(barrier: Barrier, x) -> float | np.ndarray:
-    """xi - V_hat(x)."""
-    return barrier.value(x)

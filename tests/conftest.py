@@ -22,6 +22,10 @@ def _identity_transition(x, u, s):
     return x.copy()
 
 
+def _identity_transition_batch(x, u, thetas, noises):
+    return np.broadcast_to(x, (u.shape[0], thetas.size) + x.shape).copy()
+
+
 def make_static_model(n_agents: int = 2) -> MasModel:
     """Frozen-state test dynamics: f(x, u, w) = x, zero cost, always safe."""
     return MasModel(
@@ -39,6 +43,7 @@ def make_static_model(n_agents: int = 2) -> MasModel:
         transition=_identity_transition,
         safe_fn=lambda x: True,
         cost_fn=lambda x: 0.0,
+        transition_batch=_identity_transition_batch,
     )
 
 
@@ -49,10 +54,8 @@ class ConstantValue:
         self.v = float(v)
 
     def predict(self, x):
-        x = np.asarray(x)
-        if x.ndim == 2:
-            return np.full(x.shape[0], self.v)
-        return self.v
+        shape = np.shape(x)[:-1]
+        return np.full(shape, self.v) if shape else self.v
 
 
 class QuadraticValue:
@@ -63,9 +66,8 @@ class QuadraticValue:
 
     def predict(self, x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return self.coeff * np.sum(x * x, axis=1)
-        return self.coeff * float(x @ x)
+        out = self.coeff * np.sum(x * x, axis=-1)
+        return float(out) if x.ndim == 1 else out
 
 
 class FixedActionPolicy:

@@ -143,8 +143,7 @@ def test_criterion_4_proximity_projection():
     rng = np.random.default_rng(4321)
     total = 0
     for dim in (1, 2, 3, 4):
-        model = replace(make_static_model(2), action_dims=(dim, dim),
-                        transition_batch=None)
+        model = replace(make_static_model(2), action_dims=(dim, dim))
         for _ in range(2500):
             total += 1
             safe_vec = rng.uniform(-1, 1, dim)

@@ -96,18 +96,21 @@ class TestStep:
                    zero_sample(m))
 
     def test_batched_transition_matches_loop(self):
+        # (B actions x S samples) in one call against per-sample transitions.
         for preset, m_agents in [("spring", None), ("collision", 3)]:
             m = make_model(preset, n_agents=m_agents)
             rng = np.random.default_rng(11)
             x = rng.normal(size=(m.n_agents, 2))
-            u = [rng.uniform(-1, 1, d) for d in m.action_dims]
+            rows = rng.uniform(-1, 1, size=(4, sum(m.action_dims)))
             samples = [m.sample_uncertainty(rng) for _ in range(7)]
-            loop = np.stack([m.transition(x, u, s) for s in samples])
             batch = m.transition_batch(
-                x, u,
+                x, rows,
                 np.array([s.theta for s in samples]),
                 np.stack([s.noise for s in samples]),
             )
+            assert batch.shape == (4, 7, m.n_agents, 2)
+            loop = np.stack([[m.transition(x, m.split_action(r), s) for s in samples]
+                             for r in rows])
             assert np.array_equal(loop, batch)
 
 

@@ -148,6 +148,14 @@ class TestRunExperiment:
             FAST + f"policy.path = {saved}\n", tmp_path / "out")
         assert run_experiment(cfg_run, "run") == 0
 
+    @pytest.mark.parametrize("controller", ["nominal", "safe"])
+    def test_sweep_without_filter_rejected_before_work(self, tmp_path, capsys, controller):
+        # No value model exists: the controller check must come first.
+        cfg = cfg_with_out(FAST + f"run.controller = {controller}\n", tmp_path / "out")
+        assert run_experiment(cfg, "sweep-beta") == 1
+        assert "run.controller" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
     def test_certify_vacuity_warning(self, tmp_path, capsys):
         cfg = cfg_with_out(FAST, tmp_path / "out")
         assert run_experiment(cfg, "train-value") == 0
@@ -232,3 +240,28 @@ class TestCli:
         proc = self.run_cli("run", "--config", str(cfg),
                             "--out", str(tmp_path / "fresh"))
         assert proc.returncode == 2
+
+    def test_corrupt_model_exit_2_without_traceback(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(FAST)
+        out = tmp_path / "out"
+        proc = self.run_cli("train-value", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        model = out / "value_model.bin"
+        valid = model.read_bytes()
+        for data in (valid[:300], b"JUNK" + valid[4:]):
+            model.write_bytes(data)
+            proc = self.run_cli("run", "--config", str(cfg), "--out", str(out))
+            assert proc.returncode == 2
+            assert "unreadable model file" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_config_path_containing_equals_sign(self, tmp_path):
+        folder = tmp_path / "a=b"
+        folder.mkdir()
+        cfg = folder / "exp.cfg"
+        cfg.write_text(FAST)
+        out = tmp_path / "out"
+        proc = self.run_cli("train-value", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert "value.states = 30" in (out / "manifest.json").read_text()

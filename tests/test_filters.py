@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ConstantValue, FixedActionPolicy, QuadraticValue, make_static_model
 from riskfilter import (
@@ -25,7 +27,7 @@ from riskfilter import (
     switching_filter,
     worst_case_margin,
 )
-from riskfilter.filters import _clip_ball_box
+from riskfilter.filters import _clip_ball_box, _margins
 
 
 def zero_nominal(model):
@@ -91,8 +93,8 @@ class TestCheckCondition:
     def test_non_finite_barrier_rejected(self, static_model):
         class NanValue:
             def predict(self, x):
-                x = np.asarray(x)
-                return np.full(x.shape[0], np.nan) if x.ndim == 2 else np.nan
+                shape = np.shape(x)[:-1]
+                return np.full(shape, np.nan) if shape else np.nan
 
         cfg = FilterConfig()
         with pytest.raises(ContractViolationError):
@@ -162,7 +164,8 @@ class TestPessimistic:
         # samples, identical solves for every seed and state.
         m = replace(make_static_model(1),
                     transition=lambda x, u, s: x + 0.1 * u[0][0] + s.noise,
-                    transition_batch=None,
+                    transition_batch=lambda x, u, thetas, noises: (
+                        x + 0.1 * u[:, None, :, None] + noises),
                     noise_scale=0.05)
         b = Barrier(QuadraticValue(2.0), 3.0)
         nom = FixedActionPolicy([np.array([0.4])])
@@ -204,8 +207,7 @@ class TestPessimistic:
 class TestProximity:
     def proximity_direct(self, safe_vec, nom_vec, radius, clip=False):
         d = len(safe_vec)
-        m = replace(make_static_model(2),
-                    action_dims=(d, d), transition_batch=None)
+        m = replace(make_static_model(2), action_dims=(d, d))
         nom = FixedActionPolicy([nom_vec, np.zeros(d)])
         safe = FixedActionPolicy([safe_vec, np.zeros(d)])
         cfg = FilterConfig(radius=radius, clip_to_box=clip)
@@ -358,3 +360,79 @@ class TestWorstCaseMargin:
             _, margin = check_condition(s.model, s.barrier, x, u, cfg, samples=samples)
             margins.append(margin)
         assert got == min(margins)
+
+
+class TestBatchInvariance:
+    @settings(deadline=None, max_examples=40)
+    @given(preset=st.sampled_from(["spring", "collision"]), b=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_block_margins_match_single_rows_bitwise(self, spring_setup, collision_setup,
+                                                     preset, b, seed):
+        # Criterion 3 and the manual-enumeration test re-check margins with
+        # ==, so a row's margin must not depend on the block or the kernel
+        # pass (128 rows at S = 5) around it.
+        s = spring_setup if preset == "spring" else collision_setup
+        rng = np.random.default_rng(seed)
+        x = s.model.validate_state(s.box_sampler(rng))
+        cfg = FilterConfig()
+        samples = draw_risk_samples(s.model, cfg.n_samples, seed)
+        rows = rng.uniform(-1, 1, size=(b, sum(s.model.action_dims)))
+        block = _margins(s.model, s.barrier, x, cfg, samples, rows)
+        assert block.shape == (b,)
+        for row, margin in zip(rows, block):
+            _, single = check_condition(s.model, s.barrier, x, s.model.split_action(row),
+                                        cfg, samples=samples)
+            assert margin == single
+
+    @pytest.mark.parametrize("agents", [2, 3])
+    def test_filters_match_candidate_loop_reference(self, agents):
+        # Reference: the per-candidate, per-combo loop the block evaluation
+        # replaced; the chosen action and its margin must agree exactly.
+        m = make_model("collision", n_agents=agents, noise_scale=0.05)
+        b = Barrier(QuadraticValue(0.5), 2.0)
+        cfg = FilterConfig(grid_size=3, n_samples=3, alpha=0.5)
+        axis = np.linspace(-1, 1, cfg.grid_size)
+        rng = np.random.default_rng(agents)
+        for seed in range(6):
+            x = rng.uniform(-1, 1, size=(agents, 2))
+            nom = FixedActionPolicy([rng.uniform(-1, 1, 1) for _ in range(agents)])
+            samples = draw_risk_samples(m, cfg.n_samples, seed)
+
+            def margin(u):
+                return check_condition(m, b, x, u, cfg, samples=samples)[1]
+
+            def first_feasible(cands, score):
+                for cand in cands:
+                    if score(cand) >= cfg.tolerance:
+                        return cand, score(cand)
+                return None
+
+            grid = [np.array(p) for p in itertools.product(axis, repeat=agents)]
+            nom_flat = np.concatenate(nom(x))
+            joint = sorted([nom_flat] + grid, key=lambda c: np.sum((c - nom_flat) ** 2))
+            ref = first_feasible(joint, lambda c: margin(list(c[:, None])))
+            out = centralized_filter(m, b, x, nom, cfg, seed)
+            assert (out is None) == (ref is None)
+            if out is not None:
+                assert np.array_equal(np.concatenate(out.action), ref[0])
+                assert out.margin == ref[1]
+
+            for agent in range(agents):
+                own = nom(x)[agent]
+                cands = sorted([own] + [np.array([g]) for g in axis],
+                               key=lambda c: np.sum((c - own) ** 2))
+
+                def worst(cand):
+                    margins = []
+                    for combo in itertools.product(axis, repeat=agents - 1):
+                        others = iter(combo)
+                        margins.append(margin([cand if j == agent else np.array([next(others)])
+                                               for j in range(agents)]))
+                    return min(margins)
+
+                ref = first_feasible(cands, worst)
+                out = pessimistic_filter(m, b, agent, x, nom, cfg, seed)
+                assert (out is None) == (ref is None)
+                if out is not None:
+                    assert np.array_equal(out.action, ref[0])
+                    assert out.margin == ref[1]

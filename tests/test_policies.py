@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from riskfilter import (
     ContractViolationError,
-    Policy,
+    MissingModelError,
     cem_improve,
     eval_policy,
     load_policy,
@@ -86,27 +88,6 @@ class TestProportional:
             eval_policy(pol, np.zeros((2, 2)))
 
 
-class TestTabulated:
-    def test_lookup(self):
-        m = make_model("collision", n_agents=2)
-        base = make_proportional(m, (1.0, 0.5))
-        pol = Policy(
-            kind="tabulated",
-            gains=base.gains,
-            x_ref=base.x_ref,
-            action_dims=base.action_dims,
-            action_low=base.action_low,
-            action_high=base.action_high,
-            table_breaks=np.array([-0.5, 0.5]),
-            table_values=np.array([[1.0, 0.0, -1.0], [1.0, 0.0, -1.0]]),
-        )
-        u = pol(np.array([[-2.0, 0.0], [2.0, 0.0]]))
-        assert u[0][0] == 1.0
-        assert u[1][0] == -1.0
-        mid = pol(np.zeros((2, 2)))
-        assert mid[0][0] == 0.0
-
-
 class TestCem:
     def gain_distance_objective(self, target):
         def objective(policy):
@@ -173,3 +154,10 @@ class TestPolicyPersistence:
         x = np.array([[0.4, -0.2], [-0.1, 0.3]])
         for a, b in zip(pol(x), back(x)):
             assert np.array_equal(a, b)
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        m = make_model("collision", n_agents=2)
+        path = tmp_path / "policy.bin"
+        save_policy(replace(make_proportional(m, (1.0, 0.5)), kind="tabulated"), path)
+        with pytest.raises(MissingModelError):
+            load_policy(path)

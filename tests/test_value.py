@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ConstantValue, constant_cost_model, make_static_model
 from riskfilter import (
@@ -12,9 +14,7 @@ from riskfilter import (
     ContractViolationError,
     MissingModelError,
     ValueDataset,
-    barrier_value,
     collect_dataset,
-    eval_value,
     fit_value,
     load_value_model,
     make_model,
@@ -157,9 +157,9 @@ class TestEvalValue:
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = rng.normal(size=1)
-            v = eval_value(vm, x)
+            v = vm.predict(x)
             assert v >= 0.0
-            assert eval_value(vm, x) == v
+            assert vm.predict(x) == v
 
     def test_wrong_dimension_rejected(self):
         ds = grid_dataset(lambda x: x + 2)
@@ -176,14 +176,30 @@ class TestEvalValue:
         assert np.allclose(batch, singles, atol=0)
 
 
+class TestBatchInvariance:
+    @settings(deadline=None, max_examples=60)
+    @given(preset=st.sampled_from(["spring", "collision"]), n=st.integers(1, 40),
+           s=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_matches_slices_bitwise(self, spring_setup, collision_setup,
+                                          preset, n, s, seed):
+        # The filters evaluate (B, S, d) stacks and compare margins with ==:
+        # every slice must get the bits of its own 2-D call.
+        vm = (spring_setup if preset == "spring" else collision_setup).value_model
+        stack = np.random.default_rng(seed).uniform(-2, 2, size=(n, s, vm.input_dim))
+        got = vm.predict(stack)
+        assert got.shape == (n, s)
+        for i in range(n):
+            assert np.array_equal(got[i], vm.predict(stack[i]))
+
+
 class TestBarrier:
     def test_arithmetic(self):
         b = Barrier(ConstantValue(3.0), 5.0)
-        assert barrier_value(b, np.zeros(4)) == 2.0
+        assert b.value(np.zeros(4)) == 2.0
 
     def test_boundary(self):
         b = Barrier(ConstantValue(5.0), 5.0)
-        assert barrier_value(b, np.zeros(4)) == 0.0
+        assert b.value(np.zeros(4)) == 0.0
         assert b.in_sublevel(np.zeros(4))
 
     def test_membership_equivalence(self):
@@ -216,5 +232,5 @@ class TestPersistence:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a container at all")
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(MissingModelError):
             load_value_model(path)
