@@ -6,12 +6,19 @@ The on-disk format is line-based with sections and scalar keys::
     [filter]
     alpha = 0.1
     beta = 1.0
-    run.preset = collision      # dotted keys work at top level too
+    # dotted keys work at top level too
+    run.preset = collision
 
 Inside a ``[section]`` block, bare keys are prefixed with the section
 name; outside one, keys must be fully dotted.  Values are scalars (int,
-float, ``true``/``false``, or a bare string); list-valued settings such
-as sweep axes are comma-separated strings.  Unknown keys are rejected.
+float, or a bare string); list-valued settings such as sweep axes are
+comma-separated strings.  Unknown keys are rejected.
+
+Each key is declared once, on its ``ExperimentConfig`` field, together
+with its default; the field's annotation is its type.  Parsing,
+serialization and the key check all read that one declaration.
+Validation also bounds the work of one filter solve and one certify
+check, so a config that could not finish is rejected before any work.
 
 Defaults mirror the benchmark setup: alpha = 0.1, epsilon = 0, proximity
 radius 0.05, beta = 1, xi = 5, 5 risk samples, gamma = 0.99, and the
@@ -22,6 +29,7 @@ and value-training sizes.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,125 +65,73 @@ _PRESET_DEFAULTS = {
     },
 }
 
-# key -> (field name, type tag, default)
-_SCHEMA = {
-    "run.preset": ("preset", "str", "spring"),
-    "run.agents": ("agents", "int", _PRESET),
-    "run.steps": ("steps", "int", 200),
-    "run.rollouts": ("rollouts", "int", 20),
-    "run.seed": ("seed", "int", 0),
-    "run.controller": ("controller", "str", "switching"),
-    "run.out": ("out", "str", ""),
-    "model.noise_scale": ("noise_scale", "float", _PRESET),
-    "model.gamma": ("gamma", "float", 0.99),
-    "model.u_min": ("u_min", "float", -1.0),
-    "model.u_max": ("u_max", "float", 1.0),
-    "filter.alpha": ("alpha", "float", 0.1),
-    "filter.epsilon": ("epsilon", "float", 0.0),
-    "filter.alpha_bar": ("alpha_bar", "float", 0.2),
-    "filter.epsilon_bar": ("epsilon_bar", "float", 0.0),
-    "filter.beta": ("beta", "float", 1.0),
-    "filter.xi": ("xi", "float", 5.0),
-    "filter.samples": ("samples", "int", 5),
-    "filter.grid": ("grid", "int", 9),
-    "filter.radius_mode": ("radius_mode", "str", "fixed"),
-    "filter.radius": ("radius", "float", 0.05),
-    "filter.lipschitz_h": ("lipschitz_h", "float", 1.0),
-    "filter.lipschitz_fu": ("lipschitz_fu", "float", 1.0),
-    "filter.tolerance": ("tolerance", "float", 0.0),
-    "filter.clip_to_box": ("clip_to_box", "bool", False),
-    "value.states": ("value_states", "int", 2000),
-    "value.horizon": ("value_horizon", "int", 200),
-    "value.samples": ("value_samples", "int", 2),
-    "value.hidden": ("value_hidden", "str", "64x64"),
-    "value.epochs": ("value_epochs", "int", 1500),
-    "value.learning_rate": ("value_lr", "float", 0.01),
-    "value.model_path": ("value_model_path", "str", ""),
-    "value.pos_low": ("value_pos_low", "float", _PRESET),
-    "value.pos_high": ("value_pos_high", "float", _PRESET),
-    "value.vel_low": ("value_vel_low", "float", _PRESET),
-    "value.vel_high": ("value_vel_high", "float", _PRESET),
-    "policy.nominal_kp": ("nominal_kp", "float", _PRESET),
-    "policy.nominal_kd": ("nominal_kd", "float", _PRESET),
-    "policy.safe_kp": ("safe_kp", "float", _PRESET),
-    "policy.safe_kd": ("safe_kd", "float", _PRESET),
-    "policy.safe_spread": ("safe_spread", "float", _PRESET),
-    "policy.cem_iterations": ("cem_iterations", "int", 0),
-    "policy.cem_population": ("cem_population", "int", 16),
-    "policy.cem_elite": ("cem_elite", "float", 0.25),
-    "policy.path": ("policy_path", "str", ""),
-    "init.mode": ("init_mode", "str", _PRESET),
-    "init.pos_low": ("init_pos_low", "float", -1.0),
-    "init.pos_high": ("init_pos_high", "float", 1.0),
-    "init.vel_low": ("init_vel_low", "float", -0.5),
-    "init.vel_high": ("init_vel_high", "float", 0.5),
-    "sweep.beta": ("sweep_beta", "str", "0.1,1,10"),
-    "sweep.xi": ("sweep_xi", "str", "2,5,10"),
-    "certify.states": ("certify_states", "int", 50),
-    "certify.samples": ("certify_samples", "int", 200),
-    "certify.k": ("certify_k", "int", 10),
-}
 
-_FIELD_TO_KEY = {field: key for key, (field, _, _) in _SCHEMA.items()}
+def _setting(key: str, default):
+    """A config setting: its key in the text format and its default
+    (``_PRESET`` for one taken from ``_PRESET_DEFAULTS``).  No dataclass
+    default, so the constructor still requires every field."""
+    return dataclasses.field(metadata={"key": key, "default": default})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    preset: str
-    agents: int
-    steps: int
-    rollouts: int
-    seed: int
-    controller: str
-    out: str
-    noise_scale: float
-    gamma: float
-    u_min: float
-    u_max: float
-    alpha: float
-    epsilon: float
-    alpha_bar: float
-    epsilon_bar: float
-    beta: float
-    xi: float
-    samples: int
-    grid: int
-    radius_mode: str
-    radius: float
-    lipschitz_h: float
-    lipschitz_fu: float
-    tolerance: float
-    clip_to_box: bool
-    value_states: int
-    value_horizon: int
-    value_samples: int
-    value_hidden: str
-    value_epochs: int
-    value_lr: float
-    value_model_path: str
-    value_pos_low: float
-    value_pos_high: float
-    value_vel_low: float
-    value_vel_high: float
-    nominal_kp: float
-    nominal_kd: float
-    safe_kp: float
-    safe_kd: float
-    safe_spread: float
-    cem_iterations: int
-    cem_population: int
-    cem_elite: float
-    policy_path: str
-    init_mode: str
-    init_pos_low: float
-    init_pos_high: float
-    init_vel_low: float
-    init_vel_high: float
-    sweep_beta: str
-    sweep_xi: str
-    certify_states: int
-    certify_samples: int
-    certify_k: int
+    """Every experiment setting.  Each field declares its config key and
+    default once, in ``_setting``; its annotation is the type tag."""
+
+    preset: str = _setting("run.preset", "spring")
+    agents: int = _setting("run.agents", _PRESET)
+    steps: int = _setting("run.steps", 200)
+    rollouts: int = _setting("run.rollouts", 20)
+    seed: int = _setting("run.seed", 0)
+    controller: str = _setting("run.controller", "switching")
+    out: str = _setting("run.out", "")
+    noise_scale: float = _setting("model.noise_scale", _PRESET)
+    gamma: float = _setting("model.gamma", 0.99)
+    u_min: float = _setting("model.u_min", -1.0)
+    u_max: float = _setting("model.u_max", 1.0)
+    alpha: float = _setting("filter.alpha", 0.1)
+    epsilon: float = _setting("filter.epsilon", 0.0)
+    alpha_bar: float = _setting("filter.alpha_bar", 0.2)
+    epsilon_bar: float = _setting("filter.epsilon_bar", 0.0)
+    beta: float = _setting("filter.beta", 1.0)
+    xi: float = _setting("filter.xi", 5.0)
+    samples: int = _setting("filter.samples", 5)
+    grid: int = _setting("filter.grid", 9)
+    radius_mode: str = _setting("filter.radius_mode", "fixed")
+    radius: float = _setting("filter.radius", 0.05)
+    lipschitz_h: float = _setting("filter.lipschitz_h", 1.0)
+    lipschitz_fu: float = _setting("filter.lipschitz_fu", 1.0)
+    tolerance: float = _setting("filter.tolerance", 0.0)
+    value_states: int = _setting("value.states", 2000)
+    value_horizon: int = _setting("value.horizon", 200)
+    value_samples: int = _setting("value.samples", 2)
+    value_hidden: str = _setting("value.hidden", "64x64")
+    value_epochs: int = _setting("value.epochs", 1500)
+    value_lr: float = _setting("value.learning_rate", 0.01)
+    value_model_path: str = _setting("value.model_path", "")
+    value_pos_low: float = _setting("value.pos_low", _PRESET)
+    value_pos_high: float = _setting("value.pos_high", _PRESET)
+    value_vel_low: float = _setting("value.vel_low", _PRESET)
+    value_vel_high: float = _setting("value.vel_high", _PRESET)
+    nominal_kp: float = _setting("policy.nominal_kp", _PRESET)
+    nominal_kd: float = _setting("policy.nominal_kd", _PRESET)
+    safe_kp: float = _setting("policy.safe_kp", _PRESET)
+    safe_kd: float = _setting("policy.safe_kd", _PRESET)
+    safe_spread: float = _setting("policy.safe_spread", _PRESET)
+    cem_iterations: int = _setting("policy.cem_iterations", 0)
+    cem_population: int = _setting("policy.cem_population", 16)
+    cem_elite: float = _setting("policy.cem_elite", 0.25)
+    policy_path: str = _setting("policy.path", "")
+    init_mode: str = _setting("init.mode", _PRESET)
+    init_pos_low: float = _setting("init.pos_low", -1.0)
+    init_pos_high: float = _setting("init.pos_high", 1.0)
+    init_vel_low: float = _setting("init.vel_low", -0.5)
+    init_vel_high: float = _setting("init.vel_high", 0.5)
+    sweep_beta: str = _setting("sweep.beta", "0.1,1,10")
+    sweep_xi: str = _setting("sweep.xi", "2,5,10")
+    certify_states: int = _setting("certify.states", 50)
+    certify_samples: int = _setting("certify.samples", 200)
+    certify_k: int = _setting("certify.k", 10)
 
     def hidden_sizes(self) -> tuple:
         try:
@@ -187,10 +143,10 @@ class ExperimentConfig:
         return sizes
 
     def beta_values(self) -> list:
-        return _parse_float_list(self.sweep_beta, "sweep.beta")
+        return _parse_float_list(self, "sweep_beta")
 
     def xi_values(self) -> list:
-        return _parse_float_list(self.sweep_xi, "sweep.xi")
+        return _parse_float_list(self, "sweep_xi")
 
     def build_model(self) -> MasModel:
         return make_model(
@@ -202,14 +158,13 @@ class ExperimentConfig:
             action_high=self.u_max,
         )
 
-    def filter_config(self, beta: float | None = None, xi: float | None = None) -> FilterConfig:
+    def filter_config(self, beta: float | None = None) -> FilterConfig:
         return FilterConfig(
             alpha=self.alpha,
             epsilon=self.epsilon,
             alpha_bar=self.alpha_bar,
             epsilon_bar=self.epsilon_bar,
             beta=self.beta if beta is None else beta,
-            xi=self.xi if xi is None else xi,
             n_samples=self.samples,
             grid_size=self.grid,
             radius_mode=self.radius_mode,
@@ -217,7 +172,6 @@ class ExperimentConfig:
             lipschitz_h=self.lipschitz_h,
             lipschitz_fu=self.lipschitz_fu,
             tolerance=self.tolerance,
-            clip_to_box=self.clip_to_box,
         )
 
     def nominal_policy(self, model: MasModel) -> Policy:
@@ -247,7 +201,13 @@ class ExperimentConfig:
         return lambda rng: rng.uniform(lo, hi, size=(model.n_agents, model.state_dim))
 
 
-def _parse_float_list(text: str, key: str) -> list:
+# Config key -> ExperimentConfig field; the field's metadata holds the default.
+_SCHEMA = {f.metadata["key"]: f for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _parse_float_list(cfg: ExperimentConfig, name: str) -> list:
+    text = getattr(cfg, name)
+    key = next(key for key, f in _SCHEMA.items() if f.name == name)
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -264,11 +224,6 @@ def _coerce(key: str, kind: str, raw: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "false"):
-                return low == "true"
-            raise ValueError(raw)
         return raw
     except ValueError:
         raise ConfigError("invalid-value", f"cannot parse {key} = {raw!r} as {kind}")
@@ -300,6 +255,27 @@ def _parse_lines(text: str) -> dict:
             raise ConfigError("unknown-key", f"line {lineno}: unknown key {key!r}")
         raw[key] = value.strip()
     return raw
+
+
+# Work bound on one margin-kernel block, in (row, sample) pairs: about 12 s
+# per solve at the ~1.2 us per pair a collision M=3 centralized solve takes.
+_MAX_BLOCK_PAIRS = 10**7
+
+
+def _filter_block_pairs(cfg: ExperimentConfig) -> int:
+    """(row, sample) pairs of one solve of the filter ``cfg.controller`` runs:
+    (G^A + 1)·S centralized, (G + 1)·G^(A-1)·S pessimistic, 0 unfiltered.
+
+    A counts actuated action dimensions: one per agent, and none for the
+    spring preset's third agent.  G >= 2, so G^64 is far over the bound,
+    and capping A at 64 keeps the comparison exact without huge powers.
+    """
+    dims = min(cfg.agents - 1 if cfg.preset == "spring" else cfg.agents, 64)
+    if cfg.controller == "centralized":
+        return (cfg.grid ** dims + 1) * cfg.samples
+    if cfg.controller == "switching":
+        return (cfg.grid + 1) * cfg.grid ** (dims - 1) * cfg.samples
+    return 0
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -347,62 +323,51 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         cfg.filter_config()
     except ContractViolationError as exc:
         bad(str(exc))
+    if cfg.certify_samples > _MAX_BLOCK_PAIRS:
+        bad(f"certify.samples = {cfg.certify_samples} is over the work bound of "
+            f"{_MAX_BLOCK_PAIRS} samples per check")
+    if _filter_block_pairs(cfg) > _MAX_BLOCK_PAIRS:
+        bad(f"one {cfg.controller} filter solve would evaluate more than the work bound "
+            f"of {_MAX_BLOCK_PAIRS} (row, sample) pairs; lower filter.grid, "
+            "filter.samples or run.agents")
     return cfg
 
 
-def parse_config(source) -> ExperimentConfig:
-    """Parse a config file path or inline text into a validated config.
-
-    A string containing '=' or a newline is treated as inline text, the
-    empty string as an empty config (all defaults); anything else must be
-    an existing file path.
+def parse_config(source: str | os.PathLike) -> ExperimentConfig:
+    """Parse config text (a ``str``; ``""`` gives all defaults) or a config
+    file (a ``pathlib.Path`` or other ``os.PathLike``) into a validated config.
     """
-    if isinstance(source, Path):
-        if not source.exists():
-            raise ConfigError("missing-file", f"config file not found: {source}")
-        text = source.read_text()
+    if isinstance(source, os.PathLike):
+        try:
+            text = Path(source).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("missing-file", f"cannot read config file {source}: {exc}")
     elif isinstance(source, str):
-        if source == "" or "=" in source or "\n" in source:
-            text = source
-        else:
-            path = Path(source)
-            if not path.exists():
-                raise ConfigError("missing-file", f"config file not found: {source}")
-            text = path.read_text()
+        text = source
     else:
         raise ConfigError("syntax", f"unsupported config source {type(source).__name__}")
 
     raw = _parse_lines(text)
-    preset = _coerce("run.preset", "str", raw.get("run.preset", "spring"))
-    if preset not in _PRESET_DEFAULTS:
-        raise ConfigError("invalid-value", f"unknown preset {preset!r}")
-    preset_defaults = _PRESET_DEFAULTS[preset]
-    fields = {}
-    for key, (field, kind, default) in _SCHEMA.items():
-        if key in raw:
-            fields[field] = _coerce(key, kind, raw[key])
-        elif default is _PRESET:
-            fields[field] = preset_defaults[field]
-        else:
-            fields[field] = default
-    return _validate(ExperimentConfig(**fields))
+    fields = {f.name: _coerce(key, f.type, raw[key]) if key in raw else f.metadata["default"]
+              for key, f in _SCHEMA.items()}
+    preset_defaults = _PRESET_DEFAULTS.get(fields["preset"])
+    if preset_defaults is None:
+        raise ConfigError("invalid-value", f"unknown preset {fields['preset']!r}")
+    return _validate(ExperimentConfig(**{
+        name: preset_defaults[name] if value is _PRESET else value
+        for name, value in fields.items()
+    }))
 
 
 def serialize_config(cfg: ExperimentConfig, exclude: tuple = ()) -> str:
-    """Canonical text form; parse(serialize(cfg)) reproduces cfg exactly."""
+    """Canonical text form, one ``key = value`` line per field in key order;
+    parse(serialize(cfg)) reproduces cfg exactly.  ``exclude`` names fields
+    to leave out, by field name as ``config_with`` does."""
     lines = []
-    for field in sorted(_FIELD_TO_KEY, key=lambda f: _FIELD_TO_KEY[f]):
-        key = _FIELD_TO_KEY[field]
-        if key in exclude:
-            continue
-        value = getattr(cfg, field)
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
+    for key, f in sorted(_SCHEMA.items()):
+        if f.name not in exclude:
+            value = getattr(cfg, f.name)
+            lines.append(f"{key} = {repr(value) if isinstance(value, float) else value}")
     return "\n".join(lines) + "\n"
 
 

@@ -129,7 +129,7 @@ def _write_manifest(cfg: ExperimentConfig, command: str, out_dir: Path, outputs:
         "artifact": "riskfilter",
         "version": __version__,
         "command": command,
-        "config": serialize_config(cfg, exclude=("run.out",)),
+        "config": serialize_config(cfg, exclude=("out",)),
         "base_seed": cfg.seed,
         "rollout_seeds": [cfg.seed + i for i in range(cfg.rollouts)],
         "outputs": sorted(outputs),
@@ -151,9 +151,16 @@ def _load_barrier(cfg: ExperimentConfig, out_dir: Path, xi: float | None = None)
 
 
 def _safe_policy(cfg: ExperimentConfig, model):
-    if cfg.policy_path:
-        return load_policy(cfg.policy_path)
-    return cfg.safe_policy(model)
+    """The configured safe policy; a loaded one must act in the model's action space."""
+    if not cfg.policy_path:
+        return cfg.safe_policy(model)
+    policy = load_policy(cfg.policy_path)
+    loaded = (policy.action_dims, policy.action_low, policy.action_high)
+    wanted = (model.action_dims, model.action_low, model.action_high)
+    if loaded != wanted:
+        raise ConfigError("invalid-value", f"policy.path {cfg.policy_path} acts on "
+                          f"(dims, low, high) = {loaded}, but the model needs {wanted}")
+    return policy
 
 
 def _make_controller(cfg: ExperimentConfig, model, barrier, fcfg: FilterConfig):
@@ -239,7 +246,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir: Path, axis: str) -> list:
             return _make_controller(cfg, model, _load_barrier(cfg, out_dir),
                                     cfg.filter_config(beta=v))
         return _make_controller(cfg, model, _load_barrier(cfg, out_dir, xi=v),
-                                cfg.filter_config(xi=v))
+                                cfg.filter_config())
 
     _load_barrier(cfg, out_dir)  # fail fast before the first factory call
     sampler = cfg.init_sampler(model)

@@ -65,7 +65,6 @@ class FilterConfig:
     alpha_bar: float = 0.2
     epsilon_bar: float = 0.0
     beta: float = 1.0
-    xi: float = 5.0
     n_samples: int = 5
     grid_size: int = 9
     radius_mode: str = "fixed"          # fixed | margin
@@ -73,7 +72,6 @@ class FilterConfig:
     lipschitz_h: float = 1.0
     lipschitz_fu: float = 1.0
     tolerance: float = 0.0
-    clip_to_box: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -362,28 +360,7 @@ def proximity_filter(
     r = proximity_radius(model, cfg, h_now)
     u_n = np.asarray(pi_nom(x)[agent], dtype=float)
     u_s = np.asarray(pi_safe(x)[agent], dtype=float)
-    u = _project_ball(u_n, u_s, r)
-    if cfg.clip_to_box:
-        u = _clip_ball_box(u, u_s, r, model.action_low, model.action_high)
-    return u
-
-
-def _clip_ball_box(u, center, radius, low, high, iterations: int = 50, tol: float = 1e-9):
-    """Re-project onto the ball/box intersection by alternating projection.
-
-    The ball center is the safe policy's (already box-clipped) action, so
-    the intersection is nonempty; on non-convergence the center itself is
-    the safe fallback.
-    """
-    v = u.copy()
-    for _ in range(iterations):
-        nxt = _project_ball(np.clip(v, low, high), center, radius)
-        if float(np.max(np.abs(nxt - v))) < tol:
-            in_box = np.all(nxt >= low - tol) and np.all(nxt <= high + tol)
-            if in_box:
-                return np.clip(nxt, low, high)
-        v = nxt
-    return center.copy()
+    return _project_ball(u_n, u_s, r)
 
 
 def switching_filter(

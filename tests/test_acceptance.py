@@ -259,7 +259,7 @@ def test_criterion_7_collision_beta_trend(collision_setup):
     def factory(beta):
         return SwitchingController(barrier=s.barrier, nominal=s.nominal,
                                    safe=s.safe,
-                                   cfg=FilterConfig(beta=beta, xi=s.cfg.xi))
+                                   cfg=FilterConfig(beta=beta))
 
     rows = sweep(s.model, factory, "beta", betas, 10, 200, 0,
                  s.cfg.init_sampler(s.model))

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
-from riskfilter import ConfigError, config_with, parse_config, serialize_config
+from riskfilter import ConfigError, ExperimentConfig, config_with, parse_config, serialize_config
 
 
 class TestParse:
@@ -47,9 +50,24 @@ class TestParse:
         assert cfg.agents == 3
 
     def test_missing_file(self, tmp_path):
+        (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00")
+        for name in ("absent.cfg", ".", "binary.cfg"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(Path(tmp_path / name))
+            assert err.value.code == "missing-file"
+
+    def test_argument_type_decides_text_or_file(self, tmp_path):
+        folder = tmp_path / "a=b"
+        folder.mkdir()
+        path = folder / "exp.cfg"
+        path.write_text("run.steps = 7\n")
+        assert parse_config(path).steps == 7
+        # A str is always config text, even when it names an existing file.
+        plain = tmp_path / "exp.cfg"
+        plain.write_text("run.steps = 7\n")
         with pytest.raises(ConfigError) as err:
-            parse_config(str(tmp_path / "absent.cfg"))
-        assert err.value.code == "missing-file"
+            parse_config(str(plain))
+        assert err.value.code == "syntax"
 
     def test_syntax_error(self):
         with pytest.raises(ConfigError) as err:
@@ -99,28 +117,52 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config(text)
 
-    def test_boolean_parsing(self):
-        assert parse_config("filter.clip_to_box = true").clip_to_box is True
-        assert parse_config("filter.clip_to_box = false").clip_to_box is False
-        with pytest.raises(ConfigError):
-            parse_config("filter.clip_to_box = yes")
+    def test_work_bounds(self):
+        # One solve's kernel block holds (G^A + 1)·S (row, sample) pairs for
+        # the centralized filter and (G + 1)·G^(A-1)·S for the pessimistic
+        # one; blocks and certify checks over 10^7 pairs are rejected.
+        collision = "run.preset = collision\nrun.agents = {}\nrun.controller = {}\n"
+        for agents, controller in ((6, "switching"), (6, "centralized"), (12, "nominal")):
+            assert parse_config(collision.format(agents, controller)).agents == agents
+        assert parse_config("certify.samples = 10000000").certify_samples == 10**7
+        for text in (
+            collision.format(7, "switching"),
+            collision.format(7, "centralized"),
+            collision.format(12, "switching"),
+            collision.format(10**12, "centralized"),
+            "filter.samples = 100000000000000000000",
+            "certify.samples = 10000001",
+        ):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert err.value.code == "invalid-value"
 
 
 class TestSerialize:
     def test_round_trip_defaults(self):
-        cfg = parse_config("")
-        assert parse_config(serialize_config(cfg)) == cfg
+        fields = dataclasses.fields(ExperimentConfig)
+        for preset in ("", "run.preset = collision\n"):
+            cfg = parse_config(preset)
+            text = serialize_config(cfg)
+            assert parse_config(text) == cfg
+            # Exactly one line per field, each under its own key.
+            lines = dict(line.split(" = ", 1) for line in text.splitlines())
+            assert len(lines) == len(text.splitlines()) == len(fields)
+            for f in fields:
+                key = f.metadata["key"]
+                alone = parse_config(f"{preset}{key} = {lines[key]}\n")
+                assert getattr(alone, f.name) == getattr(cfg, f.name)
 
     def test_round_trip_overrides(self):
         text = ("run.preset = collision\nrun.agents = 3\nfilter.beta = 2.5\n"
-                "filter.clip_to_box = true\nsweep.beta = 0.5,5\n")
+                "filter.grid = 7\nsweep.beta = 0.5,5\n")
         cfg = parse_config(text)
         again = parse_config(serialize_config(cfg))
         assert again == cfg
 
     def test_exclusion(self):
         cfg = parse_config("run.out = somewhere")
-        text = serialize_config(cfg, exclude=("run.out",))
+        text = serialize_config(cfg, exclude=("out",))
         assert "run.out" not in text
 
     def test_helpers(self):

@@ -265,3 +265,37 @@ class TestCli:
         proc = self.run_cli("train-value", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert "value.states = 30" in (out / "manifest.json").read_text()
+
+    @pytest.mark.parametrize("text", [
+        "run.preset = collision\nrun.agents = 12\n",   # 10 x 9^11 x 5 pairs per solve
+        "filter.samples = 100000000000000000000\n",
+        "certify.samples = 10000001\n",
+    ])
+    def test_work_bound_exit_1_before_work(self, tmp_path, text):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(FAST + text)
+        out = tmp_path / "out"
+        proc = self.run_cli("train-value", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        assert "configuration error [invalid-value]" in proc.stderr
+        assert "work bound" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_loaded_policy_for_another_box_exit_1_before_work(self, tmp_path):
+        trained = tmp_path / "trained"
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(FAST + "model.u_max = 3\npolicy.cem_iterations = 1\n")
+        proc = self.run_cli("train-value", "--config", str(cfg), "--out", str(trained))
+        assert proc.returncode == 0, proc.stderr
+        cfg = tmp_path / "default.cfg"
+        cfg.write_text(FAST + f"policy.path = {trained / 'safe_policy.bin'}\n")
+        fresh = tmp_path / "fresh"
+        for command, out, output in (("run", trained, "trajectories.csv"),
+                                     ("train-value", fresh, "value_model.bin")):
+            proc = self.run_cli(command, "--config", str(cfg), "--out", str(out))
+            assert proc.returncode == 1
+            assert "configuration error [invalid-value]" in proc.stderr
+            assert "policy.path" in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert not (out / output).exists()

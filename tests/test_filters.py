@@ -27,7 +27,7 @@ from riskfilter import (
     switching_filter,
     worst_case_margin,
 )
-from riskfilter.filters import _clip_ball_box, _margins
+from riskfilter.filters import _margins
 
 
 def zero_nominal(model):
@@ -205,12 +205,12 @@ class TestPessimistic:
 
 
 class TestProximity:
-    def proximity_direct(self, safe_vec, nom_vec, radius, clip=False):
+    def proximity_direct(self, safe_vec, nom_vec, radius):
         d = len(safe_vec)
         m = replace(make_static_model(2), action_dims=(d, d))
         nom = FixedActionPolicy([nom_vec, np.zeros(d)])
         safe = FixedActionPolicy([safe_vec, np.zeros(d)])
-        cfg = FilterConfig(radius=radius, clip_to_box=clip)
+        cfg = FilterConfig(radius=radius)
         return proximity_filter(m, 0, np.zeros((2, 2)), nom, safe, cfg)
 
     def test_nominal_inside_ball(self):
@@ -260,21 +260,10 @@ class TestProximity:
             assert np.linalg.norm(u - nom) <= dism.min() + 1e-9
 
     def test_default_is_box_free(self):
-        # The proximity constraint has no box term by default: a nominal
-        # action outside the box passes through when the ball allows it.
+        # The proximity constraint has no box term: a nominal action
+        # outside the box passes through when the ball allows it.
         u = self.proximity_direct(np.array([0.9]), np.array([1.3]), 0.5)
         assert u[0] == 1.3
-
-    def test_box_clip_stays_in_intersection(self):
-        u = self.proximity_direct(np.array([0.95]), np.array([2.0]), 0.5, clip=True)
-        assert u[0] <= 1.0 + 1e-9
-        assert abs(u[0] - 0.95) <= 0.5 + 1e-9
-
-    def test_clip_ball_box_converges(self):
-        out = _clip_ball_box(np.array([1.4, 0.2]), np.array([0.8, 0.0]), 0.7,
-                             -1.0, 1.0)
-        assert np.all(out <= 1.0 + 1e-9) and np.all(out >= -1.0 - 1e-9)
-        assert np.linalg.norm(out - [0.8, 0.0]) <= 0.7 + 1e-9
 
 
 class TestSwitching:
