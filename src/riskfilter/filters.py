@@ -26,8 +26,10 @@ Continuous minimization is approximated by a distance-ordered grid search
 nominal action always tried first, so whenever the nominal action is
 feasible it is returned unchanged.
 
-Every margin comes from one kernel, ``_margins``; each solve builds one
-block of flat joint-action rows and makes one kernel call on it.
+Every margin comes from one kernel, ``_margins``, over blocks of flat
+joint-action rows: one block per centralized solve or ``worst_case_margin``
+call, one per pass of the pessimistic search, which stops trying a
+candidate once a combo fails it.
 """
 
 from __future__ import annotations
@@ -205,24 +207,23 @@ def _ordered_candidates(nominal: np.ndarray, cfg: FilterConfig, low: float, high
     return cands[order]
 
 
-def _against_grid(model: MasModel, agent: int, cands: np.ndarray, cfg: FilterConfig) -> np.ndarray:
-    """(C * K, A) rows pairing each of ``agent``'s C candidates with the K
-    points of the grid over all other action dimensions, candidate-major.
+def _other_grid(model: MasModel, agent: int, cfg: FilterConfig) -> tuple:
+    """(own, combos): the mask of ``agent``'s columns in a flat joint action
+    and the K points of the grid over all other action dimensions.
 
     An agent with d > 1 gets all G^d points, not only the diagonal; with no
     other actuated agent K = 1 and the worst case is the plain condition.
     """
     own = np.repeat(np.arange(model.n_agents) == agent, model.action_dims)
-    combos = _grid(int(np.sum(~own)), cfg, model.action_low, model.action_high)
+    return own, _grid(int(np.sum(~own)), cfg, model.action_low, model.action_high)
+
+
+def _against(own: np.ndarray, cands: np.ndarray, combos: np.ndarray) -> np.ndarray:
+    """(C * K, A) rows pairing C own candidates with K combos, candidate-major."""
     rows = np.empty((len(cands), len(combos), own.size))
     rows[:, :, own] = cands[:, None, :]
     rows[:, :, ~own] = combos[None, :, :]
     return rows.reshape(-1, own.size)
-
-
-def _first_feasible(margins: np.ndarray, cfg: FilterConfig) -> int | None:
-    hits = np.flatnonzero(margins >= cfg.tolerance)
-    return int(hits[0]) if hits.size else None
 
 
 def centralized_filter(
@@ -245,9 +246,10 @@ def centralized_filter(
     nominal = np.concatenate(model.validate_action(pi_nom(x)))
     cands = _ordered_candidates(nominal, cfg, model.action_low, model.action_high)
     margins = _margins(model, barrier, x, cfg, samples, cands)
-    i = _first_feasible(margins, cfg)
-    if i is None:
+    hits = np.flatnonzero(margins >= cfg.tolerance)
+    if not hits.size:
         return None
+    i = hits[0]
     return FilterOutcome(action=model.split_action(cands[i]), branch=Branch.CENTRALIZED,
                          feasible=True, margin=float(margins[i]))
 
@@ -264,25 +266,36 @@ def pessimistic_filter(
     """Per-agent worst-case filter.
 
     Each candidate u_i (nominal first, then the grid in ascending
-    distance to nominal) is paired with every grid combination of the
-    other actuated agents' actions; all pairs are evaluated in one block
-    with one shared sample draw.  Returns the nearest candidate whose
-    worst-case margin clears the tolerance, or None: infeasibility is an
-    expected outcome near the constraint boundary, not a fault.
+    distance to nominal) must clear the tolerance on every grid
+    combination of the other actuated agents' actions, under one shared
+    sample draw.  Each pass pairs the surviving candidates with the next
+    combos in grid order, about _PASS_PAIRS (row, sample) pairs in one
+    kernel call, and drops every candidate that a combo failed.  A
+    survivor meets every combo, so the result is the full scan's: the
+    nearest candidate whose worst-case margin clears the tolerance, with
+    that margin, or None: infeasibility is an expected outcome near the
+    constraint boundary, not a fault.
     """
     if model.action_dims[agent] == 0:
         raise ContractViolationError(f"agent {agent} is unactuated")
     samples = draw_risk_samples(model, cfg.n_samples, seed)
     x = model.validate_state(x)
-    nominal = np.asarray(pi_nom(x)[agent], dtype=float)
+    nominal = model.validate_action(pi_nom(x))[agent]
     cands = _ordered_candidates(nominal, cfg, model.action_low, model.action_high)
-    margins = _margins(model, barrier, x, cfg, samples, _against_grid(model, agent, cands, cfg))
-    worst = margins.reshape(len(cands), -1).min(axis=1)
-    i = _first_feasible(worst, cfg)
-    if i is None:
-        return None
-    return FilterOutcome(action=cands[i], branch=Branch.PESSIMISTIC,
-                         feasible=True, margin=float(worst[i]), agent=agent)
+    own, combos = _other_grid(model, agent, cfg)
+    worst = np.inf
+    done = 0
+    while done < len(combos):
+        block = combos[done:done + max(1, (_PASS_PAIRS // cfg.n_samples) // len(cands))]
+        margins = _margins(model, barrier, x, cfg, samples, _against(own, cands, block))
+        worst = np.minimum(worst, margins.reshape(len(cands), -1).min(axis=1))
+        keep = worst >= cfg.tolerance
+        if not keep.any():
+            return None
+        cands, worst = cands[keep], worst[keep]
+        done += len(block)
+    return FilterOutcome(action=cands[0], branch=Branch.PESSIMISTIC,
+                         feasible=True, margin=float(worst[0]), agent=agent)
 
 
 def worst_case_margin(
@@ -297,8 +310,8 @@ def worst_case_margin(
     """Exact minimum margin of one agent's action over the others' grid."""
     x = model.validate_state(x)
     cand = np.asarray(action, dtype=float).reshape(1, -1)
-    return float(np.min(_margins(model, barrier, x, cfg, samples,
-                                 _against_grid(model, agent, cand, cfg))))
+    own, combos = _other_grid(model, agent, cfg)
+    return float(np.min(_margins(model, barrier, x, cfg, samples, _against(own, cand, combos))))
 
 
 def proximity_radius(model: MasModel, cfg: FilterConfig, h_now: float | None = None) -> float:
@@ -358,8 +371,8 @@ def proximity_filter(
             raise ContractViolationError("margin-derived radius needs a barrier")
         h_now = float(barrier.value(model.flatten_state(x)))
     r = proximity_radius(model, cfg, h_now)
-    u_n = np.asarray(pi_nom(x)[agent], dtype=float)
-    u_s = np.asarray(pi_safe(x)[agent], dtype=float)
+    u_n = model.validate_action(pi_nom(x))[agent]
+    u_s = model.validate_action(pi_safe(x))[agent]
     return _project_ball(u_n, u_s, r)
 
 

@@ -159,6 +159,13 @@ class TestPessimistic:
             pessimistic_filter(m, b, 2, np.zeros((3, 2)),
                                zero_nominal(m), FilterConfig(), seed=0)
 
+    def test_nominal_of_wrong_dimension_rejected(self):
+        m = make_model("collision", n_agents=2)
+        b = Barrier(QuadraticValue(0.5), 2.0)
+        nom = FixedActionPolicy([np.array([0.1, 0.2]), np.array([0.0])])
+        with pytest.raises(ContractViolationError):
+            pessimistic_filter(m, b, 0, np.zeros((2, 2)), nom, FilterConfig(), seed=0)
+
     def test_single_agent_equals_centralized(self):
         # With M = 1 the inner minimum is empty: same grid, same shared
         # samples, identical solves for every seed and state.
@@ -259,6 +266,16 @@ class TestProximity:
             dism = np.linalg.norm(points - nom, axis=1)
             assert np.linalg.norm(u - nom) <= dism.min() + 1e-9
 
+    @pytest.mark.parametrize("nominal_dim, safe_dim", [(2, 1), (1, 2)])
+    def test_actions_of_wrong_dimension_rejected(self, nominal_dim, safe_dim):
+        # A 2-vector for a 1-D agent used to pass through the projection
+        # and be mis-split across the agents by the switching controller.
+        m = make_model("collision", n_agents=2)
+        nom = FixedActionPolicy([np.full(nominal_dim, 0.5), np.zeros(1)])
+        safe = FixedActionPolicy([np.full(safe_dim, 0.1), np.zeros(1)])
+        with pytest.raises(ContractViolationError):
+            proximity_filter(m, 0, np.zeros((2, 2)), nom, safe, FilterConfig())
+
     def test_default_is_box_free(self):
         # The proximity constraint has no box term: a nominal action
         # outside the box passes through when the ball allows it.
@@ -335,6 +352,66 @@ class TestThreeAgentAdversaries:
         assert np.isfinite(got)
 
 
+class TestEarlyExit:
+    """The pessimistic search drops a candidate at its first failing combo
+    and evaluates a survivor on every combo.  Rows are counted at the
+    model's transition_batch, one call per kernel pass."""
+
+    G = 9
+
+    def drift_model(self):
+        # f(x, u) = x + 0.5 u in every coordinate of every agent, so from
+        # x = 0 the first combo in grid order, (-1, -1), is the worst one.
+        calls = []
+
+        def transition_batch(x, u, thetas, noises):
+            calls.append(u.copy())
+            return x + 0.5 * u[:, None, :, None] + noises
+
+        return replace(make_static_model(3), transition_batch=transition_batch), calls
+
+    def solve(self, alpha, value=None):
+        m, calls = self.drift_model()
+        b = Barrier(value or QuadraticValue(1.0), 1.5)
+        nom = FixedActionPolicy([np.array([1.0]), np.zeros(1), np.zeros(1)])
+        cfg = FilterConfig(alpha=alpha, grid_size=self.G, n_samples=5)
+        out = pessimistic_filter(m, b, 0, np.zeros((3, 2)), nom, cfg, seed=0)
+        return out, calls, (m, b, cfg)
+
+    def test_all_fail_on_first_combo(self):
+        # margin = 1.5 - 0.5 * (u0^2 + u1^2 + u2^2) - 1.5 * alpha: at
+        # alpha = 0.5 every candidate fails on (-1, -1) and passes on (0, 0).
+        out, calls, _ = self.solve(alpha=0.5)
+        assert out is None
+        assert len(calls) == 1
+        assert sum(len(u) for u in calls) < (self.G + 1) * self.G ** 2
+
+    def test_feasible_survivor_sees_every_combo(self):
+        # At alpha = 0.2 a candidate is feasible iff u0^2 <= 0.4: from the
+        # nominal 1.0 the search drops 1.0 (twice) and 0.75, then picks 0.5.
+        out, calls, (m, b, cfg) = self.solve(alpha=0.2)
+        assert out is not None and out.action[0] == 0.5
+        rows = np.vstack(calls)
+        assert len(rows) < (self.G + 1) * self.G ** 2
+        combos = {tuple(r[1:]) for r in rows if r[0] == 0.5}
+        assert combos == set(itertools.product(np.linspace(-1, 1, self.G), repeat=2))
+        samples = draw_risk_samples(m, cfg.n_samples, 0)
+        assert out.margin == worst_case_margin(m, b, 0, out.action, np.zeros((3, 2)),
+                                               cfg, samples)
+
+    def test_non_finite_on_last_combo_of_survivor_rejected(self):
+        # The value is NaN only where agents 1 and 2 both moved to +0.5,
+        # which the last combo (1, 1) alone reaches; a survivor gets there.
+        class NanAtLastCombo(QuadraticValue):
+            def predict(self, x):
+                x = np.asarray(x, dtype=float)
+                out = np.asarray(super().predict(x), dtype=float)
+                return np.where((x[..., 3] >= 0.5) & (x[..., 5] >= 0.5), np.nan, out)
+
+        with pytest.raises(ContractViolationError):
+            self.solve(alpha=0.0, value=NanAtLastCombo(0.01))
+
+
 class TestWorstCaseMargin:
     def test_matches_manual_enumeration(self, spring_setup):
         s = spring_setup
@@ -373,15 +450,23 @@ class TestBatchInvariance:
                                         cfg, samples=samples)
             assert margin == single
 
-    @pytest.mark.parametrize("agents", [2, 3])
-    def test_filters_match_candidate_loop_reference(self, agents):
+    @pytest.mark.parametrize("agents, grid_size, n_samples, coeff, both_outcomes", [
+        pytest.param(2, 3, 3, 0.5, True, id="2"),
+        pytest.param(3, 3, 3, 0.5, False, id="3"),
+        # 10 x 81 = 810-row pessimistic blocks: a solve takes up to 7 kernel passes.
+        pytest.param(3, 9, 5, 0.2, True, id="3-multipass"),
+    ])
+    def test_filters_match_candidate_loop_reference(self, agents, grid_size, n_samples, coeff,
+                                                    both_outcomes):
         # Reference: the per-candidate, per-combo loop the block evaluation
         # replaced; the chosen action and its margin must agree exactly.
+        # ``both_outcomes`` cases must meet feasible and infeasible solves.
         m = make_model("collision", n_agents=agents, noise_scale=0.05)
-        b = Barrier(QuadraticValue(0.5), 2.0)
-        cfg = FilterConfig(grid_size=3, n_samples=3, alpha=0.5)
+        b = Barrier(QuadraticValue(coeff), 2.0)
+        cfg = FilterConfig(grid_size=grid_size, n_samples=n_samples, alpha=0.5)
         axis = np.linspace(-1, 1, cfg.grid_size)
         rng = np.random.default_rng(agents)
+        pessimistic_feasible = set()
         for seed in range(6):
             x = rng.uniform(-1, 1, size=(agents, 2))
             nom = FixedActionPolicy([rng.uniform(-1, 1, 1) for _ in range(agents)])
@@ -422,6 +507,9 @@ class TestBatchInvariance:
                 ref = first_feasible(cands, worst)
                 out = pessimistic_filter(m, b, agent, x, nom, cfg, seed)
                 assert (out is None) == (ref is None)
+                pessimistic_feasible.add(out is not None)
                 if out is not None:
                     assert np.array_equal(out.action, ref[0])
                     assert out.margin == ref[1]
+        if both_outcomes:
+            assert pessimistic_feasible == {True, False}
