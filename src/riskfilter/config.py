@@ -29,6 +29,7 @@ and value-training sizes.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -214,6 +215,8 @@ def _parse_float_list(cfg: ExperimentConfig, name: str) -> list:
         raise ConfigError("invalid-value", f"{key} must be a comma-separated float list")
     if not values:
         raise ConfigError("invalid-value", f"{key} must be nonempty")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError("invalid-value", f"{key} must hold finite values")
     return values
 
 
@@ -284,6 +287,9 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     def bad(msg):
         raise ConfigError("invalid-value", msg)
 
+    for f in dataclasses.fields(cfg):
+        if f.type == "float" and not math.isfinite(getattr(cfg, f.name)):
+            bad(f"{f.metadata['key']} must be finite, got {getattr(cfg, f.name)!r}")
     if cfg.preset not in _PRESET_DEFAULTS:
         bad(f"unknown preset {cfg.preset!r}")
     if cfg.preset == "spring" and cfg.agents != 3:
@@ -322,7 +328,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     cfg.beta_values()
     cfg.xi_values()
     try:
-        cfg.filter_config()
+        for beta in [cfg.beta] + cfg.beta_values():
+            cfg.filter_config(beta=beta)
     except ContractViolationError as exc:
         bad(str(exc))
     if cfg.certify_samples > _MAX_BLOCK_PAIRS:

@@ -25,8 +25,8 @@ from a standard normal prior:
 
 Each model carries its safe-set predicate, the smooth sigmoid cost that
 encodes it, and the regulation reward used by the nominal task.  Models
-are immutable after construction; all randomness enters through explicit
-seeds or generators supplied by the caller.
+are immutable after construction; all randomness enters through the
+uncertainty samples supplied by the caller.
 """
 
 from __future__ import annotations
@@ -135,16 +135,6 @@ class MasModel:
                 f"({self.n_agents}, {self.state_dim})"
             )
         return self.transition(x, u, sample)
-
-    def sample_uncertainty(self, rng) -> UncertaintySample:
-        """Draw (theta, noise); deterministic given the generator state.
-
-        ``rng`` may be an integer seed or a ``numpy.random.Generator``.
-        """
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        theta = float(rng.standard_normal())
-        noise = rng.standard_normal((self.n_agents, self.state_dim)) * self.noise_scale
-        return UncertaintySample(theta=theta, noise=noise)
 
     def is_safe(self, x: np.ndarray) -> bool:
         return self.safe_fn(self.validate_state(x))

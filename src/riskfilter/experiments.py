@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -141,13 +142,13 @@ def _value_model_path(cfg: ExperimentConfig, out_dir: Path) -> Path:
     return Path(cfg.value_model_path) if cfg.value_model_path else out_dir / "value_model.bin"
 
 
-def _load_barrier(cfg: ExperimentConfig, out_dir: Path, xi: float | None = None) -> Barrier:
+def _load_barrier(cfg: ExperimentConfig, out_dir: Path) -> Barrier:
     path = _value_model_path(cfg, out_dir)
     if not path.exists():
         raise MissingModelError(
             f"value model not found at {path}; run the train-value command first"
         )
-    return Barrier(load_value_model(path), cfg.xi if xi is None else xi)
+    return Barrier(load_value_model(path), cfg.xi)
 
 
 def _safe_policy(cfg: ExperimentConfig, model):
@@ -240,15 +241,14 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir: Path, axis: str) -> list:
                           f"run.controller = {cfg.controller} runs none")
     model = cfg.build_model()
     values = cfg.beta_values() if axis == "beta" else cfg.xi_values()
+    # One read of the value model and the policies serves every value.
+    base = _make_controller(cfg, model, _load_barrier(cfg, out_dir), cfg.filter_config())
 
     def factory(v):
         if axis == "beta":
-            return _make_controller(cfg, model, _load_barrier(cfg, out_dir),
-                                    cfg.filter_config(beta=v))
-        return _make_controller(cfg, model, _load_barrier(cfg, out_dir, xi=v),
-                                cfg.filter_config())
+            return replace(base, cfg=cfg.filter_config(beta=v))
+        return replace(base, barrier=Barrier(base.barrier.value_model, v))
 
-    _load_barrier(cfg, out_dir)  # fail fast before the first factory call
     sampler = cfg.init_sampler(model)
     rows = sweep(model, factory, axis, values, cfg.rollouts, cfg.steps, cfg.seed, sampler)
     write_sweep_csv(rows, out_dir / "sweep.csv")

@@ -4,11 +4,11 @@ All filters enforce the sampled risk condition
 
     risk_lower([h(x+_s)]_s, beta)  >=  alpha * h(x) + epsilon
 
-where x+_s = f(x, u, omega_s; theta_s) over S uncertainty samples drawn
-from a seed.  Within one filter solve the same samples are reused for
-every candidate action (common random numbers), so feasibility
-comparisons are consistent and the worst-case filter's guarantee is
-exact over its grid.
+where x+_s = f(x, u, omega_s; theta_s) over S uncertainty samples.  A
+solve takes the step's joint nominal (and safe) actions and one
+``draw_risk_samples`` draw, reused for every candidate action (common
+random numbers), so feasibility comparisons are consistent and the
+worst-case filter's guarantee is exact over its grid.
 
 Four variants:
 
@@ -124,12 +124,18 @@ class FilterOutcome:
     agent: int | None = None
 
 
-def draw_risk_samples(model: MasModel, n_samples: int, seed) -> list:
-    """The S uncertainty samples a filter solve shares across its candidates."""
+def draw_risk_samples(model: MasModel, n_samples: int, seed) -> tuple:
+    """The S samples a filter solve shares across its candidates, as
+    ``(thetas (S,), noises (S, M, d_x))``: row s of one standard-normal
+    draw is sample s's theta, then its noise, the order of S successive
+    (theta, noise) draws.  ``seed=None`` (OS entropy) is rejected."""
     if n_samples < 1:
         raise ContractViolationError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    return [model.sample_uncertainty(rng) for _ in range(n_samples)]
+    if seed is None:
+        raise ContractViolationError("draw_risk_samples needs a seed, got None")
+    m, d = model.n_agents, model.state_dim
+    draws = np.random.default_rng(seed).standard_normal((n_samples, 1 + m * d))
+    return draws[:, 0], draws[:, 1:].reshape(n_samples, m, d) * model.noise_scale
 
 
 def check_condition(
@@ -138,20 +144,16 @@ def check_condition(
     x,
     u,
     cfg: FilterConfig,
-    seed=None,
-    samples: list | None = None,
+    samples: tuple,
 ) -> tuple:
-    """Evaluate the sampled risk condition at (x, u).
+    """Evaluate the sampled risk condition at (x, u) under ``samples``.
 
     Returns (satisfied, margin) with
 
         margin = risk_lower([h(f(x, u, s))]_s, beta) - alpha * h(x) - epsilon
 
-    and satisfied iff margin >= tolerance.  Samples are drawn from
-    ``seed`` unless an explicit shared sample list is supplied.
+    and satisfied iff margin >= tolerance.
     """
-    if samples is None:
-        samples = draw_risk_samples(model, cfg.n_samples, seed)
     x = model.validate_state(x)
     row = np.concatenate(model.validate_action(u))
     margin = float(_margins(model, barrier, x, cfg, samples, row[None, :])[0])
@@ -164,7 +166,7 @@ _PASS_PAIRS = 640
 
 
 def _margins(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig,
-             samples: list, rows: np.ndarray) -> np.ndarray:
+             samples: tuple, rows: np.ndarray) -> np.ndarray:
     """Risk margins of a (B, A) block of flat joint actions at the validated state x.
 
     Per pass over up to _PASS_PAIRS / S rows, one ``transition_batch`` call
@@ -174,9 +176,8 @@ def _margins(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig
     pass and re-checks are exact.
     """
     h_now = float(barrier.value(x.reshape(-1)))
-    thetas = np.array([s.theta for s in samples])
-    noises = np.stack([s.noise for s in samples])
-    step = max(1, _PASS_PAIRS // len(samples))
+    thetas, noises = samples
+    step = max(1, _PASS_PAIRS // len(thetas))
     out = np.empty(len(rows))
     for start in range(0, len(rows), step):
         nexts = model.transition_batch(x, rows[start:start + step], thetas, noises)
@@ -230,20 +231,19 @@ def centralized_filter(
     model: MasModel,
     barrier: Barrier,
     x,
-    pi_nom,
+    nominal,
     cfg: FilterConfig,
-    seed,
+    samples: tuple,
 ) -> FilterOutcome | None:
-    """Joint filter: nearest feasible joint action to the nominal one.
+    """Joint filter: nearest feasible joint action to the joint ``nominal``.
 
     Candidates are the nominal joint action plus the grid over every
-    actuated agent's box, all evaluated in one block with one shared
-    sample draw; the first in ascending distance to nominal that
-    satisfies the condition is returned, or None when none does.
+    actuated agent's box, all evaluated in one block under ``samples``;
+    the first in ascending distance to nominal that satisfies the
+    condition is returned, or None when none does.
     """
-    samples = draw_risk_samples(model, cfg.n_samples, seed)
     x = model.validate_state(x)
-    nominal = np.concatenate(model.validate_action(pi_nom(x)))
+    nominal = np.concatenate(model.validate_action(nominal))
     cands = _ordered_candidates(nominal, cfg, model.action_low, model.action_high)
     margins = _margins(model, barrier, x, cfg, samples, cands)
     hits = np.flatnonzero(margins >= cfg.tolerance)
@@ -259,34 +259,33 @@ def pessimistic_filter(
     barrier: Barrier,
     agent: int,
     x,
-    pi_nom,
+    nominal,
     cfg: FilterConfig,
-    seed,
+    samples: tuple,
 ) -> FilterOutcome | None:
-    """Per-agent worst-case filter.
+    """Per-agent worst-case filter around ``agent``'s part of ``nominal``.
 
     Each candidate u_i (nominal first, then the grid in ascending
     distance to nominal) must clear the tolerance on every grid
-    combination of the other actuated agents' actions, under one shared
-    sample draw.  Each pass pairs the surviving candidates with the next
-    combos in grid order, about _PASS_PAIRS (row, sample) pairs in one
-    kernel call, and drops every candidate that a combo failed.  A
-    survivor meets every combo, so the result is the full scan's: the
-    nearest candidate whose worst-case margin clears the tolerance, with
-    that margin, or None: infeasibility is an expected outcome near the
-    constraint boundary, not a fault.
+    combination of the other actuated agents' actions, under ``samples``.
+    Each pass pairs the surviving candidates with the next combos in grid
+    order, about _PASS_PAIRS (row, sample) pairs in one kernel call, and
+    drops every candidate that a combo failed.  A survivor meets every
+    combo, so the result is the full scan's: the nearest candidate whose
+    worst-case margin clears the tolerance, with that margin, or None:
+    infeasibility is an expected outcome near the constraint boundary,
+    not a fault.
     """
     if model.action_dims[agent] == 0:
         raise ContractViolationError(f"agent {agent} is unactuated")
-    samples = draw_risk_samples(model, cfg.n_samples, seed)
     x = model.validate_state(x)
-    nominal = model.validate_action(pi_nom(x))[agent]
-    cands = _ordered_candidates(nominal, cfg, model.action_low, model.action_high)
+    cands = _ordered_candidates(model.validate_action(nominal)[agent], cfg,
+                                model.action_low, model.action_high)
     own, combos = _other_grid(model, agent, cfg)
     worst = np.inf
     done = 0
     while done < len(combos):
-        block = combos[done:done + max(1, (_PASS_PAIRS // cfg.n_samples) // len(cands))]
+        block = combos[done:done + max(1, (_PASS_PAIRS // len(samples[0])) // len(cands))]
         margins = _margins(model, barrier, x, cfg, samples, _against(own, cands, block))
         worst = np.minimum(worst, margins.reshape(len(cands), -1).min(axis=1))
         keep = worst >= cfg.tolerance
@@ -305,7 +304,7 @@ def worst_case_margin(
     action: np.ndarray,
     x,
     cfg: FilterConfig,
-    samples: list,
+    samples: tuple,
 ) -> float:
     """Exact minimum margin of one agent's action over the others' grid."""
     x = model.validate_state(x)
@@ -351,17 +350,17 @@ def proximity_filter(
     model: MasModel,
     agent: int,
     x,
-    pi_nom,
-    pi_safe,
+    nominal,
+    safe,
     cfg: FilterConfig,
     barrier: Barrier | None = None,
 ) -> np.ndarray:
-    """Closed-form projection of the nominal action onto the safety ball.
+    """Closed-form projection of ``agent``'s nominal action onto the safety ball.
 
-    Always feasible: returns the nominal action if it already lies within
-    the radius of the safe policy's action, otherwise the boundary point
-    of the ball nearest to nominal.  ``barrier`` is only needed in
-    margin-derived radius mode.
+    ``nominal`` and ``safe`` are joint actions.  Always feasible: returns
+    the nominal action if it already lies within the radius of the safe
+    action, otherwise the boundary point of the ball nearest to nominal.
+    ``barrier`` is only needed in margin-derived radius mode.
     """
     if model.action_dims[agent] == 0:
         raise ContractViolationError(f"agent {agent} is unactuated")
@@ -371,9 +370,8 @@ def proximity_filter(
             raise ContractViolationError("margin-derived radius needs a barrier")
         h_now = float(barrier.value(model.flatten_state(x)))
     r = proximity_radius(model, cfg, h_now)
-    u_n = model.validate_action(pi_nom(x))[agent]
-    u_s = model.validate_action(pi_safe(x))[agent]
-    return _project_ball(u_n, u_s, r)
+    return _project_ball(model.validate_action(nominal)[agent],
+                         model.validate_action(safe)[agent], r)
 
 
 def switching_filter(
@@ -381,23 +379,22 @@ def switching_filter(
     barrier: Barrier,
     agent: int,
     x,
-    pi_nom,
-    pi_safe,
+    nominal,
+    safe,
     cfg: FilterConfig,
-    seed,
+    samples: tuple,
 ) -> FilterOutcome:
     """Pessimistic action when feasible, proximity action otherwise.
 
     Well-defined for every state with a nonnegative barrier value; the
     branch flag records which path produced the action.  For the
     proximity branch the recorded margin is the worst-case margin of the
-    chosen action under the same shared samples.
+    chosen action under the same ``samples``.
     """
-    out = pessimistic_filter(model, barrier, agent, x, pi_nom, cfg, seed)
+    out = pessimistic_filter(model, barrier, agent, x, nominal, cfg, samples)
     if out is not None:
         return out
-    u = proximity_filter(model, agent, x, pi_nom, pi_safe, cfg, barrier=barrier)
-    samples = draw_risk_samples(model, cfg.n_samples, seed)
+    u = proximity_filter(model, agent, x, nominal, safe, cfg, barrier=barrier)
     margin = worst_case_margin(model, barrier, agent, u, x, cfg, samples)
     return FilterOutcome(action=u, branch=Branch.PROXIMITY,
                          feasible=False, margin=margin, agent=agent)

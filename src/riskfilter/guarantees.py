@@ -107,10 +107,8 @@ def certify_grid(
             n_skipped += 1
             continue
         h_min = h_now if h_min is None else min(h_min, h_now)
-        samples = draw_risk_samples(
-            model, n_oracle_samples, np.random.SeedSequence([seed, idx])
-        )
-        _, margin = check_condition(model, barrier, x, policy(x), cfg, samples=samples)
+        samples = draw_risk_samples(model, n_oracle_samples, np.random.SeedSequence([seed, idx]))
+        _, margin = check_condition(model, barrier, x, policy(x), cfg, samples)
         margins.append(margin)
     margins = np.array(margins)
     n_eval = margins.size

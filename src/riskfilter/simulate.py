@@ -3,7 +3,8 @@
 Seeding scheme: rollout i of a batch uses seed ``base + i``; within a
 rollout the coupling parameter is drawn once (it is resampled per
 rollout, not per step) and process noise fresh per step, while each
-filter solve derives its own seed from (rollout seed, step, agent).
+filter solve draws its samples from (rollout seed, step, agent), and
+every solve of a step shares its one nominal and one safe policy call.
 This reproduces every byte of output from (config, base seed) while
 keeping the per-agent solves independent, mirroring the setting where
 agents share state but cannot coordinate actions.
@@ -22,6 +23,7 @@ from .filters import (
     Branch,
     FilterConfig,
     centralized_filter,
+    draw_risk_samples,
     proximity_filter,
     switching_filter,
 )
@@ -63,14 +65,15 @@ class SwitchingController:
     cfg: FilterConfig
 
     def act(self, model: MasModel, x, rollout_seed: int, step: int) -> StepDecision:
+        nominal, safe = self.nominal(x), self.safe(x)
         parts = []
         branches = [""] * model.n_agents
         feasible = [True] * model.n_agents
         for agent in model.actuated_agents:
-            seed = np.random.SeedSequence([rollout_seed, step, agent])
-            out = switching_filter(
-                model, self.barrier, agent, x, self.nominal, self.safe, self.cfg, seed
-            )
+            samples = draw_risk_samples(model, self.cfg.n_samples,
+                                        np.random.SeedSequence([rollout_seed, step, agent]))
+            out = switching_filter(model, self.barrier, agent, x, nominal, safe, self.cfg,
+                                   samples)
             parts.append(out.action)
             branches[agent] = out.branch.value
             feasible[agent] = out.feasible
@@ -89,8 +92,10 @@ class CentralizedController:
     cfg: FilterConfig
 
     def act(self, model: MasModel, x, rollout_seed: int, step: int) -> StepDecision:
-        seed = np.random.SeedSequence([rollout_seed, step])
-        out = centralized_filter(model, self.barrier, x, self.nominal, self.cfg, seed)
+        nominal, safe = self.nominal(x), self.safe(x)
+        samples = draw_risk_samples(model, self.cfg.n_samples,
+                                    np.random.SeedSequence([rollout_seed, step]))
+        out = centralized_filter(model, self.barrier, x, nominal, self.cfg, samples)
         branches = [""] * model.n_agents
         feasible = [True] * model.n_agents
         if out is not None:
@@ -100,9 +105,8 @@ class CentralizedController:
                                 feasible=tuple(feasible))
         parts = []
         for agent in model.actuated_agents:
-            parts.append(proximity_filter(
-                model, agent, x, self.nominal, self.safe, self.cfg, barrier=self.barrier
-            ))
+            parts.append(proximity_filter(model, agent, x, nominal, safe, self.cfg,
+                                          barrier=self.barrier))
             branches[agent] = Branch.PROXIMITY.value
             feasible[agent] = False
         return StepDecision(action=model.split_action(np.concatenate(parts)),

@@ -70,16 +70,6 @@ class QuadraticValue:
         return float(out) if x.ndim == 1 else out
 
 
-class FixedActionPolicy:
-    """Policy stub returning preset per-agent actions regardless of the state."""
-
-    def __init__(self, actions):
-        self.actions = [np.asarray(a, dtype=float).ravel() for a in actions]
-
-    def __call__(self, x):
-        return [a.copy() for a in self.actions]
-
-
 @pytest.fixture
 def static_model():
     return make_static_model()

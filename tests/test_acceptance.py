@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ConstantValue, FixedActionPolicy, constant_cost_model, make_static_model
+from conftest import ConstantValue, constant_cost_model, make_static_model
 from riskfilter import (
     Barrier,
     Branch,
@@ -112,13 +112,12 @@ def test_criterion_3_worst_case_grid_property(spring_setup):
     n_feasible = 0
     for idx, x in enumerate(states):
         for agent in s.model.actuated_agents:
-            seed = 10_000 + 7 * idx + agent
-            out = pessimistic_filter(s.model, s.barrier, agent, x, s.nominal,
-                                     cfg, seed=seed)
+            samples = draw_risk_samples(s.model, cfg.n_samples, 10_000 + 7 * idx + agent)
+            out = pessimistic_filter(s.model, s.barrier, agent, x, s.nominal(x),
+                                     cfg, samples)
             if out is None:
                 continue
             n_feasible += 1
-            samples = draw_risk_samples(s.model, cfg.n_samples, seed)
             others = [j for j in s.model.actuated_agents if j != agent]
             for combo in itertools.product(axis, repeat=len(others)):
                 u = [np.zeros(d) for d in s.model.action_dims]
@@ -152,8 +151,8 @@ def test_criterion_4_proximity_projection():
             cfg = FilterConfig(radius=radius)
             u = proximity_filter(
                 model, 0, np.zeros((2, 2)),
-                FixedActionPolicy([nom_vec, np.zeros(dim)]),
-                FixedActionPolicy([safe_vec, np.zeros(dim)]),
+                [nom_vec, np.zeros(dim)],
+                [safe_vec, np.zeros(dim)],
                 cfg,
             )
             assert np.all(np.isfinite(u))
@@ -179,8 +178,8 @@ def _fuzz_switching(setup, n_states: int, cfg: FilterConfig, seed: int):
     for idx, x in enumerate(states):
         agent = agents[idx % len(agents)]
         out = switching_filter(setup.model, setup.barrier, agent, x,
-                               setup.nominal, setup.safe, cfg,
-                               seed=50_000 + idx)
+                               setup.nominal(x), setup.safe(x), cfg,
+                               draw_risk_samples(setup.model, cfg.n_samples, 50_000 + idx))
         assert out.action is not None
         assert np.all(np.isfinite(np.asarray(out.action, dtype=float)))
         assert out.branch in (Branch.PESSIMISTIC, Branch.PROXIMITY)
@@ -207,13 +206,14 @@ def test_criterion_5_switching_well_defined(spring_setup, collision_setup):
     # the worst case always feasible, never a fallback.
     static = make_static_model(2)
     barrier = Barrier(ConstantValue(0.0), 1.0)
-    nominal = FixedActionPolicy([np.array([0.4]), np.array([-0.2])])
-    safe = FixedActionPolicy([np.zeros(1), np.zeros(1)])
+    nominal = [np.array([0.4]), np.array([-0.2])]
+    safe = [np.zeros(1), np.zeros(1)]
+    static_cfg = FilterConfig(grid_size=3, n_samples=2)
     rng = np.random.default_rng(9)
     for i in range(10_000):
         x = rng.normal(size=(2, 2))
-        out = switching_filter(static, barrier, i % 2, x, nominal, safe,
-                               FilterConfig(grid_size=3, n_samples=2), seed=i)
+        out = switching_filter(static, barrier, i % 2, x, nominal, safe, static_cfg,
+                               draw_risk_samples(static, static_cfg.n_samples, i))
         assert out.branch is Branch.PESSIMISTIC
     report(5, "switching filter well-defined on 2x10^4 fuzzed states; "
               "eps=10 all-proximity; static all-pessimistic")

@@ -109,6 +109,9 @@ class TestValidation:
         "value.states = 0",
         "value.hidden = 64xx64",
         "sweep.beta = ,",
+        "sweep.beta = 1,nan",
+        "sweep.beta = 0,1",
+        "sweep.xi = inf",
         "init.mode = gaussian",
         "certify.k = 0",
         "filter.radius_mode = margin\nfilter.alpha_bar = 0.05",
@@ -116,6 +119,28 @@ class TestValidation:
     def test_invalid_configs_rejected(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    # Every float-annotated setting, by its config key.
+    FLOAT_KEYS = sorted(f.metadata["key"] for f in dataclasses.fields(ExperimentConfig)
+                        if f.type == "float")
+
+    def test_float_keys_cover_known_cases(self):
+        assert {"filter.beta", "filter.tolerance", "filter.xi", "policy.nominal_kp",
+                "model.noise_scale", "init.pos_low"} <= set(self.FLOAT_KEYS)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, key, value):
+        # NaN used to pass every range check (all comparisons are False):
+        # filter.beta = nan ran with every solve infeasible, others crashed.
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{key} = {value}")
+        assert err.value.code == "invalid-value"
+        assert key in str(err.value)
+        field = next(f.name for f in dataclasses.fields(ExperimentConfig)
+                     if f.metadata["key"] == key)
+        with pytest.raises(ConfigError):
+            config_with(parse_config(""), **{field: float(value)})
 
     def test_work_bounds(self):
         # One solve's kernel block holds (G^A + 1)·S (row, sample) pairs for

@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from riskfilter import ConfigError, ContractViolationError, UncertaintySample, make_model
+from riskfilter import (
+    ConfigError,
+    ContractViolationError,
+    UncertaintySample,
+    draw_risk_samples,
+    make_model,
+)
 
 
 def zero_sample(model):
@@ -76,7 +82,8 @@ class TestStep:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(3, 2))
         u = [np.array([0.3]), np.array([-0.2]), np.zeros(0)]
-        s = m.sample_uncertainty(rng)
+        thetas, noises = draw_risk_samples(m, 1, rng)
+        s = UncertaintySample(thetas[0], noises[0])
         assert np.array_equal(m.step(x, u, s), m.step(x, u, s))
 
     def test_origin_fixed_point(self):
@@ -102,42 +109,61 @@ class TestStep:
             rng = np.random.default_rng(11)
             x = rng.normal(size=(m.n_agents, 2))
             rows = rng.uniform(-1, 1, size=(4, sum(m.action_dims)))
-            samples = [m.sample_uncertainty(rng) for _ in range(7)]
-            batch = m.transition_batch(
-                x, rows,
-                np.array([s.theta for s in samples]),
-                np.stack([s.noise for s in samples]),
-            )
+            thetas, noises = draw_risk_samples(m, 7, rng)
+            batch = m.transition_batch(x, rows, thetas, noises)
             assert batch.shape == (4, 7, m.n_agents, 2)
-            loop = np.stack([[m.transition(x, m.split_action(r), s) for s in samples]
-                             for r in rows])
+            loop = np.stack([[m.transition(x, m.split_action(r), UncertaintySample(t, n))
+                              for t, n in zip(thetas, noises)] for r in rows])
             assert np.array_equal(loop, batch)
 
 
 class TestSampleUncertainty:
+    """``draw_risk_samples``: S (theta, noise) samples as (thetas, noises) arrays."""
+
     def test_same_seed_identical(self):
         m = make_model("spring")
-        a = m.sample_uncertainty(42)
-        b = m.sample_uncertainty(42)
-        assert a.theta == b.theta
-        assert np.array_equal(a.noise, b.noise)
+        a = draw_risk_samples(m, 5, 42)
+        b = draw_risk_samples(m, 5, 42)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_theta_mean_law_of_large_numbers(self):
         m = make_model("collision", n_agents=2)
-        rng = np.random.default_rng(0)
-        thetas = np.array([m.sample_uncertainty(rng).theta for _ in range(100_000)])
+        thetas, _ = draw_risk_samples(m, 100_000, 0)
         assert abs(thetas.mean()) < 0.02
 
     def test_zero_scale_gives_zero_noise(self):
         m = make_model("spring", noise_scale=0.0)
-        s = m.sample_uncertainty(5)
-        assert np.all(s.noise == 0.0)
+        _, noises = draw_risk_samples(m, 5, 5)
+        assert np.all(noises == 0.0)
 
     def test_noise_scale(self):
         m = make_model("collision", n_agents=2)
-        rng = np.random.default_rng(1)
-        draws = np.stack([m.sample_uncertainty(rng).noise for _ in range(20_000)])
-        assert draws.std() == pytest.approx(0.1, rel=0.05)
+        _, noises = draw_risk_samples(m, 20_000, 1)
+        assert noises.std() == pytest.approx(0.1, rel=0.05)
+
+    @pytest.mark.parametrize("preset, agents", [("spring", None), ("collision", 3),
+                                                ("collision", 5)])
+    @pytest.mark.parametrize("n_samples", [5, 200])
+    @pytest.mark.parametrize("seed", [7, np.random.SeedSequence([7, 3, 1])])
+    def test_matches_per_sample_reference_loop(self, preset, agents, n_samples, seed):
+        # Reference: per sample, one theta draw, then one (M, d_x) noise draw.
+        m = make_model(preset, n_agents=agents)
+        thetas, noises = draw_risk_samples(m, n_samples, seed)
+        rng = np.random.default_rng(seed)
+        ref_thetas, ref_noises = [], []
+        for _ in range(n_samples):
+            ref_thetas.append(float(rng.standard_normal()))
+            ref_noises.append(rng.standard_normal((m.n_agents, m.state_dim)) * m.noise_scale)
+        assert thetas.shape == (n_samples,)
+        assert noises.shape == (n_samples, m.n_agents, m.state_dim)
+        assert thetas.tobytes() == np.array(ref_thetas).tobytes()
+        assert noises.tobytes() == np.stack(ref_noises).tobytes()
+
+    def test_seed_required(self):
+        # None would draw from OS entropy: samples must repeat from the seed.
+        with pytest.raises(ContractViolationError):
+            draw_risk_samples(make_model("spring"), 5, None)
 
 
 class TestSafeSet:

@@ -282,6 +282,21 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "filter.beta = nan\n",      # ran to exit 0 with every solve infeasible
+        "init.pos_low = nan\n",     # raised a raw OverflowError
+    ])
+    def test_non_finite_setting_exit_1_before_work(self, tmp_path, text):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(FAST + text)
+        out = tmp_path / "out"
+        proc = self.run_cli("train-value", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        assert "configuration error [invalid-value]" in proc.stderr
+        assert "must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_loaded_policy_for_another_box_exit_1_before_work(self, tmp_path):
         trained = tmp_path / "trained"
         cfg = tmp_path / "wide.cfg"

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ConstantValue, FixedActionPolicy, QuadraticValue, make_static_model
+from conftest import ConstantValue, QuadraticValue, make_static_model
 from riskfilter import (
     Barrier,
     Branch,
     ContractViolationError,
     FilterConfig,
     GuaranteeDomainError,
+    UncertaintySample,
     centralized_filter,
     check_condition,
     draw_risk_samples,
@@ -28,10 +29,6 @@ from riskfilter import (
     worst_case_margin,
 )
 from riskfilter.filters import _margins
-
-
-def zero_nominal(model):
-    return FixedActionPolicy([np.zeros(d) for d in model.action_dims])
 
 
 class TestFilterConfig:
@@ -63,7 +60,7 @@ class TestCheckCondition:
         cfg = FilterConfig(alpha=0.1, epsilon=0.0)
         ok, margin = check_condition(
             static_model, unit_barrier, np.zeros((2, 2)),
-            static_model.zero_action(), cfg, seed=0,
+            static_model.zero_action(), cfg, draw_risk_samples(static_model, cfg.n_samples, 0),
         )
         assert ok
         assert margin == pytest.approx(0.9, abs=1e-12)
@@ -73,7 +70,8 @@ class TestCheckCondition:
         for a in np.linspace(-1, 1, 9):
             u = [np.array([a]), np.array([-a])]
             ok, margin = check_condition(static_model, unit_barrier,
-                                         np.zeros((2, 2)), u, cfg, seed=1)
+                                         np.zeros((2, 2)), u, cfg,
+                                         draw_risk_samples(static_model, cfg.n_samples, 1))
             assert not ok
             assert margin <= 1.0 - 10.0
 
@@ -85,10 +83,20 @@ class TestCheckCondition:
         cfg = FilterConfig(beta=1e-8, n_samples=32)
         samples = draw_risk_samples(m, cfg.n_samples, 3)
         _, margin = check_condition(m, b, x, u, cfg, samples=samples)
-        values = [b.value(m.flatten_state(m.step(x, u, s))) for s in samples]
+        values = [b.value(m.flatten_state(m.step(x, u, UncertaintySample(theta, noise))))
+                  for theta, noise in zip(*samples)]
         h_now = float(b.value(m.flatten_state(x)))
         expected = np.mean(values) - cfg.alpha * h_now - cfg.epsilon
         assert margin == pytest.approx(expected, abs=1e-6)
+
+    def test_samples_required(self):
+        # Without a draw the margin would come from OS entropy and differ
+        # from call to call; the caller must pass its samples.
+        m = make_model("collision", n_agents=2)
+        b = Barrier(QuadraticValue(0.5), 4.0)
+        u = [np.array([0.3]), np.array([-0.2])]
+        with pytest.raises(TypeError):
+            check_condition(m, b, np.array([[0.5, 0.1], [-0.4, 0.2]]), u, FilterConfig())
 
     def test_non_finite_barrier_rejected(self, static_model):
         class NanValue:
@@ -99,14 +107,16 @@ class TestCheckCondition:
         cfg = FilterConfig()
         with pytest.raises(ContractViolationError):
             check_condition(static_model, Barrier(NanValue(), 1.0),
-                            np.zeros((2, 2)), static_model.zero_action(), cfg, seed=0)
+                            np.zeros((2, 2)), static_model.zero_action(), cfg,
+                            draw_risk_samples(static_model, cfg.n_samples, 0))
 
 
 class TestCentralized:
     def test_feasible_nominal_returned_exactly(self, static_model, unit_barrier):
-        nom = FixedActionPolicy([np.array([0.123]), np.array([-0.456])])
-        out = centralized_filter(static_model, unit_barrier, np.zeros((2, 2)),
-                                 nom, FilterConfig(), seed=0)
+        nom = [np.array([0.123]), np.array([-0.456])]
+        cfg = FilterConfig()
+        out = centralized_filter(static_model, unit_barrier, np.zeros((2, 2)), nom, cfg,
+                                 draw_risk_samples(static_model, cfg.n_samples, 0))
         assert out is not None
         assert out.branch is Branch.CENTRALIZED
         assert out.feasible
@@ -114,9 +124,10 @@ class TestCentralized:
         assert out.action[1][0] == -0.456
 
     def test_infeasible_returns_none(self, static_model, unit_barrier):
+        cfg = FilterConfig(epsilon=10.0)
         out = centralized_filter(static_model, unit_barrier, np.zeros((2, 2)),
-                                 zero_nominal(static_model),
-                                 FilterConfig(epsilon=10.0), seed=0)
+                                 static_model.zero_action(), cfg,
+                                 draw_risk_samples(static_model, cfg.n_samples, 0))
         assert out is None
 
     def test_skips_infeasible_nominal(self):
@@ -126,45 +137,50 @@ class TestCentralized:
         m = make_model("spring", noise_scale=0.0)
         b = Barrier(QuadraticValue(1.0), 4.0)
         x = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        nom = FixedActionPolicy([np.array([1.0]), np.array([1.0]), np.zeros(0)])
+        nom = [np.array([1.0]), np.array([1.0]), np.zeros(0)]
         cfg = FilterConfig(alpha=1.0, grid_size=5, n_samples=3)
-        out = centralized_filter(m, b, x, nom, cfg, seed=2)
+        samples = draw_risk_samples(m, cfg.n_samples, 2)
+        out = centralized_filter(m, b, x, nom, cfg, samples)
         if out is not None:
             # Whatever was returned must satisfy the condition itself.
-            ok, _ = check_condition(m, b, x, out.action, cfg,
-                                    samples=draw_risk_samples(m, 3, 2))
+            ok, _ = check_condition(m, b, x, out.action, cfg, samples)
             assert ok
 
 
 class TestPessimistic:
     def test_static_returns_nominal(self, static_model, unit_barrier):
-        nom = FixedActionPolicy([np.array([0.25]), np.array([0.5])])
-        out = pessimistic_filter(static_model, unit_barrier, 0, np.zeros((2, 2)),
-                                 nom, FilterConfig(), seed=0)
+        nom = [np.array([0.25]), np.array([0.5])]
+        cfg = FilterConfig()
+        out = pessimistic_filter(static_model, unit_barrier, 0, np.zeros((2, 2)), nom, cfg,
+                                 draw_risk_samples(static_model, cfg.n_samples, 0))
         assert out is not None
         assert out.branch is Branch.PESSIMISTIC
         assert out.action[0] == 0.25
         assert out.margin == pytest.approx(0.9, abs=1e-12)
 
     def test_large_epsilon_infeasible(self, static_model, unit_barrier):
+        cfg = FilterConfig(epsilon=10.0)
         out = pessimistic_filter(static_model, unit_barrier, 0, np.zeros((2, 2)),
-                                 zero_nominal(static_model),
-                                 FilterConfig(epsilon=10.0), seed=0)
+                                 static_model.zero_action(), cfg,
+                                 draw_risk_samples(static_model, cfg.n_samples, 0))
         assert out is None
 
     def test_unactuated_agent_rejected(self):
         m = make_model("spring")
         b = Barrier(ConstantValue(0.0), 1.0)
+        cfg = FilterConfig()
         with pytest.raises(ContractViolationError):
-            pessimistic_filter(m, b, 2, np.zeros((3, 2)),
-                               zero_nominal(m), FilterConfig(), seed=0)
+            pessimistic_filter(m, b, 2, np.zeros((3, 2)), m.zero_action(), cfg,
+                               draw_risk_samples(m, cfg.n_samples, 0))
 
     def test_nominal_of_wrong_dimension_rejected(self):
         m = make_model("collision", n_agents=2)
         b = Barrier(QuadraticValue(0.5), 2.0)
-        nom = FixedActionPolicy([np.array([0.1, 0.2]), np.array([0.0])])
+        nom = [np.array([0.1, 0.2]), np.array([0.0])]
+        cfg = FilterConfig()
         with pytest.raises(ContractViolationError):
-            pessimistic_filter(m, b, 0, np.zeros((2, 2)), nom, FilterConfig(), seed=0)
+            pessimistic_filter(m, b, 0, np.zeros((2, 2)), nom, cfg,
+                               draw_risk_samples(m, cfg.n_samples, 0))
 
     def test_single_agent_equals_centralized(self):
         # With M = 1 the inner minimum is empty: same grid, same shared
@@ -175,13 +191,14 @@ class TestPessimistic:
                         x + 0.1 * u[:, None, :, None] + noises),
                     noise_scale=0.05)
         b = Barrier(QuadraticValue(2.0), 3.0)
-        nom = FixedActionPolicy([np.array([0.4])])
+        nom = [np.array([0.4])]
         cfg = FilterConfig(grid_size=7, n_samples=4)
         rng = np.random.default_rng(0)
         for seed in range(10):
             x = rng.uniform(-1, 1, size=(1, 2))
-            pes = pessimistic_filter(m, b, 0, x, nom, cfg, seed=seed)
-            cen = centralized_filter(m, b, x, nom, cfg, seed=seed)
+            samples = draw_risk_samples(m, cfg.n_samples, seed)
+            pes = pessimistic_filter(m, b, 0, x, nom, cfg, samples)
+            cen = centralized_filter(m, b, x, nom, cfg, samples)
             assert (pes is None) == (cen is None)
             if pes is not None:
                 assert np.array_equal(pes.action, cen.action[0])
@@ -195,11 +212,11 @@ class TestPessimistic:
         cfg = FilterConfig(grid_size=5)
         x = np.zeros((3, 2))
         for agent in (0, 1):
-            out = pessimistic_filter(s.model, s.barrier, agent, x, s.nominal,
-                                     cfg, seed=13)
+            samples = draw_risk_samples(s.model, cfg.n_samples, 13)
+            out = pessimistic_filter(s.model, s.barrier, agent, x, s.nominal(x),
+                                     cfg, samples)
             if out is None:
                 continue
-            samples = draw_risk_samples(s.model, cfg.n_samples, 13)
             other = 1 - agent
             for g in np.linspace(-1, 1, cfg.grid_size):
                 u = [np.zeros(0)] * 3
@@ -215,8 +232,8 @@ class TestProximity:
     def proximity_direct(self, safe_vec, nom_vec, radius):
         d = len(safe_vec)
         m = replace(make_static_model(2), action_dims=(d, d))
-        nom = FixedActionPolicy([nom_vec, np.zeros(d)])
-        safe = FixedActionPolicy([safe_vec, np.zeros(d)])
+        nom = [nom_vec, np.zeros(d)]
+        safe = [safe_vec, np.zeros(d)]
         cfg = FilterConfig(radius=radius)
         return proximity_filter(m, 0, np.zeros((2, 2)), nom, safe, cfg)
 
@@ -239,15 +256,15 @@ class TestProximity:
         barrier = Barrier(ConstantValue(10.0), 1.0)  # h = -9 everywhere
         with pytest.raises(GuaranteeDomainError):
             proximity_filter(static_model, 0, np.zeros((2, 2)),
-                             zero_nominal(static_model),
-                             zero_nominal(static_model), cfg, barrier=barrier)
+                             static_model.zero_action(),
+                             static_model.zero_action(), cfg, barrier=barrier)
 
     def test_margin_mode_needs_barrier(self, static_model):
         cfg = FilterConfig(radius_mode="margin")
         with pytest.raises(ContractViolationError):
             proximity_filter(static_model, 0, np.zeros((2, 2)),
-                             zero_nominal(static_model),
-                             zero_nominal(static_model), cfg)
+                             static_model.zero_action(),
+                             static_model.zero_action(), cfg)
 
     def test_minimizes_distance_within_ball(self):
         rng = np.random.default_rng(17)
@@ -271,8 +288,8 @@ class TestProximity:
         # A 2-vector for a 1-D agent used to pass through the projection
         # and be mis-split across the agents by the switching controller.
         m = make_model("collision", n_agents=2)
-        nom = FixedActionPolicy([np.full(nominal_dim, 0.5), np.zeros(1)])
-        safe = FixedActionPolicy([np.full(safe_dim, 0.1), np.zeros(1)])
+        nom = [np.full(nominal_dim, 0.5), np.zeros(1)]
+        safe = [np.full(safe_dim, 0.1), np.zeros(1)]
         with pytest.raises(ContractViolationError):
             proximity_filter(m, 0, np.zeros((2, 2)), nom, safe, FilterConfig())
 
@@ -285,22 +302,23 @@ class TestProximity:
 
 class TestSwitching:
     def test_pessimistic_branch(self, static_model, unit_barrier):
-        nom = FixedActionPolicy([np.array([0.2]), np.array([0.1])])
+        nom = [np.array([0.2]), np.array([0.1])]
+        cfg = FilterConfig()
+        samples = draw_risk_samples(static_model, cfg.n_samples, 4)
         out = switching_filter(static_model, unit_barrier, 0, np.zeros((2, 2)),
-                               nom, zero_nominal(static_model), FilterConfig(),
-                               seed=4)
+                               nom, static_model.zero_action(), cfg, samples)
         assert out.branch is Branch.PESSIMISTIC
         assert out.feasible
         pes = pessimistic_filter(static_model, unit_barrier, 0, np.zeros((2, 2)),
-                                 nom, FilterConfig(), seed=4)
+                                 nom, cfg, samples)
         assert np.array_equal(out.action, pes.action)
 
     def test_forced_proximity_branch(self, static_model, unit_barrier):
-        nom = FixedActionPolicy([np.array([0.9]), np.array([0.0])])
-        safe = FixedActionPolicy([np.array([0.1]), np.array([0.0])])
+        nom = [np.array([0.9]), np.array([0.0])]
+        safe = [np.array([0.1]), np.array([0.0])]
         cfg = FilterConfig(epsilon=10.0, radius=0.05)
         out = switching_filter(static_model, unit_barrier, 0, np.zeros((2, 2)),
-                               nom, safe, cfg, seed=4)
+                               nom, safe, cfg, draw_risk_samples(static_model, cfg.n_samples, 4))
         assert out.branch is Branch.PROXIMITY
         assert not out.feasible
         expected = proximity_filter(static_model, 0, np.zeros((2, 2)), nom, safe,
@@ -312,8 +330,10 @@ class TestSwitching:
         s = spring_setup
         x = np.array([[1.5, 1.0], [1.2, 0.5], [0.8, 0.2]])
         cfg = FilterConfig(grid_size=5)
-        a = switching_filter(s.model, s.barrier, 0, x, s.nominal, s.safe, cfg, seed=6)
-        b = switching_filter(s.model, s.barrier, 0, x, s.nominal, s.safe, cfg, seed=6)
+        a = switching_filter(s.model, s.barrier, 0, x, s.nominal(x), s.safe(x), cfg,
+                             draw_risk_samples(s.model, cfg.n_samples, 6))
+        b = switching_filter(s.model, s.barrier, 0, x, s.nominal(x), s.safe(x), cfg,
+                             draw_risk_samples(s.model, cfg.n_samples, 6))
         assert a.branch == b.branch
         assert a.feasible == b.feasible
         assert a.margin == b.margin
@@ -323,7 +343,8 @@ class TestSwitching:
         s = spring_setup
         cfg = FilterConfig(epsilon=10.0, radius=0.05, grid_size=3)
         x = np.zeros((3, 2))
-        out = switching_filter(s.model, s.barrier, 0, x, s.nominal, s.safe, cfg, seed=1)
+        out = switching_filter(s.model, s.barrier, 0, x, s.nominal(x), s.safe(x), cfg,
+                               draw_risk_samples(s.model, cfg.n_samples, 1))
         assert out.branch is Branch.PROXIMITY
         u_safe = s.safe(x)[0]
         assert np.linalg.norm(out.action - u_safe) <= cfg.radius + 1e-12
@@ -336,19 +357,18 @@ class TestThreeAgentAdversaries:
         m = make_model("collision", n_agents=3, noise_scale=0.02)
         b = Barrier(QuadraticValue(0.1), 2.0)
         x = np.array([[0.4, 0.0], [-0.4, 0.0], [1.2, 0.0]])
-        nom = FixedActionPolicy([np.array([0.2]), np.array([0.1]), np.array([0.0])])
+        nom = [np.array([0.2]), np.array([0.1]), np.array([0.0])]
         cfg = FilterConfig(grid_size=3, n_samples=3)
-        out = pessimistic_filter(m, b, 0, x, nom, cfg, seed=5)
+        samples = draw_risk_samples(m, cfg.n_samples, 5)
+        out = pessimistic_filter(m, b, 0, x, nom, cfg, samples)
         if out is not None:
-            samples = draw_risk_samples(m, cfg.n_samples, 5)
             axis = np.linspace(-1, 1, 3)
             for g1 in axis:
                 for g2 in axis:
                     u = [np.asarray(out.action), np.array([g1]), np.array([g2])]
                     ok, _ = check_condition(m, b, x, u, cfg, samples=samples)
                     assert ok
-        got = worst_case_margin(m, b, 0, np.array([0.2]), x, cfg,
-                                draw_risk_samples(m, cfg.n_samples, 5))
+        got = worst_case_margin(m, b, 0, np.array([0.2]), x, cfg, samples)
         assert np.isfinite(got)
 
 
@@ -373,9 +393,10 @@ class TestEarlyExit:
     def solve(self, alpha, value=None):
         m, calls = self.drift_model()
         b = Barrier(value or QuadraticValue(1.0), 1.5)
-        nom = FixedActionPolicy([np.array([1.0]), np.zeros(1), np.zeros(1)])
+        nom = [np.array([1.0]), np.zeros(1), np.zeros(1)]
         cfg = FilterConfig(alpha=alpha, grid_size=self.G, n_samples=5)
-        out = pessimistic_filter(m, b, 0, np.zeros((3, 2)), nom, cfg, seed=0)
+        out = pessimistic_filter(m, b, 0, np.zeros((3, 2)), nom, cfg,
+                                 draw_risk_samples(m, cfg.n_samples, 0))
         return out, calls, (m, b, cfg)
 
     def test_all_fail_on_first_combo(self):
@@ -469,7 +490,7 @@ class TestBatchInvariance:
         pessimistic_feasible = set()
         for seed in range(6):
             x = rng.uniform(-1, 1, size=(agents, 2))
-            nom = FixedActionPolicy([rng.uniform(-1, 1, 1) for _ in range(agents)])
+            nom = [rng.uniform(-1, 1, 1) for _ in range(agents)]
             samples = draw_risk_samples(m, cfg.n_samples, seed)
 
             def margin(u):
@@ -482,17 +503,17 @@ class TestBatchInvariance:
                 return None
 
             grid = [np.array(p) for p in itertools.product(axis, repeat=agents)]
-            nom_flat = np.concatenate(nom(x))
+            nom_flat = np.concatenate(nom)
             joint = sorted([nom_flat] + grid, key=lambda c: np.sum((c - nom_flat) ** 2))
             ref = first_feasible(joint, lambda c: margin(list(c[:, None])))
-            out = centralized_filter(m, b, x, nom, cfg, seed)
+            out = centralized_filter(m, b, x, nom, cfg, samples)
             assert (out is None) == (ref is None)
             if out is not None:
                 assert np.array_equal(np.concatenate(out.action), ref[0])
                 assert out.margin == ref[1]
 
             for agent in range(agents):
-                own = nom(x)[agent]
+                own = nom[agent]
                 cands = sorted([own] + [np.array([g]) for g in axis],
                                key=lambda c: np.sum((c - own) ** 2))
 
@@ -505,7 +526,7 @@ class TestBatchInvariance:
                     return min(margins)
 
                 ref = first_feasible(cands, worst)
-                out = pessimistic_filter(m, b, agent, x, nom, cfg, seed)
+                out = pessimistic_filter(m, b, agent, x, nom, cfg, samples)
                 assert (out is None) == (ref is None)
                 pessimistic_feasible.add(out is not None)
                 if out is not None:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_static_model
+from conftest import QuadraticValue, make_static_model
 from riskfilter import (
+    Barrier,
+    CentralizedController,
     ContractViolationError,
     FilterConfig,
     GuaranteeDomainError,
@@ -16,6 +18,7 @@ from riskfilter import (
     compute_metrics,
     make_model,
     make_proportional,
+    parse_config,
     rollout,
     sweep,
 )
@@ -87,6 +90,40 @@ class TestRollout:
         # One branch flag per actuated agent per step; none for the mass.
         assert np.all(rec.branches[:, :2] != "")
         assert np.all(rec.branches[:, 2] == "")
+
+
+class CountingPolicy:
+    """Wraps a policy and counts its calls."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.policy(x)
+
+
+@pytest.mark.parametrize("kind", [SwitchingController, CentralizedController])
+@pytest.mark.parametrize("config", ["run.preset = spring",
+                                    "run.preset = collision\nrun.agents = 3"],
+                         ids=["spring", "collision3"])
+def test_step_calls_each_policy_once(kind, config):
+    # Every filter solve of a step works from the step's joint nominal and
+    # safe actions; epsilon = 10 forces the proximity fallback everywhere.
+    cfg = parse_config(config)
+    model = cfg.build_model()
+    x0 = cfg.init_sampler(model)(np.random.default_rng(3))
+    branches = set()
+    for epsilon in (0.0, 10.0):
+        nominal = CountingPolicy(cfg.nominal_policy(model))
+        safe = CountingPolicy(cfg.safe_policy(model))
+        ctrl = kind(barrier=Barrier(QuadraticValue(0.1), 5.0), nominal=nominal, safe=safe,
+                    cfg=FilterConfig(grid_size=3, n_samples=3, epsilon=epsilon))
+        rec = rollout(model, ctrl, x0, 4, 0)
+        assert nominal.calls == safe.calls == 4
+        branches |= set(rec.branches[:, list(model.actuated_agents)].ravel())
+    assert "proximity" in branches and len(branches) == 2
 
 
 def fabricated_record(n_steps: int, n_agents: int, unsafe_steps=(), x_ref=0.0):

@@ -1,0 +1,67 @@
+"""SHA-256 digests of every CLI output, one line per output, for each benchmark workload.
+
+    python3 tools/output_digests.py [WORKLOAD ...]
+
+Run from anywhere; the package is imported from ``src/`` and the workload
+configs from ``perfbench/workloads.py``.  For each workload (all of them by
+default) the config runs at ``run.seed = 0`` through ``train-value``,
+``run``, ``sweep-beta``, ``sweep-xi`` and ``certify``, in that order, in one
+temporary output directory.  After each command, every output its manifest
+lists is hashed, and a line ``workload command/file sha256`` is printed
+(the commands' own messages go to standard error).
+
+Output bytes are a pure function of (config, seed, package version), so a
+change that claims to keep outputs byte-identical prints the same lines
+as its parent: run this on both checkouts and diff the results.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import riskfilter as rf  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
+
+
+def digests(name: str) -> list:
+    """(label, sha256) of every output of every command, for one workload."""
+    _, text = WORKLOADS[name]
+    lines = []
+    with tempfile.TemporaryDirectory() as out:
+        cfg = rf.config_with(rf.parse_config(text), seed=0, out=out)
+        for command in COMMANDS:
+            with contextlib.redirect_stdout(sys.stderr):   # keep stdout to digests
+                code = rf.run_experiment(cfg, command)
+            if code != 0:
+                raise SystemExit(f"{name}: {command} exited {code}")
+            outputs = json.loads((Path(out) / "manifest.json").read_text())["outputs"]
+            for file in outputs:
+                digest = hashlib.sha256((Path(out) / file).read_bytes()).hexdigest()
+                lines.append((f"{command}/{file}", digest))
+    return lines
+
+
+def main(argv) -> int:
+    names = argv or list(WORKLOADS)
+    unknown = [n for n in names if n not in WORKLOADS]
+    if unknown:
+        print(f"unknown workload(s) {unknown}; known: {sorted(WORKLOADS)}", file=sys.stderr)
+        return 2
+    for name in names:
+        for label, digest in digests(name):
+            print(f"{name} {label} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
