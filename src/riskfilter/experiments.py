@@ -107,9 +107,8 @@ def write_sweep_csv(rows, path) -> None:
 
 def write_certify_csv(report: GuaranteeReport, path) -> None:
     lines = [CERTIFY_HEADER]
-    for i, margin in enumerate(report.margins):
-        passed = 1 if margin >= 0 else 0
-        lines.append(f"{i},{_fmt(margin)},{passed}")
+    for i, (margin, passed) in enumerate(zip(report.margins, report.passed)):
+        lines.append(f"{i},{_fmt(margin)},{int(passed)}")
     _write_text(path, "\n".join(lines) + "\n")
 
 

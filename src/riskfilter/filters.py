@@ -5,10 +5,10 @@ All filters enforce the sampled risk condition
     risk_lower([h(x+_s)]_s, beta)  >=  alpha * h(x) + epsilon
 
 where x+_s = f(x, u, omega_s; theta_s) over S uncertainty samples.  A
-solve takes the step's joint nominal (and safe) actions and one
-``draw_risk_samples`` draw, reused for every candidate action (common
-random numbers), so feasibility comparisons are consistent and the
-worst-case filter's guarantee is exact over its grid.
+solve takes the step's joint nominal (and safe) actions, the caller's
+h(x) and one ``draw_risk_samples`` draw, reused for every candidate
+action (common random numbers), so feasibility comparisons are consistent
+and the worst-case filter's guarantee is exact over its grid.
 
 Four variants:
 
@@ -18,18 +18,20 @@ Four variants:
   expected outcome, not a fault.
 * ``proximity_filter``     - per-agent closed-form projection of the nominal
   action onto a ball around the safe policy's action; always feasible.
-* ``switching_filter``     - pessimistic when feasible, proximity otherwise;
-  well-defined everywhere the barrier is nonnegative.
+* ``switching_filter``     - pessimistic when feasible, proximity (justified
+  by its radius, so no margin is evaluated) otherwise; well-defined
+  everywhere the barrier is nonnegative.
 
 Continuous minimization is approximated by a distance-ordered grid search
 (both benchmark presets have one action dimension per agent), with the
 nominal action always tried first, so whenever the nominal action is
 feasible it is returned unchanged.
 
-Every margin comes from one kernel, ``_margins``, over blocks of flat
-joint-action rows: one block per centralized solve or ``worst_case_margin``
-call, one per pass of the pessimistic search, which stops trying a
-candidate once a combo fails it.
+Every margin comes from one kernel, ``_margins``, which evaluates the
+barrier only on successor states, over blocks of flat joint-action rows:
+one block per centralized solve or ``worst_case_margin`` call (the
+exhaustive reference, which no filter calls), one per pass of the
+pessimistic search, which stops trying a candidate once a combo fails it.
 """
 
 from __future__ import annotations
@@ -114,13 +116,13 @@ class FilterOutcome:
     and the full joint action for the centralized one.  ``feasible``
     records whether the worst-case (pessimistic) branch admitted a
     solution; ``margin`` is the achieved risk margin at the chosen action
-    (the worst case over the other agents' grid for per-agent solves).
+    (the worst case over the others' grid per agent), None on proximity.
     """
 
     action: object
     branch: Branch
     feasible: bool
-    margin: float
+    margin: float | None
     agent: int | None = None
 
 
@@ -145,8 +147,9 @@ def check_condition(
     u,
     cfg: FilterConfig,
     samples: tuple,
+    h_now: float,
 ) -> tuple:
-    """Evaluate the sampled risk condition at (x, u) under ``samples``.
+    """Evaluate the sampled risk condition at (x, u), h(x) = h_now, under ``samples``.
 
     Returns (satisfied, margin) with
 
@@ -156,7 +159,7 @@ def check_condition(
     """
     x = model.validate_state(x)
     row = np.concatenate(model.validate_action(u))
-    margin = float(_margins(model, barrier, x, cfg, samples, row[None, :])[0])
+    margin = float(_margins(model, barrier, x, cfg, samples, h_now, row[None, :])[0])
     return margin >= cfg.tolerance, margin
 
 
@@ -166,7 +169,7 @@ _PASS_PAIRS = 640
 
 
 def _margins(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig,
-             samples: tuple, rows: np.ndarray) -> np.ndarray:
+             samples: tuple, h_now: float, rows: np.ndarray) -> np.ndarray:
     """Risk margins of a (B, A) block of flat joint actions at the validated state x.
 
     Per pass over up to _PASS_PAIRS / S rows, one ``transition_batch`` call
@@ -175,7 +178,6 @@ def _margins(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig
     stack stays 3-D, so a row's margin has the same bits in any block or
     pass and re-checks are exact.
     """
-    h_now = float(barrier.value(x.reshape(-1)))
     thetas, noises = samples
     step = max(1, _PASS_PAIRS // len(thetas))
     out = np.empty(len(rows))
@@ -234,6 +236,7 @@ def centralized_filter(
     nominal,
     cfg: FilterConfig,
     samples: tuple,
+    h_now: float,
 ) -> FilterOutcome | None:
     """Joint filter: nearest feasible joint action to the joint ``nominal``.
 
@@ -245,7 +248,7 @@ def centralized_filter(
     x = model.validate_state(x)
     nominal = np.concatenate(model.validate_action(nominal))
     cands = _ordered_candidates(nominal, cfg, model.action_low, model.action_high)
-    margins = _margins(model, barrier, x, cfg, samples, cands)
+    margins = _margins(model, barrier, x, cfg, samples, h_now, cands)
     hits = np.flatnonzero(margins >= cfg.tolerance)
     if not hits.size:
         return None
@@ -262,6 +265,7 @@ def pessimistic_filter(
     nominal,
     cfg: FilterConfig,
     samples: tuple,
+    h_now: float,
 ) -> FilterOutcome | None:
     """Per-agent worst-case filter around ``agent``'s part of ``nominal``.
 
@@ -286,7 +290,7 @@ def pessimistic_filter(
     done = 0
     while done < len(combos):
         block = combos[done:done + max(1, (_PASS_PAIRS // len(samples[0])) // len(cands))]
-        margins = _margins(model, barrier, x, cfg, samples, _against(own, cands, block))
+        margins = _margins(model, barrier, x, cfg, samples, h_now, _against(own, cands, block))
         worst = np.minimum(worst, margins.reshape(len(cands), -1).min(axis=1))
         keep = worst >= cfg.tolerance
         if not keep.any():
@@ -305,15 +309,16 @@ def worst_case_margin(
     x,
     cfg: FilterConfig,
     samples: tuple,
+    h_now: float,
 ) -> float:
     """Exact minimum margin of one agent's action over the others' grid."""
     x = model.validate_state(x)
-    cand = np.asarray(action, dtype=float).reshape(1, -1)
     own, combos = _other_grid(model, agent, cfg)
-    return float(np.min(_margins(model, barrier, x, cfg, samples, _against(own, cand, combos))))
+    rows = _against(own, np.asarray(action, dtype=float).reshape(1, -1), combos)
+    return float(np.min(_margins(model, barrier, x, cfg, samples, h_now, rows)))
 
 
-def proximity_radius(model: MasModel, cfg: FilterConfig, h_now: float | None = None) -> float:
+def proximity_radius(model: MasModel, cfg: FilterConfig, h_now: float) -> float:
     """Ball radius around the safe policy's action.
 
     In fixed mode the configured constant; in margin mode
@@ -326,8 +331,6 @@ def proximity_radius(model: MasModel, cfg: FilterConfig, h_now: float | None = N
     """
     if cfg.radius_mode == "fixed":
         return cfg.radius
-    if h_now is None:
-        raise ContractViolationError("margin-derived radius needs the barrier value")
     r = ((cfg.alpha_bar - cfg.alpha) * h_now + cfg.epsilon_bar - cfg.epsilon) / (
         model.n_agents * cfg.lipschitz_h * cfg.lipschitz_fu
     )
@@ -349,26 +352,20 @@ def _project_ball(v: np.ndarray, center: np.ndarray, radius: float) -> np.ndarra
 def proximity_filter(
     model: MasModel,
     agent: int,
-    x,
     nominal,
     safe,
     cfg: FilterConfig,
-    barrier: Barrier | None = None,
+    h_now: float,
 ) -> np.ndarray:
     """Closed-form projection of ``agent``'s nominal action onto the safety ball.
 
     ``nominal`` and ``safe`` are joint actions.  Always feasible: returns
     the nominal action if it already lies within the radius of the safe
     action, otherwise the boundary point of the ball nearest to nominal.
-    ``barrier`` is only needed in margin-derived radius mode.
+    ``h_now`` = h(x) is read only by the margin-derived radius.
     """
     if model.action_dims[agent] == 0:
         raise ContractViolationError(f"agent {agent} is unactuated")
-    h_now = None
-    if cfg.radius_mode == "margin":
-        if barrier is None:
-            raise ContractViolationError("margin-derived radius needs a barrier")
-        h_now = float(barrier.value(model.flatten_state(x)))
     r = proximity_radius(model, cfg, h_now)
     return _project_ball(model.validate_action(nominal)[agent],
                          model.validate_action(safe)[agent], r)
@@ -383,18 +380,18 @@ def switching_filter(
     safe,
     cfg: FilterConfig,
     samples: tuple,
+    h_now: float,
 ) -> FilterOutcome:
     """Pessimistic action when feasible, proximity action otherwise.
 
     Well-defined for every state with a nonnegative barrier value; the
-    branch flag records which path produced the action.  For the
-    proximity branch the recorded margin is the worst-case margin of the
-    chosen action under the same ``samples``.
+    branch flag records which path produced the action.  The proximity
+    action is justified by its radius, not by a margin check, so it
+    carries ``margin=None`` and adds no rows to the pessimistic search's.
     """
-    out = pessimistic_filter(model, barrier, agent, x, nominal, cfg, samples)
+    out = pessimistic_filter(model, barrier, agent, x, nominal, cfg, samples, h_now)
     if out is not None:
         return out
-    u = proximity_filter(model, agent, x, nominal, safe, cfg, barrier=barrier)
-    margin = worst_case_margin(model, barrier, agent, u, x, cfg, samples)
+    u = proximity_filter(model, agent, nominal, safe, cfg, h_now)
     return FilterOutcome(action=u, branch=Branch.PROXIMITY,
-                         feasible=False, margin=margin, agent=agent)
+                         feasible=False, margin=None, agent=agent)

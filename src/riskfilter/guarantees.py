@@ -54,9 +54,9 @@ def compute_delta(beta: float, alpha: float, epsilon: float, h0: float, k_steps:
 class GuaranteeReport:
     """Empirical certification summary over a state sample.
 
-    ``h_min`` is the smallest barrier value among evaluated states (the
-    weakest point of the sample); ``delta`` is the K-step bound at that
-    value, or None when no state lay in the sublevel set.
+    ``h_min`` is the smallest barrier value among evaluated states; ``delta``
+    is the K-step bound at that value, or None when no state lay in the
+    sublevel set.  ``passed`` flags the margins >= ``cfg.tolerance``.
     """
 
     beta: float
@@ -66,10 +66,14 @@ class GuaranteeReport:
     h_min: float | None
     delta: float | None
     margins: np.ndarray
-    pass_fraction: float
+    passed: np.ndarray
     n_states: int
     n_evaluated: int
     n_skipped: int
+
+    @property
+    def pass_fraction(self) -> float:
+        return float(np.mean(self.passed)) if self.passed.size else 0.0
 
     @property
     def vacuous(self) -> bool:
@@ -95,24 +99,23 @@ def certify_grid(
     """
     if n_oracle_samples < 1:
         raise ContractViolationError(f"n_oracle_samples must be >= 1, got {n_oracle_samples}")
+    if k_steps < 1:
+        raise ContractViolationError(f"k_steps must be >= 1, got {k_steps}")
     states = list(states)
     if not states:
         raise ContractViolationError("certify_grid needs at least one state")
-    margins = []
+    margins, passed = [], []
     h_min = None
-    n_skipped = 0
     for idx, x in enumerate(states):
         h_now = float(barrier.value(model.flatten_state(model.validate_state(x))))
         if h_now < 0:
-            n_skipped += 1
             continue
         h_min = h_now if h_min is None else min(h_min, h_now)
         samples = draw_risk_samples(model, n_oracle_samples, np.random.SeedSequence([seed, idx]))
-        _, margin = check_condition(model, barrier, x, policy(x), cfg, samples)
+        ok, margin = check_condition(model, barrier, x, policy(x), cfg, samples, h_now)
         margins.append(margin)
+        passed.append(ok)
     margins = np.array(margins)
-    n_eval = margins.size
-    pass_fraction = float(np.mean(margins >= cfg.tolerance)) if n_eval else 0.0
     delta = (
         compute_delta(cfg.beta, cfg.alpha, cfg.epsilon, h_min, k_steps)
         if h_min is not None
@@ -126,8 +129,8 @@ def certify_grid(
         h_min=h_min,
         delta=delta,
         margins=margins,
-        pass_fraction=pass_fraction,
+        passed=np.array(passed, dtype=bool),
         n_states=len(states),
-        n_evaluated=n_eval,
-        n_skipped=n_skipped,
+        n_evaluated=margins.size,
+        n_skipped=len(states) - margins.size,
     )

@@ -65,6 +65,7 @@ class SwitchingController:
     cfg: FilterConfig
 
     def act(self, model: MasModel, x, rollout_seed: int, step: int) -> StepDecision:
+        h_now = float(self.barrier.value(model.flatten_state(model.validate_state(x))))
         nominal, safe = self.nominal(x), self.safe(x)
         parts = []
         branches = [""] * model.n_agents
@@ -73,7 +74,7 @@ class SwitchingController:
             samples = draw_risk_samples(model, self.cfg.n_samples,
                                         np.random.SeedSequence([rollout_seed, step, agent]))
             out = switching_filter(model, self.barrier, agent, x, nominal, safe, self.cfg,
-                                   samples)
+                                   samples, h_now)
             parts.append(out.action)
             branches[agent] = out.branch.value
             feasible[agent] = out.feasible
@@ -92,10 +93,11 @@ class CentralizedController:
     cfg: FilterConfig
 
     def act(self, model: MasModel, x, rollout_seed: int, step: int) -> StepDecision:
+        h_now = float(self.barrier.value(model.flatten_state(model.validate_state(x))))
         nominal, safe = self.nominal(x), self.safe(x)
         samples = draw_risk_samples(model, self.cfg.n_samples,
                                     np.random.SeedSequence([rollout_seed, step]))
-        out = centralized_filter(model, self.barrier, x, nominal, self.cfg, samples)
+        out = centralized_filter(model, self.barrier, x, nominal, self.cfg, samples, h_now)
         branches = [""] * model.n_agents
         feasible = [True] * model.n_agents
         if out is not None:
@@ -105,8 +107,7 @@ class CentralizedController:
                                 feasible=tuple(feasible))
         parts = []
         for agent in model.actuated_agents:
-            parts.append(proximity_filter(model, agent, x, nominal, safe, self.cfg,
-                                          barrier=self.barrier))
+            parts.append(proximity_filter(model, agent, nominal, safe, self.cfg, h_now))
             branches[agent] = Branch.PROXIMITY.value
             feasible[agent] = False
         return StepDecision(action=model.split_action(np.concatenate(parts)),

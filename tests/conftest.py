@@ -70,6 +70,11 @@ class QuadraticValue:
         return float(out) if x.ndim == 1 else out
 
 
+def h_of(model: MasModel, barrier: Barrier, x) -> float:
+    """h(x) as a controller computes it once per step."""
+    return float(barrier.value(model.flatten_state(model.validate_state(x))))
+
+
 @pytest.fixture
 def static_model():
     return make_static_model()

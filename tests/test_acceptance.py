@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ConstantValue, constant_cost_model, make_static_model
+from conftest import ConstantValue, constant_cost_model, h_of, make_static_model
 from riskfilter import (
     Barrier,
     Branch,
@@ -113,8 +113,9 @@ def test_criterion_3_worst_case_grid_property(spring_setup):
     for idx, x in enumerate(states):
         for agent in s.model.actuated_agents:
             samples = draw_risk_samples(s.model, cfg.n_samples, 10_000 + 7 * idx + agent)
+            h_now = h_of(s.model, s.barrier, x)
             out = pessimistic_filter(s.model, s.barrier, agent, x, s.nominal(x),
-                                     cfg, samples)
+                                     cfg, samples, h_now)
             if out is None:
                 continue
             n_feasible += 1
@@ -125,7 +126,7 @@ def test_criterion_3_worst_case_grid_property(spring_setup):
                 for j, g in zip(others, combo):
                     u[j] = np.array([g])
                 ok, margin = check_condition(s.model, s.barrier, x, u, cfg,
-                                             samples=samples)
+                                             samples=samples, h_now=h_now)
                 assert ok, (
                     f"state {idx} agent {agent}: margin {margin} < tolerance "
                     f"under combo {combo}")
@@ -150,10 +151,10 @@ def test_criterion_4_proximity_projection():
             radius = float(rng.uniform(0.0, 1.5))
             cfg = FilterConfig(radius=radius)
             u = proximity_filter(
-                model, 0, np.zeros((2, 2)),
+                model, 0,
                 [nom_vec, np.zeros(dim)],
                 [safe_vec, np.zeros(dim)],
-                cfg,
+                cfg, 1.0,
             )
             assert np.all(np.isfinite(u))
             assert np.linalg.norm(u - safe_vec) <= radius + 1e-12
@@ -179,11 +180,13 @@ def _fuzz_switching(setup, n_states: int, cfg: FilterConfig, seed: int):
         agent = agents[idx % len(agents)]
         out = switching_filter(setup.model, setup.barrier, agent, x,
                                setup.nominal(x), setup.safe(x), cfg,
-                               draw_risk_samples(setup.model, cfg.n_samples, 50_000 + idx))
+                               draw_risk_samples(setup.model, cfg.n_samples, 50_000 + idx),
+                               h_of(setup.model, setup.barrier, x))
         assert out.action is not None
         assert np.all(np.isfinite(np.asarray(out.action, dtype=float)))
         assert out.branch in (Branch.PESSIMISTIC, Branch.PROXIMITY)
         assert out.feasible == (out.branch is Branch.PESSIMISTIC)
+        assert (out.margin is None) == (out.branch is Branch.PROXIMITY)
         branches.append(out.branch)
     return branches
 
@@ -213,7 +216,7 @@ def test_criterion_5_switching_well_defined(spring_setup, collision_setup):
     for i in range(10_000):
         x = rng.normal(size=(2, 2))
         out = switching_filter(static, barrier, i % 2, x, nominal, safe, static_cfg,
-                               draw_risk_samples(static, static_cfg.n_samples, i))
+                               draw_risk_samples(static, static_cfg.n_samples, i), 1.0)
         assert out.branch is Branch.PESSIMISTIC
     report(5, "switching filter well-defined on 2x10^4 fuzzed states; "
               "eps=10 all-proximity; static all-pessimistic")

@@ -164,6 +164,25 @@ class TestRunExperiment:
         assert "vacuous" in err
         assert (tmp_path / "out" / "certify.csv").exists()
 
+    def test_certify_csv_passes_at_the_tolerance(self, tmp_path, capsys):
+        # certify.csv's ``passed`` and the printed pass fraction use one
+        # rule, margin >= filter.tolerance, which differs from margin >= 0
+        # on the states with a margin in [0, 0.5).
+        cfg = cfg_with_out(FAST + "certify.states = 30\nfilter.tolerance = 0.5\n",
+                           tmp_path / "out")
+        assert run_experiment(cfg, "train-value") == 0
+        capsys.readouterr()
+        assert run_experiment(cfg, "certify") == 0
+        out = capsys.readouterr().out
+        n_evaluated = int(out.split("certify: ")[1].split("/")[0])
+        fraction = float(out.split("pass fraction ")[1].split(",")[0])
+        rows = [line.split(",") for line in
+                (tmp_path / "out" / "certify.csv").read_text().splitlines()[1:]]
+        assert len(rows) == n_evaluated
+        assert any(0.0 <= float(margin) < 0.5 for _, margin, _ in rows)
+        passed = sum(int(flag) for _, _, flag in rows)
+        assert passed == round(fraction * n_evaluated)
+
     def test_guarantee_domain_exit_3(self, tmp_path, capsys):
         # Margin-derived radius with a barrier threshold so low that every
         # visited state has h < 0: the switching fallback cannot define a

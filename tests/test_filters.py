@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ConstantValue, QuadraticValue, make_static_model
+from conftest import ConstantValue, QuadraticValue, h_of, make_static_model
 from riskfilter import (
     Barrier,
     Branch,
@@ -61,6 +61,7 @@ class TestCheckCondition:
         ok, margin = check_condition(
             static_model, unit_barrier, np.zeros((2, 2)),
             static_model.zero_action(), cfg, draw_risk_samples(static_model, cfg.n_samples, 0),
+            1.0,
         )
         assert ok
         assert margin == pytest.approx(0.9, abs=1e-12)
@@ -71,7 +72,7 @@ class TestCheckCondition:
             u = [np.array([a]), np.array([-a])]
             ok, margin = check_condition(static_model, unit_barrier,
                                          np.zeros((2, 2)), u, cfg,
-                                         draw_risk_samples(static_model, cfg.n_samples, 1))
+                                         draw_risk_samples(static_model, cfg.n_samples, 1), 1.0)
             assert not ok
             assert margin <= 1.0 - 10.0
 
@@ -82,16 +83,16 @@ class TestCheckCondition:
         u = [np.array([0.3]), np.array([-0.2])]
         cfg = FilterConfig(beta=1e-8, n_samples=32)
         samples = draw_risk_samples(m, cfg.n_samples, 3)
-        _, margin = check_condition(m, b, x, u, cfg, samples=samples)
+        h_now = float(b.value(m.flatten_state(x)))
+        _, margin = check_condition(m, b, x, u, cfg, samples=samples, h_now=h_now)
         values = [b.value(m.flatten_state(m.step(x, u, UncertaintySample(theta, noise))))
                   for theta, noise in zip(*samples)]
-        h_now = float(b.value(m.flatten_state(x)))
         expected = np.mean(values) - cfg.alpha * h_now - cfg.epsilon
         assert margin == pytest.approx(expected, abs=1e-6)
 
     def test_samples_required(self):
         # Without a draw the margin would come from OS entropy and differ
-        # from call to call; the caller must pass its samples.
+        # from call to call; the caller must pass its samples (and h(x)).
         m = make_model("collision", n_agents=2)
         b = Barrier(QuadraticValue(0.5), 4.0)
         u = [np.array([0.3]), np.array([-0.2])]
@@ -108,7 +109,7 @@ class TestCheckCondition:
         with pytest.raises(ContractViolationError):
             check_condition(static_model, Barrier(NanValue(), 1.0),
                             np.zeros((2, 2)), static_model.zero_action(), cfg,
-                            draw_risk_samples(static_model, cfg.n_samples, 0))
+                            draw_risk_samples(static_model, cfg.n_samples, 0), 1.0)
 
 
 class TestCentralized:
@@ -116,7 +117,7 @@ class TestCentralized:
         nom = [np.array([0.123]), np.array([-0.456])]
         cfg = FilterConfig()
         out = centralized_filter(static_model, unit_barrier, np.zeros((2, 2)), nom, cfg,
-                                 draw_risk_samples(static_model, cfg.n_samples, 0))
+                                 draw_risk_samples(static_model, cfg.n_samples, 0), 1.0)
         assert out is not None
         assert out.branch is Branch.CENTRALIZED
         assert out.feasible
@@ -127,7 +128,7 @@ class TestCentralized:
         cfg = FilterConfig(epsilon=10.0)
         out = centralized_filter(static_model, unit_barrier, np.zeros((2, 2)),
                                  static_model.zero_action(), cfg,
-                                 draw_risk_samples(static_model, cfg.n_samples, 0))
+                                 draw_risk_samples(static_model, cfg.n_samples, 0), 1.0)
         assert out is None
 
     def test_skips_infeasible_nominal(self):
@@ -140,10 +141,10 @@ class TestCentralized:
         nom = [np.array([1.0]), np.array([1.0]), np.zeros(0)]
         cfg = FilterConfig(alpha=1.0, grid_size=5, n_samples=3)
         samples = draw_risk_samples(m, cfg.n_samples, 2)
-        out = centralized_filter(m, b, x, nom, cfg, samples)
+        out = centralized_filter(m, b, x, nom, cfg, samples, h_of(m, b, x))
         if out is not None:
             # Whatever was returned must satisfy the condition itself.
-            ok, _ = check_condition(m, b, x, out.action, cfg, samples)
+            ok, _ = check_condition(m, b, x, out.action, cfg, samples, h_of(m, b, x))
             assert ok
 
 
@@ -152,7 +153,7 @@ class TestPessimistic:
         nom = [np.array([0.25]), np.array([0.5])]
         cfg = FilterConfig()
         out = pessimistic_filter(static_model, unit_barrier, 0, np.zeros((2, 2)), nom, cfg,
-                                 draw_risk_samples(static_model, cfg.n_samples, 0))
+                                 draw_risk_samples(static_model, cfg.n_samples, 0), 1.0)
         assert out is not None
         assert out.branch is Branch.PESSIMISTIC
         assert out.action[0] == 0.25
@@ -162,7 +163,7 @@ class TestPessimistic:
         cfg = FilterConfig(epsilon=10.0)
         out = pessimistic_filter(static_model, unit_barrier, 0, np.zeros((2, 2)),
                                  static_model.zero_action(), cfg,
-                                 draw_risk_samples(static_model, cfg.n_samples, 0))
+                                 draw_risk_samples(static_model, cfg.n_samples, 0), 1.0)
         assert out is None
 
     def test_unactuated_agent_rejected(self):
@@ -171,7 +172,7 @@ class TestPessimistic:
         cfg = FilterConfig()
         with pytest.raises(ContractViolationError):
             pessimistic_filter(m, b, 2, np.zeros((3, 2)), m.zero_action(), cfg,
-                               draw_risk_samples(m, cfg.n_samples, 0))
+                               draw_risk_samples(m, cfg.n_samples, 0), 1.0)
 
     def test_nominal_of_wrong_dimension_rejected(self):
         m = make_model("collision", n_agents=2)
@@ -180,7 +181,7 @@ class TestPessimistic:
         cfg = FilterConfig()
         with pytest.raises(ContractViolationError):
             pessimistic_filter(m, b, 0, np.zeros((2, 2)), nom, cfg,
-                               draw_risk_samples(m, cfg.n_samples, 0))
+                               draw_risk_samples(m, cfg.n_samples, 0), 2.0)
 
     def test_single_agent_equals_centralized(self):
         # With M = 1 the inner minimum is empty: same grid, same shared
@@ -197,8 +198,8 @@ class TestPessimistic:
         for seed in range(10):
             x = rng.uniform(-1, 1, size=(1, 2))
             samples = draw_risk_samples(m, cfg.n_samples, seed)
-            pes = pessimistic_filter(m, b, 0, x, nom, cfg, samples)
-            cen = centralized_filter(m, b, x, nom, cfg, samples)
+            pes = pessimistic_filter(m, b, 0, x, nom, cfg, samples, h_of(m, b, x))
+            cen = centralized_filter(m, b, x, nom, cfg, samples, h_of(m, b, x))
             assert (pes is None) == (cen is None)
             if pes is not None:
                 assert np.array_equal(pes.action, cen.action[0])
@@ -213,8 +214,9 @@ class TestPessimistic:
         x = np.zeros((3, 2))
         for agent in (0, 1):
             samples = draw_risk_samples(s.model, cfg.n_samples, 13)
+            h_now = h_of(s.model, s.barrier, x)
             out = pessimistic_filter(s.model, s.barrier, agent, x, s.nominal(x),
-                                     cfg, samples)
+                                     cfg, samples, h_now)
             if out is None:
                 continue
             other = 1 - agent
@@ -224,7 +226,7 @@ class TestPessimistic:
                 u[other] = np.array([g])
                 u[2] = np.zeros(0)
                 ok, _ = check_condition(s.model, s.barrier, x, u, cfg,
-                                        samples=samples)
+                                        samples=samples, h_now=h_now)
                 assert ok
 
 
@@ -235,7 +237,7 @@ class TestProximity:
         nom = [nom_vec, np.zeros(d)]
         safe = [safe_vec, np.zeros(d)]
         cfg = FilterConfig(radius=radius)
-        return proximity_filter(m, 0, np.zeros((2, 2)), nom, safe, cfg)
+        return proximity_filter(m, 0, nom, safe, cfg, 1.0)
 
     def test_nominal_inside_ball(self):
         u = self.proximity_direct(np.array([0.0]), np.array([0.03]), 0.05)
@@ -253,18 +255,9 @@ class TestProximity:
     def test_negative_margin_radius_rejected(self, static_model):
         cfg = FilterConfig(radius_mode="margin", alpha=0.1, alpha_bar=0.2,
                            epsilon=0.0, epsilon_bar=0.0)
-        barrier = Barrier(ConstantValue(10.0), 1.0)  # h = -9 everywhere
         with pytest.raises(GuaranteeDomainError):
-            proximity_filter(static_model, 0, np.zeros((2, 2)),
-                             static_model.zero_action(),
-                             static_model.zero_action(), cfg, barrier=barrier)
-
-    def test_margin_mode_needs_barrier(self, static_model):
-        cfg = FilterConfig(radius_mode="margin")
-        with pytest.raises(ContractViolationError):
-            proximity_filter(static_model, 0, np.zeros((2, 2)),
-                             static_model.zero_action(),
-                             static_model.zero_action(), cfg)
+            proximity_filter(static_model, 0, static_model.zero_action(),
+                             static_model.zero_action(), cfg, -9.0)
 
     def test_minimizes_distance_within_ball(self):
         rng = np.random.default_rng(17)
@@ -291,7 +284,7 @@ class TestProximity:
         nom = [np.full(nominal_dim, 0.5), np.zeros(1)]
         safe = [np.full(safe_dim, 0.1), np.zeros(1)]
         with pytest.raises(ContractViolationError):
-            proximity_filter(m, 0, np.zeros((2, 2)), nom, safe, FilterConfig())
+            proximity_filter(m, 0, nom, safe, FilterConfig(), 1.0)
 
     def test_default_is_box_free(self):
         # The proximity constraint has no box term: a nominal action
@@ -306,34 +299,36 @@ class TestSwitching:
         cfg = FilterConfig()
         samples = draw_risk_samples(static_model, cfg.n_samples, 4)
         out = switching_filter(static_model, unit_barrier, 0, np.zeros((2, 2)),
-                               nom, static_model.zero_action(), cfg, samples)
+                               nom, static_model.zero_action(), cfg, samples, 1.0)
         assert out.branch is Branch.PESSIMISTIC
         assert out.feasible
         pes = pessimistic_filter(static_model, unit_barrier, 0, np.zeros((2, 2)),
-                                 nom, cfg, samples)
+                                 nom, cfg, samples, 1.0)
         assert np.array_equal(out.action, pes.action)
 
     def test_forced_proximity_branch(self, static_model, unit_barrier):
         nom = [np.array([0.9]), np.array([0.0])]
         safe = [np.array([0.1]), np.array([0.0])]
         cfg = FilterConfig(epsilon=10.0, radius=0.05)
-        out = switching_filter(static_model, unit_barrier, 0, np.zeros((2, 2)),
-                               nom, safe, cfg, draw_risk_samples(static_model, cfg.n_samples, 4))
+        out = switching_filter(static_model, unit_barrier, 0, np.zeros((2, 2)), nom, safe,
+                               cfg, draw_risk_samples(static_model, cfg.n_samples, 4), 1.0)
         assert out.branch is Branch.PROXIMITY
         assert not out.feasible
-        expected = proximity_filter(static_model, 0, np.zeros((2, 2)), nom, safe,
-                                    cfg, barrier=unit_barrier)
+        expected = proximity_filter(static_model, 0, nom, safe, cfg, 1.0)
         assert np.array_equal(out.action, expected)
-        assert out.margin <= 0.0
+        # The radius justifies the proximity action; no margin is evaluated.
+        assert out.margin is None
 
     def test_deterministic(self, spring_setup):
         s = spring_setup
         x = np.array([[1.5, 1.0], [1.2, 0.5], [0.8, 0.2]])
         cfg = FilterConfig(grid_size=5)
         a = switching_filter(s.model, s.barrier, 0, x, s.nominal(x), s.safe(x), cfg,
-                             draw_risk_samples(s.model, cfg.n_samples, 6))
+                             draw_risk_samples(s.model, cfg.n_samples, 6),
+                             h_of(s.model, s.barrier, x))
         b = switching_filter(s.model, s.barrier, 0, x, s.nominal(x), s.safe(x), cfg,
-                             draw_risk_samples(s.model, cfg.n_samples, 6))
+                             draw_risk_samples(s.model, cfg.n_samples, 6),
+                             h_of(s.model, s.barrier, x))
         assert a.branch == b.branch
         assert a.feasible == b.feasible
         assert a.margin == b.margin
@@ -344,7 +339,8 @@ class TestSwitching:
         cfg = FilterConfig(epsilon=10.0, radius=0.05, grid_size=3)
         x = np.zeros((3, 2))
         out = switching_filter(s.model, s.barrier, 0, x, s.nominal(x), s.safe(x), cfg,
-                               draw_risk_samples(s.model, cfg.n_samples, 1))
+                               draw_risk_samples(s.model, cfg.n_samples, 1),
+                               h_of(s.model, s.barrier, x))
         assert out.branch is Branch.PROXIMITY
         u_safe = s.safe(x)[0]
         assert np.linalg.norm(out.action - u_safe) <= cfg.radius + 1e-12
@@ -360,15 +356,16 @@ class TestThreeAgentAdversaries:
         nom = [np.array([0.2]), np.array([0.1]), np.array([0.0])]
         cfg = FilterConfig(grid_size=3, n_samples=3)
         samples = draw_risk_samples(m, cfg.n_samples, 5)
-        out = pessimistic_filter(m, b, 0, x, nom, cfg, samples)
+        h_now = h_of(m, b, x)
+        out = pessimistic_filter(m, b, 0, x, nom, cfg, samples, h_now)
         if out is not None:
             axis = np.linspace(-1, 1, 3)
             for g1 in axis:
                 for g2 in axis:
                     u = [np.asarray(out.action), np.array([g1]), np.array([g2])]
-                    ok, _ = check_condition(m, b, x, u, cfg, samples=samples)
+                    ok, _ = check_condition(m, b, x, u, cfg, samples=samples, h_now=h_now)
                     assert ok
-        got = worst_case_margin(m, b, 0, np.array([0.2]), x, cfg, samples)
+        got = worst_case_margin(m, b, 0, np.array([0.2]), x, cfg, samples, h_now)
         assert np.isfinite(got)
 
 
@@ -396,7 +393,7 @@ class TestEarlyExit:
         nom = [np.array([1.0]), np.zeros(1), np.zeros(1)]
         cfg = FilterConfig(alpha=alpha, grid_size=self.G, n_samples=5)
         out = pessimistic_filter(m, b, 0, np.zeros((3, 2)), nom, cfg,
-                                 draw_risk_samples(m, cfg.n_samples, 0))
+                                 draw_risk_samples(m, cfg.n_samples, 0), 1.5)
         return out, calls, (m, b, cfg)
 
     def test_all_fail_on_first_combo(self):
@@ -418,7 +415,18 @@ class TestEarlyExit:
         assert combos == set(itertools.product(np.linspace(-1, 1, self.G), repeat=2))
         samples = draw_risk_samples(m, cfg.n_samples, 0)
         assert out.margin == worst_case_margin(m, b, 0, out.action, np.zeros((3, 2)),
-                                               cfg, samples)
+                                               cfg, samples, 1.5)
+
+    def test_proximity_switch_sends_only_its_search_rows(self):
+        # The proximity action is justified by its radius: after the
+        # search fails, the switching solve evaluates no further margin.
+        _, search, (_, b, cfg) = self.solve(alpha=0.5)
+        m, calls = self.drift_model()
+        nom = [np.array([1.0]), np.zeros(1), np.zeros(1)]
+        out = switching_filter(m, b, 0, np.zeros((3, 2)), nom, m.zero_action(), cfg,
+                               draw_risk_samples(m, cfg.n_samples, 0), 1.5)
+        assert out.branch is Branch.PROXIMITY
+        assert np.array_equal(np.vstack(calls), np.vstack(search))
 
     def test_non_finite_on_last_combo_of_survivor_rejected(self):
         # The value is NaN only where agents 1 and 2 both moved to +0.5,
@@ -440,11 +448,13 @@ class TestWorstCaseMargin:
         x = np.array([[1.0, 0.5], [0.5, -0.2], [0.7, 0.1]])
         samples = draw_risk_samples(s.model, cfg.n_samples, 8)
         action = np.array([0.5])
-        got = worst_case_margin(s.model, s.barrier, 0, action, x, cfg, samples)
+        h_now = h_of(s.model, s.barrier, x)
+        got = worst_case_margin(s.model, s.barrier, 0, action, x, cfg, samples, h_now)
         margins = []
         for g in np.linspace(-1, 1, 4):
             u = [action, np.array([g]), np.zeros(0)]
-            _, margin = check_condition(s.model, s.barrier, x, u, cfg, samples=samples)
+            _, margin = check_condition(s.model, s.barrier, x, u, cfg, samples=samples,
+                                        h_now=h_now)
             margins.append(margin)
         assert got == min(margins)
 
@@ -464,11 +474,12 @@ class TestBatchInvariance:
         cfg = FilterConfig()
         samples = draw_risk_samples(s.model, cfg.n_samples, seed)
         rows = rng.uniform(-1, 1, size=(b, sum(s.model.action_dims)))
-        block = _margins(s.model, s.barrier, x, cfg, samples, rows)
+        h_now = h_of(s.model, s.barrier, x)
+        block = _margins(s.model, s.barrier, x, cfg, samples, h_now, rows)
         assert block.shape == (b,)
         for row, margin in zip(rows, block):
             _, single = check_condition(s.model, s.barrier, x, s.model.split_action(row),
-                                        cfg, samples=samples)
+                                        cfg, samples=samples, h_now=h_now)
             assert margin == single
 
     @pytest.mark.parametrize("agents, grid_size, n_samples, coeff, both_outcomes", [
@@ -492,9 +503,10 @@ class TestBatchInvariance:
             x = rng.uniform(-1, 1, size=(agents, 2))
             nom = [rng.uniform(-1, 1, 1) for _ in range(agents)]
             samples = draw_risk_samples(m, cfg.n_samples, seed)
+            h_now = h_of(m, b, x)
 
             def margin(u):
-                return check_condition(m, b, x, u, cfg, samples=samples)[1]
+                return check_condition(m, b, x, u, cfg, samples=samples, h_now=h_now)[1]
 
             def first_feasible(cands, score):
                 for cand in cands:
@@ -506,7 +518,7 @@ class TestBatchInvariance:
             nom_flat = np.concatenate(nom)
             joint = sorted([nom_flat] + grid, key=lambda c: np.sum((c - nom_flat) ** 2))
             ref = first_feasible(joint, lambda c: margin(list(c[:, None])))
-            out = centralized_filter(m, b, x, nom, cfg, samples)
+            out = centralized_filter(m, b, x, nom, cfg, samples, h_now)
             assert (out is None) == (ref is None)
             if out is not None:
                 assert np.array_equal(np.concatenate(out.action), ref[0])
@@ -526,7 +538,7 @@ class TestBatchInvariance:
                     return min(margins)
 
                 ref = first_feasible(cands, worst)
-                out = pessimistic_filter(m, b, agent, x, nom, cfg, samples)
+                out = pessimistic_filter(m, b, agent, x, nom, cfg, samples, h_now)
                 assert (out is None) == (ref is None)
                 pessimistic_feasible.add(out is not None)
                 if out is not None:

@@ -98,6 +98,7 @@ class TestCertifyGrid:
         report = certify_grid(static_model, unit_barrier, zero_policy(static_model),
                               states, cfg, seed=0, n_oracle_samples=20)
         assert report.pass_fraction == 0.0
+        assert not report.passed.any()
 
     def test_out_of_domain_states_skipped(self, static_model):
         barrier = Barrier(ConstantValue(5.0), 1.0)  # h = -4 everywhere
@@ -116,6 +117,22 @@ class TestCertifyGrid:
                               states, cfg, seed=0, n_oracle_samples=10, k_steps=10)
         assert report.delta == 1.0
         assert report.vacuous
+
+    @pytest.mark.parametrize("xi", [1.0, -1.0], ids=["in-sublevel", "none-in-sublevel"])
+    def test_k_steps_below_one_rejected_before_work(self, static_model, xi):
+        # Rejected before any policy call, with or without a state in the
+        # sublevel set (where compute_delta would be reached, or not at all).
+        calls = []
+
+        def policy(x):
+            calls.append(x)
+            return static_model.zero_action()
+
+        with pytest.raises(ContractViolationError):
+            certify_grid(static_model, Barrier(ConstantValue(0.0), xi), policy,
+                         [np.zeros((2, 2))], FilterConfig(), seed=0, n_oracle_samples=10,
+                         k_steps=0)
+        assert calls == []
 
     def test_empty_states_rejected(self, static_model, unit_barrier):
         with pytest.raises(ContractViolationError):

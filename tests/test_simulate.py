@@ -22,6 +22,7 @@ from riskfilter import (
     rollout,
     sweep,
 )
+from riskfilter.filters import proximity_radius
 from riskfilter.simulate import StepDecision
 
 
@@ -124,6 +125,73 @@ def test_step_calls_each_policy_once(kind, config):
         assert nominal.calls == safe.calls == 4
         branches |= set(rec.branches[:, list(model.actuated_agents)].ravel())
     assert "proximity" in branches and len(branches) == 2
+
+
+class RecordingValue(QuadraticValue):
+    """Records every one-row (1-D) input, the form h(x) is evaluated in."""
+
+    def __init__(self, coeff):
+        super().__init__(coeff)
+        self.rows = []
+
+    def predict(self, x):
+        if np.ndim(x) == 1:
+            self.rows.append(np.array(x))
+        return super().predict(x)
+
+
+@pytest.mark.parametrize("kind", [SwitchingController, CentralizedController])
+@pytest.mark.parametrize("config", ["run.preset = spring",
+                                    "run.preset = collision\nrun.agents = 3"],
+                         ids=["spring", "collision3"])
+def test_step_evaluates_h_once(kind, config):
+    # Every solve of a step, and the proximity fallback's margin-derived
+    # radius, reads the one h(x) the controller computes; the kernel
+    # evaluates successors only.  epsilon = 10 forces the fallback.
+    cfg = parse_config(config)
+    model = cfg.build_model()
+    x0 = cfg.init_sampler(model)(np.random.default_rng(3))
+    branches = set()
+    for fcfg in (FilterConfig(grid_size=3, n_samples=3),
+                 FilterConfig(grid_size=3, n_samples=3, epsilon=10.0, epsilon_bar=10.0,
+                              radius_mode="margin")):
+        value = RecordingValue(0.1)
+        ctrl = kind(barrier=Barrier(value, 5.0), nominal=cfg.nominal_policy(model),
+                    safe=cfg.safe_policy(model), cfg=fcfg)
+        rec = rollout(model, ctrl, x0, 4, 0)
+        assert np.array_equal(np.array(value.rows), rec.states[:4].reshape(4, -1))
+        branches |= set(rec.branches[:, list(model.actuated_agents)].ravel())
+    assert "proximity" in branches and len(branches) == 2
+
+
+@pytest.mark.parametrize("kind", [SwitchingController, CentralizedController])
+@pytest.mark.parametrize("config", ["run.preset = spring",
+                                    "run.preset = collision\nrun.agents = 3"],
+                         ids=["spring", "collision3"])
+def test_margin_radius_reads_the_step_h(kind, config):
+    # epsilon = 10 forces the fallback; each agent's action is its nominal
+    # projected onto the ball of radius proximity_radius(h(x)) around safe.
+    cfg = parse_config(config)
+    model = cfg.build_model()
+    barrier = Barrier(QuadraticValue(0.1), 5.0)
+    fcfg = FilterConfig(grid_size=3, n_samples=3, epsilon=10.0, epsilon_bar=10.0,
+                        radius_mode="margin")
+    nominal, safe = cfg.nominal_policy(model), cfg.safe_policy(model)
+    ctrl = kind(barrier=barrier, nominal=nominal, safe=safe, cfg=fcfg)
+    rng = np.random.default_rng(5)
+    for step in range(5):
+        x = cfg.init_sampler(model)(rng)
+        h = float(barrier.value(model.flatten_state(x)))
+        assert h >= 0.0
+        decision = ctrl.act(model, x, 0, step)
+        r = proximity_radius(model, fcfg, h)
+        assert r > 0.0
+        for agent in model.actuated_agents:
+            v, center = nominal(x)[agent], safe(x)[agent]
+            d = np.linalg.norm(v - center)
+            expected = v if d <= r else center + r * (v - center) / d
+            assert decision.branches[agent] == "proximity"
+            assert np.array_equal(decision.action[agent], expected)
 
 
 def fabricated_record(n_steps: int, n_agents: int, unsafe_steps=(), x_ref=0.0):
