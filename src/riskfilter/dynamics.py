@@ -39,7 +39,8 @@ import numpy as np
 from .errors import ConfigError, ContractViolationError
 
 # A joint state is an (M, d_x) array; a joint action is a list of M
-# per-agent vectors (empty for unactuated agents).
+# per-agent vectors (empty for unactuated agents), which ``split_action``
+# makes from the flat (A,) row that policies return.
 JointState = np.ndarray
 JointAction = list
 
@@ -63,10 +64,11 @@ TransitionFn = Callable[[np.ndarray, list, UncertaintySample], np.ndarray]
 class MasModel:
     """Immutable multi-agent system model.
 
-    ``transition`` must be a pure deterministic function of
-    ``(x, u, sample)``; ``transition_batch`` maps ``(x, u (B, A), thetas
-    (S,), noises (S, M, d_x)) -> (B, S, M, d_x)`` with entry [b, s] equal
-    to ``transition(x, split_action(u[b]), sample s)`` bit for bit.
+    ``transition_batch`` maps ``(x (..., M, d_x), u (..., A), thetas (...),
+    noises (..., M, d_x)) -> (..., M, d_x)``, broadcasting the leading axes:
+    every entry gets the bits of its own unbatched call.  ``transition`` is
+    its batch of one, ``(x, joint action list, sample) -> (M, d_x)``, and
+    ``cost_fn`` maps ``(..., M, d_x) -> (...)``; both are pure functions.
     ``state_weights`` holds the diagonal of each
     agent's quadratic reward weight; ``action_weight`` is the scalar
     coefficient of the (isotropic) action penalty.
@@ -122,8 +124,19 @@ class MasModel:
     def split_action(self, row) -> list:
         """Joint action from its flat row of A = sum(action_dims) entries, the
         agents' vectors in agent order; the one place joint actions are assembled.
-        The row is copied, so the result keeps no candidate block alive."""
-        return np.split(np.array(row, dtype=float), np.cumsum(self.action_dims)[:-1])
+        The row is copied, so the result keeps no candidate block alive.
+        Plain slicing: controllers split every policy output, and np.split
+        costs several times more on rows this short."""
+        row = np.array(row, dtype=float)
+        if row.shape != (sum(self.action_dims),):
+            raise ContractViolationError(
+                f"joint action row has shape {row.shape}, expected ({sum(self.action_dims)},)"
+            )
+        parts, start = [], 0
+        for d in self.action_dims:
+            parts.append(row[start:start + d])
+            start += d
+        return parts
 
     def step(self, x: np.ndarray, u: Sequence, sample: UncertaintySample) -> np.ndarray:
         """Apply the transition map once.  Deterministic in (x, u, sample)."""
@@ -140,7 +153,7 @@ class MasModel:
         return self.safe_fn(self.validate_state(x))
 
     def cost(self, x: np.ndarray) -> float:
-        return self.cost_fn(self.validate_state(x))
+        return float(self.cost_fn(self.validate_state(x)))
 
     def reward(self, x: np.ndarray, u: Sequence) -> float:
         """Regulation reward exp(-||u||^2_Wu - sum_i ||x_i - x_ref||^2_Wxi) in (0, 1]."""
@@ -159,43 +172,39 @@ class MasModel:
 
 
 def sigm10(z):
-    """Numerically stable sigm_10(z) = 1 / (1 + exp(-10 z))."""
+    """Numerically stable sigm_10(z) = 1 / (1 + exp(-10 z)): with e = exp(-|10 z|),
+    1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, so exp never overflows."""
     z = np.asarray(z, dtype=float) * 10.0
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _agent_mean(v):
+    """Mean over the last (agent) axis: np.mean's add.reduce and division,
+    without its per-call overhead, which dominates on lockstep stacks."""
+    return np.add.reduce(v, axis=-1) / v.shape[-1]
+
+
+def _spring_transition_batch(x, u, thetas, noises):
+    pos, vel = x[..., 0], x[..., 1]
+    e1 = pos[..., 0] - pos[..., 2]
+    e2 = pos[..., 1] - pos[..., 2]
+    half_t2 = 0.5 * thetas * thetas
+    g0 = 5.0 * u[..., 0] - half_t2 * e1
+    g = np.empty(g0.shape + (3,))
+    g[..., 0] = g0
+    g[..., 1] = 5.0 * u[..., 1] - half_t2 * e2
+    g[..., 2] = half_t2 * (e1 + e2)
+    clipped = np.minimum(np.maximum(vel, -1.0), 1.0)   # np.clip's bits, less overhead
+    vel_next = vel + 0.1 * g - 0.1 * np.sin(clipped) + noises[..., 1]
+    out = np.empty(vel_next.shape + (2,))
+    out[..., 0] = pos + 0.1 * vel + noises[..., 0]
+    out[..., 1] = vel_next
     return out
 
 
 def _spring_transition(x, u, s):
-    e1 = x[0, 0] - x[2, 0]
-    e2 = x[1, 0] - x[2, 0]
-    half_t2 = 0.5 * s.theta * s.theta
-    g = np.array([
-        5.0 * u[0][0] - half_t2 * e1,
-        5.0 * u[1][0] - half_t2 * e2,
-        half_t2 * (e1 + e2),
-    ])
-    pos = x[:, 0] + 0.1 * x[:, 1] + s.noise[:, 0]
-    vel = x[:, 1] + 0.1 * g - 0.1 * np.sin(np.clip(x[:, 1], -1.0, 1.0)) + s.noise[:, 1]
-    return np.column_stack([pos, vel])
-
-
-def _spring_transition_batch(x, u, thetas, noises):
-    e1 = x[0, 0] - x[2, 0]
-    e2 = x[1, 0] - x[2, 0]
-    half_t2 = 0.5 * thetas * thetas
-    g = np.empty((u.shape[0], thetas.size, 3))
-    g[:, :, 0] = 5.0 * u[:, 0:1] - half_t2 * e1
-    g[:, :, 1] = 5.0 * u[:, 1:2] - half_t2 * e2
-    g[:, :, 2] = half_t2 * (e1 + e2)
-    out = np.empty((u.shape[0], thetas.size, 3, 2))
-    out[..., 0] = x[:, 0] + 0.1 * x[:, 1] + noises[:, :, 0]
-    out[..., 1] = (x[:, 1] + 0.1 * g
-                   - 0.1 * np.sin(np.clip(x[:, 1], -1.0, 1.0)) + noises[:, :, 1])
-    return out
+    return _spring_transition_batch(x, np.concatenate(u), s.theta, s.noise)
 
 
 def _spring_safe(x):
@@ -203,28 +212,29 @@ def _spring_safe(x):
 
 
 def _spring_cost(x):
-    return float(1.0 - np.mean(sigm10(4.0 - x[:, 0] ** 2)))
-
-
-def _collision_transition(x, u, s):
-    uvec = np.array([ui[0] for ui in u])
-    pos = x[:, 0] + 0.01 * x[:, 1] + s.theta * np.sin(x[:, 0]) + s.noise[:, 0]
-    vel = x[:, 1] + uvec + s.noise[:, 1]
-    return np.column_stack([pos, vel])
+    return 1.0 - _agent_mean(sigm10(4.0 - x[..., 0] ** 2))
 
 
 def _collision_transition_batch(x, u, thetas, noises):
-    out = np.empty((u.shape[0], thetas.size, x.shape[0], 2))
-    out[..., 0] = x[:, 0] + 0.01 * x[:, 1] + thetas[:, None] * np.sin(x[:, 0]) + noises[:, :, 0]
-    out[..., 1] = x[:, 1] + u[:, None, :] + noises[:, :, 1]
+    pos, vel = x[..., 0], x[..., 1]
+    pos_next = pos + 0.01 * vel + np.asarray(thetas)[..., None] * np.sin(pos) + noises[..., 0]
+    vel_next = vel + u + noises[..., 1]
+    out = np.empty(np.broadcast(pos_next, vel_next).shape + (2,))
+    out[..., 0] = pos_next
+    out[..., 1] = vel_next
     return out
 
 
+def _collision_transition(x, u, s):
+    return _collision_transition_batch(x, np.concatenate(u), s.theta, s.noise)
+
+
 def _pairwise_sq_gaps(pos):
-    """Squared position gaps to the nearest other agent, per agent."""
-    d2 = (pos[:, None] - pos[None, :]) ** 2
-    np.fill_diagonal(d2, np.inf)
-    return d2.min(axis=1)
+    """Squared position gaps to the nearest other agent, per agent: (..., M) -> (..., M)."""
+    d2 = (pos[..., :, None] - pos[..., None, :]) ** 2
+    agents = np.arange(pos.shape[-1])
+    d2[..., agents, agents] = np.inf
+    return d2.min(axis=-1)
 
 
 def _collision_safe(x):
@@ -232,7 +242,7 @@ def _collision_safe(x):
 
 
 def _collision_cost(x):
-    return float(np.mean(sigm10(0.04 - _pairwise_sq_gaps(x[:, 0]))))
+    return _agent_mean(sigm10(0.04 - _pairwise_sq_gaps(x[..., 0])))
 
 
 def make_model(

@@ -182,7 +182,7 @@ def _margins(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig
     step = max(1, _PASS_PAIRS // len(thetas))
     out = np.empty(len(rows))
     for start in range(0, len(rows), step):
-        nexts = model.transition_batch(x, rows[start:start + step], thetas, noises)
+        nexts = model.transition_batch(x, rows[start:start + step, None, :], thetas, noises)
         values = np.asarray(barrier.value(nexts.reshape(*nexts.shape[:2], -1)), dtype=float)
         if not np.all(np.isfinite(values)):
             raise ContractViolationError("barrier produced non-finite values")

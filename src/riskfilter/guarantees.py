@@ -112,7 +112,8 @@ def certify_grid(
             continue
         h_min = h_now if h_min is None else min(h_min, h_now)
         samples = draw_risk_samples(model, n_oracle_samples, np.random.SeedSequence([seed, idx]))
-        ok, margin = check_condition(model, barrier, x, policy(x), cfg, samples, h_now)
+        ok, margin = check_condition(model, barrier, x, model.split_action(policy(x)), cfg,
+                                     samples, h_now)
         margins.append(margin)
         passed.append(ok)
     margins = np.array(margins)

@@ -27,11 +27,13 @@ from .value import mc_cost_to_go
 class Policy:
     """Deterministic state-feedback policy; outputs are clipped to the action box.
 
-    ``gains`` holds one [Kp, Kd] row per agent (rows of unactuated agents
-    are ignored).  ``setpoints`` optionally gives each agent its own
-    position reference in place of the shared one; agents that must stay
-    apart (collision constraints) need distinct setpoints, since feedback
-    to a shared reference drives them into each other.
+    Calling it maps joint states (..., M, d_x) to flat joint actions
+    (..., A), as ``eval_policy`` does.  ``gains`` holds one [Kp, Kd] row
+    per agent (rows of unactuated agents are ignored).  ``setpoints``
+    optionally gives each agent its own position reference in place of
+    the shared one; agents that must stay apart (collision constraints)
+    need distinct setpoints, since feedback to a shared reference drives
+    them into each other.
     """
 
     kind: str                       # proportional | improved
@@ -46,28 +48,29 @@ class Policy:
         return eval_policy(self, x)
 
 
-def eval_policy(policy: Policy, x) -> list:
-    """Per-agent actions from the shared joint state; unactuated agents get empty vectors."""
+def eval_policy(policy: Policy, x) -> np.ndarray:
+    """Flat joint actions (..., A) from joint states (..., M, d_x), all agents
+    at once; ``MasModel.split_action`` turns one row into the per-agent list.
+
+    Each agent's gain product is a stacked (1, 2) @ (2, 1) matmul, which
+    gives it the bits of its own ``gains[i] @ err[i]`` (a multiply-add,
+    ``einsum`` or ``.sum`` does not).
+    """
     x = np.asarray(x, dtype=float)
     m = len(policy.action_dims)
-    if x.ndim != 2 or x.shape[0] != m or x.shape[1] != policy.gains.shape[1]:
+    if x.ndim < 2 or x.shape[-2:] != (m, policy.gains.shape[1]):
         raise ContractViolationError(
             f"state shape {x.shape} does not match policy dimensions "
             f"({m}, {policy.gains.shape[1]})"
         )
     err = x.copy()
     if policy.setpoints is not None:
-        err[:, 0] -= policy.setpoints
+        err[..., 0] -= policy.setpoints
     else:
-        err[:, 0] -= policy.x_ref[0]
-    out = []
-    for i, d in enumerate(policy.action_dims):
-        if d == 0:
-            out.append(np.zeros(0))
-            continue
-        raw = -float(policy.gains[i] @ err[i])
-        out.append(np.clip(np.array([raw]), policy.action_low, policy.action_high))
-    return out
+        err[..., 0] -= policy.x_ref[0]
+    raw = -(err[..., None, :] @ policy.gains[:, :, None])[..., 0, 0]
+    raw = np.repeat(raw, policy.action_dims, axis=-1)
+    return np.minimum(np.maximum(raw, policy.action_low), policy.action_high)  # np.clip's bits
 
 
 def make_proportional(model: MasModel, gains, setpoints=None) -> Policy:
@@ -119,14 +122,13 @@ def mean_cost_objective(model: MasModel, eval_states, horizon: int, n_samples: i
     """Objective for cem_improve: mean Monte-Carlo cost-to-go over fixed states.
 
     The seed is fixed inside the closure, so every candidate is scored on
-    the same random draws (common random numbers).
+    the same random draws (common random numbers); the states share that
+    seed, so one lockstep call scores all of them on one draw.
     """
-    states = [model.validate_state(s) for s in eval_states]
+    states = np.stack([model.validate_state(s) for s in eval_states])
 
     def objective(policy) -> float:
-        return float(np.mean([
-            mc_cost_to_go(model, policy, s, horizon, n_samples, seed) for s in states
-        ]))
+        return float(np.mean(mc_cost_to_go(model, policy, states, horizon, n_samples, seed)))
 
     return objective
 

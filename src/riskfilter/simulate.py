@@ -52,7 +52,7 @@ class PolicyController:
     policy: Policy
 
     def act(self, model: MasModel, x, rollout_seed: int, step: int) -> StepDecision:
-        return StepDecision(action=self.policy(x))
+        return StepDecision(action=model.split_action(self.policy(x)))
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class SwitchingController:
 
     def act(self, model: MasModel, x, rollout_seed: int, step: int) -> StepDecision:
         h_now = float(self.barrier.value(model.flatten_state(model.validate_state(x))))
-        nominal, safe = self.nominal(x), self.safe(x)
+        nominal, safe = model.split_action(self.nominal(x)), model.split_action(self.safe(x))
         parts = []
         branches = [""] * model.n_agents
         feasible = [True] * model.n_agents
@@ -94,7 +94,7 @@ class CentralizedController:
 
     def act(self, model: MasModel, x, rollout_seed: int, step: int) -> StepDecision:
         h_now = float(self.barrier.value(model.flatten_state(model.validate_state(x))))
-        nominal, safe = self.nominal(x), self.safe(x)
+        nominal, safe = model.split_action(self.nominal(x)), model.split_action(self.safe(x))
         samples = draw_risk_samples(model, self.cfg.n_samples,
                                     np.random.SeedSequence([rollout_seed, step]))
         out = centralized_filter(model, self.barrier, x, nominal, self.cfg, samples, h_now)

@@ -3,8 +3,10 @@
 The value of a policy is the expected discounted cost-to-go
 ``V(x) = E[sum_{k=1..H} gamma^k c(x_k)]`` with the expectation over both
 the process noise and the coupling-parameter prior, truncated at horizon
-``H``.  Targets are estimated by seeded rollouts, a small tanh network is
-fit to them by full-batch Adam, and the barrier is
+``H``.  Targets are estimated by seeded rollouts that run in lockstep:
+every row and rollout steps together through one policy, transition and
+cost call per step, with the bits of one-at-a-time rollouts.  A small
+tanh network is fit to the targets by full-batch Adam, and the barrier is
 
     h(x) = xi - V_hat(x)
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import MasModel, UncertaintySample
+from .dynamics import MasModel
 from .errors import ContractViolationError
 
 
@@ -54,40 +56,89 @@ class ValueDataset:
         return self.states.reshape(len(self), -1)
 
 
-def mc_cost_to_go(model: MasModel, policy, x, horizon: int, n_samples: int, seed) -> float:
+def mc_cost_to_go(model: MasModel, policy, x, horizon: int, n_samples: int, seed):
     """Average of sum_{k=1..H} gamma^k c(x_k) over seeded closed-loop rollouts.
 
     Each rollout draws its own coupling parameter once and fresh noise per
     step.  Rollout r uses the generator seeded by (seed, r), so estimates
     with the same seed share their random draws across horizons: the
-    estimate is monotone in H for nonnegative costs.
+    estimate is monotone in H for nonnegative costs.  ``x`` is one state
+    (a float is returned) or a stack (..., M, d_x) of states that all
+    share the one seed and its draws (an array of the leading shape).
     """
+    _check_sizes(horizon, n_samples)
+    x = np.asarray(x, dtype=float)
+    states = x.reshape(-1, *x.shape[-2:]) if x.ndim > 2 else x[None]
+    for state in states:
+        model.validate_state(state)
+    thetas, noises = _rollout_draws(model, _seed_int(seed), horizon, n_samples)
+    targets = _lockstep(model, policy, states, thetas, noises)
+    return float(targets[0]) if x.ndim == 2 else targets.reshape(x.shape[:-2])
+
+
+def _check_sizes(horizon: int, n_samples: int) -> None:
     if horizon < 0:
         raise ContractViolationError(f"horizon must be >= 0, got {horizon}")
     if n_samples < 1:
         raise ContractViolationError(f"n_samples must be >= 1, got {n_samples}")
-    x0 = model.validate_state(x)
-    total = 0.0
-    for r in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence([_seed_int(seed), r]))
-        theta = float(rng.standard_normal())
-        xk = x0
-        acc = 0.0
-        disc = 1.0
-        for _ in range(horizon):
-            u = policy(xk)
-            noise = rng.standard_normal((model.n_agents, model.state_dim)) * model.noise_scale
-            xk = model.step(xk, u, UncertaintySample(theta, noise))
-            disc *= model.gamma
-            acc += disc * model.cost(xk)
-        total += acc
-    return total / n_samples
 
 
 def _seed_int(seed) -> int:
     if isinstance(seed, (int, np.integer)):
         return int(seed)
     raise ContractViolationError(f"seed must be an integer, got {type(seed).__name__}")
+
+
+def _rollout_draws(model: MasModel, seed: int, horizon: int, n_samples: int) -> tuple:
+    """(thetas (S,), noises (S, H, M, d_x)) of rollouts r = 0..S-1 under ``seed``.
+
+    Generator (seed, r) draws theta, then all H steps' noise in one block,
+    which has the bits of H successive (M, d_x) draws.
+    """
+    thetas = np.empty(n_samples)
+    noises = np.empty((n_samples, horizon, model.n_agents, model.state_dim))
+    for r in range(n_samples):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
+        thetas[r] = rng.standard_normal()
+        noises[r] = rng.standard_normal(noises.shape[1:])
+    return thetas, noises * model.noise_scale
+
+
+def _lockstep(model: MasModel, policy, states: np.ndarray, thetas: np.ndarray,
+              noises: np.ndarray) -> np.ndarray:
+    """Monte-Carlo targets (N,) of validated states (N, M, d_x), every row and
+    rollout stepping together: one ``policy``, ``transition_batch`` and
+    ``cost_fn`` call per step on the (N, S, M, d_x) stack.
+
+    ``thetas`` (N, S) or (S,) and ``noises`` (N, S, H, M, d_x) or
+    (S, H, M, d_x) are the rollouts' draws; shared draws broadcast over rows.
+    Each row's rollouts run the per-sample arithmetic elementwise, and the
+    running discount, the running sum and the sum over rollouts in r order
+    keep the bits of a one-state, one-rollout loop.
+    """
+    n_samples = thetas.shape[-1]
+    x = np.broadcast_to(states[:, None], (len(states), n_samples) + states.shape[1:])
+    lead = x.shape[:-2] + (sum(model.action_dims),)
+    acc = np.zeros(x.shape[:-2])
+    disc = 1.0
+    for k in range(noises.shape[-3]):
+        u = policy(x)
+        if not isinstance(u, np.ndarray) or u.shape != lead:
+            raise ContractViolationError(
+                f"policy returned {type(u).__name__} of shape {getattr(u, 'shape', None)}, "
+                f"expected an array of shape {lead}"
+            )
+        x = model.transition_batch(x, u, thetas, noises[..., k, :, :])
+        if not np.isfinite(x).all():
+            raise ContractViolationError("state contains non-finite entries")
+        disc *= model.gamma
+        acc += disc * model.cost_fn(x)
+    return np.cumsum(acc, axis=1)[:, -1] / n_samples
+
+
+# Rows per lockstep chunk in collect_dataset: a chunk holds its rows' draws,
+# (rows, S, H, M, d_x) floats, so memory does not grow with the row count.
+_CHUNK_ROWS = 256
 
 
 def collect_dataset(
@@ -102,19 +153,28 @@ def collect_dataset(
     """Sample initial states and label each with its Monte-Carlo cost-to-go.
 
     Row i uses seed ``seed + i`` for both its initial draw and its target
-    rollouts, so rows are independent and the collection is trivially
-    parallelizable.
+    rollouts, so a row's state and target do not depend on the other rows:
+    rows run in lockstep chunks of _CHUNK_ROWS, and row i of any call is
+    the one-row call at ``seed + i``, bit for bit.
     """
     if n_states < 1:
         raise ContractViolationError(f"n_states must be >= 1, got {n_states}")
-    states = np.empty((n_states, model.n_agents, model.state_dim))
-    targets = np.empty(n_states)
+    _check_sizes(horizon, n_samples)
     base = _seed_int(seed)
+    states = np.empty((n_states, model.n_agents, model.state_dim))
     for i in range(n_states):
-        row_seed = base + i
-        x0 = init_sampler(np.random.default_rng(np.random.SeedSequence([row_seed, 977])))
+        x0 = init_sampler(np.random.default_rng(np.random.SeedSequence([base + i, 977])))
         states[i] = model.validate_state(x0)
-        targets[i] = mc_cost_to_go(model, safe_policy, x0, horizon, n_samples, row_seed)
+    targets = np.empty(n_states)
+    chunk = min(_CHUNK_ROWS, n_states)
+    thetas = np.empty((chunk, n_samples))   # reused by every chunk
+    noises = np.empty((chunk, n_samples, horizon) + states.shape[1:])
+    for start in range(0, n_states, chunk):
+        n = min(chunk, n_states - start)
+        for j in range(n):
+            thetas[j], noises[j] = _rollout_draws(model, base + start + j, horizon, n_samples)
+        targets[start:start + n] = _lockstep(model, safe_policy, states[start:start + n],
+                                             thetas[:n], noises[:n])
     return ValueDataset(states=states, targets=targets, gamma=model.gamma, horizon=horizon)
 
 

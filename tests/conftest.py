@@ -23,11 +23,18 @@ def _identity_transition(x, u, s):
 
 
 def _identity_transition_batch(x, u, thetas, noises):
-    return np.broadcast_to(x, (u.shape[0], thetas.size) + x.shape).copy()
+    lead = np.broadcast_shapes(x.shape[:-2], u.shape[:-1], np.shape(thetas),
+                               noises.shape[:-2])
+    return np.broadcast_to(x, lead + x.shape[-2:]).copy()
+
+
+def _zero_cost(x):
+    return np.zeros(np.shape(x)[:-2])
 
 
 def make_static_model(n_agents: int = 2) -> MasModel:
-    """Frozen-state test dynamics: f(x, u, w) = x, zero cost, always safe."""
+    """Frozen-state test dynamics: f(x, u, w) = x, zero cost, always safe, under
+    the leading-axis contracts of ``transition_batch`` and ``cost_fn``."""
     return MasModel(
         preset="static",
         n_agents=n_agents,
@@ -42,7 +49,7 @@ def make_static_model(n_agents: int = 2) -> MasModel:
         action_high=1.0,
         transition=_identity_transition,
         safe_fn=lambda x: True,
-        cost_fn=lambda x: 0.0,
+        cost_fn=_zero_cost,
         transition_batch=_identity_transition_batch,
     )
 
@@ -128,6 +135,12 @@ def collision_setup():
     )
 
 
+def zero_policy(model: MasModel):
+    """Policy returning the zero joint action (..., A) for states (..., M, d_x)."""
+    return lambda x: np.zeros(np.shape(x)[:-2] + (sum(model.action_dims),))
+
+
 def constant_cost_model(cost: float, gamma: float) -> MasModel:
     """Deterministic frozen-state model with a constant step cost."""
-    return replace(make_static_model(), cost_fn=lambda x: float(cost), gamma=gamma)
+    return replace(make_static_model(), cost_fn=lambda x: np.full(np.shape(x)[:-2], float(cost)),
+                   gamma=gamma)

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ConstantValue, constant_cost_model, h_of, make_static_model
+from conftest import ConstantValue, constant_cost_model, h_of, make_static_model, zero_policy
 from riskfilter import (
     Barrier,
     Branch,
@@ -114,8 +114,8 @@ def test_criterion_3_worst_case_grid_property(spring_setup):
         for agent in s.model.actuated_agents:
             samples = draw_risk_samples(s.model, cfg.n_samples, 10_000 + 7 * idx + agent)
             h_now = h_of(s.model, s.barrier, x)
-            out = pessimistic_filter(s.model, s.barrier, agent, x, s.nominal(x),
-                                     cfg, samples, h_now)
+            nominal = s.model.split_action(s.nominal(x))
+            out = pessimistic_filter(s.model, s.barrier, agent, x, nominal, cfg, samples, h_now)
             if out is None:
                 continue
             n_feasible += 1
@@ -178,8 +178,8 @@ def _fuzz_switching(setup, n_states: int, cfg: FilterConfig, seed: int):
     agents = setup.model.actuated_agents
     for idx, x in enumerate(states):
         agent = agents[idx % len(agents)]
-        out = switching_filter(setup.model, setup.barrier, agent, x,
-                               setup.nominal(x), setup.safe(x), cfg,
+        nominal, safe = (setup.model.split_action(p(x)) for p in (setup.nominal, setup.safe))
+        out = switching_filter(setup.model, setup.barrier, agent, x, nominal, safe, cfg,
                                draw_risk_samples(setup.model, cfg.n_samples, 50_000 + idx),
                                h_of(setup.model, setup.barrier, x))
         assert out.action is not None
@@ -288,8 +288,7 @@ def test_criterion_8_value_sanity_and_cli_determinism(tmp_path):
     runs with equal seeds produce byte-identical outputs."""
     c0, gamma, horizon = 0.7, 0.9, 40
     m = constant_cost_model(c0, gamma)
-    policy = lambda x: m.zero_action()
-    got = mc_cost_to_go(m, policy, np.zeros((2, 2)), horizon, 1, 0)
+    got = mc_cost_to_go(m, zero_policy(m), np.zeros((2, 2)), horizon, 1, 0)
     closed_form = c0 * (gamma - gamma ** (horizon + 1)) / (1 - gamma)
     assert got == pytest.approx(closed_form, abs=1e-9)
 

@@ -110,11 +110,36 @@ class TestStep:
             x = rng.normal(size=(m.n_agents, 2))
             rows = rng.uniform(-1, 1, size=(4, sum(m.action_dims)))
             thetas, noises = draw_risk_samples(m, 7, rng)
-            batch = m.transition_batch(x, rows, thetas, noises)
+            batch = m.transition_batch(x, rows[:, None, :], thetas, noises)
             assert batch.shape == (4, 7, m.n_agents, 2)
             loop = np.stack([[m.transition(x, m.split_action(r), UncertaintySample(t, n))
                               for t, n in zip(thetas, noises)] for r in rows])
             assert np.array_equal(loop, batch)
+
+    def test_batched_transition_broadcasts_leading_axes(self):
+        # The lockstep form: (N, S) states, actions and samples, one each.
+        for preset, m_agents in [("spring", None), ("collision", 3)]:
+            m = make_model(preset, n_agents=m_agents)
+            rng = np.random.default_rng(12)
+            xs = rng.normal(size=(4, 3, m.n_agents, 2))
+            us = rng.uniform(-1, 1, size=(4, 3, sum(m.action_dims)))
+            thetas = rng.normal(size=(4, 3))
+            noises = rng.normal(scale=0.1, size=(4, 3, m.n_agents, 2))
+            batch = m.transition_batch(xs, us, thetas, noises)
+            assert batch.shape == xs.shape
+            for idx in np.ndindex(4, 3):
+                one = m.transition(xs[idx], m.split_action(us[idx]),
+                                   UncertaintySample(thetas[idx], noises[idx]))
+                assert np.array_equal(batch[idx], one)
+
+    def test_split_action(self):
+        m = make_model("spring")
+        parts = m.split_action([0.3, -0.2])
+        assert [p.size for p in parts] == [1, 1, 0]
+        assert np.array_equal(np.concatenate(parts), [0.3, -0.2])
+        for bad in (np.zeros(3), np.zeros(1), np.zeros((1, 2))):
+            with pytest.raises(ContractViolationError):
+                m.split_action(bad)
 
 
 class TestSampleUncertainty:

@@ -189,7 +189,7 @@ class TestPessimistic:
         m = replace(make_static_model(1),
                     transition=lambda x, u, s: x + 0.1 * u[0][0] + s.noise,
                     transition_batch=lambda x, u, thetas, noises: (
-                        x + 0.1 * u[:, None, :, None] + noises),
+                        x + 0.1 * u[..., :, None] + noises),
                     noise_scale=0.05)
         b = Barrier(QuadraticValue(2.0), 3.0)
         nom = [np.array([0.4])]
@@ -215,8 +215,8 @@ class TestPessimistic:
         for agent in (0, 1):
             samples = draw_risk_samples(s.model, cfg.n_samples, 13)
             h_now = h_of(s.model, s.barrier, x)
-            out = pessimistic_filter(s.model, s.barrier, agent, x, s.nominal(x),
-                                     cfg, samples, h_now)
+            nominal = s.model.split_action(s.nominal(x))
+            out = pessimistic_filter(s.model, s.barrier, agent, x, nominal, cfg, samples, h_now)
             if out is None:
                 continue
             other = 1 - agent
@@ -323,10 +323,11 @@ class TestSwitching:
         s = spring_setup
         x = np.array([[1.5, 1.0], [1.2, 0.5], [0.8, 0.2]])
         cfg = FilterConfig(grid_size=5)
-        a = switching_filter(s.model, s.barrier, 0, x, s.nominal(x), s.safe(x), cfg,
+        nominal, safe = (s.model.split_action(p(x)) for p in (s.nominal, s.safe))
+        a = switching_filter(s.model, s.barrier, 0, x, nominal, safe, cfg,
                              draw_risk_samples(s.model, cfg.n_samples, 6),
                              h_of(s.model, s.barrier, x))
-        b = switching_filter(s.model, s.barrier, 0, x, s.nominal(x), s.safe(x), cfg,
+        b = switching_filter(s.model, s.barrier, 0, x, nominal, safe, cfg,
                              draw_risk_samples(s.model, cfg.n_samples, 6),
                              h_of(s.model, s.barrier, x))
         assert a.branch == b.branch
@@ -338,11 +339,12 @@ class TestSwitching:
         s = spring_setup
         cfg = FilterConfig(epsilon=10.0, radius=0.05, grid_size=3)
         x = np.zeros((3, 2))
-        out = switching_filter(s.model, s.barrier, 0, x, s.nominal(x), s.safe(x), cfg,
+        nominal, safe = (s.model.split_action(p(x)) for p in (s.nominal, s.safe))
+        out = switching_filter(s.model, s.barrier, 0, x, nominal, safe, cfg,
                                draw_risk_samples(s.model, cfg.n_samples, 1),
                                h_of(s.model, s.barrier, x))
         assert out.branch is Branch.PROXIMITY
-        u_safe = s.safe(x)[0]
+        u_safe = safe[0]
         assert np.linalg.norm(out.action - u_safe) <= cfg.radius + 1e-12
 
 
@@ -382,8 +384,8 @@ class TestEarlyExit:
         calls = []
 
         def transition_batch(x, u, thetas, noises):
-            calls.append(u.copy())
-            return x + 0.5 * u[:, None, :, None] + noises
+            calls.append(u.reshape(-1, u.shape[-1]).copy())
+            return x + 0.5 * u[..., :, None] + noises
 
         return replace(make_static_model(3), transition_batch=transition_batch), calls
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ConstantValue, make_static_model
+from conftest import ConstantValue, make_static_model, zero_policy
 from riskfilter import (
     Barrier,
     ContractViolationError,
@@ -16,10 +16,6 @@ from riskfilter import (
     certify_grid,
     compute_delta,
 )
-
-
-def zero_policy(model):
-    return lambda x: model.zero_action()
 
 
 class TestComputeDelta:
@@ -126,7 +122,7 @@ class TestCertifyGrid:
 
         def policy(x):
             calls.append(x)
-            return static_model.zero_action()
+            return zero_policy(static_model)(x)
 
         with pytest.raises(ContractViolationError):
             certify_grid(static_model, Barrier(ConstantValue(0.0), xi), policy,

@@ -40,13 +40,15 @@ class TestProportional:
         m = make_model("spring")
         pol = make_proportional(m, (0.5, 0.5))
         u = pol(np.zeros((3, 2)))
-        assert u[0][0] == pytest.approx(0.5 * 1.75, abs=1e-15)
-        assert u[1][0] == pytest.approx(0.5 * 1.75, abs=1e-15)
+        assert u[0] == pytest.approx(0.5 * 1.75, abs=1e-15)
+        assert u[1] == pytest.approx(0.5 * 1.75, abs=1e-15)
 
     def test_unactuated_agent_empty(self):
         m = make_model("spring")
         pol = make_proportional(m, (0.5, 0.5))
-        assert pol(np.zeros((3, 2)))[2].size == 0
+        u = pol(np.zeros((3, 2)))
+        assert u.shape == (2,)
+        assert m.split_action(u)[2].size == 0
 
     def test_clipped_to_box(self):
         m = make_model("collision", n_agents=2)
@@ -66,15 +68,15 @@ class TestProportional:
         m = make_model("collision", n_agents=2)
         pol = make_proportional(m, np.array([[1.0, 0.0], [0.0, 1.0]]))
         u = pol(np.array([[0.5, 0.3], [0.5, 0.3]]))
-        assert u[0][0] == pytest.approx(-0.5)
-        assert u[1][0] == pytest.approx(-0.3)
+        assert u[0] == pytest.approx(-0.5)
+        assert u[1] == pytest.approx(-0.3)
 
     def test_setpoints(self):
         m = make_model("collision", n_agents=2)
         pol = make_proportional(m, (1.0, 0.0), setpoints=[-0.5, 0.5])
         u = pol(np.zeros((2, 2)))
-        assert u[0][0] == pytest.approx(-0.5)
-        assert u[1][0] == pytest.approx(0.5)
+        assert u[0] == pytest.approx(-0.5)
+        assert u[1] == pytest.approx(0.5)
 
     def test_setpoint_count_mismatch(self):
         m = make_model("collision", n_agents=2)

@@ -187,7 +187,8 @@ def test_margin_radius_reads_the_step_h(kind, config):
         r = proximity_radius(model, fcfg, h)
         assert r > 0.0
         for agent in model.actuated_agents:
-            v, center = nominal(x)[agent], safe(x)[agent]
+            v = model.split_action(nominal(x))[agent]
+            center = model.split_action(safe(x))[agent]
             d = np.linalg.norm(v - center)
             expected = v if d <= r else center + r * (v - center) / d
             assert decision.branches[agent] == "proximity"

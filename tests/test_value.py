@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ConstantValue, constant_cost_model, make_static_model
+from conftest import ConstantValue, constant_cost_model, make_static_model, zero_policy
 from riskfilter import (
     ApproxConfig,
     Barrier,
@@ -15,17 +17,17 @@ from riskfilter import (
     MissingModelError,
     ValueDataset,
     collect_dataset,
+    eval_policy,
     fit_value,
     load_value_model,
     make_model,
     make_proportional,
     mc_cost_to_go,
+    mean_cost_objective,
     save_value_model,
 )
-
-
-def zero_policy(model):
-    return lambda x: model.zero_action()
+from riskfilter import value as rf_value
+from riskfilter.dynamics import sigm10
 
 
 class TestMcCostToGo:
@@ -94,6 +96,195 @@ class TestCollectDataset:
         with pytest.raises(ContractViolationError):
             collect_dataset(m, zero_policy(m), 0, 5, 1, 0,
                             lambda rng: np.zeros((2, 2)))
+
+    def test_zero_horizon_targets_are_zero(self):
+        m = constant_cost_model(1.0, gamma=0.5)
+        ds = collect_dataset(m, zero_policy(m), 6, 0, 2, 0, lambda rng: rng.normal(size=(2, 2)))
+        assert np.array_equal(ds.targets, np.zeros(6))
+
+    @pytest.mark.parametrize("n_states", [1, 5])
+    def test_wrong_action_size_rejected(self, n_states):
+        m = make_model("spring")
+        bad = lambda x: np.zeros(np.shape(x)[:-2] + (3,))   # one entry per agent, not A = 2
+        with pytest.raises(ContractViolationError):
+            collect_dataset(m, bad, n_states, 3, 2, 0, lambda rng: np.zeros((3, 2)))
+        with pytest.raises(ContractViolationError):
+            mc_cost_to_go(m, lambda x: m.zero_action(), np.zeros((3, 2)), 3, 1, 0)
+
+    @pytest.mark.parametrize("horizon", [1, 4])
+    def test_non_finite_state_rejected(self, horizon):
+        m = make_model("collision", n_agents=2)
+        nan_policy = lambda x: np.full(np.shape(x)[:-2] + (2,), np.nan)
+        with pytest.raises(ContractViolationError):
+            collect_dataset(m, nan_policy, 3, horizon, 2, 0, lambda rng: np.zeros((2, 2)))
+        with pytest.raises(ContractViolationError):
+            mc_cost_to_go(m, nan_policy, np.zeros((2, 2)), horizon, 1, 0)
+
+
+# ----------------------------------------------------------------------
+# Per-sample reference: the one-state, one-rollout, one-agent arithmetic
+# that lockstep collection must reproduce bit for bit.
+
+
+def ref_policy(policy, x) -> list:
+    err = x.copy()
+    err[:, 0] -= policy.x_ref[0] if policy.setpoints is None else policy.setpoints
+    out = []
+    for i, d in enumerate(policy.action_dims):
+        if d == 0:
+            out.append(np.zeros(0))
+            continue
+        raw = -float(policy.gains[i] @ err[i])
+        out.append(np.clip(np.array([raw]), policy.action_low, policy.action_high))
+    return out
+
+
+def ref_transition(preset, x, u, theta, noise):
+    if preset == "spring":
+        e1 = x[0, 0] - x[2, 0]
+        e2 = x[1, 0] - x[2, 0]
+        half_t2 = 0.5 * theta * theta
+        g = np.array([5.0 * u[0][0] - half_t2 * e1, 5.0 * u[1][0] - half_t2 * e2,
+                      half_t2 * (e1 + e2)])
+        pos = x[:, 0] + 0.1 * x[:, 1] + noise[:, 0]
+        vel = x[:, 1] + 0.1 * g - 0.1 * np.sin(np.clip(x[:, 1], -1.0, 1.0)) + noise[:, 1]
+    else:
+        uvec = np.array([ui[0] for ui in u])
+        pos = x[:, 0] + 0.01 * x[:, 1] + theta * np.sin(x[:, 0]) + noise[:, 0]
+        vel = x[:, 1] + uvec + noise[:, 1]
+    return np.column_stack([pos, vel])
+
+
+def ref_sigm10(z):
+    z = np.asarray(z, dtype=float) * 10.0
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def ref_cost(preset, x) -> float:
+    if preset == "spring":
+        return float(1.0 - np.mean(ref_sigm10(4.0 - x[:, 0] ** 2)))
+    d2 = (x[:, 0][:, None] - x[:, 0][None, :]) ** 2
+    np.fill_diagonal(d2, np.inf)
+    return float(np.mean(ref_sigm10(0.04 - d2.min(axis=1))))
+
+
+def ref_cost_to_go(model, policy, x0, horizon, n_samples, seed) -> float:
+    total = 0.0
+    for r in range(n_samples):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
+        theta = float(rng.standard_normal())
+        xk, acc, disc = x0, 0.0, 1.0
+        for _ in range(horizon):
+            u = ref_policy(policy, xk)
+            noise = rng.standard_normal((model.n_agents, model.state_dim)) * model.noise_scale
+            xk = ref_transition(model.preset, xk, u, theta, noise)
+            disc *= model.gamma
+            acc += disc * ref_cost(model.preset, xk)
+        total += acc
+    return total / n_samples
+
+
+def random_policy(model, rng, with_setpoints: bool):
+    setpoints = rng.uniform(-2, 2, size=model.n_agents) if with_setpoints else None
+    gains = rng.uniform(-4, 4, size=(len(model.actuated_agents), model.state_dim))
+    return make_proportional(model, gains, setpoints=setpoints)
+
+
+def box_sampler(model):
+    return lambda rng: rng.uniform(-1.5, 1.5, size=(model.n_agents, model.state_dim))
+
+
+MODELS = st.sampled_from([("spring", None)] + [("collision", m) for m in range(2, 6)])
+
+
+class TestLockstepBitIdentity:
+    # sha256 of collect_dataset targets from the one-rollout-at-a-time
+    # implementation: 40 rows at seed 5 from the uniform box [-1.5, 1.5].
+    PINNED = [
+        ("spring", None, 1, 30,
+         "84b40319b2d24f6f09bdaefa25556286a101b2369995de31a57dad912c7d66f9"),
+        ("spring", None, 2, 30,
+         "3f0c652ff15e6c3dc80baa4eafd016930725fcdf62c6ca3a0dbe77259d930c1e"),
+        ("collision", 3, 2, 30,
+         "e195362b60e14b261b77815b140923cfe1e8d6d253e208febbb72b5cde6bc5d1"),
+        ("spring", None, 2, 0,
+         "7b6436b0c98f62380866d9432c2af0ee08ce16a171bda6951aecd95ee1307d61"),
+        ("spring", None, 2, 1,
+         "6c1981bcda441bd94b0cab0bc9b5f596a98b8452b361e057e491007667b52937"),
+        ("collision", 3, 2, 1,
+         "d732cafad55eeb1bf3dcf96b023be3677cd29cdbb35a0516fdbecde9b9601429"),
+    ]
+
+    @pytest.mark.parametrize("preset, agents, n_samples, horizon, digest", PINNED)
+    def test_pinned_targets(self, preset, agents, n_samples, horizon, digest):
+        m = make_model(preset, n_agents=agents)
+        pol = (make_proportional(m, (0.3, 1.5)) if preset == "spring"
+               else make_proportional(m, (1.0, 0.5), setpoints=[-1.0, 0.0, 1.0]))
+        ds = collect_dataset(m, pol, 40, horizon, n_samples, 5, box_sampler(m))
+        assert hashlib.sha256(ds.targets.tobytes()).hexdigest() == digest
+
+    @settings(deadline=None, max_examples=40)
+    @given(spec=MODELS, n_states=st.integers(1, 6), horizon=st.integers(0, 12),
+           n_samples=st.integers(1, 3), with_setpoints=st.booleans(),
+           seed=st.integers(0, 2 ** 31))
+    def test_targets_match_per_sample_loop(self, spec, n_states, horizon, n_samples,
+                                           with_setpoints, seed):
+        m = make_model(spec[0], n_agents=spec[1])
+        pol = random_policy(m, np.random.default_rng(seed), with_setpoints)
+        ds = collect_dataset(m, pol, n_states, horizon, n_samples, seed, box_sampler(m))
+        ref = [ref_cost_to_go(m, pol, x, horizon, n_samples, seed + i)
+               for i, x in enumerate(ds.states)]
+        assert np.array_equal(ds.targets, ref)
+
+    @settings(deadline=None, max_examples=60)
+    @given(spec=MODELS, n=st.integers(1, 64), with_setpoints=st.booleans(),
+           seed=st.integers(0, 2 ** 31))
+    def test_eval_policy_matches_per_agent_loop(self, spec, n, with_setpoints, seed):
+        m = make_model(spec[0], n_agents=spec[1])
+        rng = np.random.default_rng(seed)
+        pol = random_policy(m, rng, with_setpoints)
+        xs = rng.uniform(-3, 3, size=(n, 2, m.n_agents, m.state_dim))
+        got = eval_policy(pol, xs)
+        assert got.shape == (n, 2, sum(m.action_dims))
+        for idx in np.ndindex(n, 2):
+            assert np.array_equal(got[idx], np.concatenate(ref_policy(pol, xs[idx])))
+
+    def test_sigm10_matches_masked_form(self):
+        z = np.concatenate([np.linspace(-80.0, 80.0, 4000),
+                            [0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf]])
+        got = sigm10(z.reshape(2, -1))
+        assert np.array_equal(got.ravel(), ref_sigm10(z))
+        assert np.array_equal(np.signbit(got.ravel()), np.signbit(ref_sigm10(z)))
+
+    def test_row_target_does_not_depend_on_its_chunk(self):
+        m = make_model("spring")
+        pol = make_proportional(m, (0.3, 1.5))
+        n = rf_value._CHUNK_ROWS + 3
+        ds = collect_dataset(m, pol, n, 3, 2, 40, box_sampler(m))
+        for i in (0, 1, rf_value._CHUNK_ROWS - 1, rf_value._CHUNK_ROWS, n - 1):
+            one = collect_dataset(m, pol, 1, 3, 2, 40 + i, box_sampler(m))
+            assert np.array_equal(one.states[0], ds.states[i])
+            assert one.targets[0] == ds.targets[i]
+
+    def test_stacked_states_share_the_seed(self):
+        # mc_cost_to_go over a stack of states: each gets the value of its
+        # own call under the shared seed, and the cross-entropy objective
+        # averages exactly those values.
+        m = make_model("collision", n_agents=3)
+        pol = make_proportional(m, (1.0, 0.5), setpoints=[-1.0, 0.0, 1.0])
+        rng = np.random.default_rng(4)
+        states = rng.uniform(-1.5, 1.5, size=(8, 3, 2))
+        got = mc_cost_to_go(m, pol, states.reshape(2, 4, 3, 2), 10, 2, 9)
+        ref = [ref_cost_to_go(m, pol, x, 10, 2, 9) for x in states]
+        assert got.shape == (2, 4)
+        assert np.array_equal(got.ravel(), ref)
+        objective = mean_cost_objective(m, list(states), horizon=10, n_samples=2, seed=9)
+        assert objective(pol) == float(np.mean(ref))
 
 
 def grid_dataset(fn, n=64):

@@ -1,14 +1,16 @@
 """SHA-256 digests of every CLI output, one line per output, for each benchmark workload.
 
-    python3 tools/output_digests.py [WORKLOAD ...]
+    python3 tools/output_digests.py [CONFIG ...]
 
 Run from anywhere; the package is imported from ``src/`` and the workload
 configs from ``perfbench/workloads.py``.  For each workload (all of them by
 default) the config runs at ``run.seed = 0`` through ``train-value``,
 ``run``, ``sweep-beta``, ``sweep-xi`` and ``certify``, in that order, in one
-temporary output directory.  After each command, every output its manifest
-lists is hashed, and a line ``workload command/file sha256`` is printed
-(the commands' own messages go to standard error).
+temporary output directory.  One more config, ``train-value-cem``, runs
+``train-value`` alone with the cross-entropy policy search on, so that
+``safe_policy.bin`` is hashed too.  After each command, every output its
+manifest lists is hashed, and a line ``workload command/file sha256`` is
+printed (the commands' own messages go to standard error).
 
 Output bytes are a pure function of (config, seed, package version), so a
 change that claims to keep outputs byte-identical prints the same lines
@@ -32,14 +34,26 @@ from workloads import WORKLOADS  # noqa: E402
 
 COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 
+# name -> (config text, commands): every workload through every command,
+# and the cross-entropy search, which no workload turns on.
+CONFIGS = {name: (text, COMMANDS) for name, (_, text) in WORKLOADS.items()}
+CONFIGS["train-value-cem"] = ("""
+run.preset = collision
+run.agents = 3
+value.states = 60
+value.horizon = 100
+value.samples = 2
+policy.cem_iterations = 2
+""", ("train-value",))
+
 
 def digests(name: str) -> list:
-    """(label, sha256) of every output of every command, for one workload."""
-    _, text = WORKLOADS[name]
+    """(label, sha256) of every output of every command, for one config."""
+    text, commands = CONFIGS[name]
     lines = []
     with tempfile.TemporaryDirectory() as out:
         cfg = rf.config_with(rf.parse_config(text), seed=0, out=out)
-        for command in COMMANDS:
+        for command in commands:
             with contextlib.redirect_stdout(sys.stderr):   # keep stdout to digests
                 code = rf.run_experiment(cfg, command)
             if code != 0:
@@ -52,10 +66,10 @@ def digests(name: str) -> list:
 
 
 def main(argv) -> int:
-    names = argv or list(WORKLOADS)
-    unknown = [n for n in names if n not in WORKLOADS]
+    names = argv or list(CONFIGS)
+    unknown = [n for n in names if n not in CONFIGS]
     if unknown:
-        print(f"unknown workload(s) {unknown}; known: {sorted(WORKLOADS)}", file=sys.stderr)
+        print(f"unknown config(s) {unknown}; known: {sorted(CONFIGS)}", file=sys.stderr)
         return 2
     for name in names:
         for label, digest in digests(name):
