@@ -268,8 +268,8 @@ _MAX_BLOCK_PAIRS = 10**7
 def _filter_block_pairs(cfg: ExperimentConfig) -> int:
     """Most (row, sample) pairs one solve of the filter ``cfg.controller`` runs
     evaluates: (G^A + 1)·S centralized, (G + 1)·G^(A-1)·S pessimistic (its
-    early exit only saves work, and a survivor still meets every combo),
-    0 unfiltered.
+    probe and early exit only save work: each row is evaluated at most once,
+    and a survivor still meets every combo), 0 unfiltered.
 
     A counts actuated action dimensions: one per agent, and none for the
     spring preset's third agent.  G >= 2, so G^64 is far over the bound,

@@ -74,11 +74,12 @@ def write_trajectories_csv(records, model, path) -> None:
     for ri, rec in enumerate(records):
         n = rec.n_steps
         for k in range(n + 1):
+            action = rec.actions[k] if k < n else None
             for agent in range(model.n_agents):
                 x1 = _fmt(rec.states[k, agent, 0])
                 x2 = _fmt(rec.states[k, agent, 1])
                 if k < n:
-                    ui = rec.actions[k][agent]
+                    ui = action[agent]
                     u = _fmt(ui[0]) if len(ui) else ""
                     branch = rec.branches[k][agent] if rec.branches is not None else ""
                     feas = (_fmt(rec.feasible[k][agent])

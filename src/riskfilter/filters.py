@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -190,22 +191,28 @@ def _margins(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig
     return out
 
 
-def _grid(dims: int, cfg: FilterConfig, low: float, high: float) -> np.ndarray:
-    """All G^dims points of the per-dimension action grid, first dimension slowest."""
-    axis = np.linspace(low, high, cfg.grid_size)
+@lru_cache(maxsize=32)
+def _grid(dims: int, grid_size: int, low: float, high: float) -> np.ndarray:
+    """All grid_size^dims points of the per-dimension action grid, first
+    dimension slowest; built once per argument tuple and read-only."""
+    axis = np.linspace(low, high, grid_size)
     grid = np.empty((1, 0))
     for _ in range(dims):
         grid = np.column_stack([np.repeat(grid, axis.size, axis=0), np.tile(axis, len(grid))])
+    grid.flags.writeable = False
     return grid
 
 
 def _ordered_candidates(nominal: np.ndarray, cfg: FilterConfig, low: float, high: float) -> np.ndarray:
     """Nominal action plus the per-dimension grid, in ascending distance to nominal.
 
-    The stable sort keeps the nominal action first among ties, so a
-    feasible nominal action is always returned exactly.
+    A grid point equal to the nominal is dropped: it would repeat the
+    nominal's rows after them.  The stable sort keeps the nominal action
+    first among ties, so a feasible nominal action is always returned
+    exactly.
     """
-    cands = np.vstack([nominal[None, :], _grid(nominal.size, cfg, low, high)])
+    grid = _grid(nominal.size, cfg.grid_size, low, high)
+    cands = np.vstack([nominal[None, :], grid[np.any(grid != nominal[None, :], axis=1)]])
     order = np.argsort(np.sum((cands - nominal[None, :]) ** 2, axis=1), kind="stable")
     return cands[order]
 
@@ -218,7 +225,7 @@ def _other_grid(model: MasModel, agent: int, cfg: FilterConfig) -> tuple:
     other actuated agent K = 1 and the worst case is the plain condition.
     """
     own = np.repeat(np.arange(model.n_agents) == agent, model.action_dims)
-    return own, _grid(int(np.sum(~own)), cfg, model.action_low, model.action_high)
+    return own, _grid(int(np.sum(~own)), cfg.grid_size, model.action_low, model.action_high)
 
 
 def _against(own: np.ndarray, cands: np.ndarray, combos: np.ndarray) -> np.ndarray:
@@ -273,12 +280,15 @@ def pessimistic_filter(
     distance to nominal) must clear the tolerance on every grid
     combination of the other actuated agents' actions, under ``samples``.
     Each pass pairs the surviving candidates with the next combos in grid
-    order, about _PASS_PAIRS (row, sample) pairs in one kernel call, and
-    drops every candidate that a combo failed.  A survivor meets every
-    combo, so the result is the full scan's: the nearest candidate whose
-    worst-case margin clears the tolerance, with that margin, or None:
-    infeasibility is an expected outcome near the constraint boundary,
-    not a fault.
+    order in one kernel call and drops every candidate that a combo
+    failed.  A pass takes as many combos as fit _PASS_PAIRS (row, sample)
+    pairs, all of them when they fit, except that a first pass which
+    cannot hold every combo pairs the candidates with combo 0 alone: on
+    hopeless solves every candidate fails there, and that one pass of C
+    rows settles them.  A survivor meets every combo, so the result is
+    the full scan's: the nearest candidate whose worst-case margin clears
+    the tolerance, with that margin, or None: infeasibility is an
+    expected outcome near the constraint boundary, not a fault.
     """
     if model.action_dims[agent] == 0:
         raise ContractViolationError(f"agent {agent} is unactuated")
@@ -286,10 +296,12 @@ def pessimistic_filter(
     cands = _ordered_candidates(model.validate_action(nominal)[agent], cfg,
                                 model.action_low, model.action_high)
     own, combos = _other_grid(model, agent, cfg)
+    budget = _PASS_PAIRS // len(samples[0])         # rows in one kernel pass
     worst = np.inf
     done = 0
     while done < len(combos):
-        block = combos[done:done + max(1, (_PASS_PAIRS // len(samples[0])) // len(cands))]
+        probe = done == 0 and len(cands) * len(combos) > budget
+        block = combos[done:done + (1 if probe else max(1, budget // len(cands)))]
         margins = _margins(model, barrier, x, cfg, samples, h_now, _against(own, cands, block))
         worst = np.minimum(worst, margins.reshape(len(cands), -1).min(axis=1))
         keep = worst >= cfg.tolerance

@@ -13,6 +13,7 @@ agents share state but cannot coordinate actions.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,22 +115,49 @@ class CentralizedController:
                             branches=tuple(branches), feasible=tuple(feasible))
 
 
+class ActionRows(Sequence):
+    """A rollout's T joint actions, kept as one read-only (T, A) float array.
+
+    Item k is ``model.split_action(row k)``, made on access (a slice gives
+    a list of them), so a record holds 8·A action bytes per step.
+    """
+
+    __slots__ = ("model", "rows")
+
+    def __init__(self, model: MasModel, rows: np.ndarray):
+        rows.flags.writeable = False
+        self.model, self.rows = model, rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self.model.split_action(row) for row in self.rows[k]]
+        return self.model.split_action(self.rows[k])
+
+
 @dataclass(frozen=True)
 class RolloutRecord:
     """One seeded trajectory with everything the metrics need.
 
     ``states`` has T+1 rows; ``safe`` flags every state including the
     initial one, but violation metrics count only the T post-transition
-    states.  Branch and feasibility flags are None for unfiltered runs.
+    states.  ``actions`` holds the T joint actions: ``rollout`` stores
+    them as ``ActionRows``, and any sequence of joint actions (a list of
+    per-agent lists, say) is accepted too.  ``branches`` is an object
+    array of the shared branch-name strings, 8 bytes an entry where a
+    unicode array takes 44.  Branch and feasibility flags are None for
+    unfiltered runs.
     """
 
     seed: int
     theta: float
     states: np.ndarray            # (T+1, M, d_x)
-    actions: list                 # T joint actions
+    actions: Sequence             # T joint actions
     safe: np.ndarray              # (T+1,) bool
     rewards: np.ndarray           # (T,)
-    branches: np.ndarray | None   # (T, M) unicode
+    branches: np.ndarray | None   # (T, M) str objects
     feasible: np.ndarray | None   # (T, M) bool
 
     @property
@@ -159,7 +187,7 @@ def rollout(
     th = theta_drawn if theta is None else float(theta)
 
     states = [x]
-    actions = []
+    actions = np.empty((n_steps, sum(model.action_dims)))
     safe = [model.is_safe(x)]
     rewards = []
     filtered = None
@@ -181,15 +209,15 @@ def rollout(
         x = model.step(x, decision.action, UncertaintySample(th, noise))
         states.append(x)
         safe.append(model.is_safe(x))
-        actions.append(decision.action)
+        actions[k] = np.concatenate([np.ravel(u) for u in decision.action])
     return RolloutRecord(
         seed=int(seed),
         theta=th,
         states=np.stack(states),
-        actions=actions,
+        actions=ActionRows(model, actions),
         safe=np.array(safe, dtype=bool),
         rewards=np.array(rewards),
-        branches=np.array(branches) if filtered else None,
+        branches=np.array(branches, dtype=object) if filtered else None,
         feasible=np.array(feasible, dtype=bool) if filtered else None,
     )
 

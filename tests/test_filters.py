@@ -28,7 +28,7 @@ from riskfilter import (
     switching_filter,
     worst_case_margin,
 )
-from riskfilter.filters import _margins
+from riskfilter.filters import _grid, _margins, _ordered_candidates
 
 
 class TestFilterConfig:
@@ -378,43 +378,58 @@ class TestEarlyExit:
 
     G = 9
 
-    def drift_model(self):
+    def drift_model(self, agents=3):
         # f(x, u) = x + 0.5 u in every coordinate of every agent, so from
-        # x = 0 the first combo in grid order, (-1, -1), is the worst one.
+        # x = 0 the first combo in grid order, (-1, ..., -1), is the worst one.
         calls = []
 
         def transition_batch(x, u, thetas, noises):
             calls.append(u.reshape(-1, u.shape[-1]).copy())
             return x + 0.5 * u[..., :, None] + noises
 
-        return replace(make_static_model(3), transition_batch=transition_batch), calls
+        return replace(make_static_model(agents), transition_batch=transition_batch), calls
 
-    def solve(self, alpha, value=None):
-        m, calls = self.drift_model()
+    def solve(self, alpha, value=None, agents=3, nominal=1.0):
+        m, calls = self.drift_model(agents)
         b = Barrier(value or QuadraticValue(1.0), 1.5)
-        nom = [np.array([1.0]), np.zeros(1), np.zeros(1)]
+        nom = [np.array([nominal])] + [np.zeros(1)] * (agents - 1)
         cfg = FilterConfig(alpha=alpha, grid_size=self.G, n_samples=5)
-        out = pessimistic_filter(m, b, 0, np.zeros((3, 2)), nom, cfg,
+        out = pessimistic_filter(m, b, 0, np.zeros((agents, 2)), nom, cfg,
                                  draw_risk_samples(m, cfg.n_samples, 0), 1.5)
         return out, calls, (m, b, cfg)
 
     def test_all_fail_on_first_combo(self):
         # margin = 1.5 - 0.5 * (u0^2 + u1^2 + u2^2) - 1.5 * alpha: at
         # alpha = 0.5 every candidate fails on (-1, -1) and passes on (0, 0).
+        # The 9 x 81 block takes several passes, so the first pass pairs the
+        # 9 candidates (the nominal 1.0 is a grid point, counted once) with
+        # combo 0 alone, and settles the solve.
         out, calls, _ = self.solve(alpha=0.5)
         assert out is None
-        assert len(calls) == 1
-        assert sum(len(u) for u in calls) < (self.G + 1) * self.G ** 2
+        assert len(calls) == 1 and calls[0].shape == (self.G, 3)
+        assert np.all(calls[0][:, 1:] == -1.0)
+        assert sorted(calls[0][:, 0]) == list(np.linspace(-1, 1, self.G))
+
+    def test_block_that_fits_one_pass_takes_every_combo(self):
+        # Two agents, as on spring: the 10 candidates around a nominal off
+        # the grid times 9 combos times 5 samples is 450 pairs, so they go
+        # in one pass, although at alpha = 1 every candidate fails combo 0.
+        out, calls, _ = self.solve(alpha=1.0, agents=2, nominal=0.3)
+        assert out is None
+        assert [len(u) for u in calls] == [(self.G + 1) * self.G]
 
     def test_feasible_survivor_sees_every_combo(self):
         # At alpha = 0.2 a candidate is feasible iff u0^2 <= 0.4: from the
-        # nominal 1.0 the search drops 1.0 (twice) and 0.75, then picks 0.5.
+        # nominal 1.0 the probe of combo 0 drops 1.0, 0.75, -0.75 and -1.0,
+        # then the 5 survivors meet the other 80 combos, 25 per pass, and
+        # 0.5 is the first of them.
         out, calls, (m, b, cfg) = self.solve(alpha=0.2)
         assert out is not None and out.action[0] == 0.5
+        assert [len(u) for u in calls] == [9, 125, 125, 125, 25]
         rows = np.vstack(calls)
-        assert len(rows) < (self.G + 1) * self.G ** 2
         combos = {tuple(r[1:]) for r in rows if r[0] == 0.5}
         assert combos == set(itertools.product(np.linspace(-1, 1, self.G), repeat=2))
+        assert len({r.tobytes() for r in rows}) == len(rows)     # each row once
         samples = draw_risk_samples(m, cfg.n_samples, 0)
         assert out.margin == worst_case_margin(m, b, 0, out.action, np.zeros((3, 2)),
                                                cfg, samples, 1.5)
@@ -441,6 +456,28 @@ class TestEarlyExit:
 
         with pytest.raises(ContractViolationError):
             self.solve(alpha=0.0, value=NanAtLastCombo(0.01))
+
+
+class TestCandidates:
+    def test_grid_point_equal_to_nominal_dropped(self):
+        # The duplicate would repeat the nominal's rows after them; the
+        # nominal stays first and every other grid point stays.
+        cfg = FilterConfig(grid_size=9)
+        axis = list(np.linspace(-1, 1, 9))
+        on = _ordered_candidates(np.array([0.5]), cfg, -1.0, 1.0)
+        off = _ordered_candidates(np.array([0.3]), cfg, -1.0, 1.0)
+        assert on[0, 0] == 0.5 and sorted(on[:, 0]) == axis
+        assert off[0, 0] == 0.3 and sorted(off[1:, 0]) == axis
+        two = _ordered_candidates(np.array([0.5, 0.3]), cfg, -1.0, 1.0)
+        assert len(two) == 82 and two[0].tolist() == [0.5, 0.3]
+        assert len(_ordered_candidates(np.array([0.5, -1.0]), cfg, -1.0, 1.0)) == 81
+
+    def test_grid_built_once_and_read_only(self):
+        grid = _grid(2, 9, -1.0, 1.0)
+        assert _grid(2, 9, -1.0, 1.0) is grid and grid.shape == (81, 2)
+        assert grid[:2].tolist() == [[-1.0, -1.0], [-1.0, -0.75]]     # first dim slowest
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.0
 
 
 class TestWorstCaseMargin:

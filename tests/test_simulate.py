@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from riskfilter import (
     rollout,
     sweep,
 )
+from riskfilter.experiments import write_trajectories_csv
 from riskfilter.filters import proximity_radius
 from riskfilter.simulate import StepDecision
 
@@ -32,7 +36,7 @@ class TestRollout:
         pol = make_proportional(m, (1.0, 0.5))
         rec = rollout(m, PolicyController(pol), np.zeros((3, 2)), 0, 0)
         assert rec.states.shape == (1, 3, 2)
-        assert rec.actions == []
+        assert len(rec.actions) == 0
         assert rec.rewards.size == 0
         assert rec.safe.shape == (1,)
         assert rec.branches is None
@@ -193,6 +197,85 @@ def test_margin_radius_reads_the_step_h(kind, config):
             expected = v if d <= r else center + r * (v - center) / d
             assert decision.branches[agent] == "proximity"
             assert np.array_equal(decision.action[agent], expected)
+
+
+class RecordingController:
+    """Wraps a controller and keeps every decision it returns."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.decisions = []
+
+    def act(self, model, x, rollout_seed, step):
+        decision = self.inner.act(model, x, rollout_seed, step)
+        self.decisions.append(decision)
+        return decision
+
+
+def collision3_switching():
+    cfg = parse_config("run.preset = collision\nrun.agents = 3")
+    model = cfg.build_model()
+    ctrl = SwitchingController(barrier=Barrier(QuadraticValue(0.2), 1.0),
+                               nominal=cfg.nominal_policy(model), safe=cfg.safe_policy(model),
+                               cfg=FilterConfig(grid_size=3, n_samples=2))
+    return model, ctrl, np.array([[0.5, 0.0], [-0.5, 0.0], [0.2, 0.1]])
+
+
+class TestActionRows:
+    """A rollout keeps its actions as one (T, A) array; item k is split on access."""
+
+    def test_items_are_the_decisions_bit_for_bit(self):
+        model, inner, x0 = collision3_switching()
+        ctrl = RecordingController(inner)
+        rec = rollout(model, ctrl, x0, 12, 4)
+        assert set(rec.branches.ravel()) == {"pessimistic", "proximity"}
+        expected = [d.action for d in ctrl.decisions]
+
+        def same(a, b):
+            return len(a) == len(b) and all(
+                u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+                for u, v in zip(a, b))
+
+        assert len(rec.actions) == rec.n_steps == 12
+        assert all(same(rec.actions[k], expected[k]) for k in range(12))
+        assert all(same(a, e) for a, e in zip(rec.actions, expected, strict=True))
+        assert all(same(rec.actions[-k], expected[-k]) for k in range(1, 13))
+        for sl in (slice(2, 7), slice(None, None, -3), slice(10, 40)):
+            got = rec.actions[sl]
+            assert len(got) == len(expected[sl])
+            assert all(same(a, e) for a, e in zip(got, expected[sl]))
+        with pytest.raises(IndexError):
+            rec.actions[12]
+        with pytest.raises(ValueError):
+            rec.actions.rows[0, 0] = 1.0      # read-only
+
+    def test_record_with_list_actions_writes_same_csv(self, tmp_path):
+        model, ctrl, x0 = collision3_switching()
+        rec = rollout(model, ctrl, x0, 10, 2)
+        lists = dataclasses.replace(rec, actions=[list(a) for a in rec.actions])
+        write_trajectories_csv([rec], model, tmp_path / "rows.csv")
+        write_trajectories_csv([lists], model, tmp_path / "lists.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
+        assert compute_metrics([rec], model) == compute_metrics([lists], model)
+
+    def test_retained_bytes_per_step(self):
+        # A record keeps 24 action bytes and 24 branch bytes per step at
+        # M = 3, on top of its states, rewards and flags: about 195 B in
+        # all.  Unicode branch flags would add 108 B, and per-step lists of
+        # per-agent arrays about 620.  The warm-up rollout of the same
+        # length fills the interpreter's free lists before tracing starts.
+        model, ctrl, x0 = collision3_switching()
+        n = 200
+        rollout(model, ctrl, x0, n, 0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rec = rollout(model, ctrl, x0, n, 0)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rec.n_steps == n
+        assert retained / n <= 250
 
 
 def fabricated_record(n_steps: int, n_agents: int, unsafe_steps=(), x_ref=0.0):

@@ -8,7 +8,9 @@ default) the config runs at ``run.seed = 0`` through ``train-value``,
 ``run``, ``sweep-beta``, ``sweep-xi`` and ``certify``, in that order, in one
 temporary output directory.  One more config, ``train-value-cem``, runs
 ``train-value`` alone with the cross-entropy policy search on, so that
-``safe_policy.bin`` is hashed too.  After each command, every output its
+``safe_policy.bin`` is hashed too, and ``collision4-switching`` runs
+``train-value`` and ``run`` on collision M=4, so that pessimistic solves of
+several kernel passes are hashed.  After each command, every output its
 manifest lists is hashed, and a line ``workload command/file sha256`` is
 printed (the commands' own messages go to standard error).
 
@@ -35,7 +37,8 @@ from workloads import WORKLOADS  # noqa: E402
 COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 
 # name -> (config text, commands): every workload through every command,
-# and the cross-entropy search, which no workload turns on.
+# the cross-entropy search, which no workload turns on, and collision M=4
+# switching, whose 10 x 729-row pessimistic blocks take several passes.
 CONFIGS = {name: (text, COMMANDS) for name, (_, text) in WORKLOADS.items()}
 CONFIGS["train-value-cem"] = ("""
 run.preset = collision
@@ -45,6 +48,16 @@ value.horizon = 100
 value.samples = 2
 policy.cem_iterations = 2
 """, ("train-value",))
+CONFIGS["collision4-switching"] = ("""
+run.preset = collision
+run.agents = 4
+run.controller = switching
+run.rollouts = 3
+run.steps = 15
+value.states = 60
+value.horizon = 60
+value.samples = 2
+""", ("train-value", "run"))
 
 
 def digests(name: str) -> list:
