@@ -267,9 +267,11 @@ _MAX_BLOCK_PAIRS = 10**7
 
 def _filter_block_pairs(cfg: ExperimentConfig) -> int:
     """Most (row, sample) pairs one solve of the filter ``cfg.controller`` runs
-    evaluates: (G^A + 1)·S centralized, (G + 1)·G^(A-1)·S pessimistic (its
-    probe and early exit only save work: each row is evaluated at most once,
-    and a survivor still meets every combo), 0 unfiltered.
+    evaluates: (G^A + 1)·(S + 1) centralized (its screen evaluates every
+    candidate at one sample, then the survivors at all S; at S = 1 it skips
+    the screen and does less), (G + 1)·G^(A-1)·S pessimistic (its probe and
+    early exit only save work: each row is evaluated at most once, and a
+    survivor still meets every combo), 0 unfiltered.
 
     A counts actuated action dimensions: one per agent, and none for the
     spring preset's third agent.  G >= 2, so G^64 is far over the bound,
@@ -277,7 +279,7 @@ def _filter_block_pairs(cfg: ExperimentConfig) -> int:
     """
     dims = min(cfg.agents - 1 if cfg.preset == "spring" else cfg.agents, 64)
     if cfg.controller == "centralized":
-        return (cfg.grid ** dims + 1) * cfg.samples
+        return (cfg.grid ** dims + 1) * (cfg.samples + 1)
     if cfg.controller == "switching":
         return (cfg.grid + 1) * cfg.grid ** (dims - 1) * cfg.samples
     return 0

@@ -29,13 +29,17 @@ feasible it is returned unchanged.
 
 Every margin comes from one kernel, ``_margins``, which evaluates the
 barrier only on successor states, over blocks of flat joint-action rows:
-one block per centralized solve or ``worst_case_margin`` call (the
-exhaustive reference, which no filter calls), one per pass of the
-pessimistic search, which stops trying a candidate once a combo fails it.
+one block per ``worst_case_margin`` call (the exhaustive reference, which
+no filter calls), one per pass of the pessimistic search, which stops
+trying a candidate once a combo fails it, and one per centralized solve,
+of the candidates that survive ``_screen``: at S > 1 every candidate is
+first evaluated at sample 0 alone, and one that cannot clear the
+tolerance by the entropic operator's one-sample bound is dropped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -191,6 +195,60 @@ def _margins(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig
     return out
 
 
+def _one_sample_bound(values: np.ndarray, n_samples: int, beta: float) -> np.ndarray:
+    """An upper bound on ``risk_lower`` of any S = n_samples sample set that
+    contains ``values``, elementwise:
+
+        risk_lower(v) = -(1/beta) log((1/S) sum_s exp(-beta v_s))
+                     <= v_s + log(S)/beta        for every s,
+
+    since the sum is at least its own term s.  The bound is raised by a
+    slack of 1e-9 * (1 + |v_s| + log(S)/beta), which covers the rounding of
+    the computed ``risk_lower`` (a few ulps of its terms) and the few-ulp
+    difference between a successor's value in ``_screen``'s stack and in
+    the kernel's, where it may sit at another row of its slice.
+    """
+    spread = math.log(n_samples) / beta
+    return values + spread + 1e-9 * (1.0 + np.abs(values) + spread)
+
+
+def _screen(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig,
+            samples: tuple, h_now: float, rows: np.ndarray) -> np.ndarray:
+    """Mask of the (B, A) rows that may clear the tolerance, from sample 0 alone.
+
+    Per pass over up to _PASS_PAIRS rows, one ``transition_batch`` call at
+    sample 0 and one ``barrier.value`` call give v_0; a row is dropped
+    when its ``_one_sample_bound`` less alpha * h(x) + epsilon, in the
+    kernel's order of operations, stays under the tolerance.  Float
+    subtraction is monotone, so the kernel's margin of a dropped row would
+    stay under it too, and the kernel never sees the row: like a candidate
+    the pessimistic search drops at its first failing combo, a dropped
+    row's later samples are never evaluated (a non-finite value there goes
+    unseen).  Non-finite values at sample 0 raise as in the kernel.
+
+    The rows go to the barrier as a (b / S, S, d) stack, padded with
+    repeated rows: the kernel's slice shape, so the value model runs the
+    kernel's small products.  One 2-D call runs larger ones, which
+    OpenBLAS spreads over threads, and that doubled the step time when
+    another process held a core.
+    """
+    thetas, noises = samples
+    n = len(thetas)
+    keep = np.empty(len(rows), dtype=bool)
+    for start in range(0, len(rows), _PASS_PAIRS):
+        block = rows[start:start + _PASS_PAIRS]
+        stack = np.resize(block, (-(-len(block) // n), n, block.shape[1]))
+        nexts = model.transition_batch(x, stack, thetas[0], noises[0])
+        values = np.asarray(barrier.value(nexts.reshape(*nexts.shape[:2], -1)),
+                            dtype=float).reshape(-1)[:len(block)]
+        if not np.all(np.isfinite(values)):
+            raise ContractViolationError("barrier produced non-finite values")
+        bound = _one_sample_bound(values, n, cfg.beta)
+        keep[start:start + _PASS_PAIRS] = (
+            bound - cfg.alpha * h_now - cfg.epsilon >= cfg.tolerance)
+    return keep
+
+
 @lru_cache(maxsize=32)
 def _grid(dims: int, grid_size: int, low: float, high: float) -> np.ndarray:
     """All grid_size^dims points of the per-dimension action grid, first
@@ -204,17 +262,26 @@ def _grid(dims: int, grid_size: int, low: float, high: float) -> np.ndarray:
 
 
 def _ordered_candidates(nominal: np.ndarray, cfg: FilterConfig, low: float, high: float) -> np.ndarray:
-    """Nominal action plus the per-dimension grid, in ascending distance to nominal.
+    """Nominal action first, then the per-dimension grid in ascending
+    distance to nominal, ties in grid order (a stable sort).
 
-    A grid point equal to the nominal is dropped: it would repeat the
-    nominal's rows after them.  The stable sort keeps the nominal action
-    first among ties, so a feasible nominal action is always returned
-    exactly.
+    The nominal action goes in front, so a feasible nominal action is
+    always returned exactly.  A grid point equal to the nominal is
+    dropped: it would repeat the nominal's rows after them.  Only a point
+    at distance 0, which sorts first, can equal it, and the grid holds it
+    at most once.
     """
     grid = _grid(nominal.size, cfg.grid_size, low, high)
-    cands = np.vstack([nominal[None, :], grid[np.any(grid != nominal[None, :], axis=1)]])
-    order = np.argsort(np.sum((cands - nominal[None, :]) ** 2, axis=1), kind="stable")
-    return cands[order]
+    d2 = np.sum((grid - nominal) ** 2, axis=1)
+    order = np.argsort(d2, kind="stable")
+    for k in range(np.count_nonzero(d2 == 0.0)):
+        if (grid[order[k]] == nominal).all():
+            order = np.concatenate([order[:k], order[k + 1:]])
+            break
+    cands = np.empty((len(order) + 1, nominal.size))
+    cands[0] = nominal
+    np.take(grid, order, axis=0, out=cands[1:])
+    return cands
 
 
 def _other_grid(model: MasModel, agent: int, cfg: FilterConfig) -> tuple:
@@ -248,13 +315,19 @@ def centralized_filter(
     """Joint filter: nearest feasible joint action to the joint ``nominal``.
 
     Candidates are the nominal joint action plus the grid over every
-    actuated agent's box, all evaluated in one block under ``samples``;
-    the first in ascending distance to nominal that satisfies the
-    condition is returned, or None when none does.
+    actuated agent's box.  At S > 1, ``_screen`` first drops every
+    candidate whose sample 0 rules it out; the survivors, still in
+    ascending distance to nominal, are evaluated in one block under
+    ``samples``.  The screen keeps every candidate that satisfies the
+    condition and a margin does not depend on its block, so the first
+    that satisfies it is returned, with the full scan's margin, or None
+    when none does.
     """
     x = model.validate_state(x)
     nominal = np.concatenate(model.validate_action(nominal))
     cands = _ordered_candidates(nominal, cfg, model.action_low, model.action_high)
+    if len(samples[0]) > 1:     # at S = 1 the screen would repeat the kernel
+        cands = cands[_screen(model, barrier, x, cfg, samples, h_now, cands)]
     margins = _margins(model, barrier, x, cfg, samples, h_now, cands)
     hits = np.flatnonzero(margins >= cfg.tolerance)
     if not hits.size:

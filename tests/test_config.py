@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 from pathlib import Path
 
 import pytest
 
 from riskfilter import ConfigError, ExperimentConfig, config_with, parse_config, serialize_config
+from riskfilter import cli
 
 
 class TestParse:
@@ -143,9 +145,9 @@ class TestValidation:
             config_with(parse_config(""), **{field: float(value)})
 
     def test_work_bounds(self):
-        # One solve's kernel block holds (G^A + 1)·S (row, sample) pairs for
-        # the centralized filter and (G + 1)·G^(A-1)·S for the pessimistic
-        # one; blocks and certify checks over 10^7 pairs are rejected.
+        # One solve evaluates (G^A + 1)·(S + 1) (row, sample) pairs for the
+        # centralized filter and (G + 1)·G^(A-1)·S for the pessimistic one;
+        # solves and certify checks over 10^7 pairs are rejected.
         collision = "run.preset = collision\nrun.agents = {}\nrun.controller = {}\n"
         for agents, controller in ((6, "switching"), (6, "centralized"), (12, "nominal")):
             assert parse_config(collision.format(agents, controller)).agents == agents
@@ -161,6 +163,23 @@ class TestValidation:
             with pytest.raises(ConfigError) as err:
                 parse_config(text)
             assert err.value.code == "invalid-value"
+
+    def test_centralized_bound_counts_the_screen(self, tmp_path, monkeypatch, capsys):
+        # Collision M=6 at G = 9 has 9^6 + 1 = 531,442 candidates.  The
+        # screen adds one sample each, so S = 18 is 531,442 · 19 = 10,097,398
+        # pairs, just over 10^7, while S = 17 stays under.
+        text = ("run.preset = collision\nrun.agents = 6\nrun.controller = centralized\n"
+                "filter.samples = {}\n")
+        assert parse_config(text.format(17)).samples == 17
+        path, out = tmp_path / "exp.cfg", tmp_path / "out"
+        path.write_text(text.format(18))
+        monkeypatch.setattr(sys, "argv", ["riskfilter", "run", "--config", str(path),
+                                          "--out", str(out)])
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert exited.value.code == 1
+        assert "work bound" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSerialize:

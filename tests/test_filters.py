@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import ConstantValue, QuadraticValue, h_of, make_static_model
 from riskfilter import (
+    ApproxConfig,
     Barrier,
     Branch,
     ContractViolationError,
@@ -20,15 +22,25 @@ from riskfilter import (
     UncertaintySample,
     centralized_filter,
     check_condition,
+    collect_dataset,
     draw_risk_samples,
+    fit_value,
     make_model,
     make_proportional,
+    parse_config,
     pessimistic_filter,
     proximity_filter,
+    risk_lower,
     switching_filter,
     worst_case_margin,
 )
-from riskfilter.filters import _grid, _margins, _ordered_candidates
+from riskfilter.filters import (
+    _grid,
+    _margins,
+    _one_sample_bound,
+    _ordered_candidates,
+    _screen,
+)
 
 
 class TestFilterConfig:
@@ -445,17 +457,192 @@ class TestEarlyExit:
         assert out.branch is Branch.PROXIMITY
         assert np.array_equal(np.vstack(calls), np.vstack(search))
 
+    class NanAtLastCombo(QuadraticValue):
+        # NaN only where agents 1 and 2 both moved to +0.5, which the last
+        # combo (1, 1) alone reaches.
+        def predict(self, x):
+            x = np.asarray(x, dtype=float)
+            out = np.asarray(super().predict(x), dtype=float)
+            return np.where((x[..., 3] >= 0.5) & (x[..., 5] >= 0.5), np.nan, out)
+
     def test_non_finite_on_last_combo_of_survivor_rejected(self):
-        # The value is NaN only where agents 1 and 2 both moved to +0.5,
-        # which the last combo (1, 1) alone reaches; a survivor gets there.
-        class NanAtLastCombo(QuadraticValue):
+        with pytest.raises(ContractViolationError):
+            self.solve(alpha=0.0, value=self.NanAtLastCombo(0.01))
+
+    def test_non_finite_on_last_combo_of_dropped_candidate_unseen(self):
+        # A candidate dropped at its first failing combo never meets its
+        # later ones: at alpha = 0.5 the probe drops every candidate.
+        out, calls, _ = self.solve(alpha=0.5, value=self.NanAtLastCombo(1.0))
+        assert out is None and len(calls) == 1
+
+
+def _full_scan(model, barrier, x, nominal, cfg, samples, h_now):
+    """Reference centralized solve with no screen: every candidate at all S."""
+    x = model.validate_state(x)
+    nominal = np.concatenate(model.validate_action(nominal))
+    cands = _ordered_candidates(nominal, cfg, model.action_low, model.action_high)
+    margins = _margins(model, barrier, x, cfg, samples, h_now, cands)
+    hits = np.flatnonzero(margins >= cfg.tolerance)
+    return (cands[hits[0]], float(margins[hits[0]])) if hits.size else None
+
+
+@pytest.fixture(scope="module")
+def collision3_setup():
+    """Three-agent collision preset with a small trained barrier."""
+    cfg = parse_config("run.preset = collision\nrun.agents = 3\n"
+                       "value.states = 60\nvalue.horizon = 60\nvalue.samples = 2")
+    model = cfg.build_model()
+    dataset = collect_dataset(model, cfg.safe_policy(model), cfg.value_states,
+                              cfg.value_horizon, cfg.value_samples, cfg.seed,
+                              cfg.value_sampler(model))
+    vm = fit_value(dataset, ApproxConfig(hidden=cfg.hidden_sizes(), epochs=cfg.value_epochs,
+                                         learning_rate=cfg.value_lr), cfg.seed)
+    return SimpleNamespace(cfg=cfg, model=model, nominal=cfg.nominal_policy(model),
+                           barrier=Barrier(vm, cfg.xi), box_sampler=cfg.value_sampler(model))
+
+
+class TestScreen:
+    """The centralized filter first evaluates every candidate at sample 0
+    and drops those that the entropic operator's one-sample bound rules
+    out; the survivors go to the kernel at all S samples."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(n=st.integers(2, 200), center=st.floats(-1e6, 1e6),
+           spread=st.floats(0.0, 1e6), beta=st.floats(1e-3, 1e3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_risk_lower_under_every_one_sample_bound(self, n, center, spread, beta, seed):
+        # risk_lower(v) <= v_s + log(S)/beta for every s, with the slack,
+        # as the kernel computes it: one row of a (b, S) stack.
+        v = np.clip(center + spread * np.random.default_rng(seed).standard_normal(n),
+                    -1e6, 1e6)
+        assert np.all(risk_lower(v[None, :], beta)[0] <= _one_sample_bound(v, n, beta))
+
+    def test_matches_full_scan_bitwise(self, spring_setup, collision_setup, collision3_setup):
+        # The chosen action and its margin are the no-screen scan's, bit for
+        # bit, on trained barriers (whose values in the screen's stack and in
+        # the kernel's may differ by a few ulps), feasible and infeasible
+        # solves alike, and the screen drops some candidates.
+        outcomes, rejected = set(), 0
+        for s in (spring_setup, collision_setup, collision3_setup):
+            rng = np.random.default_rng(s.model.n_agents)
+            for beta, tolerance, epsilon in itertools.product((0.1, 1.0, 10.0), (0.0, 0.3),
+                                                              (0.0, 0.05)):
+                cfg = FilterConfig(beta=beta, tolerance=tolerance, epsilon=epsilon)
+                for seed in range(3):
+                    x = s.model.validate_state(s.box_sampler(rng))
+                    nom = s.model.split_action(s.nominal(x))
+                    samples = draw_risk_samples(s.model, cfg.n_samples, seed)
+                    h_now = h_of(s.model, s.barrier, x)
+                    out = centralized_filter(s.model, s.barrier, x, nom, cfg, samples, h_now)
+                    ref = _full_scan(s.model, s.barrier, x, nom, cfg, samples, h_now)
+                    assert (out is None) == (ref is None)
+                    if out is not None:
+                        assert np.concatenate(out.action).tobytes() == ref[0].tobytes()
+                        assert out.margin == ref[1]
+                    outcomes.add(out is not None)
+                    cands = _ordered_candidates(np.concatenate(nom), cfg, s.model.action_low,
+                                                s.model.action_high)
+                    rejected += int(np.sum(~_screen(s.model, s.barrier, x, cfg, samples,
+                                                    h_now, cands)))
+        assert outcomes == {True, False} and rejected > 0
+
+    def counting_model(self, agents=2):
+        # f(x, u) = x + 0.5 u, as TestEarlyExit.drift_model; each call is
+        # recorded as (its rows, the shape of its thetas): () for the
+        # screen's one sample, (S,) for a kernel pass.
+        calls = []
+
+        def transition_batch(x, u, thetas, noises):
+            calls.append((u.reshape(-1, u.shape[-1]).copy(), np.shape(thetas)))
+            return x + 0.5 * u[..., :, None] + noises
+
+        return replace(make_static_model(agents), transition_batch=transition_batch), calls
+
+    def solve(self, n_samples=5, **kwargs):
+        m, calls = self.counting_model()
+        cfg = FilterConfig(grid_size=9, n_samples=n_samples, **kwargs)
+        nom = [np.array([1.0]), np.array([1.0])]
+        out = centralized_filter(m, Barrier(QuadraticValue(1.0), 1.5), np.zeros((2, 2)), nom,
+                                 cfg, draw_risk_samples(m, cfg.n_samples, 0), 1.5)
+        return out, calls
+
+    def test_only_survivors_meet_every_sample(self):
+        # Every sample equals sample 0: h(x+) = 1.5 - 0.5 (u0^2 + u1^2), and at
+        # alpha = 0.5, beta = 100 a candidate is feasible iff u0^2 + u1^2 <= 1.5.
+        # No grid sum of squares lies in (1.5, 1.5 + 2 log(5)/100], so the
+        # screen keeps exactly the feasible candidates.
+        out, calls = self.solve(alpha=0.5, beta=100.0)
+        # 81 candidates ((1, 1) is a grid point), padded to 17 slices of 5.
+        (screen, one), *kernel = calls
+        assert one == () and len(screen) == 85
+        assert {r.tobytes() for r in screen} == {r.tobytes() for r in _grid(2, 9, -1.0, 1.0)}
+        assert kernel and all(n == (5,) for _, n in kernel)
+        cands, sent = screen[:81], np.vstack([rows for rows, _ in kernel])
+        feasible = cands[np.sum(cands ** 2, axis=1) <= 1.5]
+        assert sent.tobytes() == feasible.tobytes()        # in distance order
+        assert 0 < len(sent) < len(cands)
+        assert np.concatenate(out.action).tolist() == feasible[0].tolist()
+
+    def test_hopeless_solve_sends_no_full_rows(self):
+        out, calls = self.solve(epsilon=10.0)
+        assert out is None
+        assert [(len(rows), n) for rows, n in calls] == [(85, ())]
+
+    def test_single_sample_skips_screen(self):
+        # At S = 1 the screen would repeat the kernel's only sample.
+        out, calls = self.solve(n_samples=1, epsilon=10.0)
+        assert out is None
+        assert [(len(rows), n) for rows, n in calls] == [(81, (1,))]
+
+    def tagged_model(self, agents=2):
+        # f(x, u) = x + 0.5 u in the first coordinate; the second carries
+        # the sample's theta, so a value stub can tell the samples apart.
+        def transition_batch(x, u, thetas, noises):
+            pos = x[..., 0] + 0.5 * u[..., :, None][..., 0]
+            out = np.empty(np.broadcast_shapes(pos.shape, np.shape(thetas) + (1,)) + (2,))
+            out[..., 0] = pos
+            out[..., 1] = np.asarray(thetas)[..., None]
+            return out
+
+        return replace(make_static_model(agents), transition_batch=transition_batch)
+
+    def nan_solve(self, sample, action, epsilon=0.0):
+        # h(x+) = 1.5 - (0.5 u0)^2 - (0.5 u1)^2, NaN at one sample of one
+        # action; at alpha = 0.8 a candidate is feasible iff u0^2 + u1^2 <= 1.2.
+        m = self.tagged_model()
+        cfg = FilterConfig(alpha=0.8, beta=100.0, epsilon=epsilon)
+        samples = draw_risk_samples(m, cfg.n_samples, 0)
+        theta, target = samples[0][sample], 0.5 * np.asarray(action)
+
+        class NanAt:
             def predict(self, x):
                 x = np.asarray(x, dtype=float)
-                out = np.asarray(super().predict(x), dtype=float)
-                return np.where((x[..., 3] >= 0.5) & (x[..., 5] >= 0.5), np.nan, out)
+                out = np.sum(x[..., 0::2] ** 2, axis=-1)
+                hit = (x[..., 1] == theta) & np.all(x[..., 0::2] == target, axis=-1)
+                return np.where(hit, np.nan, out)
 
+        nom = [np.array([1.0]), np.array([1.0])]
+        return centralized_filter(m, Barrier(NanAt(), 1.5), np.zeros((2, 2)), nom, cfg,
+                                  samples, 1.5)
+
+    def test_non_finite_on_sample_0_rejected(self):
+        # Every candidate meets the screen at sample 0, also on a hopeless
+        # solve and far from nominal.
+        for action, epsilon in (((-1.0, -1.0), 0.0), ((-1.0, -1.0), 10.0), ((1.0, 1.0), 0.0)):
+            with pytest.raises(ContractViolationError):
+                self.nan_solve(0, action, epsilon)
+
+    def test_non_finite_on_later_sample_of_survivor_rejected(self):
+        # (0.5, 0.5) is feasible, so it survives the screen and meets sample 4.
         with pytest.raises(ContractViolationError):
-            self.solve(alpha=0.0, value=NanAtLastCombo(0.01))
+            self.nan_solve(4, (0.5, 0.5))
+
+    def test_non_finite_on_later_sample_of_rejected_candidate_unseen(self):
+        # (-1, -1) fails the condition by the bound of its sample 0, so its
+        # later samples are never evaluated, as a candidate the pessimistic
+        # search drops never meets its later combos.
+        out = self.nan_solve(4, (-1.0, -1.0))
+        assert out is not None and np.concatenate(out.action).tolist() == [0.75, 0.75]
 
 
 class TestCandidates:

@@ -10,7 +10,10 @@ temporary output directory.  One more config, ``train-value-cem``, runs
 ``train-value`` alone with the cross-entropy policy search on, so that
 ``safe_policy.bin`` is hashed too, and ``collision4-switching`` runs
 ``train-value`` and ``run`` on collision M=4, so that pessimistic solves of
-several kernel passes are hashed.  After each command, every output its
+several kernel passes are hashed, and ``collision2-centralized-slack`` runs
+``train-value`` and ``run`` under the centralized filter with a nonzero
+tolerance and epsilon, so that its candidate screen is hashed away from
+tolerance 0.  After each command, every output its
 manifest lists is hashed, and a line ``workload command/file sha256`` is
 printed (the commands' own messages go to standard error).
 
@@ -37,8 +40,9 @@ from workloads import WORKLOADS  # noqa: E402
 COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 
 # name -> (config text, commands): every workload through every command,
-# the cross-entropy search, which no workload turns on, and collision M=4
-# switching, whose 10 x 729-row pessimistic blocks take several passes.
+# the cross-entropy search, which no workload turns on, collision M=4
+# switching, whose 10 x 729-row pessimistic blocks take several passes, and
+# collision M=2 centralized with a nonzero tolerance and epsilon.
 CONFIGS = {name: (text, COMMANDS) for name, (_, text) in WORKLOADS.items()}
 CONFIGS["train-value-cem"] = ("""
 run.preset = collision
@@ -57,6 +61,18 @@ run.steps = 15
 value.states = 60
 value.horizon = 60
 value.samples = 2
+""", ("train-value", "run"))
+CONFIGS["collision2-centralized-slack"] = ("""
+run.preset = collision
+run.agents = 2
+run.controller = centralized
+run.rollouts = 3
+run.steps = 15
+value.states = 60
+value.horizon = 60
+value.samples = 2
+filter.tolerance = 0.3
+filter.epsilon = 0.05
 """, ("train-value", "run"))
 
 
