@@ -32,7 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, serialize_config
-from .errors import ConfigError, GuaranteeDomainError, MissingModelError
+from .errors import (
+    ConfigError,
+    ContractViolationError,
+    GuaranteeDomainError,
+    MissingModelError,
+)
 from .filters import FilterConfig
 from .guarantees import GuaranteeReport, certify_grid
 from .persist import load_policy, load_value_model, save_policy, save_value_model
@@ -201,7 +206,11 @@ def _cmd_train_value(cfg: ExperimentConfig, out_dir: Path) -> list:
     )
     approx = ApproxConfig(hidden=cfg.hidden_sizes(), epochs=cfg.value_epochs,
                           learning_rate=cfg.value_lr)
-    vm = fit_value(dataset, approx, cfg.seed)
+    try:
+        vm = fit_value(dataset, approx, cfg.seed)
+    except ContractViolationError as exc:   # the dataset is valid, so the fit diverged
+        raise ConfigError("invalid-value", f"value.learning_rate = {cfg.value_lr:g}: "
+                                           f"{exc}; lower it") from exc
     save_value_model(vm, out_dir / "value_model.bin")
     outputs.append("value_model.bin")
     print(f"trained value model on {len(dataset)} states "

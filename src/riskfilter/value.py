@@ -4,9 +4,10 @@ The value of a policy is the expected discounted cost-to-go
 ``V(x) = E[sum_{k=1..H} gamma^k c(x_k)]`` with the expectation over both
 the process noise and the coupling-parameter prior, truncated at horizon
 ``H``.  Targets are estimated by seeded rollouts that run in lockstep:
-every row and rollout steps together through one policy, transition and
-cost call per step, with the bits of one-at-a-time rollouts.  A small
-tanh network is fit to the targets by full-batch Adam, and the barrier is
+every row and rollout steps together through one policy and transition
+call per step, and one cost call per block of steps, with the bits of
+one-at-a-time rollouts.  A small tanh network is fit to the targets by
+full-batch Adam over flat parameter buffers, and the barrier is
 
     h(x) = xi - V_hat(x)
 
@@ -104,40 +105,55 @@ def _rollout_draws(model: MasModel, seed: int, horizon: int, n_samples: int) -> 
     return thetas, noises * model.noise_scale
 
 
+# Steps per lockstep block: a block's states, (steps, rows, S, M, d_x)
+# floats, are costed, checked and summed together, so memory does not grow
+# with the horizon.
+_BLOCK_STEPS = 25
+
+
 def _lockstep(model: MasModel, policy, states: np.ndarray, thetas: np.ndarray,
               noises: np.ndarray) -> np.ndarray:
     """Monte-Carlo targets (N,) of validated states (N, M, d_x), every row and
-    rollout stepping together: one ``policy``, ``transition_batch`` and
-    ``cost_fn`` call per step on the (N, S, M, d_x) stack.
+    rollout stepping together: one ``policy`` and ``transition_batch`` call
+    per step on the (N, S, M, d_x) stack, and one ``cost_fn`` call and
+    finiteness check per block of up to _BLOCK_STEPS steps.
 
     ``thetas`` (N, S) or (S,) and ``noises`` (N, S, H, M, d_x) or
     (S, H, M, d_x) are the rollouts' draws; shared draws broadcast over rows.
-    Each row's rollouts run the per-sample arithmetic elementwise, and the
-    running discount, the running sum and the sum over rollouts in r order
-    keep the bits of a one-state, one-rollout loop.
+    Each row's rollouts run the per-sample arithmetic elementwise; the
+    discounts are a cumulative product, the running sum a cumulative sum
+    along the step axis seeded with the previous block's sum, and the sum
+    over rollouts runs in r order, so the targets keep the bits of a
+    one-state, one-rollout loop.
     """
     n_samples = thetas.shape[-1]
+    horizon = noises.shape[-3]
     x = np.broadcast_to(states[:, None], (len(states), n_samples) + states.shape[1:])
     lead = x.shape[:-2] + (sum(model.action_dims),)
+    discounts = np.cumprod(np.full(horizon, model.gamma)).reshape((-1, 1, 1))
+    block = np.empty((min(_BLOCK_STEPS, horizon),) + x.shape)   # reused by every block
     acc = np.zeros(x.shape[:-2])
-    disc = 1.0
-    for k in range(noises.shape[-3]):
-        u = policy(x)
-        if not isinstance(u, np.ndarray) or u.shape != lead:
-            raise ContractViolationError(
-                f"policy returned {type(u).__name__} of shape {getattr(u, 'shape', None)}, "
-                f"expected an array of shape {lead}"
-            )
-        x = model.transition_batch(x, u, thetas, noises[..., k, :, :])
-        if not np.isfinite(x).all():
+    for start in range(0, horizon, _BLOCK_STEPS):
+        steps = block[:horizon - start]
+        for j in range(len(steps)):
+            u = policy(x)
+            if not isinstance(u, np.ndarray) or u.shape != lead:
+                raise ContractViolationError(
+                    f"policy returned {type(u).__name__} of shape {getattr(u, 'shape', None)}, "
+                    f"expected an array of shape {lead}"
+                )
+            steps[j] = model.transition_batch(x, u, thetas, noises[..., start + j, :, :])
+            x = steps[j]
+        if not np.isfinite(steps).all():
             raise ContractViolationError("state contains non-finite entries")
-        disc *= model.gamma
-        acc += disc * model.cost_fn(x)
+        terms = model.cost_fn(steps) * discounts[start:start + len(steps)]
+        terms[0] += acc
+        acc = np.cumsum(terms, axis=0)[-1]
     return np.cumsum(acc, axis=1)[:, -1] / n_samples
 
 
-# Rows per lockstep chunk in collect_dataset: a chunk holds its rows' draws,
-# (rows, S, H, M, d_x) floats, so memory does not grow with the row count.
+# Rows per lockstep chunk in collect_dataset: a chunk holds its rows' draws
+# and one block of their states, so memory does not grow with the row count.
 _CHUNK_ROWS = 256
 
 
@@ -155,7 +171,10 @@ def collect_dataset(
     Row i uses seed ``seed + i`` for both its initial draw and its target
     rollouts, so a row's state and target do not depend on the other rows:
     rows run in lockstep chunks of _CHUNK_ROWS, and row i of any call is
-    the one-row call at ``seed + i``, bit for bit.
+    the one-row call at ``seed + i``, bit for bit.  A chunk holds its
+    draws, rows x S x H x M x d_x floats, and one block of _BLOCK_STEPS
+    states, rows x S x M x d_x floats each: 4.9 + 0.6 MB at 256 rows,
+    2 rollouts, horizon 200 and 3 two-dimensional agents.
     """
     if n_states < 1:
         raise ContractViolationError(f"n_states must be >= 1, got {n_states}")
@@ -233,13 +252,29 @@ class ValueModel:
         return float(out[0]) if x.ndim == 1 else out
 
 
+def _layer_views(flat: np.ndarray, sizes: tuple) -> tuple:
+    """(weights, biases) of a network with these layer sizes as views into
+    ``flat``: layer by layer, each weight matrix, then its bias."""
+    weights, biases, start = [], [], 0
+    for a, b in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[start:start + a * b].reshape(a, b))
+        biases.append(flat[start + a * b:start + a * b + b])
+        start += a * b + b
+    return weights, biases
+
+
 def fit_value(dataset: ValueDataset, config: ApproxConfig, seed: int) -> ValueModel:
     """Fit the approximator to the dataset by full-batch Adam on the MSE.
 
     Deterministic: the same dataset, config, and seed reproduce the model
     bitwise.  Targets are standardized internally (statistics live in the
     returned model), which conditions the optimization for the spread of
-    discounted cost-to-go magnitudes.
+    discounted cost-to-go magnitudes.  Weights and biases are views into
+    one flat parameter array, gradients into one flat gradient array, and
+    Adam's moments are flat arrays too, so an epoch updates every layer
+    with a few in-place calls; activations and deltas live in arrays
+    allocated once per fit.  Raises ContractViolationError if the fit
+    diverges: non-finite final weights or training MSE.
     """
     if len(dataset) == 0:
         raise ContractViolationError("cannot fit a value model to an empty dataset")
@@ -253,57 +288,80 @@ def fit_value(dataset: ValueDataset, config: ApproxConfig, seed: int) -> ValueMo
     yn = (y - y_mean) / y_scale
 
     sizes = (x.shape[1],) + tuple(config.hidden) + (1,)
+    n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+    params = np.zeros(n_params)
+    grads = np.empty(n_params)
+    weights, biases = _layer_views(params, sizes)
+    grad_w, grad_b = _layer_views(grads, sizes)
     rng = np.random.default_rng(_seed_int(seed))
-    weights = [rng.standard_normal((sizes[i], sizes[i + 1])) / np.sqrt(sizes[i])
-               for i in range(len(sizes) - 1)]
-    biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
+    for w in weights:
+        w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[0])
+
+    n = x.shape[0]
+    yn_col = yn[:, None]
+    acts = [xn] + [np.empty((n, k)) for k in sizes[1:-1]]   # layer inputs
+    deltas = [np.empty((n, k)) for k in sizes[1:]]          # d loss / d layer output
+    factors = [np.empty((n, k)) for k in sizes[1:-1]]       # tanh' = 1 - a^2
+    pred = deltas[-1]
+
+    def forward():   # the network's output into pred
+        for w, b, z, a in zip(weights[:-1], biases[:-1], acts[:-1], acts[1:]):
+            np.matmul(z, w, out=a)
+            a += b
+            np.tanh(a, out=a)
+        np.matmul(acts[-1], weights[-1], out=pred)
+        np.add(pred, biases[-1], out=pred)
 
     # Full-batch Adam.
     lr, b1, b2, eps = config.learning_rate, 0.9, 0.999, 1e-8
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
-    n = x.shape[0]
-    yn_col = yn[:, None]
-    for t in range(1, config.epochs + 1):
-        # Forward pass, keeping activations for the backward sweep.
-        acts = [xn]
-        z = xn
-        for w, b in zip(weights[:-1], biases[:-1]):
-            z = np.tanh(z @ w + b)
-            acts.append(z)
-        pred = z @ weights[-1] + biases[-1]
-        delta = 2.0 * (pred - yn_col) / n
-        grads_w = []
-        grads_b = []
-        for layer in range(len(weights) - 1, -1, -1):
-            grads_w.append(acts[layer].T @ delta)
-            grads_b.append(delta.sum(axis=0))
-            if layer > 0:
-                delta = (delta @ weights[layer].T) * (1.0 - acts[layer] ** 2)
-        grads_w.reverse()
-        grads_b.reverse()
-        corr1 = 1.0 - b1 ** t
-        corr2 = 1.0 - b2 ** t
-        for i in range(len(weights)):
-            m_w[i] = b1 * m_w[i] + (1 - b1) * grads_w[i]
-            v_w[i] = b2 * v_w[i] + (1 - b2) * grads_w[i] ** 2
-            weights[i] = weights[i] - lr * (m_w[i] / corr1) / (np.sqrt(v_w[i] / corr2) + eps)
-            m_b[i] = b1 * m_b[i] + (1 - b1) * grads_b[i]
-            v_b[i] = b2 * v_b[i] + (1 - b2) * grads_b[i] ** 2
-            biases[i] = biases[i] - lr * (m_b[i] / corr1) / (np.sqrt(v_b[i] / corr2) + eps)
+    m = np.zeros(n_params)
+    v = np.zeros(n_params)
+    step = np.empty(n_params)
+    denom = np.empty(n_params)
+    with np.errstate(over="ignore", invalid="ignore"):   # divergence is checked below
+        for t in range(1, config.epochs + 1):
+            forward()
+            pred -= yn_col          # pred becomes the output delta, 2 (pred - y) / n
+            pred *= 2.0
+            pred /= n
+            for layer in range(len(weights) - 1, -1, -1):
+                np.matmul(acts[layer].T, deltas[layer], out=grad_w[layer])
+                np.sum(deltas[layer], axis=0, out=grad_b[layer])
+                if layer > 0:
+                    f = factors[layer - 1]
+                    np.multiply(acts[layer], acts[layer], out=f)
+                    np.subtract(1.0, f, out=f)
+                    np.matmul(deltas[layer], weights[layer].T, out=deltas[layer - 1])
+                    deltas[layer - 1] *= f
+            corr1 = 1.0 - b1 ** t
+            corr2 = 1.0 - b2 ** t
+            m *= b1
+            np.multiply(grads, 1 - b1, out=step)
+            m += step
+            v *= b2
+            np.multiply(grads, grads, out=step)
+            step *= 1 - b2
+            v += step
+            np.divide(m, corr1, out=step)
+            step *= lr
+            np.divide(v, corr2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step /= denom
+            params -= step
 
-    z = xn
-    for w, b in zip(weights[:-1], biases[:-1]):
-        z = np.tanh(z @ w + b)
-    pred = np.maximum((z @ weights[-1] + biases[-1]).ravel() * y_scale + y_mean, 0.0)
-    mse = float(np.mean((pred - y) ** 2))
+        forward()
+        fitted = np.maximum(pred.ravel() * y_scale + y_mean, 0.0)
+        mse = float(np.mean((fitted - y) ** 2))
+    if not (np.isfinite(params).all() and np.isfinite(mse)):
+        raise ContractViolationError(
+            f"value fit diverged: training MSE {mse:.6g} or weights are not finite"
+        )
 
     return ValueModel(
         layer_sizes=sizes,
-        weights=tuple(weights),
-        biases=tuple(biases),
+        weights=tuple(w.copy() for w in weights),
+        biases=tuple(b.copy() for b in biases),
         x_mean=x_mean,
         x_scale=x_scale,
         y_mean=y_mean,

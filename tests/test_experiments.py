@@ -316,6 +316,17 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_divergent_fit_exit_1_without_model(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(FAST + "value.learning_rate = 1e308\n")
+        out = tmp_path / "out"
+        proc = self.run_cli("train-value", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        assert "configuration error [invalid-value]" in proc.stderr
+        assert "value.learning_rate" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / "value_model.bin").exists()
+
     def test_loaded_policy_for_another_box_exit_1_before_work(self, tmp_path):
         trained = tmp_path / "trained"
         cfg = tmp_path / "wide.cfg"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,6 +201,8 @@ def box_sampler(model):
 
 
 MODELS = st.sampled_from([("spring", None)] + [("collision", m) for m in range(2, 6)])
+BLOCK = rf_value._BLOCK_STEPS
+BLOCK_HORIZONS = (0, 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)   # either side of block edges
 
 
 class TestLockstepBitIdentity:
@@ -229,7 +232,8 @@ class TestLockstepBitIdentity:
         assert hashlib.sha256(ds.targets.tobytes()).hexdigest() == digest
 
     @settings(deadline=None, max_examples=40)
-    @given(spec=MODELS, n_states=st.integers(1, 6), horizon=st.integers(0, 12),
+    @given(spec=MODELS, n_states=st.integers(1, 6),
+           horizon=st.one_of(st.integers(0, 12), st.sampled_from(BLOCK_HORIZONS)),
            n_samples=st.integers(1, 3), with_setpoints=st.booleans(),
            seed=st.integers(0, 2 ** 31))
     def test_targets_match_per_sample_loop(self, spec, n_states, horizon, n_samples,
@@ -271,6 +275,42 @@ class TestLockstepBitIdentity:
             assert np.array_equal(one.states[0], ds.states[i])
             assert one.targets[0] == ds.targets[i]
 
+    @pytest.mark.parametrize("horizon", BLOCK_HORIZONS)
+    def test_one_cost_call_per_block(self, horizon):
+        m = make_model("spring")
+        calls = []
+
+        def counted_cost(x):
+            calls.append(x.shape)
+            return m.cost_fn(x)
+
+        counted = replace(m, cost_fn=counted_cost)
+        collect_dataset(counted, make_proportional(m, (0.3, 1.5)), 5, horizon, 2, 3,
+                        box_sampler(m))
+        assert len(calls) == -(-horizon // BLOCK)
+        assert sum(shape[0] for shape in calls) == horizon
+        assert all(shape[1:] == (5, 2, 3, 2) for shape in calls)   # (steps, N, S, M, d_x)
+
+    @pytest.mark.parametrize("nan_step", [BLOCK - 1, 2 * BLOCK - 1, 2 * BLOCK])
+    def test_non_finite_state_at_a_block_end_rejected(self, nan_step):
+        # The finiteness check runs once per block; a state that turns NaN on
+        # a block's last step (or the horizon's) is still caught.
+        m = make_model("collision", n_agents=2)
+        pol = make_proportional(m, (1.0, 0.5))
+        calls = []
+
+        def late_nan(x):
+            calls.append(None)
+            u = pol(x)
+            return np.full_like(u, np.nan) if len(calls) == nan_step + 1 else u
+
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            collect_dataset(m, late_nan, 3, 2 * BLOCK + 1, 2, 0, box_sampler(m))
+        assert len(calls) > nan_step
+        calls.clear()
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            mc_cost_to_go(m, late_nan, np.zeros((2, 2)), 2 * BLOCK + 1, 1, 0)
+
     def test_stacked_states_share_the_seed(self):
         # mc_cost_to_go over a stack of states: each gets the value of its
         # own call under the shared seed, and the cross-entropy objective
@@ -291,6 +331,13 @@ def grid_dataset(fn, n=64):
     xs = np.linspace(-1.0, 1.0, n)
     states = xs.reshape(n, 1, 1)
     return ValueDataset(states=states, targets=fn(xs), gamma=0.99, horizon=10)
+
+
+def pin_dataset(rows):
+    rng = np.random.default_rng(rows)
+    states = rng.uniform(-1.5, 1.5, size=(rows, 3, 2))
+    targets = 0.1 * np.sum(states ** 2, axis=(1, 2)) + np.abs(np.sin(3.0 * states[:, 0, 0]))
+    return ValueDataset(states=states, targets=targets, gamma=0.99, horizon=10)
 
 
 class TestFitValue:
@@ -319,6 +366,40 @@ class TestFitValue:
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
         assert a.final_mse == b.final_mse
+
+    # sha256 of the weight, bias and final_mse bytes from the per-layer Adam
+    # implementation: 40 epochs at seed 3 on pin_dataset(rows).  The products
+    # are BLAS calls, so the pins hold for one BLAS build (taken with
+    # scipy-openblas 0.3.31, Haswell kernels); another may round differently.
+    FIT_PINS = [
+        ((), 1, "4b506c7030b8601bc0551e2f87d8343815a26cb905b543a4b29e825cc71c0ea8"),
+        ((), 60, "5dc926dd505011b5abb4b4832f14e6f08cebc08399adc85bc25739136678430b"),
+        ((), 257, "7563d857e7e2bb35bc119c44f0cd6586fc4e2e2f7b42cc0940b0d903daec6593"),
+        ((32,), 1, "33d6951490843859971c5118de020bd197c8b57d266ed966475361ba915ae957"),
+        ((32,), 60, "15fe4bebad05860090e373df2fa71a58db5db7da2c1adcb17b543f99729db65a"),
+        ((32,), 257, "d4e313eb7b543cb01cb8a244f15b09e78d6104b513283df677ef5baa162b4a34"),
+        ((64, 64), 1, "ff694a8e8669179368351e3220b9303019f729d2b6faf1b111cc8b4fd845abec"),
+        ((64, 64), 60, "c5eadb04aab99dc5c2685240758a72ab7a390ce25bccb30419c0d0ac1f853539"),
+        ((64, 64), 257, "e3c84933f385d8f53bdcdebeb10434b60834c4ad8f65f56dac37e404942728ad"),
+        ((16, 16, 16), 1, "80eae6dfdda424860029ea089ee31595212165ca5a554228f2f885b8d3f640b7"),
+        ((16, 16, 16), 60, "55d826b6a60cadeb7c66b938b053dd8036e332a1c96733c5d45732ec8f7cf808"),
+        ((16, 16, 16), 257, "5ec0811c04be8faa3340b551723ea4d3006579212dc03bbe55f1b3dca06e3dab"),
+    ]
+
+    @pytest.mark.parametrize("hidden, rows, digest", FIT_PINS)
+    def test_pinned_fit(self, hidden, rows, digest):
+        vm = fit_value(pin_dataset(rows), ApproxConfig(hidden=hidden, epochs=40), 3)
+        h = hashlib.sha256()
+        for w, b in zip(vm.weights, vm.biases):
+            h.update(w.tobytes())
+            h.update(b.tobytes())
+        h.update(np.float64(vm.final_mse).tobytes())
+        assert h.hexdigest() == digest
+
+    def test_divergence_rejected(self):
+        ds = grid_dataset(lambda x: x ** 2)
+        with pytest.raises(ContractViolationError, match="diverged"):
+            fit_value(ds, ApproxConfig(epochs=20, learning_rate=1e308), 0)
 
     def test_empty_dataset_rejected(self):
         ds = ValueDataset(states=np.zeros((0, 1, 1)), targets=np.zeros(0))

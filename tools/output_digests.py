@@ -13,7 +13,9 @@ temporary output directory.  One more config, ``train-value-cem``, runs
 several kernel passes are hashed, and ``collision2-centralized-slack`` runs
 ``train-value`` and ``run`` under the centralized filter with a nonzero
 tolerance and epsilon, so that its candidate screen is hashed away from
-tolerance 0.  After each command, every output its
+tolerance 0, and ``train-value-hidden32`` and ``train-value-hidden16x3``
+run ``train-value`` alone with one and three hidden layers, so that the
+fit is hashed at layer counts no workload uses.  After each command, every output its
 manifest lists is hashed, and a line ``workload command/file sha256`` is
 printed (the commands' own messages go to standard error).
 
@@ -41,8 +43,9 @@ COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 
 # name -> (config text, commands): every workload through every command,
 # the cross-entropy search, which no workload turns on, collision M=4
-# switching, whose 10 x 729-row pessimistic blocks take several passes, and
-# collision M=2 centralized with a nonzero tolerance and epsilon.
+# switching, whose 10 x 729-row pessimistic blocks take several passes,
+# collision M=2 centralized with a nonzero tolerance and epsilon, and fits
+# with one and with three hidden layers.
 CONFIGS = {name: (text, COMMANDS) for name, (_, text) in WORKLOADS.items()}
 CONFIGS["train-value-cem"] = ("""
 run.preset = collision
@@ -74,6 +77,14 @@ value.samples = 2
 filter.tolerance = 0.3
 filter.epsilon = 0.05
 """, ("train-value", "run"))
+for name, hidden in (("train-value-hidden32", "32"), ("train-value-hidden16x3", "16x16x16")):
+    CONFIGS[name] = (f"""
+run.preset = spring
+value.states = 60
+value.horizon = 60
+value.samples = 2
+value.hidden = {hidden}
+""", ("train-value",))
 
 
 def digests(name: str) -> list:
