@@ -34,7 +34,10 @@ no filter calls), one per pass of the pessimistic search, which stops
 trying a candidate once a combo fails it, and one per centralized solve,
 of the candidates that survive ``_screen``: at S > 1 every candidate is
 first evaluated at sample 0 alone, and one that cannot clear the
-tolerance by the entropic operator's one-sample bound is dropped.
+tolerance by the entropic operator's one-sample bound is dropped.  The
+filters share one state, draw and h(x) across a block;
+``guarantees.certify_grid`` sends one row per sampled state, each with
+its own state, draw and h(x), through the same kernel.
 """
 
 from __future__ import annotations
@@ -174,24 +177,35 @@ _PASS_PAIRS = 640
 
 
 def _margins(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig,
-             samples: tuple, h_now: float, rows: np.ndarray) -> np.ndarray:
-    """Risk margins of a (B, A) block of flat joint actions at the validated state x.
+             samples: tuple, h_now, rows: np.ndarray) -> np.ndarray:
+    """Risk margins of a (B, A) block of flat joint actions.
 
-    Per pass over up to _PASS_PAIRS / S rows, one ``transition_batch`` call
-    gives the (b, S, M, d_x) successors, one ``barrier.value`` call their
-    (b, S) values and one ``risk_lower`` call reduces the samples.  The
-    stack stays 3-D, so a row's margin has the same bits in any block or
-    pass and re-checks are exact.
+    The validated state x, the draw ``samples = (thetas, noises)`` and
+    ``h_now`` are each shared by every row, as x (M, d_x), thetas (S,),
+    noises (S, M, d_x) and a float, or given per row, as x (B, M, d_x),
+    thetas (B, S), noises (B, S, M, d_x) and h_now (B,).  Per pass over up
+    to _PASS_PAIRS / S rows, one ``transition_batch`` call gives the
+    (b, S, M, d_x) successors, one ``barrier.value`` call their (b, S)
+    values and one ``risk_lower`` call reduces the samples.  A per-row
+    input is sliced next to its rows and a shared one goes in as it is,
+    un-broadcast.  The arithmetic is elementwise and the stack stays 3-D,
+    so a row's margin has the same bits in any block or pass, with shared
+    or per-row inputs, and re-checks are exact.
     """
     thetas, noises = samples
-    step = max(1, _PASS_PAIRS // len(thetas))
+    step = max(1, _PASS_PAIRS // thetas.shape[-1])
     out = np.empty(len(rows))
     for start in range(0, len(rows), step):
-        nexts = model.transition_batch(x, rows[start:start + step, None, :], thetas, noises)
+        part = slice(start, start + step)
+        nexts = model.transition_batch(
+            x[part, None] if x.ndim == 3 else x, rows[part, None, :],
+            thetas[part] if thetas.ndim == 2 else thetas,
+            noises[part] if noises.ndim == 4 else noises)
         values = np.asarray(barrier.value(nexts.reshape(*nexts.shape[:2], -1)), dtype=float)
         if not np.all(np.isfinite(values)):
             raise ContractViolationError("barrier produced non-finite values")
-        out[start:start + step] = risk_lower(values, cfg.beta) - cfg.alpha * h_now - cfg.epsilon
+        h = h_now[part] if np.ndim(h_now) == 1 else h_now
+        out[part] = risk_lower(values, cfg.beta) - cfg.alpha * h - cfg.epsilon
     return out
 
 

@@ -14,6 +14,9 @@ the single-step bound remains informative.
 ``certify_grid`` spot-checks the condition empirically on a finite state
 sample with a high-accuracy risk estimate (N samples, N >> the filters'
 S), since exhaustive verification over continuous sets is out of scope.
+It evaluates every sampled state together, with one h(x) call per chunk
+of states, one policy call and the filters' margin kernel on one row per
+state, so each margin has the bits of ``check_condition`` at that state.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .dynamics import MasModel
 from .errors import ContractViolationError, GuaranteeDomainError
-from .filters import FilterConfig, check_condition, draw_risk_samples
+from .filters import _PASS_PAIRS, FilterConfig, _margins, draw_risk_samples
 from .value import Barrier
 
 
@@ -94,8 +97,18 @@ def certify_grid(
     """Check the risk condition at policy actions over sampled states.
 
     States with a negative barrier value are skipped (the guarantee is
-    only claimed on the sublevel set).  Each evaluated state gets its own
-    derived sample seed, so the report is deterministic given ``seed``.
+    only claimed on the sublevel set).  State i draws its samples from
+    ``SeedSequence([seed, i])``, so the report is deterministic given
+    ``seed`` and each margin is the one ``check_condition`` gives at that
+    state alone.
+
+    The states are evaluated together: one shape and one finiteness check
+    on the (n, M, d_x) stack, one ``barrier.value`` call per _PASS_PAIRS
+    states, as a (chunk, 1, M * d_x) stack whose slices keep the bits of
+    one-state calls, one ``policy`` call on the (evaluated, M, d_x) stack,
+    which must return (evaluated, A) actions, and the margin kernel on
+    one row per evaluated state.  Each kernel pass draws its own states'
+    samples, so the draws held at once never exceed one pass.
     """
     if n_oracle_samples < 1:
         raise ContractViolationError(f"n_oracle_samples must be >= 1, got {n_oracle_samples}")
@@ -104,19 +117,42 @@ def certify_grid(
     states = list(states)
     if not states:
         raise ContractViolationError("certify_grid needs at least one state")
-    margins, passed = [], []
-    h_min = None
-    for idx, x in enumerate(states):
-        h_now = float(barrier.value(model.flatten_state(model.validate_state(x))))
-        if h_now < 0:
-            continue
-        h_min = h_now if h_min is None else min(h_min, h_now)
-        samples = draw_risk_samples(model, n_oracle_samples, np.random.SeedSequence([seed, idx]))
-        ok, margin = check_condition(model, barrier, x, model.split_action(policy(x)), cfg,
-                                     samples, h_now)
-        margins.append(margin)
-        passed.append(ok)
-    margins = np.array(margins)
+    stack = f"(n, {model.n_agents}, {model.state_dim})"
+    try:
+        xs = np.asarray(states, dtype=float)
+    except ValueError as exc:   # ragged states
+        raise ContractViolationError(f"states do not stack to {stack}") from exc
+    if xs.shape[1:] != (model.n_agents, model.state_dim):
+        raise ContractViolationError(f"state stack shape {xs.shape} does not match {stack}")
+    if not np.all(np.isfinite(xs)):
+        raise ContractViolationError("state contains non-finite entries")
+
+    flat = xs.reshape(len(xs), 1, -1)
+    h = np.concatenate([np.asarray(barrier.value(flat[i:i + _PASS_PAIRS]), dtype=float)[:, 0]
+                        for i in range(0, len(xs), _PASS_PAIRS)])
+    index = np.flatnonzero(~(h < 0))    # skip h < 0 only: a NaN h is evaluated
+    h = h[index]
+    margins = np.empty(len(index))
+    if index.size:
+        expected = (len(index), sum(model.action_dims))
+        rows = np.asarray(policy(xs[index]), dtype=float)
+        if rows.shape != expected:
+            raise ContractViolationError(
+                f"policy returned shape {rows.shape} for {len(index)} states, expected {expected}")
+        step = max(1, _PASS_PAIRS // n_oracle_samples)
+        for start in range(0, len(index), step):
+            part = slice(start, start + step)
+            states_in_pass = index[part]
+            thetas = np.empty((len(states_in_pass), n_oracle_samples))
+            noises = np.empty(thetas.shape + xs.shape[1:])
+            for j, i in enumerate(states_in_pass.tolist()):
+                thetas[j], noises[j] = draw_risk_samples(model, n_oracle_samples,
+                                                         np.random.SeedSequence([seed, i]))
+            margins[part] = _margins(model, barrier, xs[states_in_pass], cfg, (thetas, noises),
+                                     h[part], rows[part])
+    # The builtin min over the states in order: a NaN h is the minimum only
+    # when it comes first, where np.min would let any NaN win.
+    h_min = min(h.tolist()) if index.size else None
     delta = (
         compute_delta(cfg.beta, cfg.alpha, cfg.epsilon, h_min, k_steps)
         if h_min is not None
@@ -130,8 +166,8 @@ def certify_grid(
         h_min=h_min,
         delta=delta,
         margins=margins,
-        passed=np.array(passed, dtype=bool),
-        n_states=len(states),
+        passed=margins >= cfg.tolerance,
+        n_states=len(xs),
         n_evaluated=margins.size,
-        n_skipped=len(states) - margins.size,
+        n_skipped=len(xs) - margins.size,
     )

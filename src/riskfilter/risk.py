@@ -13,7 +13,10 @@ and max.  beta = 0 is the explicit risk-neutral branch (plain mean);
 beta -> infinity approaches the worst case.
 
 Both reduce over the last axis: a 1-D sample gives a float, a (..., S)
-stack one value per row, bit-identical to the row's own 1-D call.
+stack one value per row, bit-identical to the row's own 1-D call.  The
+means are ``np.mean``'s own arithmetic, an ``np.add.reduce`` and one
+division, without its per-call overhead, which dominates on the filters'
+short sample rows.
 """
 
 from __future__ import annotations
@@ -37,12 +40,13 @@ def entropic_risk(values, beta: float) -> float | np.ndarray:
     v = _as_sample(values)
     if beta < 0:
         raise ContractViolationError(f"risk parameter must be >= 0, got {beta}")
+    n = v.shape[-1]
     if beta == 0:
-        out = np.mean(v, axis=-1)
+        out = np.add.reduce(v, axis=-1) / n
     else:
         z = beta * v
-        m = np.max(z, axis=-1, keepdims=True)
-        out = (m[..., 0] + np.log(np.mean(np.exp(z - m), axis=-1))) / beta
+        m = z.max(axis=-1, keepdims=True)
+        out = (m[..., 0] + np.log(np.add.reduce(np.exp(z - m), axis=-1) / n)) / beta
     return float(out) if v.ndim == 1 else out
 
 

@@ -135,6 +135,22 @@ def collision_setup():
     )
 
 
+@pytest.fixture(scope="session")
+def collision3_setup():
+    """Three-agent collision preset with a small trained barrier."""
+    cfg = parse_config("run.preset = collision\nrun.agents = 3\n"
+                       "value.states = 60\nvalue.horizon = 60\nvalue.samples = 2")
+    model = cfg.build_model()
+    safe = cfg.safe_policy(model)
+    dataset = collect_dataset(model, safe, cfg.value_states, cfg.value_horizon,
+                              cfg.value_samples, cfg.seed, cfg.value_sampler(model))
+    vm = fit_value(dataset, ApproxConfig(hidden=cfg.hidden_sizes(), epochs=cfg.value_epochs,
+                                         learning_rate=cfg.value_lr), cfg.seed)
+    return SimpleNamespace(cfg=cfg, model=model, nominal=cfg.nominal_policy(model), safe=safe,
+                           value_model=vm, barrier=Barrier(vm, cfg.xi),
+                           box_sampler=cfg.value_sampler(model))
+
+
 def zero_policy(model: MasModel):
     """Policy returning the zero joint action (..., A) for states (..., M, d_x)."""
     return lambda x: np.zeros(np.shape(x)[:-2] + (sum(model.action_dims),))

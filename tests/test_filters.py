@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 
 from conftest import ConstantValue, QuadraticValue, h_of, make_static_model
 from riskfilter import (
-    ApproxConfig,
     Barrier,
     Branch,
     ContractViolationError,
@@ -22,12 +20,9 @@ from riskfilter import (
     UncertaintySample,
     centralized_filter,
     check_condition,
-    collect_dataset,
     draw_risk_samples,
-    fit_value,
     make_model,
     make_proportional,
-    parse_config,
     pessimistic_filter,
     proximity_filter,
     risk_lower,
@@ -486,21 +481,6 @@ def _full_scan(model, barrier, x, nominal, cfg, samples, h_now):
     return (cands[hits[0]], float(margins[hits[0]])) if hits.size else None
 
 
-@pytest.fixture(scope="module")
-def collision3_setup():
-    """Three-agent collision preset with a small trained barrier."""
-    cfg = parse_config("run.preset = collision\nrun.agents = 3\n"
-                       "value.states = 60\nvalue.horizon = 60\nvalue.samples = 2")
-    model = cfg.build_model()
-    dataset = collect_dataset(model, cfg.safe_policy(model), cfg.value_states,
-                              cfg.value_horizon, cfg.value_samples, cfg.seed,
-                              cfg.value_sampler(model))
-    vm = fit_value(dataset, ApproxConfig(hidden=cfg.hidden_sizes(), epochs=cfg.value_epochs,
-                                         learning_rate=cfg.value_lr), cfg.seed)
-    return SimpleNamespace(cfg=cfg, model=model, nominal=cfg.nominal_policy(model),
-                           barrier=Barrier(vm, cfg.xi), box_sampler=cfg.value_sampler(model))
-
-
 class TestScreen:
     """The centralized filter first evaluates every candidate at sample 0
     and drops those that the entropic operator's one-sample bound rules
@@ -683,6 +663,41 @@ class TestWorstCaseMargin:
                                         h_now=h_now)
             margins.append(margin)
         assert got == min(margins)
+
+
+class TestPerRowMargins:
+    """``certify_grid`` sends the kernel one row per state, each with its own
+    state, draw and h(x); the filters share all three across a block."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(preset=st.sampled_from(["spring", "collision3"]), b=st.integers(1, 300),
+           n_samples=st.sampled_from([1, 5, 200]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_match_their_own_check_condition_bitwise(self, spring_setup, collision3_setup,
+                                                          preset, b, n_samples, seed):
+        # Blocks of b * S pairs cross the 640-pair pass boundary (at S = 5
+        # from b = 129 rows, at S = 200 from b = 4).
+        s = spring_setup if preset == "spring" else collision3_setup
+        rng = np.random.default_rng(seed)
+        xs = np.stack([s.model.validate_state(s.box_sampler(rng)) for _ in range(b)])
+        draws = [draw_risk_samples(s.model, n_samples, [seed, i]) for i in range(b)]
+        samples = (np.stack([t for t, _ in draws]), np.stack([w for _, w in draws]))
+        h_now = rng.normal(0.0, 5.0, size=b)
+        rows = rng.uniform(-1, 1, size=(b, sum(s.model.action_dims)))
+        cfg = FilterConfig(epsilon=0.05)
+        block = _margins(s.model, s.barrier, xs, cfg, samples, h_now, rows)
+        assert block.shape == (b,)
+        for i in range(b):
+            _, single = check_condition(s.model, s.barrier, xs[i], s.model.split_action(rows[i]),
+                                        cfg, draws[i], float(h_now[i]))
+            assert block[i] == single
+
+        # Per-row inputs that are all equal give the shared-input block.
+        same = _margins(s.model, s.barrier, np.repeat(xs[:1], b, axis=0), cfg,
+                        (np.repeat(samples[0][:1], b, axis=0),
+                         np.repeat(samples[1][:1], b, axis=0)),
+                        np.full(b, h_now[0]), rows)
+        shared = _margins(s.model, s.barrier, xs[0], cfg, draws[0], float(h_now[0]), rows)
+        assert same.tobytes() == shared.tobytes()
 
 
 class TestBatchInvariance:

@@ -99,3 +99,29 @@ class TestLaws:
         assert np.isfinite(out)
         assert out == pytest.approx(7.0, abs=0.05)
         assert np.isfinite(risk_lower(values * 100, 10.0))
+
+
+def _np_mean_reference(values, beta):
+    """The operator as written with np.mean and np.max, one row at a time."""
+    v = np.asarray(values, dtype=float)
+    if beta == 0:
+        return float(np.mean(v))
+    z = beta * v
+    m = np.max(z)
+    return float((m + np.log(np.mean(np.exp(z - m)))) / beta)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("n", [1, 5, 200, 701])
+    @pytest.mark.parametrize("beta", [0.0, 0.1, 1.0, 100.0])
+    def test_rows_match_their_own_calls_bitwise(self, n, beta):
+        # The filters reduce (b, S) stacks and re-check single rows with ==,
+        # so each row must keep the bits of its own 1-D call, which are
+        # np.mean's.
+        stack = np.random.default_rng(n).normal(0.0, 5.0, size=(9, n))
+        upper = entropic_risk(stack, beta)
+        lower = risk_lower(stack, beta)
+        assert upper.shape == lower.shape == (9,)
+        for row, up, low in zip(stack, upper, lower):
+            assert up == entropic_risk(row, beta) == _np_mean_reference(row, beta)
+            assert low == risk_lower(row, beta) == -_np_mean_reference(-row, beta)

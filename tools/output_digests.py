@@ -11,13 +11,16 @@ temporary output directory.  One more config, ``train-value-cem``, runs
 ``safe_policy.bin`` is hashed too, and ``collision4-switching`` runs
 ``train-value`` and ``run`` on collision M=4, so that pessimistic solves of
 several kernel passes are hashed, and ``collision2-centralized-slack`` runs
-``train-value`` and ``run`` under the centralized filter with a nonzero
-tolerance and epsilon, so that its candidate screen is hashed away from
-tolerance 0, and ``train-value-hidden32`` and ``train-value-hidden16x3``
-run ``train-value`` alone with one and three hidden layers, so that the
-fit is hashed at layer counts no workload uses.  After each command, every output its
-manifest lists is hashed, and a line ``workload command/file sha256`` is
-printed (the commands' own messages go to standard error).
+``train-value``, ``run`` and ``certify`` under the centralized filter with
+a nonzero tolerance and epsilon, so that its candidate screen and the
+per-state ``alpha * h + epsilon`` of ``certify`` are hashed away from 0,
+``spring-certify700`` runs ``train-value`` and ``certify`` at 700 samples,
+one state per kernel pass, and ``train-value-hidden32`` and
+``train-value-hidden16x3`` run ``train-value`` alone with one and three
+hidden layers, so that the fit is hashed at layer counts no workload uses.
+After each command, every output its manifest lists is hashed, and a line
+``workload command/file sha256`` is printed (the commands' own messages go
+to standard error).
 
 Output bytes are a pure function of (config, seed, package version), so a
 change that claims to keep outputs byte-identical prints the same lines
@@ -44,8 +47,9 @@ COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 # name -> (config text, commands): every workload through every command,
 # the cross-entropy search, which no workload turns on, collision M=4
 # switching, whose 10 x 729-row pessimistic blocks take several passes,
-# collision M=2 centralized with a nonzero tolerance and epsilon, and fits
-# with one and with three hidden layers.
+# collision M=2 centralized with a nonzero tolerance and epsilon (run and
+# certify), spring certify at more samples than one kernel pass holds, and
+# fits with one and with three hidden layers.
 CONFIGS = {name: (text, COMMANDS) for name, (_, text) in WORKLOADS.items()}
 CONFIGS["train-value-cem"] = ("""
 run.preset = collision
@@ -76,7 +80,14 @@ value.horizon = 60
 value.samples = 2
 filter.tolerance = 0.3
 filter.epsilon = 0.05
-""", ("train-value", "run"))
+""", ("train-value", "run", "certify"))
+CONFIGS["spring-certify700"] = ("""
+run.preset = spring
+value.states = 60
+value.horizon = 60
+value.samples = 2
+certify.samples = 700
+""", ("train-value", "certify"))
 for name, hidden in (("train-value-hidden32", "32"), ("train-value-hidden16x3", "16x16x16")):
     CONFIGS[name] = (f"""
 run.preset = spring
