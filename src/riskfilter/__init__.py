@@ -3,7 +3,7 @@
 __version__ = "0.2.0"
 
 from .config import ExperimentConfig, config_with, parse_config, serialize_config
-from .dynamics import JointAction, JointState, MasModel, UncertaintySample, make_model
+from .dynamics import JointState, MasModel, make_model
 from .errors import (
     ConfigError,
     ContractViolationError,
@@ -22,7 +22,6 @@ from .filters import (
     pessimistic_filter,
     proximity_filter,
     switching_filter,
-    worst_case_margin,
 )
 from .guarantees import GuaranteeReport, certify_grid, compute_delta
 from .persist import load_policy, load_value_model, save_policy, save_value_model
@@ -70,7 +69,6 @@ __all__ = [
     "FilterOutcome",
     "GuaranteeDomainError",
     "GuaranteeReport",
-    "JointAction",
     "JointState",
     "MasModel",
     "Metrics",
@@ -81,7 +79,6 @@ __all__ = [
     "RolloutRecord",
     "SweepRow",
     "SwitchingController",
-    "UncertaintySample",
     "ValueDataset",
     "ValueModel",
     "cem_improve",
@@ -113,5 +110,4 @@ __all__ = [
     "serialize_config",
     "sweep",
     "switching_filter",
-    "worst_case_margin",
 ]

@@ -26,49 +26,38 @@ from a standard normal prior:
 Each model carries its safe-set predicate, the smooth sigmoid cost that
 encodes it, and the regulation reward used by the nominal task.  Models
 are immutable after construction; all randomness enters through the
-uncertainty samples supplied by the caller.
+(theta, noise) samples supplied by the caller.  One transition function
+per preset maps a state, a flat joint-action row and a sample to the
+successor, and broadcasts over leading axes, so a rollout step, a
+filter's candidate block and a lockstep collection stack all go through
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError
 
-# A joint state is an (M, d_x) array; a joint action is a list of M
-# per-agent vectors (empty for unactuated agents), which ``split_action``
-# makes from the flat (A,) row that policies return.
+# A joint state is an (M, d_x) array; a joint action is one flat (A,) row
+# holding the agents' actions in agent order (none for unactuated agents).
 JointState = np.ndarray
-JointAction = list
-
-
-@dataclass(frozen=True)
-class UncertaintySample:
-    """One realization of the model uncertainty.
-
-    ``theta`` is the scalar coupling parameter (standard normal prior) and
-    ``noise`` is the (M, d_x) process-noise draw, one row per agent.
-    """
-
-    theta: float
-    noise: np.ndarray
-
-
-TransitionFn = Callable[[np.ndarray, list, UncertaintySample], np.ndarray]
 
 
 @dataclass(frozen=True)
 class MasModel:
     """Immutable multi-agent system model.
 
-    ``transition_batch`` maps ``(x (..., M, d_x), u (..., A), thetas (...),
+    ``transition`` maps ``(x (..., M, d_x), u (..., A), thetas (...),
     noises (..., M, d_x)) -> (..., M, d_x)``, broadcasting the leading axes:
-    every entry gets the bits of its own unbatched call.  ``transition`` is
-    its batch of one, ``(x, joint action list, sample) -> (M, d_x)``, and
-    ``cost_fn`` maps ``(..., M, d_x) -> (...)``; both are pure functions.
+    every entry gets the bits of its own unbatched call.  ``transition_batch``
+    holds the same function: rollouts step through ``transition`` and the
+    filters, certification and value collection through ``transition_batch``,
+    so each can be replaced or traced on its own.  ``cost_fn`` maps
+    ``(..., M, d_x) -> (...)``; all are pure functions.
     ``state_weights`` holds the diagonal of each
     agent's quadratic reward weight; ``action_weight`` is the scalar
     coefficient of the (isotropic) action penalty.
@@ -85,7 +74,7 @@ class MasModel:
     state_weights: np.ndarray
     action_low: float
     action_high: float
-    transition: TransitionFn = field(repr=False)
+    transition: Callable = field(repr=False)
     safe_fn: Callable[[np.ndarray], bool] = field(repr=False)
     cost_fn: Callable[[np.ndarray], float] = field(repr=False)
     transition_batch: Callable = field(repr=False)
@@ -94,6 +83,12 @@ class MasModel:
     def actuated_agents(self) -> tuple:
         """Indices of agents with a nonempty action space."""
         return tuple(i for i, d in enumerate(self.action_dims) if d > 0)
+
+    def agent_columns(self, agent: int) -> slice:
+        """The columns of ``agent``'s action in a joint-action row; the one
+        place that maps agents to columns."""
+        start = sum(self.action_dims[:agent])
+        return slice(start, start + self.action_dims[agent])
 
     def validate_state(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -106,48 +101,24 @@ class MasModel:
             raise ContractViolationError("state contains non-finite entries")
         return x
 
-    def validate_action(self, u: Sequence) -> list:
-        if len(u) != self.n_agents:
+    def validate_action(self, u) -> np.ndarray:
+        """The joint-action row ``u`` as a float (A,) array, A = sum(action_dims)."""
+        try:
+            u = np.asarray(u, dtype=float)
+        except ValueError as exc:   # ragged per-agent lists, say
+            raise ContractViolationError(f"joint action is not a flat row: {exc}") from exc
+        if u.shape != (sum(self.action_dims),):
             raise ContractViolationError(
-                f"action has {len(u)} agent entries, expected {self.n_agents}"
+                f"joint action row has shape {u.shape}, expected ({sum(self.action_dims)},)"
             )
-        out = []
-        for i, (ui, d) in enumerate(zip(u, self.action_dims)):
-            ui = np.asarray(ui, dtype=float).ravel()
-            if ui.size != d:
-                raise ContractViolationError(
-                    f"agent {i} action has dimension {ui.size}, expected {d}"
-                )
-            out.append(ui)
-        return out
+        return u
 
     def split_action(self, row) -> list:
-        """Joint action from its flat row of A = sum(action_dims) entries, the
-        agents' vectors in agent order; the one place joint actions are assembled.
-        The row is copied, so the result keeps no candidate block alive.
-        Plain slicing: controllers split every policy output, and np.split
-        costs several times more on rows this short."""
-        row = np.array(row, dtype=float)
-        if row.shape != (sum(self.action_dims),):
-            raise ContractViolationError(
-                f"joint action row has shape {row.shape}, expected ({sum(self.action_dims)},)"
-            )
-        parts, start = [], 0
-        for d in self.action_dims:
-            parts.append(row[start:start + d])
-            start += d
-        return parts
-
-    def step(self, x: np.ndarray, u: Sequence, sample: UncertaintySample) -> np.ndarray:
-        """Apply the transition map once.  Deterministic in (x, u, sample)."""
-        x = self.validate_state(x)
-        u = self.validate_action(u)
-        if sample.noise.shape != (self.n_agents, self.state_dim):
-            raise ContractViolationError(
-                f"noise shape {sample.noise.shape} does not match "
-                f"({self.n_agents}, {self.state_dim})"
-            )
-        return self.transition(x, u, sample)
+        """The agents' vectors of a joint-action row, in agent order, for
+        callers outside the package that read actions per agent.  The row
+        is copied, so the result keeps no larger block alive."""
+        row = np.array(self.validate_action(row))
+        return [row[self.agent_columns(i)] for i in range(self.n_agents)]
 
     def is_safe(self, x: np.ndarray) -> bool:
         return self.safe_fn(self.validate_state(x))
@@ -155,17 +126,20 @@ class MasModel:
     def cost(self, x: np.ndarray) -> float:
         return float(self.cost_fn(self.validate_state(x)))
 
-    def reward(self, x: np.ndarray, u: Sequence) -> float:
-        """Regulation reward exp(-||u||^2_Wu - sum_i ||x_i - x_ref||^2_Wxi) in (0, 1]."""
+    def reward(self, x: np.ndarray, u) -> float:
+        """Regulation reward exp(-||u||^2_Wu - sum_i ||x_i - x_ref||^2_Wxi) in (0, 1],
+        for the joint-action row ``u``; ||u||^2 sums the agents' u_i @ u_i in
+        agent order."""
         x = self.validate_state(x)
         u = self.validate_action(u)
-        penalty = self.action_weight * sum(float(ui @ ui) for ui in u)
+        cols = [u[self.agent_columns(i)] for i in range(self.n_agents)]
+        penalty = self.action_weight * sum(float(ui @ ui) for ui in cols)
         err = x - self.x_ref[None, :]
         penalty += float(np.sum(self.state_weights * err * err))
         return float(np.exp(-penalty))
 
-    def zero_action(self) -> list:
-        return [np.zeros(d) for d in self.action_dims]
+    def zero_action(self) -> np.ndarray:
+        return np.zeros(sum(self.action_dims))
 
     def flatten_state(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float).reshape(-1)
@@ -203,10 +177,6 @@ def _spring_transition_batch(x, u, thetas, noises):
     return out
 
 
-def _spring_transition(x, u, s):
-    return _spring_transition_batch(x, np.concatenate(u), s.theta, s.noise)
-
-
 def _spring_safe(x):
     return bool(np.all(np.abs(x[:, 0]) <= 2.0))
 
@@ -223,10 +193,6 @@ def _collision_transition_batch(x, u, thetas, noises):
     out[..., 0] = pos_next
     out[..., 1] = vel_next
     return out
-
-
-def _collision_transition(x, u, s):
-    return _collision_transition_batch(x, np.concatenate(u), s.theta, s.noise)
 
 
 def _pairwise_sq_gaps(pos):
@@ -276,7 +242,7 @@ def make_model(
             state_weights=np.array([[0.1, 0.0], [0.1, 0.0], [1.0, 0.0]]),
             action_low=action_low,
             action_high=action_high,
-            transition=_spring_transition,
+            transition=_spring_transition_batch,
             safe_fn=_spring_safe,
             cost_fn=_spring_cost,
             transition_batch=_spring_transition_batch,
@@ -297,7 +263,7 @@ def make_model(
             state_weights=np.tile(np.array([1.0, 0.1]), (m, 1)),
             action_low=action_low,
             action_high=action_high,
-            transition=_collision_transition,
+            transition=_collision_transition_batch,
             safe_fn=_collision_safe,
             cost_fn=_collision_cost,
             transition_batch=_collision_transition_batch,

@@ -147,13 +147,21 @@ def _value_model_path(cfg: ExperimentConfig, out_dir: Path) -> Path:
     return Path(cfg.value_model_path) if cfg.value_model_path else out_dir / "value_model.bin"
 
 
-def _load_barrier(cfg: ExperimentConfig, out_dir: Path) -> Barrier:
+def _load_barrier(cfg: ExperimentConfig, out_dir: Path, model) -> Barrier:
+    """The barrier over the saved value model, which must take the model's
+    flat joint state of M·d_x entries."""
     path = _value_model_path(cfg, out_dir)
     if not path.exists():
         raise MissingModelError(
             f"value model not found at {path}; run the train-value command first"
         )
-    return Barrier(load_value_model(path), cfg.xi)
+    vm = load_value_model(path)
+    size = model.n_agents * model.state_dim
+    if vm.input_dim != size:
+        raise ConfigError("invalid-value", f"value model {path} takes {vm.input_dim} inputs, "
+                          f"but the {cfg.preset} model with {model.n_agents} agents has "
+                          f"{size}; retrain it with train-value")
+    return Barrier(vm, cfg.xi)
 
 
 def _safe_policy(cfg: ExperimentConfig, model):
@@ -223,7 +231,7 @@ def _cmd_run(cfg: ExperimentConfig, out_dir: Path) -> list:
     fcfg = cfg.filter_config()
     barrier = None
     if cfg.controller in ("switching", "centralized"):
-        barrier = _load_barrier(cfg, out_dir)
+        barrier = _load_barrier(cfg, out_dir, model)
     controller = _make_controller(cfg, model, barrier, fcfg)
     sampler = cfg.init_sampler(model)
     records = []
@@ -251,7 +259,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir: Path, axis: str) -> list:
     model = cfg.build_model()
     values = cfg.beta_values() if axis == "beta" else cfg.xi_values()
     # One read of the value model and the policies serves every value.
-    base = _make_controller(cfg, model, _load_barrier(cfg, out_dir), cfg.filter_config())
+    base = _make_controller(cfg, model, _load_barrier(cfg, out_dir, model), cfg.filter_config())
 
     def factory(v):
         if axis == "beta":
@@ -270,7 +278,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir: Path, axis: str) -> list:
 
 def _cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> list:
     model = cfg.build_model()
-    barrier = _load_barrier(cfg, out_dir)
+    barrier = _load_barrier(cfg, out_dir, model)
     policy = _safe_policy(cfg, model)
     sampler = cfg.value_sampler(model)
     states = [

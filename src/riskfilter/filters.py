@@ -5,17 +5,20 @@ All filters enforce the sampled risk condition
     risk_lower([h(x+_s)]_s, beta)  >=  alpha * h(x) + epsilon
 
 where x+_s = f(x, u, omega_s; theta_s) over S uncertainty samples.  A
-solve takes the step's joint nominal (and safe) actions, the caller's
-h(x) and one ``draw_risk_samples`` draw, reused for every candidate
-action (common random numbers), so feasibility comparisons are consistent
-and the worst-case filter's guarantee is exact over its grid.
+solve takes the step's joint nominal (and safe) actions, each one flat
+(A,) row, the caller's h(x) and one ``draw_risk_samples`` draw, reused
+for every candidate action (common random numbers), so feasibility
+comparisons are consistent and the worst-case filter's guarantee is
+exact over its grid.
 
 Four variants:
 
-* ``centralized_filter``   - joint minimization over all agents' actions.
+* ``centralized_filter``   - joint minimization over all agents' actions;
+  returns a joint row.
 * ``pessimistic_filter``   - per-agent; the condition must survive the worst
-  grid combination of all other agents' actions.  Infeasibility is an
-  expected outcome, not a fault.
+  grid combination of all other agents' actions.  Per-agent outcomes hold
+  the agent's own columns of the row.  Infeasibility is an expected
+  outcome, not a fault.
 * ``proximity_filter``     - per-agent closed-form projection of the nominal
   action onto a ball around the safe policy's action; always feasible.
 * ``switching_filter``     - pessimistic when feasible, proximity (justified
@@ -29,9 +32,8 @@ feasible it is returned unchanged.
 
 Every margin comes from one kernel, ``_margins``, which evaluates the
 barrier only on successor states, over blocks of flat joint-action rows:
-one block per ``worst_case_margin`` call (the exhaustive reference, which
-no filter calls), one per pass of the pessimistic search, which stops
-trying a candidate once a combo fails it, and one per centralized solve,
+one per pass of the pessimistic search, which stops trying a candidate
+once a combo fails it, and one per centralized solve,
 of the candidates that survive ``_screen``: at S > 1 every candidate is
 first evaluated at sample 0 alone, and one that cannot clear the
 tolerance by the entropic operator's one-sample bound is dropped.  The
@@ -120,11 +122,12 @@ class FilterConfig:
 class FilterOutcome:
     """Result of one filter solve.
 
-    ``action`` is the solving agent's vector for the per-agent filters
-    and the full joint action for the centralized one.  ``feasible``
-    records whether the worst-case (pessimistic) branch admitted a
-    solution; ``margin`` is the achieved risk margin at the chosen action
-    (the worst case over the others' grid per agent), None on proximity.
+    ``action`` is the solving agent's columns of the joint-action row for
+    the per-agent filters and a copy of the full joint row for the
+    centralized one.  ``feasible`` records whether the worst-case
+    (pessimistic) branch admitted a solution; ``margin`` is the achieved
+    risk margin at the chosen action (the worst case over the others' grid
+    per agent), None on proximity.
     """
 
     action: object
@@ -157,7 +160,8 @@ def check_condition(
     samples: tuple,
     h_now: float,
 ) -> tuple:
-    """Evaluate the sampled risk condition at (x, u), h(x) = h_now, under ``samples``.
+    """Evaluate the sampled risk condition at (x, joint row u), h(x) = h_now,
+    under ``samples``.
 
     Returns (satisfied, margin) with
 
@@ -166,7 +170,7 @@ def check_condition(
     and satisfied iff margin >= tolerance.
     """
     x = model.validate_state(x)
-    row = np.concatenate(model.validate_action(u))
+    row = model.validate_action(u)
     margin = float(_margins(model, barrier, x, cfg, samples, h_now, row[None, :])[0])
     return margin >= cfg.tolerance, margin
 
@@ -305,7 +309,8 @@ def _other_grid(model: MasModel, agent: int, cfg: FilterConfig) -> tuple:
     An agent with d > 1 gets all G^d points, not only the diagonal; with no
     other actuated agent K = 1 and the worst case is the plain condition.
     """
-    own = np.repeat(np.arange(model.n_agents) == agent, model.action_dims)
+    own = np.zeros(sum(model.action_dims), dtype=bool)
+    own[model.agent_columns(agent)] = True
     return own, _grid(int(np.sum(~own)), cfg.grid_size, model.action_low, model.action_high)
 
 
@@ -326,7 +331,7 @@ def centralized_filter(
     samples: tuple,
     h_now: float,
 ) -> FilterOutcome | None:
-    """Joint filter: nearest feasible joint action to the joint ``nominal``.
+    """Joint filter: nearest feasible joint row to the joint row ``nominal``.
 
     Candidates are the nominal joint action plus the grid over every
     actuated agent's box.  At S > 1, ``_screen`` first drops every
@@ -334,11 +339,11 @@ def centralized_filter(
     ascending distance to nominal, are evaluated in one block under
     ``samples``.  The screen keeps every candidate that satisfies the
     condition and a margin does not depend on its block, so the first
-    that satisfies it is returned, with the full scan's margin, or None
-    when none does.
+    that satisfies it is returned, as a copied row with the full scan's
+    margin, or None when none does.
     """
     x = model.validate_state(x)
-    nominal = np.concatenate(model.validate_action(nominal))
+    nominal = model.validate_action(nominal)
     cands = _ordered_candidates(nominal, cfg, model.action_low, model.action_high)
     if len(samples[0]) > 1:     # at S = 1 the screen would repeat the kernel
         cands = cands[_screen(model, barrier, x, cfg, samples, h_now, cands)]
@@ -347,7 +352,7 @@ def centralized_filter(
     if not hits.size:
         return None
     i = hits[0]
-    return FilterOutcome(action=model.split_action(cands[i]), branch=Branch.CENTRALIZED,
+    return FilterOutcome(action=cands[i].copy(), branch=Branch.CENTRALIZED,
                          feasible=True, margin=float(margins[i]))
 
 
@@ -361,7 +366,8 @@ def pessimistic_filter(
     samples: tuple,
     h_now: float,
 ) -> FilterOutcome | None:
-    """Per-agent worst-case filter around ``agent``'s part of ``nominal``.
+    """Per-agent worst-case filter around ``agent``'s columns of the joint
+    row ``nominal``.
 
     Each candidate u_i (nominal first, then the grid in ascending
     distance to nominal) must clear the tolerance on every grid
@@ -380,8 +386,8 @@ def pessimistic_filter(
     if model.action_dims[agent] == 0:
         raise ContractViolationError(f"agent {agent} is unactuated")
     x = model.validate_state(x)
-    cands = _ordered_candidates(model.validate_action(nominal)[agent], cfg,
-                                model.action_low, model.action_high)
+    cands = _ordered_candidates(model.validate_action(nominal)[model.agent_columns(agent)],
+                                cfg, model.action_low, model.action_high)
     own, combos = _other_grid(model, agent, cfg)
     budget = _PASS_PAIRS // len(samples[0])         # rows in one kernel pass
     worst = np.inf
@@ -398,23 +404,6 @@ def pessimistic_filter(
         done += len(block)
     return FilterOutcome(action=cands[0], branch=Branch.PESSIMISTIC,
                          feasible=True, margin=float(worst[0]), agent=agent)
-
-
-def worst_case_margin(
-    model: MasModel,
-    barrier: Barrier,
-    agent: int,
-    action: np.ndarray,
-    x,
-    cfg: FilterConfig,
-    samples: tuple,
-    h_now: float,
-) -> float:
-    """Exact minimum margin of one agent's action over the others' grid."""
-    x = model.validate_state(x)
-    own, combos = _other_grid(model, agent, cfg)
-    rows = _against(own, np.asarray(action, dtype=float).reshape(1, -1), combos)
-    return float(np.min(_margins(model, barrier, x, cfg, samples, h_now, rows)))
 
 
 def proximity_radius(model: MasModel, cfg: FilterConfig, h_now: float) -> float:
@@ -458,7 +447,7 @@ def proximity_filter(
 ) -> np.ndarray:
     """Closed-form projection of ``agent``'s nominal action onto the safety ball.
 
-    ``nominal`` and ``safe`` are joint actions.  Always feasible: returns
+    ``nominal`` and ``safe`` are joint rows.  Always feasible: returns
     the nominal action if it already lies within the radius of the safe
     action, otherwise the boundary point of the ball nearest to nominal.
     ``h_now`` = h(x) is read only by the margin-derived radius.
@@ -466,8 +455,9 @@ def proximity_filter(
     if model.action_dims[agent] == 0:
         raise ContractViolationError(f"agent {agent} is unactuated")
     r = proximity_radius(model, cfg, h_now)
-    return _project_ball(model.validate_action(nominal)[agent],
-                         model.validate_action(safe)[agent], r)
+    cols = model.agent_columns(agent)
+    return _project_ball(model.validate_action(nominal)[cols],
+                         model.validate_action(safe)[cols], r)
 
 
 def switching_filter(

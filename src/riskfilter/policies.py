@@ -50,7 +50,7 @@ class Policy:
 
 def eval_policy(policy: Policy, x) -> np.ndarray:
     """Flat joint actions (..., A) from joint states (..., M, d_x), all agents
-    at once; ``MasModel.split_action`` turns one row into the per-agent list.
+    at once; ``MasModel.agent_columns`` gives each agent's columns of a row.
 
     Each agent's gain product is a stacked (1, 2) @ (2, 1) matmul, which
     gives it the bits of its own ``gains[i] @ err[i]`` (a multiply-add,

@@ -5,6 +5,8 @@ rollout the coupling parameter is drawn once (it is resampled per
 rollout, not per step) and process noise fresh per step, while each
 filter solve draws its samples from (rollout seed, step, agent), and
 every solve of a step shares its one nominal and one safe policy call.
+A joint action is one flat (A,) row from policy to filter to transition;
+a record splits it into per-agent vectors only on access.
 This reproduces every byte of output from (config, base seed) while
 keeping the per-agent solves independent, mirroring the setting where
 agents share state but cannot coordinate actions.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import JointAction, MasModel, UncertaintySample
+from .dynamics import MasModel
 from .errors import ContractViolationError, RiskFilterError
 from .filters import (
     Branch,
@@ -34,14 +36,14 @@ from .value import Barrier
 
 @dataclass(frozen=True)
 class StepDecision:
-    """One controller invocation: the joint action plus per-agent filter flags.
+    """One controller invocation: the joint-action row plus per-agent filter flags.
 
     ``branches`` and ``feasible`` are None for unfiltered controllers;
     for filtered ones they hold one entry per agent (empty string / True
     for unactuated agents, which no filter touches).
     """
 
-    action: JointAction
+    action: np.ndarray            # (A,)
     branches: tuple | None = None
     feasible: tuple | None = None
 
@@ -53,7 +55,7 @@ class PolicyController:
     policy: Policy
 
     def act(self, model: MasModel, x, rollout_seed: int, step: int) -> StepDecision:
-        return StepDecision(action=model.split_action(self.policy(x)))
+        return StepDecision(action=self.policy(x))
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,8 @@ class SwitchingController:
 
     def act(self, model: MasModel, x, rollout_seed: int, step: int) -> StepDecision:
         h_now = float(self.barrier.value(model.flatten_state(model.validate_state(x))))
-        nominal, safe = model.split_action(self.nominal(x)), model.split_action(self.safe(x))
-        parts = []
+        nominal, safe = self.nominal(x), self.safe(x)
+        action = model.zero_action()
         branches = [""] * model.n_agents
         feasible = [True] * model.n_agents
         for agent in model.actuated_agents:
@@ -76,11 +78,10 @@ class SwitchingController:
                                         np.random.SeedSequence([rollout_seed, step, agent]))
             out = switching_filter(model, self.barrier, agent, x, nominal, safe, self.cfg,
                                    samples, h_now)
-            parts.append(out.action)
+            action[model.agent_columns(agent)] = out.action
             branches[agent] = out.branch.value
             feasible[agent] = out.feasible
-        return StepDecision(action=model.split_action(np.concatenate(parts)),
-                            branches=tuple(branches), feasible=tuple(feasible))
+        return StepDecision(action=action, branches=tuple(branches), feasible=tuple(feasible))
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class CentralizedController:
 
     def act(self, model: MasModel, x, rollout_seed: int, step: int) -> StepDecision:
         h_now = float(self.barrier.value(model.flatten_state(model.validate_state(x))))
-        nominal, safe = model.split_action(self.nominal(x)), model.split_action(self.safe(x))
+        nominal, safe = self.nominal(x), self.safe(x)
         samples = draw_risk_samples(model, self.cfg.n_samples,
                                     np.random.SeedSequence([rollout_seed, step]))
         out = centralized_filter(model, self.barrier, x, nominal, self.cfg, samples, h_now)
@@ -106,20 +107,22 @@ class CentralizedController:
                 branches[agent] = out.branch.value
             return StepDecision(action=out.action, branches=tuple(branches),
                                 feasible=tuple(feasible))
-        parts = []
+        action = model.zero_action()
         for agent in model.actuated_agents:
-            parts.append(proximity_filter(model, agent, nominal, safe, self.cfg, h_now))
+            action[model.agent_columns(agent)] = proximity_filter(model, agent, nominal, safe,
+                                                                  self.cfg, h_now)
             branches[agent] = Branch.PROXIMITY.value
             feasible[agent] = False
-        return StepDecision(action=model.split_action(np.concatenate(parts)),
-                            branches=tuple(branches), feasible=tuple(feasible))
+        return StepDecision(action=action, branches=tuple(branches), feasible=tuple(feasible))
 
 
 class ActionRows(Sequence):
     """A rollout's T joint actions, kept as one read-only (T, A) float array.
 
     Item k is ``model.split_action(row k)``, made on access (a slice gives
-    a list of them), so a record holds 8·A action bytes per step.
+    a list of them), so a record holds 8·A action bytes per step.  This is
+    where joint actions leave the package as per-agent lists: CSV writers
+    and other readers take a record's actions agent by agent.
     """
 
     __slots__ = ("model", "rows")
@@ -177,7 +180,8 @@ def rollout(
 
     ``theta`` overrides the per-rollout coupling draw (useful for
     deterministic checks).  Controller errors propagate with the failing
-    step index attached as ``step_index``.
+    step index attached as ``step_index``.  Per step, the decision's row
+    is validated once and ``model.transition`` gives the successor.
     """
     if n_steps < 0:
         raise ContractViolationError(f"n_steps must be >= 0, got {n_steps}")
@@ -204,12 +208,13 @@ def rollout(
         if filtered:
             branches.append(decision.branches)
             feasible.append(decision.feasible)
-        rewards.append(model.reward(x, decision.action))
+        u = model.validate_action(decision.action)
+        actions[k] = u
+        rewards.append(model.reward(x, u))
         noise = rng.standard_normal((model.n_agents, model.state_dim)) * model.noise_scale
-        x = model.step(x, decision.action, UncertaintySample(th, noise))
+        x = model.transition(x, u, th, noise)
         states.append(x)
         safe.append(model.is_safe(x))
-        actions[k] = np.concatenate([np.ravel(u) for u in decision.action])
     return RolloutRecord(
         seed=int(seed),
         theta=th,

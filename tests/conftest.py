@@ -18,11 +18,7 @@ from riskfilter import (
 )
 
 
-def _identity_transition(x, u, s):
-    return x.copy()
-
-
-def _identity_transition_batch(x, u, thetas, noises):
+def _identity_transition(x, u, thetas, noises):
     lead = np.broadcast_shapes(x.shape[:-2], u.shape[:-1], np.shape(thetas),
                                noises.shape[:-2])
     return np.broadcast_to(x, lead + x.shape[-2:]).copy()
@@ -50,7 +46,7 @@ def make_static_model(n_agents: int = 2) -> MasModel:
         transition=_identity_transition,
         safe_fn=lambda x: True,
         cost_fn=_zero_cost,
-        transition_batch=_identity_transition_batch,
+        transition_batch=_identity_transition,
     )
 
 

@@ -114,17 +114,17 @@ def test_criterion_3_worst_case_grid_property(spring_setup):
         for agent in s.model.actuated_agents:
             samples = draw_risk_samples(s.model, cfg.n_samples, 10_000 + 7 * idx + agent)
             h_now = h_of(s.model, s.barrier, x)
-            nominal = s.model.split_action(s.nominal(x))
-            out = pessimistic_filter(s.model, s.barrier, agent, x, nominal, cfg, samples, h_now)
+            out = pessimistic_filter(s.model, s.barrier, agent, x, s.nominal(x), cfg, samples,
+                                     h_now)
             if out is None:
                 continue
             n_feasible += 1
             others = [j for j in s.model.actuated_agents if j != agent]
             for combo in itertools.product(axis, repeat=len(others)):
-                u = [np.zeros(d) for d in s.model.action_dims]
-                u[agent] = np.asarray(out.action, dtype=float)
+                u = np.zeros(sum(s.model.action_dims))
+                u[s.model.agent_columns(agent)] = out.action
                 for j, g in zip(others, combo):
-                    u[j] = np.array([g])
+                    u[s.model.agent_columns(j)] = g
                 ok, margin = check_condition(s.model, s.barrier, x, u, cfg,
                                              samples=samples, h_now=h_now)
                 assert ok, (
@@ -152,8 +152,8 @@ def test_criterion_4_proximity_projection():
             cfg = FilterConfig(radius=radius)
             u = proximity_filter(
                 model, 0,
-                [nom_vec, np.zeros(dim)],
-                [safe_vec, np.zeros(dim)],
+                np.concatenate([nom_vec, np.zeros(dim)]),
+                np.concatenate([safe_vec, np.zeros(dim)]),
                 cfg, 1.0,
             )
             assert np.all(np.isfinite(u))
@@ -178,7 +178,7 @@ def _fuzz_switching(setup, n_states: int, cfg: FilterConfig, seed: int):
     agents = setup.model.actuated_agents
     for idx, x in enumerate(states):
         agent = agents[idx % len(agents)]
-        nominal, safe = (setup.model.split_action(p(x)) for p in (setup.nominal, setup.safe))
+        nominal, safe = setup.nominal(x), setup.safe(x)
         out = switching_filter(setup.model, setup.barrier, agent, x, nominal, safe, cfg,
                                draw_risk_samples(setup.model, cfg.n_samples, 50_000 + idx),
                                h_of(setup.model, setup.barrier, x))
@@ -209,8 +209,8 @@ def test_criterion_5_switching_well_defined(spring_setup, collision_setup):
     # the worst case always feasible, never a fallback.
     static = make_static_model(2)
     barrier = Barrier(ConstantValue(0.0), 1.0)
-    nominal = [np.array([0.4]), np.array([-0.2])]
-    safe = [np.zeros(1), np.zeros(1)]
+    nominal = np.array([0.4, -0.2])
+    safe = np.zeros(2)
     static_cfg = FilterConfig(grid_size=3, n_samples=2)
     rng = np.random.default_rng(9)
     for i in range(10_000):

@@ -10,6 +10,7 @@ import pytest
 
 from riskfilter import ConfigError, ExperimentConfig, config_with, parse_config, serialize_config
 from riskfilter import cli
+from riskfilter.config import _certify_pass_bytes
 
 
 class TestParse:
@@ -147,11 +148,10 @@ class TestValidation:
     def test_work_bounds(self):
         # One solve evaluates (G^A + 1)·(S + 1) (row, sample) pairs for the
         # centralized filter and (G + 1)·G^(A-1)·S for the pessimistic one;
-        # solves and certify checks over 10^7 pairs are rejected.
+        # solves over 10^7 pairs are rejected.
         collision = "run.preset = collision\nrun.agents = {}\nrun.controller = {}\n"
         for agents, controller in ((6, "switching"), (6, "centralized"), (12, "nominal")):
             assert parse_config(collision.format(agents, controller)).agents == agents
-        assert parse_config("certify.samples = 10000000").certify_samples == 10**7
         for text in (
             collision.format(7, "switching"),
             collision.format(7, "centralized"),
@@ -179,6 +179,29 @@ class TestValidation:
             cli.main()
         assert exited.value.code == 1
         assert "work bound" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_certify_memory_bound(self, tmp_path, monkeypatch, capsys):
+        # One certify pass holds about 8·S·(4·M·d_x + 2·max(hidden)) bytes:
+        # 122 MB at S = 10^5 on collision M = 3, 12 GB at 10^7, which is
+        # over the 1 GiB bound and exits 1 before any work.
+        collision3 = "run.preset = collision\nrun.agents = 3\ncertify.samples = {}\n"
+        assert _certify_pass_bytes(parse_config(collision3.format(10**5))) == 121_600_000
+        assert parse_config("certify.samples = 700").certify_samples == 700
+        assert parse_config(collision3.format(800_000)).certify_samples == 800_000
+        for text in ("certify.samples = 10000000", collision3.format(10**7),
+                     collision3.format(900_000), "value.hidden = 4096\ncertify.samples = 20000"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert err.value.code == "invalid-value" and "certify.samples" in str(err.value)
+        path, out = tmp_path / "exp.cfg", tmp_path / "out"
+        path.write_text(collision3.format(10**7))
+        monkeypatch.setattr(sys, "argv", ["riskfilter", "certify", "--config", str(path),
+                                          "--out", str(out)])
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert exited.value.code == 1
+        assert "memory bound" in capsys.readouterr().err
         assert not out.exists()
 
 

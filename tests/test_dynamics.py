@@ -10,14 +10,14 @@ import pytest
 from riskfilter import (
     ConfigError,
     ContractViolationError,
-    UncertaintySample,
     draw_risk_samples,
     make_model,
 )
 
 
-def zero_sample(model):
-    return UncertaintySample(0.0, np.zeros((model.n_agents, model.state_dim)))
+def zero_step(model, x, u, theta=0.0):
+    """model.transition at theta with zero process noise."""
+    return model.transition(x, u, theta, np.zeros((model.n_agents, model.state_dim)))
 
 
 class TestMakeModel:
@@ -56,8 +56,7 @@ class TestStep:
         # positions stay put and the actuated velocities become 0.1*5*0.1.
         m = make_model("spring")
         x = np.zeros((3, 2))
-        u = [np.array([0.1]), np.array([0.1]), np.zeros(0)]
-        out = m.step(x, u, zero_sample(m))
+        out = zero_step(m, x, np.array([0.1, 0.1]))
         assert out[0] == pytest.approx([0.0, 0.05], abs=1e-15)
         assert out[1] == pytest.approx([0.0, 0.05], abs=1e-15)
         assert out[2] == pytest.approx([0.0, 0.0], abs=0)
@@ -65,15 +64,13 @@ class TestStep:
     def test_collision_hand_evaluation(self):
         m = make_model("collision", n_agents=2)
         x = np.array([[1.0, 0.5], [0.0, 0.0]])
-        u = [np.array([0.2]), np.zeros(1)]
-        out = m.step(x, u, zero_sample(m))
+        out = zero_step(m, x, np.array([0.2, 0.0]))
         assert out[0] == pytest.approx([1.005, 0.7], abs=1e-12)
 
     def test_collision_theta_coupling(self):
         m = make_model("collision", n_agents=2)
         x = np.array([[1.0, 0.0], [0.0, 0.0]])
-        s = UncertaintySample(0.5, np.zeros((2, 2)))
-        out = m.step(x, m.zero_action(), s)
+        out = zero_step(m, x, m.zero_action(), theta=0.5)
         assert out[0, 0] == pytest.approx(1.0 + 0.5 * math.sin(1.0), abs=1e-12)
         assert out[0, 1] == 0.0
 
@@ -81,26 +78,28 @@ class TestStep:
         m = make_model("spring")
         rng = np.random.default_rng(3)
         x = rng.normal(size=(3, 2))
-        u = [np.array([0.3]), np.array([-0.2]), np.zeros(0)]
+        u = np.array([0.3, -0.2])
         thetas, noises = draw_risk_samples(m, 1, rng)
-        s = UncertaintySample(thetas[0], noises[0])
-        assert np.array_equal(m.step(x, u, s), m.step(x, u, s))
+        assert np.array_equal(m.transition(x, u, thetas[0], noises[0]),
+                              m.transition(x, u, thetas[0], noises[0]))
 
     def test_origin_fixed_point(self):
         m = make_model("spring")
         x = np.zeros((3, 2))
-        out = m.step(x, m.zero_action(), zero_sample(m))
+        out = zero_step(m, x, m.zero_action())
         assert np.array_equal(out, x)
 
     def test_dimension_mismatch_rejected(self):
+        # A joint action is one flat (A,) row: per-agent lists, ragged or
+        # not, and rows of the wrong length are rejected.
         m = make_model("spring")
         with pytest.raises(ContractViolationError):
-            m.step(np.zeros((2, 2)), m.zero_action(), zero_sample(m))
-        with pytest.raises(ContractViolationError):
-            m.step(np.zeros((3, 2)), [np.zeros(1), np.zeros(1)], zero_sample(m))
-        with pytest.raises(ContractViolationError):
-            m.step(np.zeros((3, 2)), [np.zeros(2), np.zeros(1), np.zeros(0)],
-                   zero_sample(m))
+            m.validate_state(np.zeros((2, 2)))
+        for bad in ([np.zeros(1), np.zeros(1)], [np.zeros(2), np.zeros(1), np.zeros(0)],
+                    [np.zeros(1), np.zeros(1), np.zeros(0)], np.zeros(3), np.zeros((1, 2))):
+            with pytest.raises(ContractViolationError):
+                m.validate_action(bad)
+        assert m.validate_action([0.5, -0.5]).tobytes() == np.array([0.5, -0.5]).tobytes()
 
     def test_batched_transition_matches_loop(self):
         # (B actions x S samples) in one call against per-sample transitions.
@@ -112,8 +111,8 @@ class TestStep:
             thetas, noises = draw_risk_samples(m, 7, rng)
             batch = m.transition_batch(x, rows[:, None, :], thetas, noises)
             assert batch.shape == (4, 7, m.n_agents, 2)
-            loop = np.stack([[m.transition(x, m.split_action(r), UncertaintySample(t, n))
-                              for t, n in zip(thetas, noises)] for r in rows])
+            loop = np.stack([[m.transition(x, r, t, n) for t, n in zip(thetas, noises)]
+                             for r in rows])
             assert np.array_equal(loop, batch)
 
     def test_batched_transition_broadcasts_leading_axes(self):
@@ -128,15 +127,18 @@ class TestStep:
             batch = m.transition_batch(xs, us, thetas, noises)
             assert batch.shape == xs.shape
             for idx in np.ndindex(4, 3):
-                one = m.transition(xs[idx], m.split_action(us[idx]),
-                                   UncertaintySample(thetas[idx], noises[idx]))
+                one = m.transition(xs[idx], us[idx], thetas[idx], noises[idx])
                 assert np.array_equal(batch[idx], one)
 
     def test_split_action(self):
         m = make_model("spring")
-        parts = m.split_action([0.3, -0.2])
+        row = np.array([0.3, -0.2])
+        parts = m.split_action(row)
         assert [p.size for p in parts] == [1, 1, 0]
         assert np.array_equal(np.concatenate(parts), [0.3, -0.2])
+        assert [m.agent_columns(i) for i in range(3)] == [slice(0, 1), slice(1, 2), slice(2, 2)]
+        parts[0][0] = 9.0
+        assert row[0] == 0.3                    # a copy, not a view of the row
         for bad in (np.zeros(3), np.zeros(1), np.zeros((1, 2))):
             with pytest.raises(ContractViolationError):
                 m.split_action(bad)
@@ -269,14 +271,26 @@ class TestReward:
     def test_decreasing_in_action_norm(self):
         m = make_model("spring")
         x = np.zeros((3, 2))
-        rewards = [m.reward(x, [np.array([a]), np.array([a]), np.zeros(0)])
-                   for a in (0.0, 0.3, 0.6, 1.0)]
+        rewards = [m.reward(x, np.array([a, a])) for a in (0.0, 0.3, 0.6, 1.0)]
         assert all(r1 > r2 for r1, r2 in zip(rewards, rewards[1:]))
+
+    def test_action_penalty_sums_agents_in_order(self):
+        # The penalty adds each agent's u_i @ u_i in agent order, from 0, so
+        # rewards keep their bits whatever form the joint action took.
+        m = make_model("collision", n_agents=5)
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            x, u = rng.normal(size=(5, 2)), rng.uniform(-1, 1, 5)
+            squares = 0
+            for ui in u:
+                squares += float(ui * ui)
+            err = x - m.x_ref
+            penalty = m.action_weight * squares + float(np.sum(m.state_weights * err * err))
+            assert m.reward(x, u) == float(np.exp(-penalty))
 
     def test_bounded_by_one(self):
         m = make_model("collision", n_agents=2)
         rng = np.random.default_rng(6)
         for _ in range(100):
             x = rng.normal(size=(2, 2))
-            u = [rng.uniform(-1, 1, 1) for _ in range(2)]
-            assert m.reward(x, u) <= 1.0
+            assert m.reward(x, rng.uniform(-1, 1, 2)) <= 1.0

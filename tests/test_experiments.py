@@ -130,6 +130,23 @@ class TestRunExperiment:
         assert len(lines) == 3
         assert lines[1].startswith("xi,2.0,")
 
+    @pytest.mark.parametrize("command", ["run", "sweep-beta", "sweep-xi", "certify"])
+    def test_value_model_of_another_size_exit_1(self, tmp_path, capsys, command):
+        # A value model trained at collision M = 2 takes 4 inputs; the
+        # M = 3 joint state has 6.  That used to end in an uncaught
+        # ContractViolationError at the first h(x).
+        out = tmp_path / "out"
+        collision = FAST + "run.preset = collision\nrun.agents = {}\n"
+        assert run_experiment(cfg_with_out(collision.format(2), out), "train-value") == 0
+        before = sorted(os.listdir(out))
+        capsys.readouterr()
+        assert run_experiment(cfg_with_out(collision.format(3), out), command) == 1
+        err = capsys.readouterr().err
+        assert "configuration error [invalid-value]" in err
+        assert f"value model {out / 'value_model.bin'} takes 4 inputs" in err
+        assert "has 6" in err
+        assert sorted(os.listdir(out)) == before
+
     def test_centralized_controller_run(self, tmp_path):
         cfg = cfg_with_out(FAST + "run.controller = centralized\n",
                            tmp_path / "out")
@@ -288,7 +305,7 @@ class TestCli:
     @pytest.mark.parametrize("text", [
         "run.preset = collision\nrun.agents = 12\n",   # 10 x 9^11 x 5 pairs per solve
         "filter.samples = 100000000000000000000\n",
-        "certify.samples = 10000001\n",
+        "certify.samples = 10000001\n",                 # about 12 GB in one certify pass
     ])
     def test_work_bound_exit_1_before_work(self, tmp_path, text):
         cfg = tmp_path / "exp.cfg"
@@ -297,7 +314,8 @@ class TestCli:
         proc = self.run_cli("train-value", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 1
         assert "configuration error [invalid-value]" in proc.stderr
-        assert "work bound" in proc.stderr
+        bound = "memory bound" if text.startswith("certify") else "work bound"
+        assert bound in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 

@@ -17,7 +17,6 @@ from riskfilter import (
     ContractViolationError,
     FilterConfig,
     GuaranteeDomainError,
-    UncertaintySample,
     centralized_filter,
     check_condition,
     draw_risk_samples,
@@ -27,15 +26,25 @@ from riskfilter import (
     proximity_filter,
     risk_lower,
     switching_filter,
-    worst_case_margin,
 )
 from riskfilter.filters import (
+    _against,
     _grid,
     _margins,
     _one_sample_bound,
     _ordered_candidates,
+    _other_grid,
     _screen,
 )
+
+
+def worst_case_margin(model, barrier, agent, action, x, cfg, samples, h_now) -> float:
+    """Exhaustive reference: the minimum margin of ``agent``'s action over the
+    whole grid of the other agents' actions, in one kernel block."""
+    x = model.validate_state(x)
+    own, combos = _other_grid(model, agent, cfg)
+    rows = _against(own, np.asarray(action, dtype=float).reshape(1, -1), combos)
+    return float(np.min(_margins(model, barrier, x, cfg, samples, h_now, rows)))
 
 
 class TestFilterConfig:
@@ -76,7 +85,7 @@ class TestCheckCondition:
     def test_large_epsilon_never_satisfied(self, static_model, unit_barrier):
         cfg = FilterConfig(epsilon=10.0)
         for a in np.linspace(-1, 1, 9):
-            u = [np.array([a]), np.array([-a])]
+            u = np.array([a, -a])
             ok, margin = check_condition(static_model, unit_barrier,
                                          np.zeros((2, 2)), u, cfg,
                                          draw_risk_samples(static_model, cfg.n_samples, 1), 1.0)
@@ -87,12 +96,12 @@ class TestCheckCondition:
         m = make_model("collision", n_agents=2)
         b = Barrier(QuadraticValue(0.5), 4.0)
         x = np.array([[0.5, 0.1], [-0.4, 0.2]])
-        u = [np.array([0.3]), np.array([-0.2])]
+        u = np.array([0.3, -0.2])
         cfg = FilterConfig(beta=1e-8, n_samples=32)
         samples = draw_risk_samples(m, cfg.n_samples, 3)
         h_now = float(b.value(m.flatten_state(x)))
         _, margin = check_condition(m, b, x, u, cfg, samples=samples, h_now=h_now)
-        values = [b.value(m.flatten_state(m.step(x, u, UncertaintySample(theta, noise))))
+        values = [b.value(m.flatten_state(m.transition(x, u, theta, noise)))
                   for theta, noise in zip(*samples)]
         expected = np.mean(values) - cfg.alpha * h_now - cfg.epsilon
         assert margin == pytest.approx(expected, abs=1e-6)
@@ -102,7 +111,7 @@ class TestCheckCondition:
         # from call to call; the caller must pass its samples (and h(x)).
         m = make_model("collision", n_agents=2)
         b = Barrier(QuadraticValue(0.5), 4.0)
-        u = [np.array([0.3]), np.array([-0.2])]
+        u = np.array([0.3, -0.2])
         with pytest.raises(TypeError):
             check_condition(m, b, np.array([[0.5, 0.1], [-0.4, 0.2]]), u, FilterConfig())
 
@@ -121,15 +130,15 @@ class TestCheckCondition:
 
 class TestCentralized:
     def test_feasible_nominal_returned_exactly(self, static_model, unit_barrier):
-        nom = [np.array([0.123]), np.array([-0.456])]
+        nom = np.array([0.123, -0.456])
         cfg = FilterConfig()
         out = centralized_filter(static_model, unit_barrier, np.zeros((2, 2)), nom, cfg,
                                  draw_risk_samples(static_model, cfg.n_samples, 0), 1.0)
         assert out is not None
         assert out.branch is Branch.CENTRALIZED
         assert out.feasible
-        assert out.action[0][0] == 0.123
-        assert out.action[1][0] == -0.456
+        assert out.action.tolist() == [0.123, -0.456]
+        assert out.action.base is None          # a copied row, not a view of a block
 
     def test_infeasible_returns_none(self, static_model, unit_barrier):
         cfg = FilterConfig(epsilon=10.0)
@@ -145,7 +154,7 @@ class TestCentralized:
         m = make_model("spring", noise_scale=0.0)
         b = Barrier(QuadraticValue(1.0), 4.0)
         x = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        nom = [np.array([1.0]), np.array([1.0]), np.zeros(0)]
+        nom = np.array([1.0, 1.0])
         cfg = FilterConfig(alpha=1.0, grid_size=5, n_samples=3)
         samples = draw_risk_samples(m, cfg.n_samples, 2)
         out = centralized_filter(m, b, x, nom, cfg, samples, h_of(m, b, x))
@@ -157,7 +166,7 @@ class TestCentralized:
 
 class TestPessimistic:
     def test_static_returns_nominal(self, static_model, unit_barrier):
-        nom = [np.array([0.25]), np.array([0.5])]
+        nom = np.array([0.25, 0.5])
         cfg = FilterConfig()
         out = pessimistic_filter(static_model, unit_barrier, 0, np.zeros((2, 2)), nom, cfg,
                                  draw_risk_samples(static_model, cfg.n_samples, 0), 1.0)
@@ -184,7 +193,7 @@ class TestPessimistic:
     def test_nominal_of_wrong_dimension_rejected(self):
         m = make_model("collision", n_agents=2)
         b = Barrier(QuadraticValue(0.5), 2.0)
-        nom = [np.array([0.1, 0.2]), np.array([0.0])]
+        nom = np.array([0.1, 0.2, 0.0])
         cfg = FilterConfig()
         with pytest.raises(ContractViolationError):
             pessimistic_filter(m, b, 0, np.zeros((2, 2)), nom, cfg,
@@ -193,13 +202,13 @@ class TestPessimistic:
     def test_single_agent_equals_centralized(self):
         # With M = 1 the inner minimum is empty: same grid, same shared
         # samples, identical solves for every seed and state.
-        m = replace(make_static_model(1),
-                    transition=lambda x, u, s: x + 0.1 * u[0][0] + s.noise,
-                    transition_batch=lambda x, u, thetas, noises: (
-                        x + 0.1 * u[..., :, None] + noises),
+        def transition(x, u, thetas, noises):
+            return x + 0.1 * u[..., :, None] + noises
+
+        m = replace(make_static_model(1), transition=transition, transition_batch=transition,
                     noise_scale=0.05)
         b = Barrier(QuadraticValue(2.0), 3.0)
-        nom = [np.array([0.4])]
+        nom = np.array([0.4])
         cfg = FilterConfig(grid_size=7, n_samples=4)
         rng = np.random.default_rng(0)
         for seed in range(10):
@@ -209,7 +218,7 @@ class TestPessimistic:
             cen = centralized_filter(m, b, x, nom, cfg, samples, h_of(m, b, x))
             assert (pes is None) == (cen is None)
             if pes is not None:
-                assert np.array_equal(pes.action, cen.action[0])
+                assert np.array_equal(pes.action, cen.action)
                 assert pes.margin == cen.margin
 
     def test_worst_case_property_small(self, spring_setup):
@@ -222,16 +231,13 @@ class TestPessimistic:
         for agent in (0, 1):
             samples = draw_risk_samples(s.model, cfg.n_samples, 13)
             h_now = h_of(s.model, s.barrier, x)
-            nominal = s.model.split_action(s.nominal(x))
-            out = pessimistic_filter(s.model, s.barrier, agent, x, nominal, cfg, samples, h_now)
+            out = pessimistic_filter(s.model, s.barrier, agent, x, s.nominal(x), cfg, samples,
+                                     h_now)
             if out is None:
                 continue
-            other = 1 - agent
             for g in np.linspace(-1, 1, cfg.grid_size):
-                u = [np.zeros(0)] * 3
-                u[agent] = np.array(out.action)
-                u[other] = np.array([g])
-                u[2] = np.zeros(0)
+                u = np.full(2, g)
+                u[agent] = out.action[0]
                 ok, _ = check_condition(s.model, s.barrier, x, u, cfg,
                                         samples=samples, h_now=h_now)
                 assert ok
@@ -241,8 +247,8 @@ class TestProximity:
     def proximity_direct(self, safe_vec, nom_vec, radius):
         d = len(safe_vec)
         m = replace(make_static_model(2), action_dims=(d, d))
-        nom = [nom_vec, np.zeros(d)]
-        safe = [safe_vec, np.zeros(d)]
+        nom = np.concatenate([nom_vec, np.zeros(d)])
+        safe = np.concatenate([safe_vec, np.zeros(d)])
         cfg = FilterConfig(radius=radius)
         return proximity_filter(m, 0, nom, safe, cfg, 1.0)
 
@@ -288,8 +294,8 @@ class TestProximity:
         # A 2-vector for a 1-D agent used to pass through the projection
         # and be mis-split across the agents by the switching controller.
         m = make_model("collision", n_agents=2)
-        nom = [np.full(nominal_dim, 0.5), np.zeros(1)]
-        safe = [np.full(safe_dim, 0.1), np.zeros(1)]
+        nom = np.concatenate([np.full(nominal_dim, 0.5), np.zeros(1)])
+        safe = np.concatenate([np.full(safe_dim, 0.1), np.zeros(1)])
         with pytest.raises(ContractViolationError):
             proximity_filter(m, 0, nom, safe, FilterConfig(), 1.0)
 
@@ -302,7 +308,7 @@ class TestProximity:
 
 class TestSwitching:
     def test_pessimistic_branch(self, static_model, unit_barrier):
-        nom = [np.array([0.2]), np.array([0.1])]
+        nom = np.array([0.2, 0.1])
         cfg = FilterConfig()
         samples = draw_risk_samples(static_model, cfg.n_samples, 4)
         out = switching_filter(static_model, unit_barrier, 0, np.zeros((2, 2)),
@@ -314,8 +320,8 @@ class TestSwitching:
         assert np.array_equal(out.action, pes.action)
 
     def test_forced_proximity_branch(self, static_model, unit_barrier):
-        nom = [np.array([0.9]), np.array([0.0])]
-        safe = [np.array([0.1]), np.array([0.0])]
+        nom = np.array([0.9, 0.0])
+        safe = np.array([0.1, 0.0])
         cfg = FilterConfig(epsilon=10.0, radius=0.05)
         out = switching_filter(static_model, unit_barrier, 0, np.zeros((2, 2)), nom, safe,
                                cfg, draw_risk_samples(static_model, cfg.n_samples, 4), 1.0)
@@ -330,7 +336,7 @@ class TestSwitching:
         s = spring_setup
         x = np.array([[1.5, 1.0], [1.2, 0.5], [0.8, 0.2]])
         cfg = FilterConfig(grid_size=5)
-        nominal, safe = (s.model.split_action(p(x)) for p in (s.nominal, s.safe))
+        nominal, safe = s.nominal(x), s.safe(x)
         a = switching_filter(s.model, s.barrier, 0, x, nominal, safe, cfg,
                              draw_risk_samples(s.model, cfg.n_samples, 6),
                              h_of(s.model, s.barrier, x))
@@ -346,12 +352,12 @@ class TestSwitching:
         s = spring_setup
         cfg = FilterConfig(epsilon=10.0, radius=0.05, grid_size=3)
         x = np.zeros((3, 2))
-        nominal, safe = (s.model.split_action(p(x)) for p in (s.nominal, s.safe))
+        nominal, safe = s.nominal(x), s.safe(x)
         out = switching_filter(s.model, s.barrier, 0, x, nominal, safe, cfg,
                                draw_risk_samples(s.model, cfg.n_samples, 1),
                                h_of(s.model, s.barrier, x))
         assert out.branch is Branch.PROXIMITY
-        u_safe = safe[0]
+        u_safe = safe[s.model.agent_columns(0)]
         assert np.linalg.norm(out.action - u_safe) <= cfg.radius + 1e-12
 
 
@@ -362,7 +368,7 @@ class TestThreeAgentAdversaries:
         m = make_model("collision", n_agents=3, noise_scale=0.02)
         b = Barrier(QuadraticValue(0.1), 2.0)
         x = np.array([[0.4, 0.0], [-0.4, 0.0], [1.2, 0.0]])
-        nom = [np.array([0.2]), np.array([0.1]), np.array([0.0])]
+        nom = np.array([0.2, 0.1, 0.0])
         cfg = FilterConfig(grid_size=3, n_samples=3)
         samples = draw_risk_samples(m, cfg.n_samples, 5)
         h_now = h_of(m, b, x)
@@ -371,7 +377,7 @@ class TestThreeAgentAdversaries:
             axis = np.linspace(-1, 1, 3)
             for g1 in axis:
                 for g2 in axis:
-                    u = [np.asarray(out.action), np.array([g1]), np.array([g2])]
+                    u = np.array([out.action[0], g1, g2])
                     ok, _ = check_condition(m, b, x, u, cfg, samples=samples, h_now=h_now)
                     assert ok
         got = worst_case_margin(m, b, 0, np.array([0.2]), x, cfg, samples, h_now)
@@ -399,7 +405,7 @@ class TestEarlyExit:
     def solve(self, alpha, value=None, agents=3, nominal=1.0):
         m, calls = self.drift_model(agents)
         b = Barrier(value or QuadraticValue(1.0), 1.5)
-        nom = [np.array([nominal])] + [np.zeros(1)] * (agents - 1)
+        nom = np.array([nominal] + [0.0] * (agents - 1))
         cfg = FilterConfig(alpha=alpha, grid_size=self.G, n_samples=5)
         out = pessimistic_filter(m, b, 0, np.zeros((agents, 2)), nom, cfg,
                                  draw_risk_samples(m, cfg.n_samples, 0), 1.5)
@@ -446,7 +452,7 @@ class TestEarlyExit:
         # search fails, the switching solve evaluates no further margin.
         _, search, (_, b, cfg) = self.solve(alpha=0.5)
         m, calls = self.drift_model()
-        nom = [np.array([1.0]), np.zeros(1), np.zeros(1)]
+        nom = np.array([1.0, 0.0, 0.0])
         out = switching_filter(m, b, 0, np.zeros((3, 2)), nom, m.zero_action(), cfg,
                                draw_risk_samples(m, cfg.n_samples, 0), 1.5)
         assert out.branch is Branch.PROXIMITY
@@ -474,7 +480,7 @@ class TestEarlyExit:
 def _full_scan(model, barrier, x, nominal, cfg, samples, h_now):
     """Reference centralized solve with no screen: every candidate at all S."""
     x = model.validate_state(x)
-    nominal = np.concatenate(model.validate_action(nominal))
+    nominal = model.validate_action(nominal)
     cands = _ordered_candidates(nominal, cfg, model.action_low, model.action_high)
     margins = _margins(model, barrier, x, cfg, samples, h_now, cands)
     hits = np.flatnonzero(margins >= cfg.tolerance)
@@ -510,17 +516,17 @@ class TestScreen:
                 cfg = FilterConfig(beta=beta, tolerance=tolerance, epsilon=epsilon)
                 for seed in range(3):
                     x = s.model.validate_state(s.box_sampler(rng))
-                    nom = s.model.split_action(s.nominal(x))
+                    nom = s.nominal(x)
                     samples = draw_risk_samples(s.model, cfg.n_samples, seed)
                     h_now = h_of(s.model, s.barrier, x)
                     out = centralized_filter(s.model, s.barrier, x, nom, cfg, samples, h_now)
                     ref = _full_scan(s.model, s.barrier, x, nom, cfg, samples, h_now)
                     assert (out is None) == (ref is None)
                     if out is not None:
-                        assert np.concatenate(out.action).tobytes() == ref[0].tobytes()
+                        assert out.action.tobytes() == ref[0].tobytes()
                         assert out.margin == ref[1]
                     outcomes.add(out is not None)
-                    cands = _ordered_candidates(np.concatenate(nom), cfg, s.model.action_low,
+                    cands = _ordered_candidates(nom, cfg, s.model.action_low,
                                                 s.model.action_high)
                     rejected += int(np.sum(~_screen(s.model, s.barrier, x, cfg, samples,
                                                     h_now, cands)))
@@ -541,7 +547,7 @@ class TestScreen:
     def solve(self, n_samples=5, **kwargs):
         m, calls = self.counting_model()
         cfg = FilterConfig(grid_size=9, n_samples=n_samples, **kwargs)
-        nom = [np.array([1.0]), np.array([1.0])]
+        nom = np.array([1.0, 1.0])
         out = centralized_filter(m, Barrier(QuadraticValue(1.0), 1.5), np.zeros((2, 2)), nom,
                                  cfg, draw_risk_samples(m, cfg.n_samples, 0), 1.5)
         return out, calls
@@ -561,7 +567,7 @@ class TestScreen:
         feasible = cands[np.sum(cands ** 2, axis=1) <= 1.5]
         assert sent.tobytes() == feasible.tobytes()        # in distance order
         assert 0 < len(sent) < len(cands)
-        assert np.concatenate(out.action).tolist() == feasible[0].tolist()
+        assert out.action.tolist() == feasible[0].tolist()
 
     def test_hopeless_solve_sends_no_full_rows(self):
         out, calls = self.solve(epsilon=10.0)
@@ -601,7 +607,7 @@ class TestScreen:
                 hit = (x[..., 1] == theta) & np.all(x[..., 0::2] == target, axis=-1)
                 return np.where(hit, np.nan, out)
 
-        nom = [np.array([1.0]), np.array([1.0])]
+        nom = np.array([1.0, 1.0])
         return centralized_filter(m, Barrier(NanAt(), 1.5), np.zeros((2, 2)), nom, cfg,
                                   samples, 1.5)
 
@@ -622,7 +628,7 @@ class TestScreen:
         # later samples are never evaluated, as a candidate the pessimistic
         # search drops never meets its later combos.
         out = self.nan_solve(4, (-1.0, -1.0))
-        assert out is not None and np.concatenate(out.action).tolist() == [0.75, 0.75]
+        assert out is not None and out.action.tolist() == [0.75, 0.75]
 
 
 class TestCandidates:
@@ -658,7 +664,7 @@ class TestWorstCaseMargin:
         got = worst_case_margin(s.model, s.barrier, 0, action, x, cfg, samples, h_now)
         margins = []
         for g in np.linspace(-1, 1, 4):
-            u = [action, np.array([g]), np.zeros(0)]
+            u = np.array([action[0], g])
             _, margin = check_condition(s.model, s.barrier, x, u, cfg, samples=samples,
                                         h_now=h_now)
             margins.append(margin)
@@ -687,8 +693,8 @@ class TestPerRowMargins:
         block = _margins(s.model, s.barrier, xs, cfg, samples, h_now, rows)
         assert block.shape == (b,)
         for i in range(b):
-            _, single = check_condition(s.model, s.barrier, xs[i], s.model.split_action(rows[i]),
-                                        cfg, draws[i], float(h_now[i]))
+            _, single = check_condition(s.model, s.barrier, xs[i], rows[i], cfg, draws[i],
+                                        float(h_now[i]))
             assert block[i] == single
 
         # Per-row inputs that are all equal give the shared-input block.
@@ -719,8 +725,8 @@ class TestBatchInvariance:
         block = _margins(s.model, s.barrier, x, cfg, samples, h_now, rows)
         assert block.shape == (b,)
         for row, margin in zip(rows, block):
-            _, single = check_condition(s.model, s.barrier, x, s.model.split_action(row),
-                                        cfg, samples=samples, h_now=h_now)
+            _, single = check_condition(s.model, s.barrier, x, row, cfg, samples=samples,
+                                        h_now=h_now)
             assert margin == single
 
     @pytest.mark.parametrize("agents, grid_size, n_samples, coeff, both_outcomes", [
@@ -742,7 +748,7 @@ class TestBatchInvariance:
         pessimistic_feasible = set()
         for seed in range(6):
             x = rng.uniform(-1, 1, size=(agents, 2))
-            nom = [rng.uniform(-1, 1, 1) for _ in range(agents)]
+            nom = np.concatenate([rng.uniform(-1, 1, 1) for _ in range(agents)])
             samples = draw_risk_samples(m, cfg.n_samples, seed)
             h_now = h_of(m, b, x)
 
@@ -756,17 +762,16 @@ class TestBatchInvariance:
                 return None
 
             grid = [np.array(p) for p in itertools.product(axis, repeat=agents)]
-            nom_flat = np.concatenate(nom)
-            joint = sorted([nom_flat] + grid, key=lambda c: np.sum((c - nom_flat) ** 2))
-            ref = first_feasible(joint, lambda c: margin(list(c[:, None])))
+            joint = sorted([nom] + grid, key=lambda c: np.sum((c - nom) ** 2))
+            ref = first_feasible(joint, margin)
             out = centralized_filter(m, b, x, nom, cfg, samples, h_now)
             assert (out is None) == (ref is None)
             if out is not None:
-                assert np.array_equal(np.concatenate(out.action), ref[0])
+                assert np.array_equal(out.action, ref[0])
                 assert out.margin == ref[1]
 
             for agent in range(agents):
-                own = nom[agent]
+                own = nom[agent:agent + 1]
                 cands = sorted([own] + [np.array([g]) for g in axis],
                                key=lambda c: np.sum((c - own) ** 2))
 
@@ -774,8 +779,8 @@ class TestBatchInvariance:
                     margins = []
                     for combo in itertools.product(axis, repeat=agents - 1):
                         others = iter(combo)
-                        margins.append(margin([cand if j == agent else np.array([next(others)])
-                                               for j in range(agents)]))
+                        margins.append(margin(np.array([cand[0] if j == agent else next(others)
+                                                        for j in range(agents)])))
                     return min(margins)
 
                 ref = first_feasible(cands, worst)

@@ -33,8 +33,7 @@ def certify_reference(model, barrier, policy, states, cfg, seed, n_oracle_sample
             continue
         h_min = h_now if h_min is None else min(h_min, h_now)
         samples = draw_risk_samples(model, n_oracle_samples, np.random.SeedSequence([seed, idx]))
-        ok, margin = check_condition(model, barrier, x, model.split_action(policy(x)), cfg,
-                                     samples, h_now)
+        ok, margin = check_condition(model, barrier, x, policy(x), cfg, samples, h_now)
         margins.append(margin)
         passed.append(ok)
     delta = (compute_delta(cfg.beta, cfg.alpha, cfg.epsilon, h_min, k_steps)

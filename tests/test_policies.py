@@ -48,7 +48,7 @@ class TestProportional:
         pol = make_proportional(m, (0.5, 0.5))
         u = pol(np.zeros((3, 2)))
         assert u.shape == (2,)
-        assert m.split_action(u)[2].size == 0
+        assert m.agent_columns(2) == slice(2, 2) and u[m.agent_columns(2)].size == 0
 
     def test_clipped_to_box(self):
         m = make_model("collision", n_agents=2)

@@ -18,6 +18,7 @@ from riskfilter import (
     PolicyController,
     RolloutRecord,
     SwitchingController,
+    certify_grid,
     compute_metrics,
     make_model,
     make_proportional,
@@ -191,12 +192,12 @@ def test_margin_radius_reads_the_step_h(kind, config):
         r = proximity_radius(model, fcfg, h)
         assert r > 0.0
         for agent in model.actuated_agents:
-            v = model.split_action(nominal(x))[agent]
-            center = model.split_action(safe(x))[agent]
+            cols = model.agent_columns(agent)
+            v, center = nominal(x)[cols], safe(x)[cols]
             d = np.linalg.norm(v - center)
             expected = v if d <= r else center + r * (v - center) / d
             assert decision.branches[agent] == "proximity"
-            assert np.array_equal(decision.action[agent], expected)
+            assert np.array_equal(decision.action[cols], expected)
 
 
 class RecordingController:
@@ -221,6 +222,51 @@ def collision3_switching():
     return model, ctrl, np.array([[0.5, 0.0], [-0.5, 0.0], [0.2, 0.1]])
 
 
+def counting_model(model):
+    """``model`` with its two transition fields counting their calls."""
+    calls = {"transition": 0, "transition_batch": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    return dataclasses.replace(
+        model, transition=counted("transition", model.transition),
+        transition_batch=counted("transition_batch", model.transition_batch)), calls
+
+
+@pytest.mark.parametrize("config", ["run.preset = spring",
+                                    "run.preset = collision\nrun.agents = 3"],
+                         ids=["spring", "collision3"])
+def test_transition_seam(config):
+    # A rollout step calls model.transition once and never transition_batch;
+    # filter solves and certify_grid call transition_batch only.  The
+    # benchmark's traced dynamics.transition count rests on this split.
+    cfg = parse_config(config)
+    model, calls = counting_model(cfg.build_model())
+    x0 = cfg.init_sampler(model)(np.random.default_rng(3))
+    nominal, safe = cfg.nominal_policy(model), cfg.safe_policy(model)
+    rollout(model, PolicyController(nominal), x0, 7, 0)
+    assert calls == {"transition": 7, "transition_batch": 0}
+    barrier = Barrier(QuadraticValue(0.1), 5.0)
+    fcfg = FilterConfig(grid_size=3, n_samples=3)
+    for kind in (SwitchingController, CentralizedController):
+        ctrl = kind(barrier=barrier, nominal=nominal, safe=safe, cfg=fcfg)
+        calls.update(transition=0, transition_batch=0)
+        for step in range(4):
+            ctrl.act(model, x0, 0, step)
+        assert calls["transition"] == 0 and calls["transition_batch"] > 0
+        calls.update(transition=0)
+        rollout(model, ctrl, x0, 5, 0)
+        assert calls["transition"] == 5
+    calls.update(transition=0, transition_batch=0)
+    report = certify_grid(model, barrier, safe, [x0, 0.5 * x0], fcfg, 0, 20)
+    assert report.n_evaluated == 2
+    assert calls["transition"] == 0 and calls["transition_batch"] > 0
+
+
 class TestActionRows:
     """A rollout keeps its actions as one (T, A) array; item k is split on access."""
 
@@ -229,7 +275,7 @@ class TestActionRows:
         ctrl = RecordingController(inner)
         rec = rollout(model, ctrl, x0, 12, 4)
         assert set(rec.branches.ravel()) == {"pessimistic", "proximity"}
-        expected = [d.action for d in ctrl.decisions]
+        expected = [model.split_action(d.action) for d in ctrl.decisions]
 
         def same(a, b):
             return len(a) == len(b) and all(

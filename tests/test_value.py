@@ -110,7 +110,7 @@ class TestCollectDataset:
         with pytest.raises(ContractViolationError):
             collect_dataset(m, bad, n_states, 3, 2, 0, lambda rng: np.zeros((3, 2)))
         with pytest.raises(ContractViolationError):
-            mc_cost_to_go(m, lambda x: m.zero_action(), np.zeros((3, 2)), 3, 1, 0)
+            mc_cost_to_go(m, lambda x: np.zeros(3), np.zeros((3, 2)), 3, 1, 0)
 
     @pytest.mark.parametrize("horizon", [1, 4])
     def test_non_finite_state_rejected(self, horizon):
