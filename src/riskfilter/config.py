@@ -18,8 +18,8 @@ Each key is declared once, on its ``ExperimentConfig`` field, together
 with its default; the field's annotation is its type.  Parsing,
 serialization and the key check all read that one declaration.
 Validation also bounds the work of one filter solve and the memory of
-one certify pass, so a config that could not finish is rejected before
-any work.
+one certify pass and of the rollouts ``run`` keeps, so a config that
+could not finish is rejected before any work.
 
 Defaults mirror the benchmark setup: alpha = 0.1, epsilon = 0, proximity
 radius 0.05, beta = 1, xi = 5, 5 risk samples, gamma = 0.99, and the
@@ -286,8 +286,9 @@ def _filter_block_pairs(cfg: ExperimentConfig) -> int:
     return 0
 
 
-# Memory bound on one certify pass, in bytes.
-_MAX_CERTIFY_BYTES = 2**30
+# Memory bound, in bytes, on what one certify pass or one command's
+# rollouts hold.
+_MAX_HELD_BYTES = 2**30
 
 
 def _certify_pass_bytes(cfg: ExperimentConfig) -> int:
@@ -299,6 +300,18 @@ def _certify_pass_bytes(cfg: ExperimentConfig) -> int:
     is built, since M may be far too large to build."""
     state_size = cfg.agents * make_model(cfg.preset).state_dim
     return 8 * cfg.certify_samples * (4 * state_size + 2 * max(cfg.hidden_sizes()))
+
+
+def _rollout_bytes(cfg: ExperimentConfig) -> int:
+    """Estimated bytes ``run`` holds, 512·R·(T+1)·M at R = run.rollouts and
+    T = run.steps: it keeps every rollout's T + 1 records until it writes
+    trajectories.csv, one line per record and agent, from text built in
+    memory.  Measured: 408 bytes per record and agent under the nominal
+    controller (collision M = 3 and 8, spring) and 473 under the switching
+    one (collision M = 3).  A sweep holds one rollout at a time, its records
+    and per-step lists, 279 bytes per record and agent measured, so this
+    bound covers it too."""
+    return 512 * cfg.rollouts * (cfg.steps + 1) * cfg.agents
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -351,10 +364,15 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     except ContractViolationError as exc:
         bad(str(exc))
     certify_bytes = _certify_pass_bytes(cfg)
-    if certify_bytes > _MAX_CERTIFY_BYTES:
+    if certify_bytes > _MAX_HELD_BYTES:
         bad(f"certify.samples = {cfg.certify_samples} would hold about "
             f"{certify_bytes / 1e6:.0f} MB in one certify pass, over the memory bound "
-            f"of {_MAX_CERTIFY_BYTES / 2**30:g} GiB; lower certify.samples")
+            f"of {_MAX_HELD_BYTES / 2**30:g} GiB; lower certify.samples")
+    rollout_bytes = _rollout_bytes(cfg)
+    if rollout_bytes > _MAX_HELD_BYTES:
+        bad(f"run.rollouts = {cfg.rollouts} x run.steps = {cfg.steps} would hold about "
+            f"{rollout_bytes / 1e6:.0f} MB of rollout records, over the memory bound "
+            f"of {_MAX_HELD_BYTES / 2**30:g} GiB; lower run.steps or run.rollouts")
     if _filter_block_pairs(cfg) > _MAX_BLOCK_PAIRS:
         bad(f"one {cfg.controller} filter solve would evaluate more than the work bound "
             f"of {_MAX_BLOCK_PAIRS} (row, sample) pairs; lower filter.grid, "

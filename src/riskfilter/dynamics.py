@@ -123,9 +123,6 @@ class MasModel:
     def is_safe(self, x: np.ndarray) -> bool:
         return self.safe_fn(self.validate_state(x))
 
-    def cost(self, x: np.ndarray) -> float:
-        return float(self.cost_fn(self.validate_state(x)))
-
     def reward(self, x: np.ndarray, u) -> float:
         """Regulation reward exp(-||u||^2_Wu - sum_i ||x_i - x_ref||^2_Wxi) in (0, 1],
         for the joint-action row ``u``; ||u||^2 sums the agents' u_i @ u_i in

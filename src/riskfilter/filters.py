@@ -16,14 +16,15 @@ Four variants:
 * ``centralized_filter``   - joint minimization over all agents' actions;
   returns a joint row.
 * ``pessimistic_filter``   - per-agent; the condition must survive the worst
-  grid combination of all other agents' actions.  Per-agent outcomes hold
-  the agent's own columns of the row.  Infeasibility is an expected
-  outcome, not a fault.
+  grid combination of all other agents' actions.  One call solves for a
+  step's agents, each under its own draw, and returns their outcomes in
+  agent order; each holds the agent's own columns of the row.
+  Infeasibility is an expected outcome, not a fault.
 * ``proximity_filter``     - per-agent closed-form projection of the nominal
   action onto a ball around the safe policy's action; always feasible.
-* ``switching_filter``     - pessimistic when feasible, proximity (justified
-  by its radius, so no margin is evaluated) otherwise; well-defined
-  everywhere the barrier is nonnegative.
+* ``switching_filter``     - per agent, pessimistic when feasible, proximity
+  (justified by its radius, so no margin is evaluated) otherwise;
+  well-defined everywhere the barrier is nonnegative.
 
 Continuous minimization is approximated by a distance-ordered grid search
 (both benchmark presets have one action dimension per agent), with the
@@ -31,15 +32,18 @@ nominal action always tried first, so whenever the nominal action is
 feasible it is returned unchanged.
 
 Every margin comes from one kernel, ``_margins``, which evaluates the
-barrier only on successor states, over blocks of flat joint-action rows:
-one per pass of the pessimistic search, which stops trying a candidate
-once a combo fails it, and one per centralized solve,
-of the candidates that survive ``_screen``: at S > 1 every candidate is
-first evaluated at sample 0 alone, and one that cannot clear the
-tolerance by the entropic operator's one-sample bound is dropped.  The
-filters share one state, draw and h(x) across a block;
-``guarantees.certify_grid`` sends one row per sampled state, each with
-its own state, draw and h(x), through the same kernel.
+barrier only on successor states, over blocks of flat joint-action rows.
+The pessimistic search stops trying a candidate once a combo fails it,
+and runs every agent's search in rounds: each round packs the open
+searches' next passes, whole and in agent order, into kernel calls of at
+most one pass of rows, with per-row draws when a call holds several
+agents' rows.  The centralized filter sends one block per solve, of the
+candidates that survive ``_screen``: at S > 1 every candidate is first
+evaluated at sample 0 alone, and one that cannot clear the tolerance by
+the entropic operator's one-sample bound is dropped.  The filters share
+one state and h(x) across a block; ``guarantees.certify_grid`` sends one
+row per sampled state, each with its own state, draw and h(x), through
+the same kernel.
 """
 
 from __future__ import annotations
@@ -123,7 +127,8 @@ class FilterOutcome:
     """Result of one filter solve.
 
     ``action`` is the solving agent's columns of the joint-action row for
-    the per-agent filters and a copy of the full joint row for the
+    the per-agent filters, whose outcomes come in the order of the agents
+    they were asked for, and a copy of the full joint row for the
     centralized one.  ``feasible`` records whether the worst-case
     (pessimistic) branch admitted a solution; ``margin`` is the achieved
     risk margin at the chosen action (the worst case over the others' grid
@@ -134,7 +139,6 @@ class FilterOutcome:
     branch: Branch
     feasible: bool
     margin: float | None
-    agent: int | None = None
 
 
 def draw_risk_samples(model: MasModel, n_samples: int, seed) -> tuple:
@@ -356,54 +360,127 @@ def centralized_filter(
                          feasible=True, margin=float(margins[i]))
 
 
+class _Search:
+    """One agent's worst-case search: its candidates still in the running,
+    nearest to its nominal action first, their running minimum margins, and
+    how many of the other agents' grid combos they have met."""
+
+    def __init__(self, model: MasModel, agent: int, nominal: np.ndarray, cfg: FilterConfig,
+                 budget: int):
+        if model.action_dims[agent] == 0:
+            raise ContractViolationError(f"agent {agent} is unactuated")
+        self.cands = _ordered_candidates(nominal[model.agent_columns(agent)], cfg,
+                                         model.action_low, model.action_high)
+        self.own, self.combos = _other_grid(model, agent, cfg)
+        self.budget, self.tolerance = budget, cfg.tolerance
+        self.worst = np.inf
+        self.done = 0
+
+    def block(self) -> np.ndarray:
+        """The next pass's rows: the candidates × the next combos, all that
+        remain when they fit the budget, else as many as fit, except that a
+        first pass which cannot hold every combo is a probe of combo 0."""
+        probe = self.done == 0 and len(self.cands) * len(self.combos) > self.budget
+        take = 1 if probe else max(1, self.budget // len(self.cands))
+        return _against(self.own, self.cands, self.combos[self.done:self.done + take])
+
+    def meet(self, margins: np.ndarray) -> bool:
+        """Fold in the margins of ``block``'s rows and drop every candidate a
+        combo failed; True while the search is still open."""
+        margins = margins.reshape(len(self.cands), -1)
+        self.worst = np.minimum(self.worst, margins.min(axis=1))
+        keep = self.worst >= self.tolerance
+        self.cands, self.worst = self.cands[keep], self.worst[keep]
+        self.done += margins.shape[1]
+        return bool(keep.any()) and self.done < len(self.combos)
+
+    def outcome(self) -> FilterOutcome | None:
+        if not len(self.cands):
+            return None
+        return FilterOutcome(action=self.cands[0], branch=Branch.PESSIMISTIC,
+                             feasible=True, margin=float(self.worst[0]))
+
+
+def _packs(sizes: list, budget: int) -> list:
+    """Consecutive runs of blocks, in order, whose rows fit one pass of
+    ``budget`` rows together; a larger block runs alone."""
+    packs, rows = [], 0
+    for i, n in enumerate(sizes):
+        if not packs or rows + n > budget:
+            packs.append([])
+            rows = 0
+        packs[-1].append(i)
+        rows += n
+    return packs
+
+
 def pessimistic_filter(
     model: MasModel,
     barrier: Barrier,
-    agent: int,
+    agents,
     x,
     nominal,
     cfg: FilterConfig,
-    samples: tuple,
+    samples,
     h_now: float,
-) -> FilterOutcome | None:
-    """Per-agent worst-case filter around ``agent``'s columns of the joint
-    row ``nominal``.
+) -> list:
+    """Per-agent worst-case filters of ``agents`` around their columns of
+    the joint row ``nominal``; agent ``agents[k]`` solves under its own
+    draw ``samples[k]``.  Returns one outcome per agent, in that order.
 
     Each candidate u_i (nominal first, then the grid in ascending
     distance to nominal) must clear the tolerance on every grid
-    combination of the other actuated agents' actions, under ``samples``.
-    Each pass pairs the surviving candidates with the next combos in grid
-    order in one kernel call and drops every candidate that a combo
-    failed.  A pass takes as many combos as fit _PASS_PAIRS (row, sample)
-    pairs, all of them when they fit, except that a first pass which
-    cannot hold every combo pairs the candidates with combo 0 alone: on
-    hopeless solves every candidate fails there, and that one pass of C
-    rows settles them.  A survivor meets every combo, so the result is
-    the full scan's: the nearest candidate whose worst-case margin clears
-    the tolerance, with that margin, or None: infeasibility is an
-    expected outcome near the constraint boundary, not a fault.
+    combination of the other actuated agents' actions, under the agent's
+    draw.  Each pass pairs the surviving candidates with the next combos
+    in grid order and drops every candidate that a combo failed.  A pass
+    takes as many combos as fit _PASS_PAIRS (row, sample) pairs, all of
+    them when they fit, except that a first pass which cannot hold every
+    combo pairs the candidates with combo 0 alone: on hopeless solves
+    every candidate fails there, and that one pass of C rows settles them.
+    A survivor meets every combo, so the result is the full scan's: the
+    nearest candidate whose worst-case margin clears the tolerance, with
+    that margin, or None: infeasibility is an expected outcome near the
+    constraint boundary, not a fault.
+
+    The agents search in rounds.  A round takes every open search's next
+    pass and packs whole passes, in agent order, into kernel calls of at
+    most one pass of rows.  A call of one agent's rows goes in with its
+    draw as it is; a packed call takes each row's draw from its agent.
+    A margin has the same bits in any block, so each agent's passes and
+    outcome are those of its search alone.
     """
-    if model.action_dims[agent] == 0:
-        raise ContractViolationError(f"agent {agent} is unactuated")
+    n_samples = {len(thetas) for thetas, _ in samples}
+    if len(samples) != len(agents) or len(n_samples) > 1:
+        raise ContractViolationError(
+            "pessimistic_filter needs one draw per agent, all of one sample count")
     x = model.validate_state(x)
-    cands = _ordered_candidates(model.validate_action(nominal)[model.agent_columns(agent)],
-                                cfg, model.action_low, model.action_high)
-    own, combos = _other_grid(model, agent, cfg)
-    budget = _PASS_PAIRS // len(samples[0])         # rows in one kernel pass
-    worst = np.inf
-    done = 0
-    while done < len(combos):
-        probe = done == 0 and len(cands) * len(combos) > budget
-        block = combos[done:done + (1 if probe else max(1, budget // len(cands)))]
-        margins = _margins(model, barrier, x, cfg, samples, h_now, _against(own, cands, block))
-        worst = np.minimum(worst, margins.reshape(len(cands), -1).min(axis=1))
-        keep = worst >= cfg.tolerance
-        if not keep.any():
-            return None
-        cands, worst = cands[keep], worst[keep]
-        done += len(block)
-    return FilterOutcome(action=cands[0], branch=Branch.PESSIMISTIC,
-                         feasible=True, margin=float(worst[0]), agent=agent)
+    nominal = model.validate_action(nominal)
+    budget = _PASS_PAIRS // max(n_samples, default=1)     # rows in one kernel pass
+    searches = [_Search(model, agent, nominal, cfg, budget) for agent in agents]
+    stacked = None      # (thetas (K, S), noises (K, S, M, d_x)), once a call packs
+    live = list(range(len(searches)))
+    while live:
+        blocks = [searches[k].block() for k in live]
+        still = []
+        for pack in _packs([len(rows) for rows in blocks], budget):
+            if len(pack) == 1:
+                rows, draw = blocks[pack[0]], samples[live[pack[0]]]
+            else:
+                if stacked is None:
+                    stacked = (np.array([t for t, _ in samples]),
+                               np.array([w for _, w in samples]))
+                rows = np.concatenate([blocks[i] for i in pack])
+                owner = np.repeat([live[i] for i in pack], [len(blocks[i]) for i in pack])
+                draw = (stacked[0][owner], stacked[1][owner])
+            margins = _margins(model, barrier, x, cfg, draw, h_now, rows)
+            start = 0
+            for i in pack:
+                n = len(blocks[i])
+                if searches[live[i]].meet(margins[start:start + n]):
+                    still.append(live[i])
+                start += n
+        live = still
+    return [search.outcome() for search in searches]
 
 
 def proximity_radius(model: MasModel, cfg: FilterConfig, h_now: float) -> float:
@@ -463,24 +540,26 @@ def proximity_filter(
 def switching_filter(
     model: MasModel,
     barrier: Barrier,
-    agent: int,
+    agents,
     x,
     nominal,
     safe,
     cfg: FilterConfig,
-    samples: tuple,
+    samples,
     h_now: float,
-) -> FilterOutcome:
-    """Pessimistic action when feasible, proximity action otherwise.
+) -> list:
+    """Per agent of ``agents``, the pessimistic action when feasible, the
+    proximity action otherwise; one outcome per agent, in that order.
 
     Well-defined for every state with a nonnegative barrier value; the
-    branch flag records which path produced the action.  The proximity
-    action is justified by its radius, not by a margin check, so it
-    carries ``margin=None`` and adds no rows to the pessimistic search's.
+    branch flag records which path produced the action.  One
+    ``pessimistic_filter`` call searches for every agent, each under its
+    own draw ``samples[k]``.  The proximity action is justified by its
+    radius, not by a margin check, so it carries ``margin=None`` and adds
+    no rows to the search's.
     """
-    out = pessimistic_filter(model, barrier, agent, x, nominal, cfg, samples, h_now)
-    if out is not None:
-        return out
-    u = proximity_filter(model, agent, nominal, safe, cfg, h_now)
-    return FilterOutcome(action=u, branch=Branch.PROXIMITY,
-                         feasible=False, margin=None, agent=agent)
+    outs = pessimistic_filter(model, barrier, agents, x, nominal, cfg, samples, h_now)
+    return [out if out is not None else
+            FilterOutcome(action=proximity_filter(model, agent, nominal, safe, cfg, h_now),
+                          branch=Branch.PROXIMITY, feasible=False, margin=None)
+            for agent, out in zip(agents, outs)]

@@ -3,13 +3,17 @@
 Seeding scheme: rollout i of a batch uses seed ``base + i``; within a
 rollout the coupling parameter is drawn once (it is resampled per
 rollout, not per step) and process noise fresh per step, while each
-filter solve draws its samples from (rollout seed, step, agent), and
-every solve of a step shares its one nominal and one safe policy call.
+agent's filter solve draws its samples from (rollout seed, step, agent),
+and every solve of a step shares its one nominal and one safe policy
+call.  The switching controller makes one ``switching_filter`` call per
+step, which searches for every actuated agent together, each under its
+own draw.
 A joint action is one flat (A,) row from policy to filter to transition;
 a record splits it into per-agent vectors only on access.
 This reproduces every byte of output from (config, base seed) while
-keeping the per-agent solves independent, mirroring the setting where
-agents share state but cannot coordinate actions.
+keeping the per-agent solves independent (an agent's outcome does not
+depend on which other agents share its call), mirroring the setting
+where agents share state but cannot coordinate actions.
 """
 
 from __future__ import annotations
@@ -70,14 +74,16 @@ class SwitchingController:
     def act(self, model: MasModel, x, rollout_seed: int, step: int) -> StepDecision:
         h_now = float(self.barrier.value(model.flatten_state(model.validate_state(x))))
         nominal, safe = self.nominal(x), self.safe(x)
+        agents = model.actuated_agents
+        samples = [draw_risk_samples(model, self.cfg.n_samples,
+                                     np.random.SeedSequence([rollout_seed, step, agent]))
+                   for agent in agents]
+        outs = switching_filter(model, self.barrier, agents, x, nominal, safe, self.cfg,
+                                samples, h_now)
         action = model.zero_action()
         branches = [""] * model.n_agents
         feasible = [True] * model.n_agents
-        for agent in model.actuated_agents:
-            samples = draw_risk_samples(model, self.cfg.n_samples,
-                                        np.random.SeedSequence([rollout_seed, step, agent]))
-            out = switching_filter(model, self.barrier, agent, x, nominal, safe, self.cfg,
-                                   samples, h_now)
+        for agent, out in zip(agents, outs):
             action[model.agent_columns(agent)] = out.action
             branches[agent] = out.branch.value
             feasible[agent] = out.feasible
@@ -243,7 +249,6 @@ class Metrics:
     mse: float
     cumulative_reward: float
     feasibility_rate: float | None
-    per_agent_feasibility: tuple | None
     branch_usage: dict
 
 
@@ -261,14 +266,12 @@ def compute_metrics(records, model: MasModel) -> Metrics:
     cum_reward = float(np.mean([r.rewards.sum() for r in records]))
 
     feas_rate = None
-    per_agent = None
     usage: Counter = Counter()
     filtered = [r for r in records if r.branches is not None]
     if filtered:
         actuated = model.actuated_agents
         flags = np.concatenate([r.feasible[:, actuated] for r in filtered], axis=0)
         feas_rate = float(flags.mean()) if flags.size else 1.0
-        per_agent = tuple(float(v) for v in flags.mean(axis=0)) if flags.size else ()
         for r in filtered:
             usage.update(r.branches[:, actuated].ravel().tolist())
     return Metrics(
@@ -277,7 +280,6 @@ def compute_metrics(records, model: MasModel) -> Metrics:
         mse=mse,
         cumulative_reward=cum_reward,
         feasibility_rate=feas_rate,
-        per_agent_feasibility=per_agent,
         branch_usage=dict(usage),
     )
 

@@ -20,6 +20,7 @@ V_hat, not a high-capacity fit.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,8 +235,11 @@ class ValueModel:
     def predict(self, x) -> float | np.ndarray:
         """V_hat over the last axis of x (..., input_dim): a float for one flat
         state, an array of the leading shape for a stack.  Each layer is one
-        ``@`` on the stack as given, so every (S, input_dim) slice gets the
+        matmul on the stack as given, so every (S, input_dim) slice gets the
         bits of its own 2-D call; the filters rely on this (never flatten).
+        A stack of at most _BUFFER_ROWS rows writes its hidden layers into
+        the calling thread's two reused buffers, alternately; the result is
+        always a new array.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.input_dim:
@@ -243,13 +247,39 @@ class ValueModel:
                 f"input shape {x.shape} does not match input dimension {self.input_dim}"
             )
         z = (np.atleast_2d(x) - self.x_mean) / self.x_scale
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = z @ w
+        rows = z.size // self.input_dim
+        buffers = (_hidden_buffers(max(self.layer_sizes[1:-1], default=0))
+                   if rows <= _BUFFER_ROWS else None)
+        for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
+            out = (None if buffers is None else
+                   buffers[i % 2][:rows * w.shape[1]].reshape(z.shape[:-1] + w.shape[1:]))
+            z = np.matmul(z, w, out=out)
             z += b  # in place: same bits, fewer live activation arrays
             np.tanh(z, out=z)
         out = (z @ self.weights[-1] + self.biases[-1])[..., 0]
         out = np.maximum(out * self.y_scale + self.y_mean, 0.0)
         return float(out[0]) if x.ndim == 1 else out
+
+
+# Rows of the largest stack whose hidden activations go to reused buffers;
+# every kernel, screen and certify pass at the defaults has at most 640.
+# A fresh activation array over glibc's 128 KiB mmap threshold is mapped
+# and unmapped again on each call or not, depending on the heap's history,
+# and each mapping faults its pages in anew: a certify call took thousands
+# of page faults, and its time moved by a third between runs of the same code.
+_BUFFER_ROWS = 1024
+_thread_buffers = threading.local()
+
+
+def _hidden_buffers(width: int) -> tuple:
+    """The calling thread's two flat buffers of _BUFFER_ROWS * width floats
+    or more.  Each thread has its own, so concurrent ``predict`` calls never
+    share one, and ``predict`` calls nothing that could re-enter it."""
+    pair = getattr(_thread_buffers, "pair", None)
+    if pair is None or pair[0].size < _BUFFER_ROWS * width:
+        pair = _thread_buffers.pair = (np.empty(_BUFFER_ROWS * width),
+                                       np.empty(_BUFFER_ROWS * width))
+    return pair
 
 
 def _layer_views(flat: np.ndarray, sizes: tuple) -> tuple:
@@ -388,6 +418,3 @@ class Barrier:
 
     def value(self, x) -> float | np.ndarray:
         return self.xi - self.value_model.predict(x)
-
-    def in_sublevel(self, x) -> bool:
-        return bool(self.value(x) >= 0.0)

@@ -114,8 +114,8 @@ def test_criterion_3_worst_case_grid_property(spring_setup):
         for agent in s.model.actuated_agents:
             samples = draw_risk_samples(s.model, cfg.n_samples, 10_000 + 7 * idx + agent)
             h_now = h_of(s.model, s.barrier, x)
-            out = pessimistic_filter(s.model, s.barrier, agent, x, s.nominal(x), cfg, samples,
-                                     h_now)
+            out = pessimistic_filter(s.model, s.barrier, [agent], x, s.nominal(x), cfg, [samples],
+                                     h_now)[0]
             if out is None:
                 continue
             n_feasible += 1
@@ -179,9 +179,9 @@ def _fuzz_switching(setup, n_states: int, cfg: FilterConfig, seed: int):
     for idx, x in enumerate(states):
         agent = agents[idx % len(agents)]
         nominal, safe = setup.nominal(x), setup.safe(x)
-        out = switching_filter(setup.model, setup.barrier, agent, x, nominal, safe, cfg,
-                               draw_risk_samples(setup.model, cfg.n_samples, 50_000 + idx),
-                               h_of(setup.model, setup.barrier, x))
+        out = switching_filter(setup.model, setup.barrier, [agent], x, nominal, safe, cfg,
+                               [draw_risk_samples(setup.model, cfg.n_samples, 50_000 + idx)],
+                               h_of(setup.model, setup.barrier, x))[0]
         assert out.action is not None
         assert np.all(np.isfinite(np.asarray(out.action, dtype=float)))
         assert out.branch in (Branch.PESSIMISTIC, Branch.PROXIMITY)
@@ -215,8 +215,8 @@ def test_criterion_5_switching_well_defined(spring_setup, collision_setup):
     rng = np.random.default_rng(9)
     for i in range(10_000):
         x = rng.normal(size=(2, 2))
-        out = switching_filter(static, barrier, i % 2, x, nominal, safe, static_cfg,
-                               draw_risk_samples(static, static_cfg.n_samples, i), 1.0)
+        out = switching_filter(static, barrier, [i % 2], x, nominal, safe, static_cfg,
+                               [draw_risk_samples(static, static_cfg.n_samples, i)], 1.0)[0]
         assert out.branch is Branch.PESSIMISTIC
     report(5, "switching filter well-defined on 2x10^4 fuzzed states; "
               "eps=10 all-proximity; static all-pessimistic")

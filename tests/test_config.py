@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -10,7 +11,9 @@ import pytest
 
 from riskfilter import ConfigError, ExperimentConfig, config_with, parse_config, serialize_config
 from riskfilter import cli
-from riskfilter.config import _certify_pass_bytes
+from riskfilter.config import _certify_pass_bytes, _rollout_bytes
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParse:
@@ -203,6 +206,29 @@ class TestValidation:
         assert exited.value.code == 1
         assert "memory bound" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rollout_memory_bound(self):
+        # run keeps rollouts·(steps+1) records and the trajectories.csv text,
+        # about 512 bytes per record and agent, under the same 1 GiB bound.
+        text = "run.controller = nominal\nrun.rollouts = {}\nrun.steps = {}\n"
+        assert _rollout_bytes(parse_config(text.format(20, 200))) == 512 * 20 * 201 * 3
+        assert parse_config(text.format(1, 600_000)).steps == 600_000
+        for rollouts, steps in ((1, 10**12), (1, 800_000), (10**4, 100)):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text.format(rollouts, steps))
+            assert err.value.code == "invalid-value" and "run.steps" in str(err.value)
+
+    def test_shipped_and_benchmark_configs_accepted(self):
+        # The defaults of both presets, every benchmark workload and every
+        # config tools/output_digests.py hashes stay inside every bound.
+        spec = importlib.util.spec_from_file_location("output_digests",
+                                                      ROOT / "tools" / "output_digests.py")
+        digests = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digests)
+        texts = ["", "run.preset = collision\n"] + [t for t, _ in digests.CONFIGS.values()]
+        assert len(texts) > 6
+        for text in texts:
+            parse_config(text)
 
 
 class TestSerialize:

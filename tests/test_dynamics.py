@@ -218,42 +218,42 @@ class TestSafeSet:
             x = rng.normal(size=(3, 2))
             perm = rng.permutation(3)
             assert m.is_safe(x) == m.is_safe(x[perm])
-            assert m.cost(x) == pytest.approx(m.cost(x[perm]), abs=1e-12)
+            assert m.cost_fn(x) == pytest.approx(m.cost_fn(x[perm]), abs=1e-12)
 
 
 class TestCost:
     def test_spring_origin_negligible(self):
         m = make_model("spring")
-        assert m.cost(np.zeros((3, 2))) < 1e-12
+        assert m.cost_fn(np.zeros((3, 2))) < 1e-12
 
     def test_spring_boundary_half(self):
         m = make_model("spring")
         x = np.array([[2.0, 0], [2.0, 0], [2.0, 0]])
-        assert m.cost(x) == pytest.approx(0.5, abs=1e-12)
+        assert m.cost_fn(x) == pytest.approx(0.5, abs=1e-12)
 
     def test_collision_coincident(self):
         m = make_model("collision", n_agents=2)
         expected = 1.0 / (1.0 + math.exp(-0.4))
-        assert m.cost(np.zeros((2, 2))) == pytest.approx(expected, abs=1e-12)
+        assert m.cost_fn(np.zeros((2, 2))) == pytest.approx(expected, abs=1e-12)
 
     def test_cost_bounded_unit_interval(self):
         rng = np.random.default_rng(4)
         for m in (make_model("spring"), make_model("collision", n_agents=3)):
             for _ in range(200):
-                c = m.cost(rng.normal(scale=3.0, size=(m.n_agents, 2)))
+                c = m.cost_fn(rng.normal(scale=3.0, size=(m.n_agents, 2)))
                 assert 0.0 <= c <= 1.0
 
     def test_cost_reflects_violating_agents(self):
         # An agent far past the margin contributes nearly its full 1/M share.
         m = make_model("spring")
         x = np.array([[3.0, 0], [0.0, 0], [0.0, 0]])
-        assert m.cost(x) > 0.5 / 3
+        assert m.cost_fn(x) > 0.5 / 3
         x2 = np.array([[3.0, 0], [-3.0, 0], [0.0, 0]])
-        assert m.cost(x2) > 2 * 0.5 / 3
+        assert m.cost_fn(x2) > 2 * 0.5 / 3
 
     def test_no_overflow_far_outside(self):
         m = make_model("spring")
-        c = m.cost(np.array([[50.0, 0], [-50.0, 0], [0.0, 0]]))
+        c = m.cost_fn(np.array([[50.0, 0], [-50.0, 0], [0.0, 0]]))
         assert np.isfinite(c)
 
 

@@ -308,13 +308,22 @@ class TestCli:
         "certify.samples = 10000001\n",                 # about 12 GB in one certify pass
     ])
     def test_work_bound_exit_1_before_work(self, tmp_path, text):
+        bound = "memory bound" if text.startswith("certify") else "work bound"
+        self.assert_rejected_before_work(tmp_path, "train-value", text, bound)
+
+    def test_run_memory_bound_exit_1_before_work(self, tmp_path):
+        # 10^12 steps of records: rollout's np.empty raised a raw
+        # ArrayMemoryError ("Unable to allocate 14.6 TiB").
+        text = "run.controller = nominal\nrun.steps = 1000000000000\nrun.rollouts = 1\n"
+        self.assert_rejected_before_work(tmp_path, "run", text, "memory bound")
+
+    def assert_rejected_before_work(self, tmp_path, command, text, bound):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(FAST + text)
         out = tmp_path / "out"
-        proc = self.run_cli("train-value", "--config", str(cfg), "--out", str(out))
+        proc = self.run_cli(command, "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 1
         assert "configuration error [invalid-value]" in proc.stderr
-        bound = "memory bound" if text.startswith("certify") else "work bound"
         assert bound in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()

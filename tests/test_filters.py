@@ -17,6 +17,7 @@ from riskfilter import (
     ContractViolationError,
     FilterConfig,
     GuaranteeDomainError,
+    SwitchingController,
     centralized_filter,
     check_condition,
     draw_risk_samples,
@@ -36,6 +37,35 @@ from riskfilter.filters import (
     _other_grid,
     _screen,
 )
+
+
+def _first_feasible(cands, score, tolerance):
+    """(the first candidate whose score clears the tolerance, its score), or None."""
+    for cand in cands:
+        if score(cand) >= tolerance:
+            return cand, score(cand)
+    return None
+
+
+def _pessimistic_loop(model, barrier, agent, x, nominal, cfg, samples, h_now):
+    """Reference: ``agent``'s worst-case search as the plain per-candidate,
+    per-combo ``check_condition`` loop, for one action dimension per agent;
+    (action, worst-case margin) or None."""
+    axis = np.linspace(model.action_low, model.action_high, cfg.grid_size)
+    cols = model.agent_columns(agent)
+    others = [j for j in range(len(nominal)) if not cols.start <= j < cols.stop]
+    own = nominal[cols]
+    cands = sorted([own] + [np.array([g]) for g in axis], key=lambda c: np.sum((c - own) ** 2))
+
+    def worst(cand):
+        margins = []
+        for combo in itertools.product(axis, repeat=len(others)):
+            u = np.empty(len(nominal))
+            u[cols], u[others] = cand, combo
+            margins.append(check_condition(model, barrier, x, u, cfg, samples, h_now)[1])
+        return min(margins)
+
+    return _first_feasible(cands, worst, cfg.tolerance)
 
 
 def worst_case_margin(model, barrier, agent, action, x, cfg, samples, h_now) -> float:
@@ -168,8 +198,8 @@ class TestPessimistic:
     def test_static_returns_nominal(self, static_model, unit_barrier):
         nom = np.array([0.25, 0.5])
         cfg = FilterConfig()
-        out = pessimistic_filter(static_model, unit_barrier, 0, np.zeros((2, 2)), nom, cfg,
-                                 draw_risk_samples(static_model, cfg.n_samples, 0), 1.0)
+        out = pessimistic_filter(static_model, unit_barrier, [0], np.zeros((2, 2)), nom, cfg,
+                                 [draw_risk_samples(static_model, cfg.n_samples, 0)], 1.0)[0]
         assert out is not None
         assert out.branch is Branch.PESSIMISTIC
         assert out.action[0] == 0.25
@@ -177,9 +207,9 @@ class TestPessimistic:
 
     def test_large_epsilon_infeasible(self, static_model, unit_barrier):
         cfg = FilterConfig(epsilon=10.0)
-        out = pessimistic_filter(static_model, unit_barrier, 0, np.zeros((2, 2)),
+        out = pessimistic_filter(static_model, unit_barrier, [0], np.zeros((2, 2)),
                                  static_model.zero_action(), cfg,
-                                 draw_risk_samples(static_model, cfg.n_samples, 0), 1.0)
+                                 [draw_risk_samples(static_model, cfg.n_samples, 0)], 1.0)[0]
         assert out is None
 
     def test_unactuated_agent_rejected(self):
@@ -187,8 +217,18 @@ class TestPessimistic:
         b = Barrier(ConstantValue(0.0), 1.0)
         cfg = FilterConfig()
         with pytest.raises(ContractViolationError):
-            pessimistic_filter(m, b, 2, np.zeros((3, 2)), m.zero_action(), cfg,
-                               draw_risk_samples(m, cfg.n_samples, 0), 1.0)
+            pessimistic_filter(m, b, [2], np.zeros((3, 2)), m.zero_action(), cfg,
+                               [draw_risk_samples(m, cfg.n_samples, 0)], 1.0)[0]
+
+    def test_one_draw_per_agent_required(self):
+        m = make_model("collision", n_agents=2)
+        b = Barrier(QuadraticValue(0.5), 2.0)
+        cfg = FilterConfig()
+        for draws in ([draw_risk_samples(m, 5, 0)],
+                      [draw_risk_samples(m, 5, 0), draw_risk_samples(m, 4, 1)]):
+            with pytest.raises(ContractViolationError):
+                pessimistic_filter(m, b, [0, 1], np.zeros((2, 2)), m.zero_action(), cfg, draws,
+                                   2.0)
 
     def test_nominal_of_wrong_dimension_rejected(self):
         m = make_model("collision", n_agents=2)
@@ -196,8 +236,8 @@ class TestPessimistic:
         nom = np.array([0.1, 0.2, 0.0])
         cfg = FilterConfig()
         with pytest.raises(ContractViolationError):
-            pessimistic_filter(m, b, 0, np.zeros((2, 2)), nom, cfg,
-                               draw_risk_samples(m, cfg.n_samples, 0), 2.0)
+            pessimistic_filter(m, b, [0], np.zeros((2, 2)), nom, cfg,
+                               [draw_risk_samples(m, cfg.n_samples, 0)], 2.0)[0]
 
     def test_single_agent_equals_centralized(self):
         # With M = 1 the inner minimum is empty: same grid, same shared
@@ -214,7 +254,7 @@ class TestPessimistic:
         for seed in range(10):
             x = rng.uniform(-1, 1, size=(1, 2))
             samples = draw_risk_samples(m, cfg.n_samples, seed)
-            pes = pessimistic_filter(m, b, 0, x, nom, cfg, samples, h_of(m, b, x))
+            pes = pessimistic_filter(m, b, [0], x, nom, cfg, [samples], h_of(m, b, x))[0]
             cen = centralized_filter(m, b, x, nom, cfg, samples, h_of(m, b, x))
             assert (pes is None) == (cen is None)
             if pes is not None:
@@ -231,8 +271,8 @@ class TestPessimistic:
         for agent in (0, 1):
             samples = draw_risk_samples(s.model, cfg.n_samples, 13)
             h_now = h_of(s.model, s.barrier, x)
-            out = pessimistic_filter(s.model, s.barrier, agent, x, s.nominal(x), cfg, samples,
-                                     h_now)
+            out = pessimistic_filter(s.model, s.barrier, [agent], x, s.nominal(x), cfg, [samples],
+                                     h_now)[0]
             if out is None:
                 continue
             for g in np.linspace(-1, 1, cfg.grid_size):
@@ -311,20 +351,20 @@ class TestSwitching:
         nom = np.array([0.2, 0.1])
         cfg = FilterConfig()
         samples = draw_risk_samples(static_model, cfg.n_samples, 4)
-        out = switching_filter(static_model, unit_barrier, 0, np.zeros((2, 2)),
-                               nom, static_model.zero_action(), cfg, samples, 1.0)
+        out = switching_filter(static_model, unit_barrier, [0], np.zeros((2, 2)),
+                               nom, static_model.zero_action(), cfg, [samples], 1.0)[0]
         assert out.branch is Branch.PESSIMISTIC
         assert out.feasible
-        pes = pessimistic_filter(static_model, unit_barrier, 0, np.zeros((2, 2)),
-                                 nom, cfg, samples, 1.0)
+        pes = pessimistic_filter(static_model, unit_barrier, [0], np.zeros((2, 2)),
+                                 nom, cfg, [samples], 1.0)[0]
         assert np.array_equal(out.action, pes.action)
 
     def test_forced_proximity_branch(self, static_model, unit_barrier):
         nom = np.array([0.9, 0.0])
         safe = np.array([0.1, 0.0])
         cfg = FilterConfig(epsilon=10.0, radius=0.05)
-        out = switching_filter(static_model, unit_barrier, 0, np.zeros((2, 2)), nom, safe,
-                               cfg, draw_risk_samples(static_model, cfg.n_samples, 4), 1.0)
+        out = switching_filter(static_model, unit_barrier, [0], np.zeros((2, 2)), nom, safe,
+                               cfg, [draw_risk_samples(static_model, cfg.n_samples, 4)], 1.0)[0]
         assert out.branch is Branch.PROXIMITY
         assert not out.feasible
         expected = proximity_filter(static_model, 0, nom, safe, cfg, 1.0)
@@ -337,12 +377,12 @@ class TestSwitching:
         x = np.array([[1.5, 1.0], [1.2, 0.5], [0.8, 0.2]])
         cfg = FilterConfig(grid_size=5)
         nominal, safe = s.nominal(x), s.safe(x)
-        a = switching_filter(s.model, s.barrier, 0, x, nominal, safe, cfg,
-                             draw_risk_samples(s.model, cfg.n_samples, 6),
-                             h_of(s.model, s.barrier, x))
-        b = switching_filter(s.model, s.barrier, 0, x, nominal, safe, cfg,
-                             draw_risk_samples(s.model, cfg.n_samples, 6),
-                             h_of(s.model, s.barrier, x))
+        a = switching_filter(s.model, s.barrier, [0], x, nominal, safe, cfg,
+                             [draw_risk_samples(s.model, cfg.n_samples, 6)],
+                             h_of(s.model, s.barrier, x))[0]
+        b = switching_filter(s.model, s.barrier, [0], x, nominal, safe, cfg,
+                             [draw_risk_samples(s.model, cfg.n_samples, 6)],
+                             h_of(s.model, s.barrier, x))[0]
         assert a.branch == b.branch
         assert a.feasible == b.feasible
         assert a.margin == b.margin
@@ -353,9 +393,9 @@ class TestSwitching:
         cfg = FilterConfig(epsilon=10.0, radius=0.05, grid_size=3)
         x = np.zeros((3, 2))
         nominal, safe = s.nominal(x), s.safe(x)
-        out = switching_filter(s.model, s.barrier, 0, x, nominal, safe, cfg,
-                               draw_risk_samples(s.model, cfg.n_samples, 1),
-                               h_of(s.model, s.barrier, x))
+        out = switching_filter(s.model, s.barrier, [0], x, nominal, safe, cfg,
+                               [draw_risk_samples(s.model, cfg.n_samples, 1)],
+                               h_of(s.model, s.barrier, x))[0]
         assert out.branch is Branch.PROXIMITY
         u_safe = safe[s.model.agent_columns(0)]
         assert np.linalg.norm(out.action - u_safe) <= cfg.radius + 1e-12
@@ -372,7 +412,7 @@ class TestThreeAgentAdversaries:
         cfg = FilterConfig(grid_size=3, n_samples=3)
         samples = draw_risk_samples(m, cfg.n_samples, 5)
         h_now = h_of(m, b, x)
-        out = pessimistic_filter(m, b, 0, x, nom, cfg, samples, h_now)
+        out = pessimistic_filter(m, b, [0], x, nom, cfg, [samples], h_now)[0]
         if out is not None:
             axis = np.linspace(-1, 1, 3)
             for g1 in axis:
@@ -407,8 +447,8 @@ class TestEarlyExit:
         b = Barrier(value or QuadraticValue(1.0), 1.5)
         nom = np.array([nominal] + [0.0] * (agents - 1))
         cfg = FilterConfig(alpha=alpha, grid_size=self.G, n_samples=5)
-        out = pessimistic_filter(m, b, 0, np.zeros((agents, 2)), nom, cfg,
-                                 draw_risk_samples(m, cfg.n_samples, 0), 1.5)
+        out = pessimistic_filter(m, b, [0], np.zeros((agents, 2)), nom, cfg,
+                                 [draw_risk_samples(m, cfg.n_samples, 0)], 1.5)[0]
         return out, calls, (m, b, cfg)
 
     def test_all_fail_on_first_combo(self):
@@ -453,8 +493,8 @@ class TestEarlyExit:
         _, search, (_, b, cfg) = self.solve(alpha=0.5)
         m, calls = self.drift_model()
         nom = np.array([1.0, 0.0, 0.0])
-        out = switching_filter(m, b, 0, np.zeros((3, 2)), nom, m.zero_action(), cfg,
-                               draw_risk_samples(m, cfg.n_samples, 0), 1.5)
+        out = switching_filter(m, b, [0], np.zeros((3, 2)), nom, m.zero_action(), cfg,
+                               [draw_risk_samples(m, cfg.n_samples, 0)], 1.5)[0]
         assert out.branch is Branch.PROXIMITY
         assert np.array_equal(np.vstack(calls), np.vstack(search))
 
@@ -755,36 +795,19 @@ class TestBatchInvariance:
             def margin(u):
                 return check_condition(m, b, x, u, cfg, samples=samples, h_now=h_now)[1]
 
-            def first_feasible(cands, score):
-                for cand in cands:
-                    if score(cand) >= cfg.tolerance:
-                        return cand, score(cand)
-                return None
-
             grid = [np.array(p) for p in itertools.product(axis, repeat=agents)]
             joint = sorted([nom] + grid, key=lambda c: np.sum((c - nom) ** 2))
-            ref = first_feasible(joint, margin)
+            ref = _first_feasible(joint, margin, cfg.tolerance)
             out = centralized_filter(m, b, x, nom, cfg, samples, h_now)
             assert (out is None) == (ref is None)
             if out is not None:
                 assert np.array_equal(out.action, ref[0])
                 assert out.margin == ref[1]
 
-            for agent in range(agents):
-                own = nom[agent:agent + 1]
-                cands = sorted([own] + [np.array([g]) for g in axis],
-                               key=lambda c: np.sum((c - own) ** 2))
-
-                def worst(cand):
-                    margins = []
-                    for combo in itertools.product(axis, repeat=agents - 1):
-                        others = iter(combo)
-                        margins.append(margin(np.array([cand[0] if j == agent else next(others)
-                                                        for j in range(agents)])))
-                    return min(margins)
-
-                ref = first_feasible(cands, worst)
-                out = pessimistic_filter(m, b, agent, x, nom, cfg, samples, h_now)
+            outs = pessimistic_filter(m, b, range(agents), x, nom, cfg, [samples] * agents,
+                                      h_now)
+            for agent, out in enumerate(outs):
+                ref = _pessimistic_loop(m, b, agent, x, nom, cfg, samples, h_now)
                 assert (out is None) == (ref is None)
                 pessimistic_feasible.add(out is not None)
                 if out is not None:
@@ -792,3 +815,160 @@ class TestBatchInvariance:
                     assert out.margin == ref[1]
         if both_outcomes:
             assert pessimistic_feasible == {True, False}
+
+
+class TestJointSearch:
+    """One ``pessimistic_filter`` call searches for every agent of a step,
+    each under its own draw, in rounds that pack whole passes of several
+    agents into one kernel call; each agent's outcome is its search's alone."""
+
+    # case -> (agents, grid size); spring runs on its trained barrier.
+    CASES = {"spring": (3, 9), "collision2": (2, 9), "collision3": (3, 5), "collision4": (4, 3)}
+
+    def setup(self, case, spring_setup):
+        agents, grid = self.CASES[case]
+        if case == "spring":
+            return spring_setup.model, spring_setup.barrier, grid, spring_setup.box_sampler
+        m = make_model("collision", n_agents=agents, noise_scale=0.05)
+        # The weight shrinks with M so that outcomes are mixed at every M.
+        return (m, Barrier(QuadraticValue(0.4 / agents), 2.0), grid,
+                lambda rng: rng.uniform(-1, 1, size=(agents, 2)))
+
+    def check(self, m, b, x, nom, cfg, seed) -> tuple:
+        """Every agent's outcome in one joint call against the candidate
+        loop under the agent's own draw; the agents' feasibility flags."""
+        agents = m.actuated_agents
+        draws = [draw_risk_samples(m, cfg.n_samples, [seed, agent]) for agent in agents]
+        h_now = h_of(m, b, x)
+        outs = pessimistic_filter(m, b, agents, x, nom, cfg, draws, h_now)
+        assert len(outs) == len(agents)
+        for agent, draw, out in zip(agents, draws, outs):
+            ref = _pessimistic_loop(m, b, agent, x, nom, cfg, draw, h_now)
+            assert (out is None) == (ref is None)
+            if out is not None:
+                assert out.action.tobytes() == ref[0].tobytes()
+                assert out.margin == ref[1]
+        return tuple(out is not None for out in outs)
+
+    @settings(deadline=None, max_examples=40)
+    @given(case=st.sampled_from(sorted(CASES)), n_samples=st.sampled_from([1, 5, 20, 40]),
+           alpha=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_agent_matches_candidate_loop(self, spring_setup, case, n_samples, alpha,
+                                                seed):
+        # At S = 20 and 40 a pass holds 32 and 16 rows, so probes of several
+        # agents share a call, and the rest of a search takes several passes.
+        m, b, grid, sampler = self.setup(case, spring_setup)
+        rng = np.random.default_rng(seed)
+        x = m.validate_state(sampler(rng))
+        nom = rng.uniform(-1, 1, size=sum(m.action_dims))
+        self.check(m, b, x, nom, FilterConfig(grid_size=grid, n_samples=n_samples, alpha=alpha),
+                   seed)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_call_holds_feasible_and_infeasible_agents(self, spring_setup, case):
+        m, b, grid, sampler = self.setup(case, spring_setup)
+        rng = np.random.default_rng(11)
+        for seed in range(40):
+            x = m.validate_state(sampler(rng))
+            nom = rng.uniform(-1, 1, size=sum(m.action_dims))
+            cfg = FilterConfig(grid_size=grid, n_samples=20, alpha=float(rng.uniform(0, 1)))
+            if len(set(self.check(m, b, x, nom, cfg, seed))) == 2:
+                return
+        pytest.fail("no call mixed feasible and infeasible agents")
+
+    def counted(self, model):
+        """``model`` whose transition_batch records each call's rows and thetas."""
+        calls = []
+        inner = model.transition_batch
+
+        def transition_batch(x, u, thetas, noises):
+            calls.append((u.reshape(-1, u.shape[-1]).copy(), np.array(thetas)))
+            return inner(x, u, thetas, noises)
+
+        return replace(model, transition_batch=transition_batch), calls
+
+    def test_hopeless_collision3_step_is_one_call(self):
+        # Every margin fails at epsilon = 10, so each agent's search ends
+        # after its probe of C = 10 rows (nominal off the grid), and the three
+        # probes share one call with per-row draws, in agent order.
+        m, calls = self.counted(make_model("collision", n_agents=3))
+        b = Barrier(QuadraticValue(0.5), 2.0)
+        cfg = FilterConfig(epsilon=10.0)
+        draws = [draw_risk_samples(m, cfg.n_samples, [3, agent]) for agent in range(3)]
+        nom = np.array([0.3, -0.1, 0.6])
+        outs = pessimistic_filter(m, b, range(3), np.zeros((3, 2)), nom, cfg, draws, 1.0)
+        assert outs == [None, None, None]
+        ((rows, thetas),) = calls
+        assert rows.shape == (30, 3) and thetas.shape == (30, cfg.n_samples)
+        for agent in range(3):
+            part = slice(10 * agent, 10 * agent + 10)
+            assert np.all(thetas[part] == draws[agent][0])
+            assert rows[part][0, agent] == nom[agent]           # the nominal leads
+            others = np.delete(rows[part], agent, axis=1)
+            assert np.all(others == -1.0)                       # combo 0
+
+    def test_spring_step_is_one_call_per_agent(self, spring_setup):
+        # 10 candidates x 9 combos fill 90 of a pass's 128 rows, so the two
+        # agents' blocks do not fit one call together, and each goes in
+        # with its agent's draw as it is.
+        s = spring_setup
+        m, calls = self.counted(s.model)
+        x = np.array([[1.7, 0.1], [1.6, -0.2], [0.5, 0.0]])
+        nom = s.nominal(x)
+        assert not np.isin(nom, np.linspace(-1, 1, 9)).any()
+        ctrl = SwitchingController(barrier=s.barrier, nominal=s.nominal, safe=s.safe,
+                                   cfg=FilterConfig())
+        ctrl.act(m, x, 4, 7)
+        assert [(len(rows), thetas.shape) for rows, thetas in calls] == [(90, (5,)), (90, (5,))]
+        for agent, (_, thetas) in enumerate(calls):
+            draw = draw_risk_samples(m, 5, np.random.SeedSequence([4, 7, agent]))
+            assert thetas.tobytes() == draw[0].tobytes()
+
+    class AgentWeightedValue:
+        """V(x) = sum_i w_i ||x_i||^2 over the flat (M * 2) state."""
+
+        def __init__(self, weights):
+            self.w = np.repeat(np.asarray(weights, dtype=float), 2)
+
+        def predict(self, x):
+            x = np.asarray(x, dtype=float)
+            out = np.sum(self.w * x * x, axis=-1)
+            return float(out) if x.ndim == 1 else out
+
+    def test_dropped_agent_leaves_the_others_passes_alone(self):
+        # f(x, u) = x + 0.5 u (TestEarlyExit.drift_model) under a barrier
+        # that weighs agent 2 four times: agents 0 and 1 fail their probes,
+        # agent 2 goes on alone.  Each agent's rows, told apart by its draw,
+        # come in the blocks of its own one-agent call.
+        def transition_batch(x, u, thetas, noises):
+            return x + 0.5 * u[..., :, None] + noises
+
+        m, calls = self.counted(replace(make_static_model(3), transition_batch=transition_batch))
+        b = Barrier(self.AgentWeightedValue([1.0, 1.0, 4.0]), 1.5)
+        cfg = FilterConfig(alpha=0.2)
+        draws = [draw_risk_samples(m, cfg.n_samples, [9, agent]) for agent in range(3)]
+
+        def blocks_by_agent():
+            out = {agent: [] for agent in range(3)}
+            for rows, thetas in calls:
+                owner = [next(a for a in range(3) if np.array_equal(t, draws[a][0]))
+                         for t in np.broadcast_to(thetas, (len(rows), cfg.n_samples))]
+                for agent in range(3):
+                    mine = rows[np.array(owner) == agent]
+                    if len(mine):
+                        out[agent].append(mine.tobytes())
+            return out
+
+        joint = pessimistic_filter(m, b, range(3), np.zeros((3, 2)), m.zero_action(), cfg,
+                                   draws, 1.5)
+        assert [out is None for out in joint] == [True, True, False]
+        assert [len(rows) for rows, _ in calls] == [27, 126, 114]
+        together = blocks_by_agent()
+        for agent in range(3):
+            calls.clear()
+            (alone,) = pessimistic_filter(m, b, [agent], np.zeros((3, 2)), m.zero_action(), cfg,
+                                          [draws[agent]], 1.5)
+            assert blocks_by_agent()[agent] == together[agent]
+            assert (alone is None) == (joint[agent] is None)
+            if alone is not None:
+                assert alone.action == joint[agent].action and alone.margin == joint[agent].margin

@@ -384,7 +384,7 @@ class TestMetrics:
         metrics = compute_metrics([rec], s.model)
         assert metrics.feasibility_rate is not None
         assert 0.0 <= metrics.feasibility_rate <= 1.0
-        assert len(metrics.per_agent_feasibility) == 2
+        assert metrics.feasibility_rate == rec.feasible[:, list(s.model.actuated_agents)].mean()
         assert sum(metrics.branch_usage.values()) == 8 * 2
 
 

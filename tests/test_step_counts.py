@@ -1,0 +1,41 @@
+"""Smoke test of ``tools/step_counts.py`` on a tiny config."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TINY = """
+run.preset = collision
+run.agents = 3
+run.controller = switching
+run.rollouts = 2
+run.steps = 3
+value.states = 5
+value.horizon = 12
+value.epochs = 25
+certify.states = 6
+certify.samples = 20
+"""
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("step_counts", ROOT / "tools" / "step_counts.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_counts_the_reference_steps(tmp_path, capsys):
+    tool = load_tool()
+    c = tool.counts(TINY, tmp_path)
+    assert c["steps"] == 6
+    # At least one kernel call per step (the agents' probes share one),
+    # and every call holds rows.
+    assert 6 <= c["calls"] <= c["rows"]
+    assert c["minflt_per_step"] >= 0 and c["minflt_per_certify"] >= 0
+    assert tool.counts(TINY, tmp_path)["calls"] == c["calls"]
+    assert tool.main(["train-certify"]) == 2
+    assert "rollout workloads" in capsys.readouterr().err
