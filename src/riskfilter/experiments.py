@@ -73,29 +73,30 @@ def write_trajectories_csv(records, model, path) -> None:
     """One row per (rollout, step, agent); the final state row has no action.
 
     The per-step reward and safety flag describe the joint state and are
-    repeated on each agent's row.
+    repeated on each agent's row.  Lines go to the file one at a time, so
+    the text is never held whole.
     """
-    lines = [TRAJECTORY_HEADER]
-    for ri, rec in enumerate(records):
-        n = rec.n_steps
-        for k in range(n + 1):
-            action = rec.actions[k] if k < n else None
-            for agent in range(model.n_agents):
-                x1 = _fmt(rec.states[k, agent, 0])
-                x2 = _fmt(rec.states[k, agent, 1])
-                if k < n:
-                    ui = action[agent]
-                    u = _fmt(ui[0]) if len(ui) else ""
-                    branch = rec.branches[k][agent] if rec.branches is not None else ""
-                    feas = (_fmt(rec.feasible[k][agent])
-                            if rec.feasible is not None and model.action_dims[agent] > 0
-                            else "")
-                    reward = _fmt(rec.rewards[k])
-                else:
-                    u, branch, feas, reward = "", "", "", ""
-                safe = _fmt(rec.safe[k])
-                lines.append(f"{ri},{k},{agent},{x1},{x2},{u},{branch},{feas},{safe},{reward}")
-    _write_text(path, "\n".join(lines) + "\n")
+    with open(path, "w", newline="") as f:
+        f.write(TRAJECTORY_HEADER + "\n")
+        for ri, rec in enumerate(records):
+            n = rec.n_steps
+            for k in range(n + 1):
+                action = rec.actions[k] if k < n else None
+                for agent in range(model.n_agents):
+                    x1 = _fmt(rec.states[k, agent, 0])
+                    x2 = _fmt(rec.states[k, agent, 1])
+                    if k < n:
+                        ui = action[agent]
+                        u = _fmt(ui[0]) if len(ui) else ""
+                        branch = rec.branches[k][agent] if rec.branches is not None else ""
+                        feas = (_fmt(rec.feasible[k][agent])
+                                if rec.feasible is not None and model.action_dims[agent] > 0
+                                else "")
+                        reward = _fmt(rec.rewards[k])
+                    else:
+                        u, branch, feas, reward = "", "", "", ""
+                    safe = _fmt(rec.safe[k])
+                    f.write(f"{ri},{k},{agent},{x1},{x2},{u},{branch},{feas},{safe},{reward}\n")
 
 
 def write_sweep_csv(rows, path) -> None:

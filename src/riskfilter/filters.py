@@ -34,13 +34,15 @@ feasible it is returned unchanged.
 Every margin comes from one kernel, ``_margins``, which evaluates the
 barrier only on successor states, over blocks of flat joint-action rows.
 The pessimistic search stops trying a candidate once a combo fails it,
-and runs every agent's search in rounds: each round packs the open
-searches' next passes, whole and in agent order, into kernel calls of at
-most one pass of rows, with per-row draws when a call holds several
-agents' rows.  The centralized filter sends one block per solve, of the
-candidates that survive ``_screen``: at S > 1 every candidate is first
-evaluated at sample 0 alone, and one that cannot clear the tolerance by
-the entropic operator's one-sample bound is dropped.  The filters share
+searches a block that fits one pass in two halves, nearest first, and
+runs every agent's search in rounds: each round packs the open searches'
+next passes, whole and in agent order, into kernel calls of at most one
+pass of rows, with per-row draws when a call holds several agents' rows
+(on spring, both agents' near halves share one call).  The centralized
+filter sends one block per solve, of the candidates that survive
+``_screen``: at S > 1 every candidate is first evaluated at sample 0
+alone, and one that cannot clear the tolerance by the entropic
+operator's one-sample bound is dropped.  The filters share
 one state and h(x) across a block; ``guarantees.certify_grid`` sends one
 row per sampled state, each with its own state, draw and h(x), through
 the same kernel.
@@ -362,36 +364,47 @@ def centralized_filter(
 
 class _Search:
     """One agent's worst-case search: its candidates still in the running,
-    nearest to its nominal action first, their running minimum margins, and
-    how many of the other agents' grid combos they have met."""
+    nearest to its nominal action first, their running minimum margins, how
+    many of the other agents' grid combos they have met, and the far
+    candidates held back until the near ones all fail."""
 
     def __init__(self, model: MasModel, agent: int, nominal: np.ndarray, cfg: FilterConfig,
                  budget: int):
         if model.action_dims[agent] == 0:
             raise ContractViolationError(f"agent {agent} is unactuated")
-        self.cands = _ordered_candidates(nominal[model.agent_columns(agent)], cfg,
-                                         model.action_low, model.action_high)
+        cands = _ordered_candidates(nominal[model.agent_columns(agent)], cfg,
+                                    model.action_low, model.action_high)
         self.own, self.combos = _other_grid(model, agent, cfg)
         self.budget, self.tolerance = budget, cfg.tolerance
+        # A block that fits one pass is searched nearer half first.
+        half = -(-len(cands) // 2) if len(cands) * len(self.combos) <= budget else len(cands)
+        self.cands, self.far = cands[:half], cands[half:]
         self.worst = np.inf
         self.done = 0
 
     def block(self) -> np.ndarray:
         """The next pass's rows: the candidates × the next combos, all that
         remain when they fit the budget, else as many as fit, except that a
-        first pass which cannot hold every combo is a probe of combo 0."""
+        first pass which cannot hold every combo is a probe of combo 0.  On
+        a block that fits one pass, the candidates are one half of it, so
+        each half takes one pass against every combo."""
         probe = self.done == 0 and len(self.cands) * len(self.combos) > self.budget
         take = 1 if probe else max(1, self.budget // len(self.cands))
         return _against(self.own, self.cands, self.combos[self.done:self.done + take])
 
     def meet(self, margins: np.ndarray) -> bool:
         """Fold in the margins of ``block``'s rows and drop every candidate a
-        combo failed; True while the search is still open."""
+        combo failed; when none is left, reopen the search on the far
+        candidates.  True while the search is still open."""
         margins = margins.reshape(len(self.cands), -1)
         self.worst = np.minimum(self.worst, margins.min(axis=1))
         keep = self.worst >= self.tolerance
         self.cands, self.worst = self.cands[keep], self.worst[keep]
         self.done += margins.shape[1]
+        if not keep.any() and len(self.far):
+            self.cands, self.far = self.far, self.far[:0]
+            self.worst, self.done = np.inf, 0
+            return True
         return bool(keep.any()) and self.done < len(self.combos)
 
     def outcome(self) -> FilterOutcome | None:
@@ -432,15 +445,19 @@ def pessimistic_filter(
     distance to nominal) must clear the tolerance on every grid
     combination of the other actuated agents' actions, under the agent's
     draw.  Each pass pairs the surviving candidates with the next combos
-    in grid order and drops every candidate that a combo failed.  A pass
-    takes as many combos as fit _PASS_PAIRS (row, sample) pairs, all of
-    them when they fit, except that a first pass which cannot hold every
-    combo pairs the candidates with combo 0 alone: on hopeless solves
-    every candidate fails there, and that one pass of C rows settles them.
-    A survivor meets every combo, so the result is the full scan's: the
-    nearest candidate whose worst-case margin clears the tolerance, with
-    that margin, or None: infeasibility is an expected outcome near the
-    constraint boundary, not a fault.
+    in grid order and drops every candidate that a combo failed.  When
+    all C candidates × K combos fit _PASS_PAIRS (row, sample) pairs, the
+    first pass pairs the nearer ceil(C/2) candidates with every combo,
+    and a second pass the far half only if no near candidate survives:
+    on spring most solves end in the near half, at half the rows.
+    Otherwise a pass takes as many combos as fit, except that a first
+    pass which cannot hold every combo pairs the candidates with combo 0
+    alone: on hopeless solves every candidate fails there, and that one
+    pass of C rows settles them.  A survivor meets every combo and a near
+    one precedes every far candidate, so the result is the full scan's:
+    the nearest candidate whose worst-case margin clears the tolerance,
+    with that margin, or None: infeasibility is an expected outcome near
+    the constraint boundary, not a fault.
 
     The agents search in rounds.  A round takes every open search's next
     pass and packs whole passes, in agent order, into kernel calls of at

@@ -465,11 +465,43 @@ class TestEarlyExit:
 
     def test_block_that_fits_one_pass_takes_every_combo(self):
         # Two agents, as on spring: the 10 candidates around a nominal off
-        # the grid times 9 combos times 5 samples is 450 pairs, so they go
-        # in one pass, although at alpha = 1 every candidate fails combo 0.
+        # the grid times 9 combos times 5 samples is 450 pairs, which fit
+        # one pass, so the search takes every combo at once, nearer half of
+        # the candidates first, although at alpha = 1 every candidate fails
+        # combo 0.  The far half goes in a second pass once the near half
+        # has failed.
         out, calls, _ = self.solve(alpha=1.0, agents=2, nominal=0.3)
         assert out is None
-        assert [len(u) for u in calls] == [(self.G + 1) * self.G]
+        assert [len(u) for u in calls] == [5 * self.G, 5 * self.G]
+        axis = np.linspace(-1, 1, self.G)
+        for u in calls:
+            assert np.array_equal(u[:, 1], np.tile(axis, 5))
+        assert list(calls[0][::self.G, 0]) == [0.3, 0.25, 0.5, 0.0, 0.75]
+        assert list(calls[1][::self.G, 0]) == [-0.25, 1.0, -0.5, -0.75, -1.0]
+
+    # With two agents the worst combo is u1 = -1 (or +1), so a candidate
+    # is feasible iff u0^2 <= 2 - 3 alpha.  Around the nominal 0.9 the
+    # nearer half is 0.9, 1.0, 0.75, 0.5, 0.25 and the far half 0.0,
+    # -0.25, -0.5, -0.75, -1.0.
+    @pytest.mark.parametrize("alpha, winner, passes", [
+        pytest.param(0.5, 0.5, 1, id="near"),
+        pytest.param(0.66, 0.0, 2, id="far"),
+    ])
+    def test_half_block_passes(self, alpha, winner, passes):
+        # A near-half winner costs one pass of ceil(C / 2) * K rows and no
+        # far candidate is evaluated; a far-half winner costs a second
+        # pass.  Each row goes in once, and the winner's margin is its
+        # worst case over the whole grid.
+        out, calls, (m, b, cfg) = self.solve(alpha=alpha, agents=2, nominal=0.9)
+        assert out is not None and out.action[0] == winner
+        assert [len(u) for u in calls] == [5 * self.G] * passes
+        rows = np.vstack(calls)
+        assert len({r.tobytes() for r in rows}) == len(rows)
+        cands = [0.9, 1.0, 0.75, 0.5, 0.25, 0.0, -0.25, -0.5, -0.75, -1.0]
+        assert sorted(set(rows[:, 0])) == sorted(cands[:5 * passes])
+        samples = draw_risk_samples(m, cfg.n_samples, 0)
+        assert out.margin == worst_case_margin(m, b, 0, out.action, np.zeros((2, 2)),
+                                               cfg, samples, 1.5)
 
     def test_feasible_survivor_sees_every_combo(self):
         # At alpha = 0.2 a candidate is feasible iff u0^2 <= 0.4: from the
@@ -834,9 +866,9 @@ class TestJointSearch:
         return (m, Barrier(QuadraticValue(0.4 / agents), 2.0), grid,
                 lambda rng: rng.uniform(-1, 1, size=(agents, 2)))
 
-    def check(self, m, b, x, nom, cfg, seed) -> tuple:
+    def check(self, m, b, x, nom, cfg, seed) -> list:
         """Every agent's outcome in one joint call against the candidate
-        loop under the agent's own draw; the agents' feasibility flags."""
+        loop under the agent's own draw; the outcomes, in agent order."""
         agents = m.actuated_agents
         draws = [draw_risk_samples(m, cfg.n_samples, [seed, agent]) for agent in agents]
         h_now = h_of(m, b, x)
@@ -848,7 +880,7 @@ class TestJointSearch:
             if out is not None:
                 assert out.action.tobytes() == ref[0].tobytes()
                 assert out.margin == ref[1]
-        return tuple(out is not None for out in outs)
+        return outs
 
     @settings(deadline=None, max_examples=40)
     @given(case=st.sampled_from(sorted(CASES)), n_samples=st.sampled_from([1, 5, 20, 40]),
@@ -872,9 +904,36 @@ class TestJointSearch:
             x = m.validate_state(sampler(rng))
             nom = rng.uniform(-1, 1, size=sum(m.action_dims))
             cfg = FilterConfig(grid_size=grid, n_samples=20, alpha=float(rng.uniform(0, 1)))
-            if len(set(self.check(m, b, x, nom, cfg, seed))) == 2:
+            if len({out is None for out in self.check(m, b, x, nom, cfg, seed)}) == 2:
                 return
         pytest.fail("no call mixed feasible and infeasible agents")
+
+    @pytest.mark.parametrize("case", ["spring", "collision2"])
+    @pytest.mark.parametrize("n_samples", [1, 5])
+    def test_candidate_loop_cases_reach_both_halves(self, spring_setup, case, n_samples):
+        # The two-agent cases of test_every_agent_matches_candidate_loop, at
+        # the sample counts where the 10 x 9 block fits one pass, meet
+        # winners in the nearer half of the candidates, winners in the far
+        # half and infeasible solves, each checked against the loop.
+        m, b, grid, sampler = self.setup(case, spring_setup)
+        rng = np.random.default_rng(5)
+        kinds = set()
+        for seed in range(60):
+            x = m.validate_state(sampler(rng))
+            nom = rng.uniform(-1, 1, size=sum(m.action_dims))
+            cfg = FilterConfig(grid_size=grid, n_samples=n_samples,
+                               alpha=float(rng.uniform(0, 1)))
+            for agent, out in zip(m.actuated_agents, self.check(m, b, x, nom, cfg, seed)):
+                if out is None:
+                    kinds.add("infeasible")
+                    continue
+                cands = _ordered_candidates(nom[m.agent_columns(agent)], cfg,
+                                            m.action_low, m.action_high)
+                index = next(i for i, c in enumerate(cands) if np.array_equal(c, out.action))
+                kinds.add("near" if index < -(-len(cands) // 2) else "far")
+            if len(kinds) == 3:
+                return
+        pytest.fail(f"only {sorted(kinds)} reached")
 
     def counted(self, model):
         """``model`` whose transition_batch records each call's rows and thetas."""
@@ -907,10 +966,11 @@ class TestJointSearch:
             others = np.delete(rows[part], agent, axis=1)
             assert np.all(others == -1.0)                       # combo 0
 
-    def test_spring_step_is_one_call_per_agent(self, spring_setup):
-        # 10 candidates x 9 combos fill 90 of a pass's 128 rows, so the two
-        # agents' blocks do not fit one call together, and each goes in
-        # with its agent's draw as it is.
+    def test_spring_step_packs_both_near_halves_in_one_call(self, spring_setup):
+        # 10 candidates x 9 combos fill 90 of a pass's 128 rows, so each
+        # agent searches its nearer 5 candidates first, and the two agents'
+        # 45-row half-blocks share one call, each row with its agent's draw.
+        # Both agents find a winner there, so the step is that one call.
         s = spring_setup
         m, calls = self.counted(s.model)
         x = np.array([[1.7, 0.1], [1.6, -0.2], [0.5, 0.0]])
@@ -919,10 +979,13 @@ class TestJointSearch:
         ctrl = SwitchingController(barrier=s.barrier, nominal=s.nominal, safe=s.safe,
                                    cfg=FilterConfig())
         ctrl.act(m, x, 4, 7)
-        assert [(len(rows), thetas.shape) for rows, thetas in calls] == [(90, (5,)), (90, (5,))]
-        for agent, (_, thetas) in enumerate(calls):
+        ((rows, thetas),) = calls
+        assert rows.shape == (90, 2) and thetas.shape == (90, 5)
+        for agent in range(2):
             draw = draw_risk_samples(m, 5, np.random.SeedSequence([4, 7, agent]))
-            assert thetas.tobytes() == draw[0].tobytes()
+            part = slice(45 * agent, 45 * agent + 45)
+            assert np.all(thetas[part] == draw[0])
+            assert rows[part][0, agent] == nom[agent]           # the nominal leads
 
     class AgentWeightedValue:
         """V(x) = sum_i w_i ||x_i||^2 over the flat (M * 2) state."""

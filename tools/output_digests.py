@@ -10,9 +10,13 @@ temporary output directory.  One more config, ``train-value-cem``, runs
 ``train-value`` alone with the cross-entropy policy search on, so that
 ``safe_policy.bin`` is hashed too, and ``collision4-switching`` runs
 ``train-value`` and ``run`` on collision M=4, so that pessimistic solves of
-several kernel passes are hashed, and ``collision2-centralized-slack`` runs
-``train-value``, ``run`` and ``certify`` under the centralized filter with
-a nonzero tolerance and epsilon, so that its candidate screen and the
+several kernel passes are hashed, ``collision2-switching`` runs the same two
+commands on collision M=2, whose 10 x 9-row blocks fit one pass and are
+searched nearer half first, at ``filter.xi = 12``, where its 90 solves
+mix near-half winners (50), far-half winners (13) and infeasible ones (27),
+``collision2-centralized-slack`` runs ``train-value``, ``run`` and
+``certify`` under the centralized filter with a nonzero tolerance and
+epsilon, so that its candidate screen and the
 per-state ``alpha * h + epsilon`` of ``certify`` are hashed away from 0,
 ``spring-certify700`` runs ``train-value`` and ``certify`` at 700 samples,
 one state per kernel pass, and ``train-value-hidden32`` and
@@ -47,6 +51,8 @@ COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 # name -> (config text, commands): every workload through every command,
 # the cross-entropy search, which no workload turns on, collision M=4
 # switching, whose 10 x 729-row pessimistic blocks take several passes,
+# collision M=2 switching, whose 10 x 9-row blocks fit one pass, at an xi
+# that mixes near-half, far-half and infeasible solves,
 # collision M=2 centralized with a nonzero tolerance and epsilon (run and
 # certify), spring certify at more samples than one kernel pass holds, and
 # fits with one and with three hidden layers.
@@ -68,6 +74,17 @@ run.steps = 15
 value.states = 60
 value.horizon = 60
 value.samples = 2
+""", ("train-value", "run"))
+CONFIGS["collision2-switching"] = ("""
+run.preset = collision
+run.agents = 2
+run.controller = switching
+run.rollouts = 3
+run.steps = 15
+value.states = 60
+value.horizon = 60
+value.samples = 2
+filter.xi = 12
 """, ("train-value", "run"))
 CONFIGS["collision2-centralized-slack"] = ("""
 run.preset = collision
