@@ -248,7 +248,7 @@ def _cmd_run(cfg: ExperimentConfig, out_dir: Path) -> list:
           f"(rate {metrics.violation_rate:.4f}), mse={metrics.mse:.4f}, "
           f"cumulative reward={metrics.cumulative_reward:.4f}")
     if metrics.feasibility_rate is not None:
-        print(f"pessimistic feasibility rate: {metrics.feasibility_rate:.4f}; "
+        print(f"feasibility rate: {metrics.feasibility_rate:.4f}; "
               f"branch usage: {metrics.branch_usage}")
     return ["trajectories.csv"]
 

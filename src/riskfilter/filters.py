@@ -131,15 +131,14 @@ class FilterOutcome:
     ``action`` is the solving agent's columns of the joint-action row for
     the per-agent filters, whose outcomes come in the order of the agents
     they were asked for, and a copy of the full joint row for the
-    centralized one.  ``feasible`` records whether the worst-case
-    (pessimistic) branch admitted a solution; ``margin`` is the achieved
-    risk margin at the chosen action (the worst case over the others' grid
-    per agent), None on proximity.
+    centralized one.  ``branch`` is ``PROXIMITY`` exactly when the
+    filter's own solve was infeasible; ``margin`` is the achieved risk
+    margin at the chosen action (the worst case over the others' grid per
+    agent), None on proximity.
     """
 
     action: object
     branch: Branch
-    feasible: bool
     margin: float | None
 
 
@@ -359,7 +358,7 @@ def centralized_filter(
         return None
     i = hits[0]
     return FilterOutcome(action=cands[i].copy(), branch=Branch.CENTRALIZED,
-                         feasible=True, margin=float(margins[i]))
+                         margin=float(margins[i]))
 
 
 class _Search:
@@ -411,7 +410,7 @@ class _Search:
         if not len(self.cands):
             return None
         return FilterOutcome(action=self.cands[0], branch=Branch.PESSIMISTIC,
-                             feasible=True, margin=float(self.worst[0]))
+                             margin=float(self.worst[0]))
 
 
 def _packs(sizes: list, budget: int) -> list:
@@ -554,6 +553,15 @@ def proximity_filter(
                          model.validate_action(safe)[cols], r)
 
 
+def proximity_outcome(model: MasModel, agent: int, nominal, safe, cfg: FilterConfig,
+                      h_now: float) -> FilterOutcome:
+    """``agent``'s fallback when its filter's solve is infeasible: the
+    ``proximity_filter`` action, justified by its radius, not by a margin
+    check, so it carries ``margin=None``."""
+    return FilterOutcome(action=proximity_filter(model, agent, nominal, safe, cfg, h_now),
+                         branch=Branch.PROXIMITY, margin=None)
+
+
 def switching_filter(
     model: MasModel,
     barrier: Barrier,
@@ -569,14 +577,12 @@ def switching_filter(
     proximity action otherwise; one outcome per agent, in that order.
 
     Well-defined for every state with a nonnegative barrier value; the
-    branch flag records which path produced the action.  One
+    branch records which path produced the action.  One
     ``pessimistic_filter`` call searches for every agent, each under its
-    own draw ``samples[k]``.  The proximity action is justified by its
-    radius, not by a margin check, so it carries ``margin=None`` and adds
-    no rows to the search's.
+    own draw ``samples[k]``; a ``proximity_outcome`` adds no rows to the
+    search's.
     """
     outs = pessimistic_filter(model, barrier, agents, x, nominal, cfg, samples, h_now)
     return [out if out is not None else
-            FilterOutcome(action=proximity_filter(model, agent, nominal, safe, cfg, h_now),
-                          branch=Branch.PROXIMITY, feasible=False, margin=None)
+            proximity_outcome(model, agent, nominal, safe, cfg, h_now)
             for agent, out in zip(agents, outs)]

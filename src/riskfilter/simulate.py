@@ -31,7 +31,7 @@ from .filters import (
     FilterConfig,
     centralized_filter,
     draw_risk_samples,
-    proximity_filter,
+    proximity_outcome,
     switching_filter,
 )
 from .policies import Policy
@@ -40,16 +40,15 @@ from .value import Barrier
 
 @dataclass(frozen=True)
 class StepDecision:
-    """One controller invocation: the joint-action row plus per-agent filter flags.
+    """One controller invocation: the joint-action row plus per-agent branches.
 
-    ``branches`` and ``feasible`` are None for unfiltered controllers;
-    for filtered ones they hold one entry per agent (empty string / True
-    for unactuated agents, which no filter touches).
+    ``branches`` is None for unfiltered controllers; for filtered ones it
+    holds one branch name per agent (empty for unactuated agents, which
+    no filter touches).
     """
 
     action: np.ndarray            # (A,)
     branches: tuple | None = None
-    feasible: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,10 @@ class PolicyController:
 
 
 @dataclass(frozen=True)
-class SwitchingController:
-    """Independent per-agent switching filters around the nominal policy."""
+class _FilteredController:
+    """A filter around the nominal policy.  ``act`` computes h(x) and the
+    step's nominal and safe rows once, and ``_solve`` returns the actuated
+    agents' actions (each its own columns) and branches, in agent order."""
 
     barrier: Barrier
     nominal: Policy
@@ -73,53 +74,44 @@ class SwitchingController:
 
     def act(self, model: MasModel, x, rollout_seed: int, step: int) -> StepDecision:
         h_now = float(self.barrier.value(model.flatten_state(model.validate_state(x))))
-        nominal, safe = self.nominal(x), self.safe(x)
+        actions, branches = self._solve(model, x, self.nominal(x), self.safe(x), h_now,
+                                        rollout_seed, step)
+        row = model.zero_action()
+        names = [""] * model.n_agents
+        for agent, action, branch in zip(model.actuated_agents, actions, branches):
+            row[model.agent_columns(agent)] = action
+            names[agent] = branch.value
+        return StepDecision(action=row, branches=tuple(names))
+
+
+@dataclass(frozen=True)
+class SwitchingController(_FilteredController):
+    """Independent per-agent switching filters around the nominal policy."""
+
+    def _solve(self, model, x, nominal, safe, h_now, rollout_seed, step) -> tuple:
         agents = model.actuated_agents
         samples = [draw_risk_samples(model, self.cfg.n_samples,
                                      np.random.SeedSequence([rollout_seed, step, agent]))
                    for agent in agents]
         outs = switching_filter(model, self.barrier, agents, x, nominal, safe, self.cfg,
                                 samples, h_now)
-        action = model.zero_action()
-        branches = [""] * model.n_agents
-        feasible = [True] * model.n_agents
-        for agent, out in zip(agents, outs):
-            action[model.agent_columns(agent)] = out.action
-            branches[agent] = out.branch.value
-            feasible[agent] = out.feasible
-        return StepDecision(action=action, branches=tuple(branches), feasible=tuple(feasible))
+        return [out.action for out in outs], [out.branch for out in outs]
 
 
 @dataclass(frozen=True)
-class CentralizedController:
+class CentralizedController(_FilteredController):
     """Joint filter solve per step; falls back to per-agent proximity actions
     when the joint problem is infeasible."""
 
-    barrier: Barrier
-    nominal: Policy
-    safe: Policy
-    cfg: FilterConfig
-
-    def act(self, model: MasModel, x, rollout_seed: int, step: int) -> StepDecision:
-        h_now = float(self.barrier.value(model.flatten_state(model.validate_state(x))))
-        nominal, safe = self.nominal(x), self.safe(x)
+    def _solve(self, model, x, nominal, safe, h_now, rollout_seed, step) -> tuple:
         samples = draw_risk_samples(model, self.cfg.n_samples,
                                     np.random.SeedSequence([rollout_seed, step]))
         out = centralized_filter(model, self.barrier, x, nominal, self.cfg, samples, h_now)
-        branches = [""] * model.n_agents
-        feasible = [True] * model.n_agents
-        if out is not None:
-            for agent in model.actuated_agents:
-                branches[agent] = out.branch.value
-            return StepDecision(action=out.action, branches=tuple(branches),
-                                feasible=tuple(feasible))
-        action = model.zero_action()
-        for agent in model.actuated_agents:
-            action[model.agent_columns(agent)] = proximity_filter(model, agent, nominal, safe,
-                                                                  self.cfg, h_now)
-            branches[agent] = Branch.PROXIMITY.value
-            feasible[agent] = False
-        return StepDecision(action=action, branches=tuple(branches), feasible=tuple(feasible))
+        agents = model.actuated_agents
+        if out is not None:     # views of the joint row, no per-agent outcomes
+            return [out.action[model.agent_columns(a)] for a in agents], [out.branch] * len(agents)
+        outs = [proximity_outcome(model, a, nominal, safe, self.cfg, h_now) for a in agents]
+        return [out.action for out in outs], [out.branch for out in outs]
 
 
 class ActionRows(Sequence):
@@ -156,8 +148,8 @@ class RolloutRecord:
     them as ``ActionRows``, and any sequence of joint actions (a list of
     per-agent lists, say) is accepted too.  ``branches`` is an object
     array of the shared branch-name strings, 8 bytes an entry where a
-    unicode array takes 44.  Branch and feasibility flags are None for
-    unfiltered runs.
+    unicode array takes 44.  ``feasible`` is ``branches != "proximity"``,
+    derived once by ``rollout``.  Both are None for unfiltered runs.
     """
 
     seed: int
@@ -202,7 +194,6 @@ def rollout(
     rewards = []
     filtered = None
     branches = []
-    feasible = []
     for k in range(n_steps):
         try:
             decision = controller.act(model, x, seed, k)
@@ -213,7 +204,6 @@ def rollout(
             filtered = decision.branches is not None
         if filtered:
             branches.append(decision.branches)
-            feasible.append(decision.feasible)
         u = model.validate_action(decision.action)
         actions[k] = u
         rewards.append(model.reward(x, u))
@@ -221,6 +211,7 @@ def rollout(
         x = model.transition(x, u, th, noise)
         states.append(x)
         safe.append(model.is_safe(x))
+    branches = np.array(branches, dtype=object) if filtered else None
     return RolloutRecord(
         seed=int(seed),
         theta=th,
@@ -228,8 +219,8 @@ def rollout(
         actions=ActionRows(model, actions),
         safe=np.array(safe, dtype=bool),
         rewards=np.array(rewards),
-        branches=np.array(branches, dtype=object) if filtered else None,
-        feasible=np.array(feasible, dtype=bool) if filtered else None,
+        branches=branches,
+        feasible=(branches != Branch.PROXIMITY.value) if filtered else None,
     )
 
 
@@ -240,8 +231,8 @@ class Metrics:
     Violations count (rollout, step) pairs whose post-transition state
     leaves the safe set; the MSE compares position components against the
     reference, averaged over rollouts, steps, and agents; the feasibility
-    rate is the fraction of filtered (step, agent) solves whose
-    pessimistic branch was feasible.
+    rate is the fraction of filtered (step, agent) solves whose branch is
+    not the proximity fallback.
     """
 
     violation_count: int
@@ -320,6 +311,8 @@ def sweep(
     values = list(values)
     if not values:
         raise ContractViolationError("sweep needs at least one parameter value")
+    if n_rollouts < 1:
+        raise ContractViolationError(f"sweep needs n_rollouts >= 1, got {n_rollouts}")
     rows = []
     for v in values:
         controller = controller_factory(v)

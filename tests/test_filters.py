@@ -166,7 +166,6 @@ class TestCentralized:
                                  draw_risk_samples(static_model, cfg.n_samples, 0), 1.0)
         assert out is not None
         assert out.branch is Branch.CENTRALIZED
-        assert out.feasible
         assert out.action.tolist() == [0.123, -0.456]
         assert out.action.base is None          # a copied row, not a view of a block
 
@@ -354,7 +353,6 @@ class TestSwitching:
         out = switching_filter(static_model, unit_barrier, [0], np.zeros((2, 2)),
                                nom, static_model.zero_action(), cfg, [samples], 1.0)[0]
         assert out.branch is Branch.PESSIMISTIC
-        assert out.feasible
         pes = pessimistic_filter(static_model, unit_barrier, [0], np.zeros((2, 2)),
                                  nom, cfg, [samples], 1.0)[0]
         assert np.array_equal(out.action, pes.action)
@@ -366,7 +364,6 @@ class TestSwitching:
         out = switching_filter(static_model, unit_barrier, [0], np.zeros((2, 2)), nom, safe,
                                cfg, [draw_risk_samples(static_model, cfg.n_samples, 4)], 1.0)[0]
         assert out.branch is Branch.PROXIMITY
-        assert not out.feasible
         expected = proximity_filter(static_model, 0, nom, safe, cfg, 1.0)
         assert np.array_equal(out.action, expected)
         # The radius justifies the proximity action; no margin is evaluated.
@@ -384,7 +381,6 @@ class TestSwitching:
                              [draw_risk_samples(s.model, cfg.n_samples, 6)],
                              h_of(s.model, s.barrier, x))[0]
         assert a.branch == b.branch
-        assert a.feasible == b.feasible
         assert a.margin == b.margin
         assert np.array_equal(a.action, b.action)
 

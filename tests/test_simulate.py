@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import tracemalloc
 
 import numpy as np
@@ -129,6 +130,33 @@ def test_step_calls_each_policy_once(kind, config):
         rec = rollout(model, ctrl, x0, 4, 0)
         assert nominal.calls == safe.calls == 4
         branches |= set(rec.branches[:, list(model.actuated_agents)].ravel())
+    assert "proximity" in branches and len(branches) == 2
+
+
+@pytest.mark.parametrize("kind", [SwitchingController, CentralizedController])
+@pytest.mark.parametrize("config", ["run.preset = spring",
+                                    "run.preset = collision\nrun.agents = 3"],
+                         ids=["spring", "collision3"])
+def test_record_flags_follow_the_branch(kind, config):
+    # A record's feasible flag is its branch not being the proximity
+    # fallback; an unactuated agent keeps branch "" and feasible True, and
+    # every action stays in the box.  epsilon = 10 forces the fallback.
+    cfg = parse_config(config)
+    model = cfg.build_model()
+    x0 = cfg.init_sampler(model)(np.random.default_rng(3))
+    actuated = np.array(model.action_dims) > 0
+    branches = set()
+    for epsilon in (0.0, 10.0):
+        ctrl = kind(barrier=Barrier(QuadraticValue(0.1), 5.0), nominal=cfg.nominal_policy(model),
+                    safe=cfg.safe_policy(model),
+                    cfg=FilterConfig(grid_size=3, n_samples=3, epsilon=epsilon))
+        rec = rollout(model, ctrl, x0, 6, 0)
+        assert rec.feasible.dtype == bool
+        assert np.array_equal(rec.feasible, rec.branches != "proximity")
+        assert np.all(rec.branches[:, ~actuated] == "") and np.all(rec.feasible[:, ~actuated])
+        rows = rec.actions.rows
+        assert np.all((rows >= model.action_low) & (rows <= model.action_high))
+        branches |= set(rec.branches[:, actuated].ravel())
     assert "proximity" in branches and len(branches) == 2
 
 
@@ -306,22 +334,26 @@ class TestActionRows:
 
     def test_retained_bytes_per_step(self):
         # A record keeps 24 action bytes and 24 branch bytes per step at
-        # M = 3, on top of its states, rewards and flags: about 195 B in
+        # M = 3, on top of its states, rewards and flags: about 118 B in
         # all.  Unicode branch flags would add 108 B, and per-step lists of
         # per-agent arrays about 620.  The warm-up rollout of the same
-        # length fills the interpreter's free lists before tracing starts.
+        # length fills the package's caches before tracing starts, and a
+        # full collection before each reading empties the interpreter's
+        # free lists, whose dead tuples would otherwise count as retained.
         model, ctrl, x0 = collision3_switching()
         n = 200
         rollout(model, ctrl, x0, n, 0)
         tracemalloc.start()
         try:
+            gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             rec = rollout(model, ctrl, x0, n, 0)
+            gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert rec.n_steps == n
-        assert retained / n <= 250
+        assert retained / n <= 150
 
 
 def fabricated_record(n_steps: int, n_agents: int, unsafe_steps=(), x_ref=0.0):
@@ -415,6 +447,13 @@ class TestSweep:
         rows = sweep(m, self.factory(m), "gain", [0.5, 1.0, 2.0], 2, 5, 0,
                      np.zeros((2, 2)))
         assert [r.param_value for r in rows] == [0.5, 1.0, 2.0]
+
+    def test_no_rollouts_rejected(self):
+        # Aggregates over no rollouts would be NaN; compute_metrics([])
+        # raises for the same reason.
+        m = make_model("collision", n_agents=2)
+        with pytest.raises(ContractViolationError):
+            sweep(m, self.factory(m), "gain", [1.0], 0, 5, 0, np.zeros((2, 2)))
 
     def test_empty_values_rejected(self):
         m = make_model("collision", n_agents=2)

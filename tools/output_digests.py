@@ -18,6 +18,9 @@ mix near-half winners (50), far-half winners (13) and infeasible ones (27),
 ``certify`` under the centralized filter with a nonzero tolerance and
 epsilon, so that its candidate screen and the
 per-state ``alpha * h + epsilon`` of ``certify`` are hashed away from 0,
+``spring-centralized`` runs ``train-value`` and ``run`` on spring under the
+centralized filter, the one config whose joint rows skip an unactuated
+agent, with both centralized and proximity steps,
 ``spring-certify700`` runs ``train-value`` and ``certify`` at 700 samples,
 one state per kernel pass, and ``train-value-hidden32`` and
 ``train-value-hidden16x3`` run ``train-value`` alone with one and three
@@ -54,8 +57,9 @@ COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 # collision M=2 switching, whose 10 x 9-row blocks fit one pass, at an xi
 # that mixes near-half, far-half and infeasible solves,
 # collision M=2 centralized with a nonzero tolerance and epsilon (run and
-# certify), spring certify at more samples than one kernel pass holds, and
-# fits with one and with three hidden layers.
+# certify), spring centralized, whose joint rows skip the unactuated mass,
+# spring certify at more samples than one kernel pass holds, and fits with
+# one and with three hidden layers.
 CONFIGS = {name: (text, COMMANDS) for name, (_, text) in WORKLOADS.items()}
 CONFIGS["train-value-cem"] = ("""
 run.preset = collision
@@ -98,6 +102,16 @@ value.samples = 2
 filter.tolerance = 0.3
 filter.epsilon = 0.05
 """, ("train-value", "run", "certify"))
+CONFIGS["spring-centralized"] = ("""
+run.preset = spring
+run.controller = centralized
+run.rollouts = 3
+run.steps = 30
+value.states = 60
+value.horizon = 60
+value.samples = 2
+value.epochs = 200
+""", ("train-value", "run"))
 CONFIGS["spring-certify700"] = ("""
 run.preset = spring
 value.states = 60
