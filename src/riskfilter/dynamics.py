@@ -36,6 +36,8 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -79,16 +81,21 @@ class MasModel:
     cost_fn: Callable[[np.ndarray], float] = field(repr=False)
     transition_batch: Callable = field(repr=False)
 
-    @property
+    @cached_property
     def actuated_agents(self) -> tuple:
         """Indices of agents with a nonempty action space."""
         return tuple(i for i, d in enumerate(self.action_dims) if d > 0)
 
     def agent_columns(self, agent: int) -> slice:
-        """The columns of ``agent``'s action in a joint-action row; the one
-        place that maps agents to columns."""
-        start = sum(self.action_dims[:agent])
-        return slice(start, start + self.action_dims[agent])
+        """The columns of ``agent``'s action in a joint-action row."""
+        return self._columns[agent]
+
+    @cached_property
+    def _columns(self) -> tuple:
+        """Every agent's columns, in agent order; the one place that maps
+        agents to columns."""
+        stops = accumulate(self.action_dims)
+        return tuple(slice(stop - d, stop) for d, stop in zip(self.action_dims, stops))
 
     def validate_state(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -97,7 +104,7 @@ class MasModel:
                 f"state shape {x.shape} does not match "
                 f"({self.n_agents}, {self.state_dim})"
             )
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ContractViolationError("state contains non-finite entries")
         return x
 
@@ -127,12 +134,13 @@ class MasModel:
         """Regulation reward exp(-||u||^2_Wu - sum_i ||x_i - x_ref||^2_Wxi) in (0, 1],
         for the joint-action row ``u``; ||u||^2 sums the agents' u_i @ u_i in
         agent order."""
-        x = self.validate_state(x)
-        u = self.validate_action(u)
-        cols = [u[self.agent_columns(i)] for i in range(self.n_agents)]
-        penalty = self.action_weight * sum(float(ui @ ui) for ui in cols)
-        err = x - self.x_ref[None, :]
-        penalty += float(np.sum(self.state_weights * err * err))
+        return self._reward(self.validate_state(x), self.validate_action(u))
+
+    def _reward(self, x: np.ndarray, u: np.ndarray) -> float:
+        """``reward`` of a state and row the caller has validated."""
+        penalty = self.action_weight * sum(float(u[c] @ u[c]) for c in self._columns)
+        err = x - self.x_ref
+        penalty += float(np.add.reduce(self.state_weights * err * err, axis=None))
         return float(np.exp(-penalty))
 
     def zero_action(self) -> np.ndarray:
@@ -175,7 +183,7 @@ def _spring_transition_batch(x, u, thetas, noises):
 
 
 def _spring_safe(x):
-    return bool(np.all(np.abs(x[:, 0]) <= 2.0))
+    return bool((np.abs(x[:, 0]) <= 2.0).all())
 
 
 def _spring_cost(x):
@@ -201,7 +209,7 @@ def _pairwise_sq_gaps(pos):
 
 
 def _collision_safe(x):
-    return bool(np.all(_pairwise_sq_gaps(x[:, 0]) >= 0.2 ** 2))
+    return bool(_pairwise_sq_gaps(x[:, 0]).min() >= 0.2 ** 2)
 
 
 def _collision_cost(x):

@@ -211,7 +211,7 @@ def _margins(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig
             thetas[part] if thetas.ndim == 2 else thetas,
             noises[part] if noises.ndim == 4 else noises)
         values = np.asarray(barrier.value(nexts.reshape(*nexts.shape[:2], -1)), dtype=float)
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ContractViolationError("barrier produced non-finite values")
         h = h_now[part] if np.ndim(h_now) == 1 else h_now
         out[part] = risk_lower(values, cfg.beta) - cfg.alpha * h - cfg.epsilon
@@ -292,39 +292,52 @@ def _ordered_candidates(nominal: np.ndarray, cfg: FilterConfig, low: float, high
     always returned exactly.  A grid point equal to the nominal is
     dropped: it would repeat the nominal's rows after them.  Only a point
     at distance 0, which sorts first, can equal it, and the grid holds it
-    at most once.
+    at most once; the nearer points at distance 0 (an offset whose square
+    underflows) shift one row over it.
     """
     grid = _grid(nominal.size, cfg.grid_size, low, high)
-    d2 = np.sum((grid - nominal) ** 2, axis=1)
-    order = np.argsort(d2, kind="stable")
-    for k in range(np.count_nonzero(d2 == 0.0)):
-        if (grid[order[k]] == nominal).all():
-            order = np.concatenate([order[:k], order[k + 1:]])
-            break
-    cands = np.empty((len(order) + 1, nominal.size))
+    d2 = np.add.reduce((grid - nominal) ** 2, axis=1)
+    order = d2.argsort(kind="stable")
+    cands = np.empty((len(grid) + 1, nominal.size))
+    grid.take(order, axis=0, out=cands[1:])
+    k = 0
+    while k < len(order) and d2[order[k]] == 0.0:
+        if cands[k + 1].tolist() == nominal.tolist():     # float ==: -0.0 equals 0.0
+            if k:
+                cands[2:k + 2] = cands[1:k + 1]
+            cands[1] = nominal
+            return cands[1:]
+        k += 1
     cands[0] = nominal
-    np.take(grid, order, axis=0, out=cands[1:])
     return cands
 
 
-def _other_grid(model: MasModel, agent: int, cfg: FilterConfig) -> tuple:
-    """(own, combos): the mask of ``agent``'s columns in a flat joint action
-    and the K points of the grid over all other action dimensions.
+@lru_cache(maxsize=32)
+def _combo_rows(width: int, start: int, stop: int, grid_size: int, low: float,
+                high: float) -> np.ndarray:
+    """The K joint rows of one agent's worst case: row k holds point k of
+    the grid over every column outside [start, stop), the other agents'
+    actions, and zeros in the agent's own columns.
 
     An agent with d > 1 gets all G^d points, not only the diagonal; with no
     other actuated agent K = 1 and the worst case is the plain condition.
+    Built once per argument tuple and read-only.
     """
-    own = np.zeros(sum(model.action_dims), dtype=bool)
-    own[model.agent_columns(agent)] = True
-    return own, _grid(int(np.sum(~own)), cfg.grid_size, model.action_low, model.action_high)
+    combos = _grid(width - (stop - start), grid_size, low, high)
+    rows = np.zeros((len(combos), width))
+    rows[:, :start] = combos[:, :start]
+    rows[:, stop:] = combos[:, start:]
+    rows.flags.writeable = False
+    return rows
 
 
-def _against(own: np.ndarray, cands: np.ndarray, combos: np.ndarray) -> np.ndarray:
-    """(C * K, A) rows pairing C own candidates with K combos, candidate-major."""
-    rows = np.empty((len(cands), len(combos), own.size))
-    rows[:, :, own] = cands[:, None, :]
-    rows[:, :, ~own] = combos[None, :, :]
-    return rows.reshape(-1, own.size)
+def _against(cols: slice, cands: np.ndarray, combos: np.ndarray) -> np.ndarray:
+    """(C * K, A) rows pairing C own candidates, written to columns ``cols``,
+    with K ``_combo_rows`` rows, candidate-major."""
+    rows = np.empty((len(cands),) + combos.shape)
+    rows[...] = combos
+    rows[:, :, cols] = cands[:, None, :]
+    return rows.reshape(-1, combos.shape[1])
 
 
 def centralized_filter(
@@ -371,9 +384,10 @@ class _Search:
                  budget: int):
         if model.action_dims[agent] == 0:
             raise ContractViolationError(f"agent {agent} is unactuated")
-        cands = _ordered_candidates(nominal[model.agent_columns(agent)], cfg,
-                                    model.action_low, model.action_high)
-        self.own, self.combos = _other_grid(model, agent, cfg)
+        cols = self.cols = model.agent_columns(agent)
+        cands = _ordered_candidates(nominal[cols], cfg, model.action_low, model.action_high)
+        self.combos = _combo_rows(len(nominal), cols.start, cols.stop, cfg.grid_size,
+                                  model.action_low, model.action_high)
         self.budget, self.tolerance = budget, cfg.tolerance
         # A block that fits one pass is searched nearer half first.
         half = -(-len(cands) // 2) if len(cands) * len(self.combos) <= budget else len(cands)
@@ -389,22 +403,24 @@ class _Search:
         each half takes one pass against every combo."""
         probe = self.done == 0 and len(self.cands) * len(self.combos) > self.budget
         take = 1 if probe else max(1, self.budget // len(self.cands))
-        return _against(self.own, self.cands, self.combos[self.done:self.done + take])
+        return _against(self.cols, self.cands, self.combos[self.done:self.done + take])
 
     def meet(self, margins: np.ndarray) -> bool:
         """Fold in the margins of ``block``'s rows and drop every candidate a
         combo failed; when none is left, reopen the search on the far
         candidates.  True while the search is still open."""
         margins = margins.reshape(len(self.cands), -1)
-        self.worst = np.minimum(self.worst, margins.min(axis=1))
-        keep = self.worst >= self.tolerance
-        self.cands, self.worst = self.cands[keep], self.worst[keep]
+        worst = np.minimum(self.worst, margins.min(axis=1))
+        keep = worst >= self.tolerance
+        if not keep.all():
+            self.cands, worst = self.cands[keep], worst[keep]
+        self.worst = worst
         self.done += margins.shape[1]
-        if not keep.any() and len(self.far):
+        if not len(self.cands) and len(self.far):
             self.cands, self.far = self.far, self.far[:0]
             self.worst, self.done = np.inf, 0
             return True
-        return bool(keep.any()) and self.done < len(self.combos)
+        return len(self.cands) > 0 and self.done < len(self.combos)
 
     def outcome(self) -> FilterOutcome | None:
         if not len(self.cands):
@@ -461,7 +477,8 @@ def pessimistic_filter(
     The agents search in rounds.  A round takes every open search's next
     pass and packs whole passes, in agent order, into kernel calls of at
     most one pass of rows.  A call of one agent's rows goes in with its
-    draw as it is; a packed call takes each row's draw from its agent.
+    draw as it is; a packed call writes each agent's draw over its rows,
+    so the step's draws are never stacked.
     A margin has the same bits in any block, so each agent's passes and
     outcome are those of its search alone.
     """
@@ -473,7 +490,6 @@ def pessimistic_filter(
     nominal = model.validate_action(nominal)
     budget = _PASS_PAIRS // max(n_samples, default=1)     # rows in one kernel pass
     searches = [_Search(model, agent, nominal, cfg, budget) for agent in agents]
-    stacked = None      # (thetas (K, S), noises (K, S, M, d_x)), once a call packs
     live = list(range(len(searches)))
     while live:
         blocks = [searches[k].block() for k in live]
@@ -482,12 +498,13 @@ def pessimistic_filter(
             if len(pack) == 1:
                 rows, draw = blocks[pack[0]], samples[live[pack[0]]]
             else:
-                if stacked is None:
-                    stacked = (np.array([t for t, _ in samples]),
-                               np.array([w for _, w in samples]))
                 rows = np.concatenate([blocks[i] for i in pack])
-                owner = np.repeat([live[i] for i in pack], [len(blocks[i]) for i in pack])
-                draw = (stacked[0][owner], stacked[1][owner])
+                draw = tuple(np.empty((len(rows),) + a.shape) for a in samples[live[pack[0]]])
+                start = 0
+                for i in pack:
+                    for out, a in zip(draw, samples[live[i]]):
+                        out[start:start + len(blocks[i])] = a
+                    start += len(blocks[i])
             margins = _margins(model, barrier, x, cfg, draw, h_now, rows)
             start = 0
             for i in pack:
@@ -510,6 +527,8 @@ def proximity_radius(model: MasModel, cfg: FilterConfig, h_now: float) -> float:
     which is negative outside the guaranteed region (h too small) and
     then raises GuaranteeDomainError.
     """
+    if not math.isfinite(h_now):
+        raise ContractViolationError(f"barrier value h(x) is not finite: {h_now}")
     if cfg.radius_mode == "fixed":
         return cfg.radius
     r = ((cfg.alpha_bar - cfg.alpha) * h_now + cfg.epsilon_bar - cfg.epsilon) / (
@@ -524,10 +543,13 @@ def proximity_radius(model: MasModel, cfg: FilterConfig, h_now: float) -> float:
 
 
 def _project_ball(v: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    d = float(np.linalg.norm(v - center))
+    """v, or the point of the ball nearest to it; the distance is
+    ``np.linalg.norm``'s own sqrt(diff . diff), without its per-call overhead."""
+    diff = v - center
+    d = math.sqrt(diff.dot(diff))
     if d <= radius:
         return v
-    return center + radius * (v - center) / d
+    return center + radius * diff / d
 
 
 def proximity_filter(
@@ -543,7 +565,8 @@ def proximity_filter(
     ``nominal`` and ``safe`` are joint rows.  Always feasible: returns
     the nominal action if it already lies within the radius of the safe
     action, otherwise the boundary point of the ball nearest to nominal.
-    ``h_now`` = h(x) is read only by the margin-derived radius.
+    ``h_now`` = h(x) must be finite in either radius mode; only the
+    margin-derived radius uses its value.
     """
     if model.action_dims[agent] == 0:
         raise ContractViolationError(f"agent {agent} is unactuated")

@@ -69,7 +69,7 @@ def eval_policy(policy: Policy, x) -> np.ndarray:
     else:
         err[..., 0] -= policy.x_ref[0]
     raw = -(err[..., None, :] @ policy.gains[:, :, None])[..., 0, 0]
-    raw = np.repeat(raw, policy.action_dims, axis=-1)
+    raw = raw.repeat(policy.action_dims, axis=-1)
     return np.minimum(np.maximum(raw, policy.action_low), policy.action_high)  # np.clip's bits
 
 

@@ -27,29 +27,37 @@ from .errors import ContractViolationError
 
 
 def _as_sample(values) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(values, dtype=float))
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 0:
+        v = v.reshape(1)
     if v.shape[-1] == 0:
         raise ContractViolationError("risk of an empty sample set is undefined")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ContractViolationError("sample set contains non-finite values")
     return v
 
 
-def entropic_risk(values, beta: float) -> float | np.ndarray:
-    """(1/beta) * log(mean(exp(beta * values))), risk-neutral mean at beta = 0."""
-    v = _as_sample(values)
+def _entropic(v: np.ndarray, beta: float, sign: float):
+    """sign * R_beta[sign * v] of a checked sample stack, over its last axis,
+    for sign = +1 or -1.  At beta > 0 the sign goes into beta, where it
+    gives the bits of negating the samples and the result."""
     if beta < 0:
         raise ContractViolationError(f"risk parameter must be >= 0, got {beta}")
     n = v.shape[-1]
     if beta == 0:
-        out = np.add.reduce(v, axis=-1) / n
+        out = sign * (np.add.reduce(sign * v, axis=-1) / n)
     else:
-        z = beta * v
-        m = z.max(axis=-1, keepdims=True)
-        out = (m[..., 0] + np.log(np.add.reduce(np.exp(z - m), axis=-1) / n)) / beta
+        z = (sign * beta) * v
+        m = np.maximum.reduce(z, axis=-1, keepdims=True)
+        out = (m[..., 0] + np.log(np.add.reduce(np.exp(z - m), axis=-1) / n)) / (sign * beta)
     return float(out) if v.ndim == 1 else out
+
+
+def entropic_risk(values, beta: float) -> float | np.ndarray:
+    """(1/beta) * log(mean(exp(beta * values))), risk-neutral mean at beta = 0."""
+    return _entropic(_as_sample(values), beta, 1.0)
 
 
 def risk_lower(values, beta: float) -> float | np.ndarray:
     """Lower certainty equivalent -R_beta[-values]; min <= result <= mean."""
-    return -entropic_risk(-np.asarray(values, dtype=float), beta)
+    return _entropic(_as_sample(values), beta, -1.0)

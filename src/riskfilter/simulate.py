@@ -18,6 +18,7 @@ where agents share state but cannot coordinate actions.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -73,7 +74,10 @@ class _FilteredController:
     cfg: FilterConfig
 
     def act(self, model: MasModel, x, rollout_seed: int, step: int) -> StepDecision:
-        h_now = float(self.barrier.value(model.flatten_state(model.validate_state(x))))
+        x = model.validate_state(x)
+        h_now = float(self.barrier.value(model.flatten_state(x)))
+        if not math.isfinite(h_now):
+            raise ContractViolationError(f"barrier value h(x) is not finite: {h_now}")
         actions, branches = self._solve(model, x, self.nominal(x), self.safe(x), h_now,
                                         rollout_seed, step)
         row = model.zero_action()
@@ -177,9 +181,11 @@ def rollout(
     """Run the closed loop for n_steps from x0; deterministic given seed.
 
     ``theta`` overrides the per-rollout coupling draw (useful for
-    deterministic checks).  Controller errors propagate with the failing
-    step index attached as ``step_index``.  Per step, the decision's row
-    is validated once and ``model.transition`` gives the successor.
+    deterministic checks).  An error of step k (the controller's, a bad
+    row or a non-finite successor) propagates with ``step_index = k``
+    attached.  Each state and row is validated once, where it enters the
+    loop: x0, the decision's row and each successor ``model.transition``
+    gives; reward and safety then read them unchecked.
     """
     if n_steps < 0:
         raise ContractViolationError(f"n_steps must be >= 0, got {n_steps}")
@@ -190,13 +196,16 @@ def rollout(
 
     states = [x]
     actions = np.empty((n_steps, sum(model.action_dims)))
-    safe = [model.is_safe(x)]
+    safe = [model.safe_fn(x)]
     rewards = []
     filtered = None
     branches = []
     for k in range(n_steps):
         try:
             decision = controller.act(model, x, seed, k)
+            u = model.validate_action(decision.action)
+            noise = rng.standard_normal((model.n_agents, model.state_dim)) * model.noise_scale
+            x_next = model.validate_state(model.transition(x, u, th, noise))
         except RiskFilterError as exc:
             exc.step_index = k
             raise
@@ -204,13 +213,11 @@ def rollout(
             filtered = decision.branches is not None
         if filtered:
             branches.append(decision.branches)
-        u = model.validate_action(decision.action)
         actions[k] = u
-        rewards.append(model.reward(x, u))
-        noise = rng.standard_normal((model.n_agents, model.state_dim)) * model.noise_scale
-        x = model.transition(x, u, th, noise)
+        rewards.append(model._reward(x, u))
+        x = x_next
         states.append(x)
-        safe.append(model.is_safe(x))
+        safe.append(model.safe_fn(x))
     branches = np.array(branches, dtype=object) if filtered else None
     return RolloutRecord(
         seed=int(seed),

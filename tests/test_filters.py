@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import ConstantValue, QuadraticValue, h_of, make_static_model
@@ -30,12 +30,14 @@ from riskfilter import (
 )
 from riskfilter.filters import (
     _against,
+    _combo_rows,
     _grid,
     _margins,
     _one_sample_bound,
     _ordered_candidates,
-    _other_grid,
+    _project_ball,
     _screen,
+    proximity_radius,
 )
 
 
@@ -68,12 +70,52 @@ def _pessimistic_loop(model, barrier, agent, x, nominal, cfg, samples, h_now):
     return _first_feasible(cands, worst, cfg.tolerance)
 
 
+def reference_ordered_candidates(nominal, cfg, low, high):
+    """Reference: the candidate order as a plain argsort and delete."""
+    grid = _grid(nominal.size, cfg.grid_size, low, high)
+    d2 = np.sum((grid - nominal) ** 2, axis=1)
+    order = np.argsort(d2, kind="stable")
+    for k in range(np.count_nonzero(d2 == 0.0)):
+        if (grid[order[k]] == nominal).all():
+            order = np.concatenate([order[:k], order[k + 1:]])
+            break
+    cands = np.empty((len(order) + 1, nominal.size))
+    cands[0] = nominal
+    np.take(grid, order, axis=0, out=cands[1:])
+    return cands
+
+
+def reference_other_grid(model, agent, cfg):
+    """Reference: (own, combos), the mask of ``agent``'s columns in a joint
+    row and the grid over every other action dimension."""
+    own = np.zeros(sum(model.action_dims), dtype=bool)
+    own[model.agent_columns(agent)] = True
+    return own, _grid(int(np.sum(~own)), cfg.grid_size, model.action_low, model.action_high)
+
+
+def reference_against(own, cands, combos):
+    """Reference: (C * K, A) rows pairing C own candidates with K combos,
+    candidate-major, written through boolean masks."""
+    rows = np.empty((len(cands), len(combos), own.size))
+    rows[:, :, own] = cands[:, None, :]
+    rows[:, :, ~own] = combos[None, :, :]
+    return rows.reshape(-1, own.size)
+
+
+def reference_project_ball(v, center, radius):
+    """Reference: the fallback's projection through ``np.linalg.norm``."""
+    d = float(np.linalg.norm(v - center))
+    if d <= radius:
+        return v
+    return center + radius * (v - center) / d
+
+
 def worst_case_margin(model, barrier, agent, action, x, cfg, samples, h_now) -> float:
     """Exhaustive reference: the minimum margin of ``agent``'s action over the
     whole grid of the other agents' actions, in one kernel block."""
     x = model.validate_state(x)
-    own, combos = _other_grid(model, agent, cfg)
-    rows = _against(own, np.asarray(action, dtype=float).reshape(1, -1), combos)
+    own, combos = reference_other_grid(model, agent, cfg)
+    rows = reference_against(own, np.asarray(action, dtype=float).reshape(1, -1), combos)
     return float(np.min(_margins(model, barrier, x, cfg, samples, h_now, rows)))
 
 
@@ -310,6 +352,19 @@ class TestProximity:
         with pytest.raises(GuaranteeDomainError):
             proximity_filter(static_model, 0, static_model.zero_action(),
                              static_model.zero_action(), cfg, -9.0)
+
+    @pytest.mark.parametrize("radius_mode", ["fixed", "margin"])
+    @pytest.mark.parametrize("h_now", [np.nan, np.inf, -np.inf])
+    def test_non_finite_h_rejected(self, static_model, radius_mode, h_now):
+        # NaN would pass the negative-radius check and project onto a NaN
+        # ball; a fixed radius never reads h, but a non-finite h is a
+        # broken barrier either way.
+        cfg = FilterConfig(radius_mode=radius_mode)
+        with pytest.raises(ContractViolationError, match="not finite"):
+            proximity_radius(static_model, cfg, h_now)
+        with pytest.raises(ContractViolationError, match="not finite"):
+            proximity_filter(static_model, 0, static_model.zero_action(),
+                             static_model.zero_action(), cfg, h_now)
 
     def test_minimizes_distance_within_ball(self):
         rng = np.random.default_rng(17)
@@ -697,6 +752,104 @@ class TestScreen:
         # search drops never meets its later combos.
         out = self.nan_solve(4, (-1.0, -1.0))
         assert out is not None and out.action.tolist() == [0.75, 0.75]
+
+
+def _bits(a) -> bytes:
+    a = np.asarray(a)
+    return repr((a.shape, a.dtype.str)).encode() + a.tobytes()
+
+
+# Boxes with grid points of every kind: symmetric (0.0 on odd grids),
+# lopsided, and one so narrow that two grid points lie at squared
+# distance 0 (underflow) from a nominal equal to the second of them.
+_BOXES = [(-1.0, 1.0), (-2.5, 0.5), (0.0, 1e-300)]
+
+
+@st.composite
+def _nominals(draw):
+    """(nominal, grid_size, box): nominals on and off the grid, at and beyond
+    the box edges, at -0.0 and at offsets whose squared distance to a grid
+    point underflows to 0, for 1-D and 2-D agents."""
+    dims = draw(st.sampled_from([1, 2]))
+    g = draw(st.sampled_from([2, 3, 9, 10]))
+    low, high = draw(st.sampled_from(_BOXES))
+    axis = np.linspace(low, high, g)
+    coords = []
+    for _ in range(dims):
+        kind = draw(st.sampled_from(["grid", "off", "edge", "beyond", "zero", "tiny"]))
+        if kind == "grid":
+            c = axis[draw(st.integers(0, g - 1))]
+        elif kind == "off":
+            c = draw(st.floats(low, high, allow_nan=False))
+        elif kind == "edge":
+            c = draw(st.sampled_from([low, high]))
+        elif kind == "beyond":
+            c = draw(st.sampled_from([low, high])) + draw(st.sampled_from([-1.0, 1.0, -1e-3]))
+        elif kind == "zero":
+            c = draw(st.sampled_from([0.0, -0.0]))
+        else:
+            c = axis[draw(st.integers(0, g - 1))] + draw(st.sampled_from(
+                [1e-200, -1e-170, 5e-324, -5e-324]))
+        coords.append(c)
+    return np.array(coords), g, (low, high)
+
+
+class TestHelpersMatchReferences:
+    """The step's set-up helpers against the plain versions kept above,
+    bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_nominals())
+    def test_candidate_order(self, case):
+        nominal, g, (low, high) = case
+        cfg = FilterConfig(grid_size=g)
+        assert _bits(_ordered_candidates(nominal, cfg, low, high)) == _bits(
+            reference_ordered_candidates(nominal, cfg, low, high))
+
+    def test_candidate_order_drops_the_later_of_two_zero_distances(self):
+        # On the narrow box both grid points lie at squared distance 0 from
+        # the upper one; it is the nominal's duplicate, and the lower one
+        # moves up one row.
+        low, high = _BOXES[-1]
+        cfg = FilterConfig(grid_size=2)
+        cands = _ordered_candidates(np.array([high]), cfg, low, high)
+        assert _bits(cands) == _bits(reference_ordered_candidates(np.array([high]), cfg,
+                                                                  low, high))
+        assert cands[:, 0].tolist() == [high, low]
+
+    @settings(max_examples=200, deadline=None)
+    @given(dims=st.lists(st.sampled_from([0, 1, 2]), min_size=2, max_size=4),
+           g=st.sampled_from([2, 3, 9, 10]), box=st.sampled_from(_BOXES),
+           n_cands=st.integers(1, 4), start=st.integers(0, 5), take=st.integers(1, 40),
+           seed=st.integers(0, 2**16))
+    def test_joint_rows(self, dims, g, box, n_cands, start, take, seed):
+        agents = [i for i, d in enumerate(dims) if d]
+        assume(agents and sum(dims) <= 5)       # at most G^4 combos
+        model = replace(make_static_model(len(dims)), action_dims=tuple(dims),
+                        action_low=box[0], action_high=box[1])
+        cfg = FilterConfig(grid_size=g)
+        rng = np.random.default_rng(seed)
+        for agent in agents:
+            cols = model.agent_columns(agent)
+            cands = rng.uniform(-2.0, 2.0, (n_cands, dims[agent]))
+            cands[0, 0] = -0.0
+            own, combos = reference_other_grid(model, agent, cfg)
+            rows = _combo_rows(sum(dims), cols.start, cols.stop, g, *box)
+            assert rows.shape == (len(combos), sum(dims)) and not rows.flags.writeable
+            part = slice(start, start + take)
+            assert _bits(_against(cols, cands, rows[part])) == _bits(
+                reference_against(own, cands, combos[part]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(dims=st.integers(1, 3), radius=st.sampled_from([0.0, 0.05, 0.3, 1.0, 1e-300]),
+           scale=st.sampled_from([1e-3, 0.1, 1.0, 10.0]), seed=st.integers(0, 2**16))
+    def test_fallback_projection(self, dims, radius, scale, seed):
+        rng = np.random.default_rng(seed)
+        center = rng.uniform(-1.0, 1.0, dims)
+        for v in (center + scale * rng.standard_normal(dims), center.copy(),
+                  center + radius * np.eye(dims)[0], -center):
+            assert _bits(_project_ball(v, center, radius)) == _bits(
+                reference_project_ball(v, center, radius))
 
 
 class TestCandidates:

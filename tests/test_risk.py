@@ -125,3 +125,17 @@ class TestStacks:
         for row, up, low in zip(stack, upper, lower):
             assert up == entropic_risk(row, beta) == _np_mean_reference(row, beta)
             assert low == risk_lower(row, beta) == -_np_mean_reference(-row, beta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.75, 1e-300, 3.0]),
+                    min_size=1, max_size=8) | finite_values,
+           st.sampled_from((0.0,) + BETAS))
+    def test_lower_is_the_negated_upper_bitwise(self, values, beta):
+        # risk_lower folds its two negations into beta; the result keeps the
+        # bits, signed zeros included, of negating the samples and the result.
+        v = np.array(values)
+        for sample in (v, v.reshape(1, -1)):
+            ref = np.asarray(-entropic_risk(-sample, beta)).tobytes()
+            assert np.asarray(risk_lower(sample, beta)).tobytes() == ref
+        assert np.float64(risk_lower(v, beta)).tobytes() == np.float64(
+            -_np_mean_reference(-v, beta)).tobytes()

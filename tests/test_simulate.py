@@ -87,6 +87,23 @@ class TestRollout:
             rollout(m, FailsAtThree(), np.zeros((2, 2)), 10, 0)
         assert err.value.step_index == 3
 
+    def test_non_finite_successor_carries_step_index(self):
+        # The successor is checked where the transition produces it, inside
+        # the step, so its error names the step like a controller's does.
+        def overflows(x, u, thetas, noises):     # 1 -> 1e200 -> inf
+            with np.errstate(over="ignore"):
+                return x * 1e200
+
+        m = dataclasses.replace(make_static_model(), transition=overflows)
+
+        class Zero:
+            def act(self, model, x, seed, step):
+                return StepDecision(action=model.zero_action())
+
+        with pytest.raises(ContractViolationError, match="non-finite") as err:
+            rollout(m, Zero(), np.ones((2, 2)), 5, 0)
+        assert err.value.step_index == 1
+
     def test_filtered_rollout_flags_shape(self, spring_setup):
         s = spring_setup
         ctrl = SwitchingController(barrier=s.barrier, nominal=s.nominal,
@@ -97,6 +114,40 @@ class TestRollout:
         # One branch flag per actuated agent per step; none for the mass.
         assert np.all(rec.branches[:, :2] != "")
         assert np.all(rec.branches[:, 2] == "")
+
+
+class NanAtState:
+    """Value-model stub: NaN at a flat state, which is how a controller asks
+    for h(x), and 0 on the filters' successor stacks, which it counts."""
+
+    def __init__(self):
+        self.stacks = 0
+
+    def predict(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return np.nan
+        self.stacks += 1
+        return np.zeros(x.shape[:-1])
+
+
+@pytest.mark.parametrize("kind", [SwitchingController, CentralizedController])
+@pytest.mark.parametrize("radius_mode", ["fixed", "margin"])
+def test_non_finite_h_rejected(kind, radius_mode):
+    # With h(x) = NaN every margin is NaN, every solve infeasible, and the
+    # margin-derived radius NaN: the step would return NaN actions.
+    m = make_model("collision", n_agents=2)
+    pol = make_proportional(m, (1.0, 0.5))
+    value = NanAtState()
+    ctrl = kind(barrier=Barrier(value, xi=1.0), nominal=pol, safe=pol,
+                cfg=FilterConfig(radius_mode=radius_mode, grid_size=3))
+    x0 = np.array([[0.5, 0.0], [-0.5, 0.0]])
+    with pytest.raises(ContractViolationError, match="not finite"):
+        ctrl.act(m, x0, 0, 0)
+    assert value.stacks == 0        # rejected before any solve
+    with pytest.raises(ContractViolationError, match="not finite") as err:
+        rollout(m, ctrl, x0, 3, 0)
+    assert err.value.step_index == 0
 
 
 class CountingPolicy:

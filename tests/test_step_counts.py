@@ -31,11 +31,28 @@ def load_tool():
 def test_counts_the_reference_steps(tmp_path, capsys):
     tool = load_tool()
     c = tool.counts(TINY, tmp_path)
-    assert c["steps"] == 6
+    assert c["steps"] == 6 and "seeded" not in c
     # At least one kernel call per step (the agents' probes share one),
     # and every call holds rows.
     assert 6 <= c["calls"] <= c["rows"]
     assert c["minflt_per_step"] >= 0 and c["minflt_per_certify"] >= 0
-    assert tool.counts(TINY, tmp_path)["calls"] == c["calls"]
+    # A step makes dozens of Python-level calls, the same on every run.
+    assert c["py_calls_per_step"] > 20
+    again = tool.counts(TINY, tmp_path)
+    assert (again["calls"], again["py_calls_per_step"]) == (c["calls"], c["py_calls_per_step"])
     assert tool.main(["train-certify"]) == 2
     assert "rollout workloads" in capsys.readouterr().err
+
+
+def test_counts_the_seeded_load(tmp_path):
+    tool = load_tool()
+    c = tool.counts(TINY, tmp_path, seed=7, rollouts=3)
+    seeded = c["seeded"]
+    assert seeded["steps"] == 9 and 9 <= seeded["calls"] <= seeded["rows"]
+    assert seeded["py_calls_per_step"] > 20
+    # The seeded load is the benchmark's: rollouts at extra_seed(7, i), not
+    # the reference seeds.
+    stack = tool.wl.build_stack(TINY, tmp_path)
+    by_hand = tool.count_rollouts(stack, [tool.wl.extra_seed(7, i) for i in range(3)])
+    assert (by_hand["calls"], by_hand["rows"]) == (seeded["calls"], seeded["rows"])
+    assert by_hand["py_calls_per_step"] == seeded["py_calls_per_step"]

@@ -1,6 +1,6 @@
-"""Kernel calls, rows and page faults of each rollout workload's reference steps.
+"""Kernel calls, rows, Python calls and page faults of each rollout workload's steps.
 
-    python3 tools/step_counts.py WORKLOAD [WORKLOAD ...]
+    python3 tools/step_counts.py [--seed N] WORKLOAD [WORKLOAD ...]
 
 Run from anywhere; the package is imported from ``src/`` and the workloads
 from ``perfbench/workloads.py``, which this script only reads.  For each
@@ -9,15 +9,24 @@ save and load, as the benchmark's set-up does), then runs the reference
 rollouts (``run.rollouts`` rollouts at seeds 0, 1, ...) through a model
 whose ``transition_batch`` counts its calls and rows (a row is one joint
 action of a call's ``u`` stack), and one certify.  It prints one line per
-workload: the calls, the rows, the steps, and the minor page faults
-(``ru_minflt``) per reference step and of the certify call.  Call and row
-counts are a pure function of the code and the config; page faults depend
-on the allocator and the machine.
+workload: the calls, the rows, the steps, the Python-level calls per step
+(cProfile's ``total_calls`` over a third pass of the same rollouts,
+through the plain model, warmed by the second), and the minor page faults
+(``ru_minflt``) per reference step and of the certify call.  With
+``--seed N`` a second line counts the first
+20 rollouts of the benchmark's seeded load at ``--seed N``: the
+seeds ``workloads.extra_seed(N, i)`` that follow the reference rollouts in
+its timed window.  Call, row and Python-call counts are a pure function of
+the code and the config, and repeat exactly; page faults depend on the
+allocator and the machine.
 """
 
 from __future__ import annotations
 
+import argparse
+import cProfile
 import dataclasses
+import pstats
 import resource
 import sys
 import tempfile
@@ -36,9 +45,9 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def counts(text: str, scratch: Path) -> dict:
-    """Calls, rows and page faults of one rollout config's reference steps."""
-    stack = wl.build_stack(text, scratch)
+def count_rollouts(stack, seeds) -> dict:
+    """Kernel calls and rows, steps, Python calls per step and page faults
+    per step of the rollouts at ``seeds``."""
     calls = [0, 0]
     inner = stack.model.transition_batch
 
@@ -47,34 +56,64 @@ def counts(text: str, scratch: Path) -> dict:
         calls[1] += int(np.prod(np.shape(u)[:-1]))
         return inner(x, u, thetas, noises)
 
-    model = dataclasses.replace(stack.model, transition_batch=transition_batch)
+    counted = dataclasses.replace(stack.model, transition_batch=transition_batch)
     controller = wl.make_controller(stack)
-    cfg = stack.cfg
+    starts = [(seed, wl.initial_state(stack, seed)) for seed in seeds]
+
+    def run(model):
+        for seed, x0 in starts:
+            rf.rollout(model, controller, x0, stack.cfg.steps, seed)
+
     start = minor_faults()
-    for seed in range(cfg.rollouts):
-        rf.rollout(model, controller, wl.initial_state(stack, seed), cfg.steps, seed)
-    steps = cfg.rollouts * cfg.steps
-    step_faults = minor_faults() - start
+    run(counted)
+    faults = minor_faults() - start
+    run(stack.model)    # warms what the plain model builds once, then profile it
+    profile = cProfile.Profile()
+    profile.runcall(run, stack.model)
+    steps = len(starts) * stack.cfg.steps
+    return {"calls": calls[0], "rows": calls[1], "steps": steps,
+            "py_calls_per_step": pstats.Stats(profile).total_calls / max(steps, 1),
+            "minflt_per_step": faults / max(steps, 1)}
+
+
+def counts(text: str, scratch: Path, seed: int | None = None, rollouts: int = 20) -> dict:
+    """Counts of one rollout config's reference steps and certify call, and,
+    given ``seed``, of the first ``rollouts`` rollouts of its seeded load
+    under ``"seeded"``."""
+    stack = wl.build_stack(text, scratch)
+    cfg = stack.cfg
+    out = count_rollouts(stack, range(cfg.rollouts))
     start = minor_faults()
     wl.certify(cfg, stack.model, stack.barrier, stack.safe, cfg.seed)
-    return {"calls": calls[0], "rows": calls[1], "steps": steps,
-            "minflt_per_step": step_faults / max(steps, 1),
-            "minflt_per_certify": minor_faults() - start}
+    out["minflt_per_certify"] = minor_faults() - start
+    if seed is not None:
+        out["seeded"] = count_rollouts(stack, [wl.extra_seed(seed, i) for i in range(rollouts)])
+    return out
 
 
 def main(argv) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--seed", type=int, help="also count the seeded load at this --seed")
+    p.add_argument("workloads", nargs="*")
+    args = p.parse_args(argv)
     rollout = [name for name, (kind, _) in wl.WORKLOADS.items() if kind == "rollout"]
-    unknown = [name for name in argv if name not in rollout]
-    if not argv or unknown:
-        print(f"usage: step_counts.py WORKLOAD...; rollout workloads: {rollout}",
-              file=sys.stderr)
+    unknown = [name for name in args.workloads if name not in rollout]
+    if not args.workloads or unknown:
+        print(f"usage: step_counts.py [--seed N] WORKLOAD...; "
+              f"rollout workloads: {rollout}", file=sys.stderr)
         return 2
-    for name in argv:
+    for name in args.workloads:
         with tempfile.TemporaryDirectory() as scratch:
-            c = counts(wl.WORKLOADS[name][1], Path(scratch))
+            c = counts(wl.WORKLOADS[name][1], Path(scratch), args.seed)
         print(f"{name} calls={c['calls']} rows={c['rows']} steps={c['steps']} "
+              f"py_calls_per_step={c['py_calls_per_step']:.2f} "
               f"minflt_per_step={c['minflt_per_step']:.2f} "
               f"minflt_per_certify={c['minflt_per_certify']}", flush=True)
+        if args.seed is not None:
+            s = c["seeded"]
+            print(f"{name} seed={args.seed} calls={s['calls']} "
+                  f"rows={s['rows']} steps={s['steps']} "
+                  f"py_calls_per_step={s['py_calls_per_step']:.2f}", flush=True)
     return 0
 
 
