@@ -150,6 +150,11 @@ class MasModel:
         return np.asarray(x, dtype=float).reshape(-1)
 
 
+def _initial_state_rng(seed: int, *index: int) -> np.random.Generator:
+    """The generator of the initial state(s) at ``seed``; the one place that holds key 977."""
+    return np.random.default_rng(np.random.SeedSequence([seed, 977, *index]))
+
+
 def sigm10(z):
     """Numerically stable sigm_10(z) = 1 / (1 + exp(-10 z)): with e = exp(-|10 z|),
     1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, so exp never overflows."""

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code taxonomy: configuration problems
-exit 1, a missing or unreadable model file exits 2, guarantee-domain
-violations exit 3, and I/O failures exit 4.
+and contract violations exit 1, a missing or unreadable model file exits
+2, guarantee-domain violations exit 3, and I/O failures exit 4.
 """
 
 

@@ -17,8 +17,9 @@ seed, artifact version): floats are printed as shortest round-trip
 decimals and nothing time- or machine-dependent is recorded.  The output
 directory itself is excluded from the manifest for the same reason.
 
-Exit codes: 0 success, 1 configuration error, 2 missing or unreadable
-model file, 3 guarantee-domain violation, 4 I/O failure.
+Exit codes: 0 success, 1 configuration error or contract violation (a
+valid config that drives a state or value non-finite, say), 2 missing or
+unreadable model file, 3 guarantee-domain violation, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, serialize_config
+from .dynamics import _initial_state_rng
 from .errors import (
     ConfigError,
     ContractViolationError,
@@ -238,7 +240,7 @@ def _cmd_run(cfg: ExperimentConfig, out_dir: Path) -> list:
     records = []
     for i in range(cfg.rollouts):
         seed = cfg.seed + i
-        x0 = sampler(np.random.default_rng(np.random.SeedSequence([seed, 977])))
+        x0 = sampler(_initial_state_rng(seed))
         records.append(rollout(model, controller, x0, cfg.steps, seed))
     write_trajectories_csv(records, model, out_dir / "trajectories.csv")
     metrics = compute_metrics(records, model)
@@ -283,7 +285,7 @@ def _cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> list:
     policy = _safe_policy(cfg, model)
     sampler = cfg.value_sampler(model)
     states = [
-        sampler(np.random.default_rng(np.random.SeedSequence([cfg.seed, 977, i])))
+        sampler(_initial_state_rng(cfg.seed, i))
         for i in range(cfg.certify_states)
     ]
     report = certify_grid(
@@ -335,11 +337,13 @@ def run_experiment(cfg: ExperimentConfig, command: str) -> int:
     except MissingModelError as exc:
         print(f"missing or unreadable model file: {exc}", file=sys.stderr)
         return 2
-    except GuaranteeDomainError as exc:
+    except (ContractViolationError, GuaranteeDomainError) as exc:
+        domain = isinstance(exc, GuaranteeDomainError)
         step = getattr(exc, "step_index", None)
         where = f" at step {step}" if step is not None else ""
-        print(f"guarantee-domain violation{where}: {exc}", file=sys.stderr)
-        return 3
+        print(f"{'guarantee-domain' if domain else 'contract'} violation{where}: {exc}",
+              file=sys.stderr)
+        return 3 if domain else 1
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4

@@ -35,17 +35,16 @@ Every margin comes from one kernel, ``_margins``, which evaluates the
 barrier only on successor states, over blocks of flat joint-action rows.
 The pessimistic search stops trying a candidate once a combo fails it,
 searches a block that fits one pass in two halves, nearest first, and
-runs every agent's search in rounds: each round packs the open searches'
-next passes, whole and in agent order, into kernel calls of at most one
-pass of rows, with per-row draws when a call holds several agents' rows
-(on spring, both agents' near halves share one call).  The centralized
-filter sends one block per solve, of the candidates that survive
-``_screen``: at S > 1 every candidate is first evaluated at sample 0
-alone, and one that cannot clear the tolerance by the entropic
-operator's one-sample bound is dropped.  The filters share
-one state and h(x) across a block; ``guarantees.certify_grid`` sends one
-row per sampled state, each with its own state, draw and h(x), through
-the same kernel.
+runs every agent's search in rounds, each one kernel call on the open
+searches' next blocks with each agent's draw written over its rows, in
+passes that may cut across blocks (on spring, both agents' near halves
+share one pass).  The centralized filter sends one block per solve, of
+the candidates that survive ``_screen``: at S > 1 every candidate is
+first evaluated at sample 0 alone, and one that cannot clear the
+tolerance by the entropic operator's one-sample bound is dropped.  The
+filters share one state and h(x) across a block;
+``guarantees.certify_grid`` sends one row per sampled state, each with
+its own state, draw and h(x), through the same kernel.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -374,6 +374,15 @@ def centralized_filter(
                          margin=float(margins[i]))
 
 
+def _actuated_columns(model: MasModel, agent: int) -> slice:
+    """``agent``'s columns of a joint row, for an actuated agent in range."""
+    if not 0 <= agent < model.n_agents:
+        raise ContractViolationError(f"agent {agent} is not in range({model.n_agents})")
+    if model.action_dims[agent] == 0:
+        raise ContractViolationError(f"agent {agent} is unactuated")
+    return model.agent_columns(agent)
+
+
 class _Search:
     """One agent's worst-case search: its candidates still in the running,
     nearest to its nominal action first, their running minimum margins, how
@@ -382,9 +391,7 @@ class _Search:
 
     def __init__(self, model: MasModel, agent: int, nominal: np.ndarray, cfg: FilterConfig,
                  budget: int):
-        if model.action_dims[agent] == 0:
-            raise ContractViolationError(f"agent {agent} is unactuated")
-        cols = self.cols = model.agent_columns(agent)
+        cols = self.cols = _actuated_columns(model, agent)
         cands = _ordered_candidates(nominal[cols], cfg, model.action_low, model.action_high)
         self.combos = _combo_rows(len(nominal), cols.start, cols.stop, cfg.grid_size,
                                   model.action_low, model.action_high)
@@ -429,19 +436,6 @@ class _Search:
                              margin=float(self.worst[0]))
 
 
-def _packs(sizes: list, budget: int) -> list:
-    """Consecutive runs of blocks, in order, whose rows fit one pass of
-    ``budget`` rows together; a larger block runs alone."""
-    packs, rows = [], 0
-    for i, n in enumerate(sizes):
-        if not packs or rows + n > budget:
-            packs.append([])
-            rows = 0
-        packs[-1].append(i)
-        rows += n
-    return packs
-
-
 def pessimistic_filter(
     model: MasModel,
     barrier: Barrier,
@@ -474,13 +468,12 @@ def pessimistic_filter(
     with that margin, or None: infeasibility is an expected outcome near
     the constraint boundary, not a fault.
 
-    The agents search in rounds.  A round takes every open search's next
-    pass and packs whole passes, in agent order, into kernel calls of at
-    most one pass of rows.  A call of one agent's rows goes in with its
-    draw as it is; a packed call writes each agent's draw over its rows,
-    so the step's draws are never stacked.
-    A margin has the same bits in any block, so each agent's passes and
-    outcome are those of its search alone.
+    The agents search in rounds.  A round is one ``_margins`` call on
+    every open search's next block, in agent order, under per-row draws
+    with each agent's draw written over its rows; its passes may cut
+    across blocks, and each search meets its own slice of the margins.
+    A margin has the same bits in any block or pass, so each agent's rows
+    and outcome are those of its search alone.
     """
     n_samples = {len(thetas) for thetas, _ in samples}
     if len(samples) != len(agents) or len(n_samples) > 1:
@@ -493,26 +486,15 @@ def pessimistic_filter(
     live = list(range(len(searches)))
     while live:
         blocks = [searches[k].block() for k in live]
-        still = []
-        for pack in _packs([len(rows) for rows in blocks], budget):
-            if len(pack) == 1:
-                rows, draw = blocks[pack[0]], samples[live[pack[0]]]
-            else:
-                rows = np.concatenate([blocks[i] for i in pack])
-                draw = tuple(np.empty((len(rows),) + a.shape) for a in samples[live[pack[0]]])
-                start = 0
-                for i in pack:
-                    for out, a in zip(draw, samples[live[i]]):
-                        out[start:start + len(blocks[i])] = a
-                    start += len(blocks[i])
-            margins = _margins(model, barrier, x, cfg, draw, h_now, rows)
-            start = 0
-            for i in pack:
-                n = len(blocks[i])
-                if searches[live[i]].meet(margins[start:start + n]):
-                    still.append(live[i])
-                start += n
-        live = still
+        rows = np.concatenate(blocks)
+        ends = list(accumulate(len(block) for block in blocks))
+        spans = list(zip(live, [0] + ends[:-1], ends))      # (search, its rows' slice)
+        draw = tuple(np.empty((len(rows),) + a.shape) for a in samples[0])
+        for k, start, stop in spans:
+            for out, a in zip(draw, samples[k]):
+                out[start:stop] = a
+        margins = _margins(model, barrier, x, cfg, draw, h_now, rows)
+        live = [k for k, start, stop in spans if searches[k].meet(margins[start:stop])]
     return [search.outcome() for search in searches]
 
 
@@ -568,10 +550,8 @@ def proximity_filter(
     ``h_now`` = h(x) must be finite in either radius mode; only the
     margin-derived radius uses its value.
     """
-    if model.action_dims[agent] == 0:
-        raise ContractViolationError(f"agent {agent} is unactuated")
+    cols = _actuated_columns(model, agent)
     r = proximity_radius(model, cfg, h_now)
-    cols = model.agent_columns(agent)
     return _project_ball(model.validate_action(nominal)[cols],
                          model.validate_action(safe)[cols], r)
 

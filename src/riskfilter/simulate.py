@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MasModel
+from .dynamics import MasModel, _initial_state_rng
 from .errors import ContractViolationError, RiskFilterError
 from .filters import (
     Branch,
@@ -327,7 +327,7 @@ def sweep(
         for i in range(n_rollouts):
             seed = base_seed + i
             x0 = (
-                init_state(np.random.default_rng(np.random.SeedSequence([seed, 977])))
+                init_state(_initial_state_rng(seed))
                 if callable(init_state)
                 else init_state
             )

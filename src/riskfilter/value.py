@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import MasModel
+from .dynamics import MasModel, _initial_state_rng
 from .errors import ContractViolationError
 
 
@@ -183,7 +183,7 @@ def collect_dataset(
     base = _seed_int(seed)
     states = np.empty((n_states, model.n_agents, model.state_dim))
     for i in range(n_states):
-        x0 = init_sampler(np.random.default_rng(np.random.SeedSequence([base + i, 977])))
+        x0 = init_sampler(_initial_state_rng(base + i))
         states[i] = model.validate_state(x0)
     targets = np.empty(n_states)
     chunk = min(_CHUNK_ROWS, n_states)

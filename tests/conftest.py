@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +18,16 @@ from riskfilter import (
     fit_value,
     parse_config,
 )
+
+
+def src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, so
+    that a subprocess imports the package under test however the suite
+    itself found it."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def _identity_transition(x, u, thetas, noises):

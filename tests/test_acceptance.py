@@ -17,7 +17,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ConstantValue, constant_cost_model, h_of, make_static_model, zero_policy
+from conftest import (ConstantValue, constant_cost_model, h_of, make_static_model, src_env,
+                      zero_policy)
 from riskfilter import (
     Barrier,
     Branch,
@@ -303,7 +304,7 @@ def test_criterion_8_value_sanity_and_cli_determinism(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "riskfilter.cli", command,
                  "--config", str(config), "--seed", "3", "--out", str(out)],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=src_env(),
             )
             assert proc.returncode == 0, proc.stderr
         digests.append(tuple(

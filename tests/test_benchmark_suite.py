@@ -9,19 +9,17 @@ tracing hooks or its CLI-equivalence checks fails here.
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_benchmark_tests_pass():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/tests"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+        cwd=ROOT, env=src_env(), capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import src_env
 from riskfilter import (
     PolicyController,
     SweepRow,
@@ -234,7 +235,7 @@ class TestRunExperiment:
 
 class TestCli:
     def run_cli(self, *args, env_extra=None, cwd=None):
-        env = dict(os.environ)
+        env = src_env()
         if env_extra:
             env.update(env_extra)
         return subprocess.run(
@@ -353,6 +354,21 @@ class TestCli:
         assert "value.learning_rate" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (out / "value_model.bin").exists()
+
+    @pytest.mark.parametrize("command, text, where", [
+        ("run", "run.controller = nominal\nrun.steps = 5\n", " at step 1: "),
+        ("train-value", "run.preset = collision\nvalue.states = 5\nvalue.horizon = 3\n", ": "),
+    ])
+    def test_non_finite_state_exit_1_without_traceback(self, tmp_path, command, text, where):
+        # A valid noise scale of 1e308 overflows the first sampled successor,
+        # and validate_state's ContractViolationError was a raw traceback.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(FAST + "model.noise_scale = 1e308\n" + text)
+        proc = self.run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "contract violation" in line]
+        assert errors == [f"contract violation{where}state contains non-finite entries"]
 
     def test_loaded_policy_for_another_box_exit_1_before_work(self, tmp_path):
         trained = tmp_path / "trained"

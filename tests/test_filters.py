@@ -28,6 +28,7 @@ from riskfilter import (
     risk_lower,
     switching_filter,
 )
+from riskfilter import filters as filters_module
 from riskfilter.filters import (
     _against,
     _combo_rows,
@@ -261,6 +262,16 @@ class TestPessimistic:
             pessimistic_filter(m, b, [2], np.zeros((3, 2)), m.zero_action(), cfg,
                                [draw_risk_samples(m, cfg.n_samples, 0)], 1.0)[0]
 
+    @pytest.mark.parametrize("agent", [-1, 2])
+    def test_agent_outside_range_rejected(self, agent):
+        # -1 used to solve for agent 1's columns and 2 to raise an IndexError.
+        m = make_model("collision", n_agents=2)
+        b = Barrier(ConstantValue(0.0), 1.0)
+        cfg = FilterConfig()
+        with pytest.raises(ContractViolationError, match="not in range"):
+            pessimistic_filter(m, b, [agent], np.zeros((2, 2)), [0.9, -0.9], cfg,
+                               [draw_risk_samples(m, cfg.n_samples, 0)], 1.0)
+
     def test_one_draw_per_agent_required(self):
         m = make_model("collision", n_agents=2)
         b = Barrier(QuadraticValue(0.5), 2.0)
@@ -352,6 +363,16 @@ class TestProximity:
         with pytest.raises(GuaranteeDomainError):
             proximity_filter(static_model, 0, static_model.zero_action(),
                              static_model.zero_action(), cfg, -9.0)
+
+    @pytest.mark.parametrize("preset, agent, error", [
+        ("collision", -1, "not in range"),      # returned agent 1's projection, [-0.05]
+        ("collision", 2, "not in range"),       # raised an IndexError
+        ("spring", 2, "unactuated"),
+    ])
+    def test_agent_without_columns_rejected(self, preset, agent, error):
+        m = make_model(preset)
+        with pytest.raises(ContractViolationError, match=error):
+            proximity_filter(m, agent, [0.9, -0.9], [0.0, 0.0], FilterConfig(), 1.0)
 
     @pytest.mark.parametrize("radius_mode", ["fixed", "margin"])
     @pytest.mark.parametrize("h_now", [np.nan, np.inf, -np.inf])
@@ -1000,8 +1021,10 @@ class TestBatchInvariance:
 
 class TestJointSearch:
     """One ``pessimistic_filter`` call searches for every agent of a step,
-    each under its own draw, in rounds that pack whole passes of several
-    agents into one kernel call; each agent's outcome is its search's alone."""
+    each under its own draw, in rounds: a round is one ``_margins`` call on
+    every open search's next block, under per-row draws, which the kernel
+    splits into passes that may cut across blocks; each agent's outcome is
+    its search's alone."""
 
     # case -> (agents, grid size); spring runs on its trained barrier.
     CASES = {"spring": (3, 9), "collision2": (2, 9), "collision3": (3, 5), "collision4": (4, 3)}
@@ -1135,6 +1158,40 @@ class TestJointSearch:
             part = slice(45 * agent, 45 * agent + 45)
             assert np.all(thetas[part] == draw[0])
             assert rows[part][0, agent] == nom[agent]           # the nominal leads
+
+    def test_round_of_three_large_blocks_is_one_kernel_call(self, monkeypatch):
+        # TestEarlyExit.test_feasible_survivor_sees_every_combo for all
+        # three agents at once: each probe of 9 candidates keeps 5, which
+        # then meet 25 combos per block, 125 rows.  Such a round of three
+        # blocks is one _margins call of 375 rows, split into
+        # ceil(375 / 128) = 3 passes that cut across the blocks.
+        def transition_batch(x, u, thetas, noises):
+            return x + 0.5 * u[..., :, None] + noises
+
+        m, calls = self.counted(replace(make_static_model(3), transition_batch=transition_batch))
+        b = Barrier(QuadraticValue(1.0), 1.5)
+        cfg = FilterConfig(alpha=0.2)
+        draws = [draw_risk_samples(m, cfg.n_samples, [6, agent]) for agent in range(3)]
+        kernel_calls = []
+        inner = filters_module._margins
+
+        def margins(*args):
+            kernel_calls.append(len(calls))
+            return inner(*args)
+
+        monkeypatch.setattr(filters_module, "_margins", margins)
+        outs = pessimistic_filter(m, b, range(3), np.zeros((3, 2)), np.ones(3), cfg, draws, 1.5)
+        assert [out.action[0] for out in outs] == [0.5, 0.5, 0.5]
+        kernel_calls.append(len(calls))
+        passes = [[len(rows) for rows, _ in calls[a:z]]
+                  for a, z in zip(kernel_calls, kernel_calls[1:])]
+        assert [sum(p) for p in passes] == [27, 375, 375, 375, 75]     # one call a round
+        per_pass = 640 // cfg.n_samples
+        assert [len(p) for p in passes] == [-(-sum(p) // per_pass) for p in passes]
+        assert passes[1] == [128, 128, 119]
+        for agent, out in enumerate(outs):
+            assert out.margin == worst_case_margin(m, b, agent, out.action, np.zeros((3, 2)),
+                                                   cfg, draws[agent], 1.5)
 
     class AgentWeightedValue:
         """V(x) = sum_i w_i ||x_i||^2 over the flat (M * 2) state."""

@@ -8,14 +8,13 @@ import subprocess
 import sys
 import threading
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ConstantValue, constant_cost_model, make_static_model, zero_policy
+from conftest import ConstantValue, constant_cost_model, make_static_model, src_env, zero_policy
 from riskfilter import (
     ApproxConfig,
     Barrier,
@@ -566,12 +565,10 @@ print(hashlib.sha256(b"".join(w.tobytes() for w in vm.weights)).hexdigest())
 
 
 def _fit_digest(threads: str | None) -> str:
-    env = {k: v for k, v in os.environ.items()
+    env = {k: v for k, v in src_env().items()
            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", _FIT_DIGEST], env=env, check=True,
                           capture_output=True, text=True).stdout.strip()
 
