@@ -17,9 +17,10 @@ comma-separated strings.  Unknown keys are rejected.
 Each key is declared once, on its ``ExperimentConfig`` field, together
 with its default; the field's annotation is its type.  Parsing,
 serialization and the key check all read that one declaration.
-Validation also bounds the work of one filter solve and the memory of
-one certify pass and of the rollouts ``run`` keeps, so a config that
-could not finish is rejected before any work.
+Validation also bounds the work of one filter solve, the memory of one
+certify pass, of one value fit and of the rollouts ``run`` keeps, and the
+noise scale, so that no noise draw overflows: a config that could not
+finish is rejected before any work.
 
 Defaults mirror the benchmark setup: alpha = 0.1, epsilon = 0, proximity
 radius 0.05, beta = 1, xi = 5, 5 risk samples, gamma = 0.99, and the
@@ -286,9 +287,13 @@ def _filter_block_pairs(cfg: ExperimentConfig) -> int:
     return 0
 
 
-# Memory bound, in bytes, on what one certify pass or one command's
-# rollouts hold.
+# Memory bound, in bytes, on what one certify pass, one value fit or one
+# command's rollouts hold.
 _MAX_HELD_BYTES = 2**30
+
+# The largest |draw| of ``Generator.standard_normal``: its ziggurat tail
+# returns r + x with x = -log1p(-U) / r, U < 1 at 53 bits, r = 3.6541528853610088.
+_MAX_NORMAL_DRAW = 3.6541528853610088 + 53 * math.log(2) / 3.6541528853610088
 
 
 def _certify_pass_bytes(cfg: ExperimentConfig) -> int:
@@ -300,6 +305,18 @@ def _certify_pass_bytes(cfg: ExperimentConfig) -> int:
     is built, since M may be far too large to build."""
     state_size = cfg.agents * make_model(cfg.preset).state_dim
     return 8 * cfg.certify_samples * (4 * state_size + 2 * max(cfg.hidden_sizes()))
+
+
+def _fit_bytes(cfg: ExperimentConfig) -> int:
+    """Estimated bytes ``fit_value`` holds, 8·(6·P + 3·N·sum(hidden) +
+    2·1024·max(hidden)) for P parameters and N = value.states rows: the
+    flat parameters, gradients, two Adam moments and two step arrays,
+    about three activation-sized arrays per hidden layer (activations,
+    deltas and tanh factors), and ``predict``'s two per-thread buffers."""
+    hidden = cfg.hidden_sizes()
+    sizes = (cfg.agents * make_model(cfg.preset).state_dim,) + hidden + (1,)
+    params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+    return 8 * (6 * params + 3 * cfg.value_states * sum(hidden) + 2 * 1024 * max(hidden))
 
 
 def _rollout_bytes(cfg: ExperimentConfig) -> int:
@@ -337,6 +354,9 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         bad("model.u_max must exceed model.u_min")
     if cfg.noise_scale < 0:
         bad("model.noise_scale must be >= 0")
+    if not math.isfinite(_MAX_NORMAL_DRAW * cfg.noise_scale):
+        bad(f"model.noise_scale = {cfg.noise_scale!r} overflows the largest noise draw, "
+            f"{_MAX_NORMAL_DRAW:.4g} standard deviations; lower model.noise_scale")
     if not 0 < cfg.gamma < 1:
         bad("model.gamma must lie in (0, 1)")
     if cfg.value_states < 1 or cfg.value_samples < 1 or cfg.value_epochs < 1:
@@ -363,6 +383,11 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             cfg.filter_config(beta=beta)
     except ContractViolationError as exc:
         bad(str(exc))
+    fit_bytes = _fit_bytes(cfg)
+    if fit_bytes > _MAX_HELD_BYTES:
+        bad(f"value.hidden = {cfg.value_hidden} with value.states = {cfg.value_states} would "
+            f"hold about {fit_bytes / 1e6:.0f} MB in one fit, over the memory bound of "
+            f"{_MAX_HELD_BYTES / 2**30:g} GiB; lower value.hidden or value.states")
     certify_bytes = _certify_pass_bytes(cfg)
     if certify_bytes > _MAX_HELD_BYTES:
         bad(f"certify.samples = {cfg.certify_samples} would hold about "

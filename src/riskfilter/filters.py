@@ -40,8 +40,9 @@ searches' next blocks with each agent's draw written over its rows, in
 passes that may cut across blocks (on spring, both agents' near halves
 share one pass).  The centralized filter sends one block per solve, of
 the candidates that survive ``_screen``: at S > 1 every candidate is
-first evaluated at sample 0 alone, and one that cannot clear the
-tolerance by the entropic operator's one-sample bound is dropped.  The
+first evaluated at sample 0 alone, by the value model's float32 lower
+bound (``ValueModel.lower``), and one that cannot clear the tolerance by
+the entropic operator's one-sample bound is dropped.  The
 filters share one state and h(x) across a block;
 ``guarantees.certify_grid`` sends one row per sampled state, each with
 its own state, draw and h(x), through the same kernel.
@@ -227,47 +228,64 @@ def _one_sample_bound(values: np.ndarray, n_samples: int, beta: float) -> np.nda
 
     since the sum is at least its own term s.  The bound is raised by a
     slack of 1e-9 * (1 + |v_s| + log(S)/beta), which covers the rounding of
-    the computed ``risk_lower`` (a few ulps of its terms) and the few-ulp
-    difference between a successor's value in ``_screen``'s stack and in
-    the kernel's, where it may sit at another row of its slice.
+    the computed ``risk_lower`` (a few ulps of its terms).  ``_screen``'s v_s
+    is xi - ``lower``, at or above the kernel's value of the successor in
+    any stack; where ``lower`` falls back to ``predict`` (and for value
+    models without ``lower``), the slack also covers the few-ulp difference
+    between a successor's value in the screen's call and in the kernel's,
+    where it may sit at another row of its slice.
     """
     spread = math.log(n_samples) / beta
     return values + spread + 1e-9 * (1.0 + np.abs(values) + spread)
+
+
+# Rows per screen pass: twice a kernel pass's pairs, since ``lower`` holds
+# float32 activations, half the bytes of ``predict``'s.  So collision M = 3's
+# 730 candidates take one pass, not two (640 + 90): about 100 us less a
+# screen on a 2-core box.
+_SCREEN_ROWS = 2 * _PASS_PAIRS
 
 
 def _screen(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig,
             samples: tuple, h_now: float, rows: np.ndarray) -> np.ndarray:
     """Mask of the (B, A) rows that may clear the tolerance, from sample 0 alone.
 
-    Per pass over up to _PASS_PAIRS rows, one ``transition_batch`` call at
-    sample 0 and one ``barrier.value`` call give v_0; a row is dropped
+    Per pass over up to _SCREEN_ROWS rows, one ``transition_batch`` call at
+    sample 0 gives the successors, and v_0 = xi - ``value_model.lower`` of
+    them bounds h there from above: ``lower`` runs the network in float32
+    and never exceeds ``predict``'s float64 value (a value model without
+    ``lower`` goes through ``predict`` in the same call).  A row is dropped
     when its ``_one_sample_bound`` less alpha * h(x) + epsilon, in the
     kernel's order of operations, stays under the tolerance.  Float
     subtraction is monotone, so the kernel's margin of a dropped row would
     stay under it too, and the kernel never sees the row: like a candidate
     the pessimistic search drops at its first failing combo, a dropped
     row's later samples are never evaluated (a non-finite value there goes
-    unseen).  Non-finite values at sample 0 raise as in the kernel.
+    unseen).  The screen only drops rows; the kernel evaluates every
+    survivor in float64 and decides the solve.  Non-finite values at
+    sample 0 raise as in the kernel: ``lower`` sends a row that float32
+    cannot hold to ``predict``.
 
-    The rows go to the barrier as a (b / S, S, d) stack, padded with
-    repeated rows: the kernel's slice shape, so the value model runs the
-    kernel's small products.  One 2-D call runs larger ones, which
-    OpenBLAS spreads over threads, and that doubled the step time when
-    another process held a core.
+    The rows go to the value model as a (b / S, S, d) stack, padded with
+    repeated rows: the kernel's slice shape, so it runs small products.
+    One 2-D call runs larger ones, which OpenBLAS spreads over threads,
+    and that doubled the step time when another process held a core.
     """
     thetas, noises = samples
     n = len(thetas)
+    value_model = barrier.value_model
+    lower = getattr(value_model, "lower", value_model.predict)
     keep = np.empty(len(rows), dtype=bool)
-    for start in range(0, len(rows), _PASS_PAIRS):
-        block = rows[start:start + _PASS_PAIRS]
+    for start in range(0, len(rows), _SCREEN_ROWS):
+        block = rows[start:start + _SCREEN_ROWS]
         stack = np.resize(block, (-(-len(block) // n), n, block.shape[1]))
         nexts = model.transition_batch(x, stack, thetas[0], noises[0])
-        values = np.asarray(barrier.value(nexts.reshape(*nexts.shape[:2], -1)),
-                            dtype=float).reshape(-1)[:len(block)]
+        values = barrier.xi - np.asarray(lower(nexts.reshape(*nexts.shape[:2], -1)),
+                                         dtype=float).reshape(-1)[:len(block)]
         if not np.all(np.isfinite(values)):
             raise ContractViolationError("barrier produced non-finite values")
         bound = _one_sample_bound(values, n, cfg.beta)
-        keep[start:start + _PASS_PAIRS] = (
+        keep[start:start + _SCREEN_ROWS] = (
             bound - cfg.alpha * h_now - cfg.epsilon >= cfg.tolerance)
     return keep
 

@@ -20,8 +20,10 @@ V_hat, not a high-capacity fit.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -214,6 +216,10 @@ class ValueModel:
     Inputs are standardized with the stored dataset statistics, hidden
     layers use tanh, and predictions are clamped at 0 (the true value is
     nonnegative; spurious negatives would inflate the barrier).
+    ``predict`` runs in float64 and gives every value the filters decide
+    on.  ``lower`` runs a float32 copy of the network, built on first use
+    and never saved, and returns a proven lower bound on ``predict``: the
+    centralized filter's screen needs only that.
     """
 
     layer_sizes: tuple
@@ -232,6 +238,14 @@ class ValueModel:
     def input_dim(self) -> int:
         return self.layer_sizes[0]
 
+    def _checked(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0 or x.shape[-1] != self.input_dim:
+            raise ContractViolationError(
+                f"input shape {x.shape} does not match input dimension {self.input_dim}"
+            )
+        return x
+
     def predict(self, x) -> float | np.ndarray:
         """V_hat over the last axis of x (..., input_dim): a float for one flat
         state, an array of the leading shape for a stack.  Each layer is one
@@ -241,28 +255,51 @@ class ValueModel:
         the calling thread's two reused buffers, alternately; the result is
         always a new array.
         """
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0 or x.shape[-1] != self.input_dim:
-            raise ContractViolationError(
-                f"input shape {x.shape} does not match input dimension {self.input_dim}"
-            )
+        x = self._checked(x)
         z = (np.atleast_2d(x) - self.x_mean) / self.x_scale
-        rows = z.size // self.input_dim
-        buffers = (_hidden_buffers(max(self.layer_sizes[1:-1], default=0))
-                   if rows <= _BUFFER_ROWS else None)
-        for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
-            out = (None if buffers is None else
-                   buffers[i % 2][:rows * w.shape[1]].reshape(z.shape[:-1] + w.shape[1:]))
-            z = np.matmul(z, w, out=out)
-            z += b  # in place: same bits, fewer live activation arrays
-            np.tanh(z, out=z)
+        z = _hidden_layers(z, self.weights, self.biases, max(self.layer_sizes[1:-1], default=0))
         out = (z @ self.weights[-1] + self.biases[-1])[..., 0]
         out = np.maximum(out * self.y_scale + self.y_mean, 0.0)
         return float(out[0]) if x.ndim == 1 else out
 
+    def lower(self, x) -> float | np.ndarray:
+        """A lower bound on ``predict(x)``, row for row, from the network run
+        in float32, at about half of predict's cost on a screen's stacks.
 
-# Rows of the largest stack whose hidden activations go to reused buffers;
-# every kernel, screen and certify pass at the defaults has at most 640.
+        Same input contract and result shapes as ``predict``, and the same
+        per-slice products on a stack.  The result never exceeds
+        ``predict``'s float64 result for the row, in any stack it sits in:
+        it is the float32 output less ``_Float32Net``'s bound on the two
+        evaluations' distance, which grows with the row's r = sum |x_k|.
+        A row whose r could overflow a float32 intermediate, or whose
+        float32 bound is not finite, gets ``predict``'s own value (so a
+        non-finite input gives what ``predict`` gives).
+        """
+        x = self._checked(x)
+        net = self._float32
+        xs = run = np.atleast_2d(x)
+        r = (np.abs(xs).reshape(-1, self.input_dim) @ net.ones).reshape(xs.shape[:-1])
+        ok = r <= net.r_max        # False for NaN
+        if not ok.all():           # zeros run in float32, NaN slack sends them to predict
+            run, r = np.where(ok[..., None], xs, 0.0), np.where(ok, r, np.nan)
+        z = _hidden_layers(run.astype(np.float32), net.weights, net.biases,
+                           max(self.layer_sizes[1:-1], default=0))
+        y = (z @ net.weights[-1] + net.biases[-1])[..., 0].astype(float)
+        low = np.maximum(y * self.y_scale + self.y_mean - (net.slack[0] + net.slack[1] * r), 0.0)
+        bad = ~(low < math.inf)    # NaN or inf
+        if bad.any():
+            low[bad] = self.predict(xs[bad])
+        return float(low[0]) if x.ndim == 1 else low
+
+    @cached_property
+    def _float32(self) -> _Float32Net:
+        """The float32 network ``lower`` runs; built on first use, never saved."""
+        return _float32_net(self)
+
+
+# Rows of the largest float64 stack whose hidden activations go to reused
+# buffers; every kernel and certify pass at the defaults has at most 640,
+# and a float32 screen pass at most 1,280, the bytes of 640 float64 rows.
 # A fresh activation array over glibc's 128 KiB mmap threshold is mapped
 # and unmapped again on each call or not, depending on the heap's history,
 # and each mapping faults its pages in anew: a certify call took thousands
@@ -280,6 +317,167 @@ def _hidden_buffers(width: int) -> tuple:
         pair = _thread_buffers.pair = (np.empty(_BUFFER_ROWS * width),
                                        np.empty(_BUFFER_ROWS * width))
     return pair
+
+
+def _hidden_layers(z: np.ndarray, weights: tuple, biases: tuple, width: int) -> np.ndarray:
+    """The last hidden layer's activations of input stack z (..., input_dim),
+    in z's dtype: tanh(z W + b) per hidden layer, each one matmul on the
+    stack as given, then the bias and tanh in place.  A stack of at most
+    _BUFFER_ROWS rows in float64, or twice as many in float32, writes its
+    layers into the thread's two buffers of ``width`` (the widest hidden
+    layer) floats a row, alternately, viewed as z's dtype."""
+    rows = z.size // z.shape[-1]
+    buffers = _hidden_buffers(width) if rows * z.itemsize <= _BUFFER_ROWS * 8 else None
+    for i, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
+        out = (None if buffers is None else buffers[i % 2].view(z.dtype)[:rows * w.shape[1]]
+               .reshape(z.shape[:-1] + w.shape[1:]))
+        z = np.matmul(z, w, out=out)
+        z += b  # in place: same bits, fewer live activation arrays
+        np.tanh(z, out=z)
+    return z
+
+
+# Unit roundoffs of float32 and float64, and the error bounds ``lower``
+# assumes of np.tanh: in units of 2^-23 (float32) and 2^-52 (float64), the
+# largest ulps of a value in [-1, 1].  tests/test_value.py sweeps np.tanh
+# against a wider type to check them; numpy 2.4.6 errs by 1.36 and 1.17.
+_U32, _U64 = 2.0 ** -24, 2.0 ** -53
+_TANH32_ULPS = 2.0
+_TANH64_ULPS = 4.0
+# Largest error of one rounded float32 (float64) product or quotient under
+# gradual underflow, beyond its relative error u; sums stay exact there.
+_ETA32, _ETA64 = 2.0 ** -150, 2.0 ** -1075
+
+
+def _gamma(n: int, u: float) -> float:
+    """gamma_n = n u / (1 - n u), which bounds the relative error of a sum of
+    n rounded terms in any order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1); inf where n u >= 1/2."""
+    return n * u / (1 - n * u) if n * u < 0.5 else math.inf
+
+
+@dataclass(frozen=True)
+class _Float32Net:
+    """A ``ValueModel``'s network in float32, and the bound ``lower`` uses.
+
+    ``weights`` and ``biases`` are float32 copies, the first layer's with
+    the input standardization folded in: W' = W_1 / x_scale (row-wise) and
+    b' = b_1 - (x_mean / x_scale) W_1.  For a row x with r >= sum_k |x_k|,
+    ``lower`` is max(y y_scale + y_mean - (slack[0] + slack[1] r), 0) in
+    float64, where y is the float32 network's output.  Rows with r >
+    ``r_max`` may overflow a float32 (or float64) intermediate, and go to
+    ``predict``.  ``ones`` sums |x_k| in one product.  See ``_float32_net``.
+    """
+
+    weights: tuple
+    biases: tuple
+    slack: tuple
+    r_max: float
+    ones: np.ndarray
+
+
+def _float32_net(vm: ValueModel) -> _Float32Net:
+    """Build the float32 network of ``vm`` and its bound, as follows.
+
+    Write u = 2^-24 and u' = 2^-53 for the unit roundoffs, gamma_n for
+    ``_gamma``, eta = 2^-150 and eta' = 2^-1075 for the absolute error of a
+    product under gradual underflow, and a_i for the exact (real) network's
+    activations, with a_0 = (x - x_mean) / x_scale.  The float32 run
+    computes a^_i, the float64 one (``predict``) a~_i.  Let e_i bound
+    |a^_i - a_i| and e~_i bound |a~_i - a_i|, unit by unit.
+
+    * Each layer is a dot product of K terms plus a bias: any summation
+      order, FMA or not, errs by at most gamma_{K+1} (sum |w a| + |b|),
+      plus K eta for products that underflow.
+    * A hidden layer's inputs lie in [-1, 1], both exact and computed
+      (np.tanh never leaves it), so its terms are static, and tanh is
+      1-Lipschitz: a hidden layer adds its rounding, the float32 weight
+      rounding sum |W^ - W| + |b^ - b|, and the tanh's own error, at most
+      _TANH32_ULPS 2^-23 (_TANH64_ULPS 2^-52), to |W|^T e_{i-1}.
+    * The input layer's terms scale with |x|: x^ = fl32(x) errs by
+      u |x_k| + eta, and sum_k c_k |x_k| <= max_k c_k r for r >= sum |x_k|,
+      so its error is p + q r per unit, and so is every later layer's.
+      The float32 side folds the standardization into W', whose float64
+      computation errs by under 3u' |W'| and b' by gamma'_{d+3} (|b| + |mu/s|
+      |W|); the float64 side standardizes x, which errs by gamma'_2
+      (|x_k| + |mu_k|) / s_k.
+
+    Then |y^ - y~| <= E(r) = c0 + c1 r, the float32 and float64 bounds
+    summed and raised by 2^-20, which covers the float64 rounding of this
+    construction (an operation depth far below 2^30).  The output's affine
+    map and the subtraction of the slack round a dozen times in float64;
+    2^-48 = 32u' of |y^| y_scale + |y_mean| covers them, with |y^| under
+    the output's magnitude bound, and 2^-1000 any underflow.  So
+    lower(x) <= predict(x) whenever no intermediate of either run
+    overflows, which every r <= ``r_max`` guarantees: it keeps the same
+    per-unit magnitude bounds, linear in r, under 2^126 in float32 and
+    2^1000 in float64.  A float32 parameter that is not finite sets
+    r_max = -1.
+    """
+    w1, b1 = vm.weights[0], vm.biases[0]
+    d = vm.input_dim
+    inv = 1.0 / vm.x_scale
+    mu = np.abs(vm.x_mean) * inv                                    # |mu_k| / s_k
+    w_in = w1 * inv[:, None]                                        # W'
+    weights = [w_in] + list(vm.weights[1:])
+    biases = [b1 - (vm.x_mean * inv) @ w1] + list(vm.biases[1:])    # b', then the rest
+    w32 = tuple(w.astype(np.float32) for w in weights)
+    b32 = tuple(b.astype(np.float32) for b in biases)
+
+    # Each bound is a (units, 2) array p + q r: column 0 holds p, column 1 q.
+    aw, p32, b_hat = np.abs(w_in), np.abs(w32[0]).astype(float), np.abs(b32[0]).astype(float)
+    dw = np.abs(w32[0] - w_in) + 3 * _U64 * aw                      # >= |W'^ - W'|
+    db = (np.abs(b32[0] - biases[0])                                # >= |b'^ - b'|
+          + _gamma(d + 3, _U64) * (np.abs(b1) + mu @ np.abs(w1)))
+    g, g64 = _gamma(d + 1, _U32), _gamma(d + 5, _U64)
+    err32 = _pq(g * (b_hat + _ETA32 * p32.sum(0)) + db + _ETA32 * ((dw + aw).sum(0) + d),
+                ((1 + _U32) * (g * p32 + dw) + _U32 * aw).max(0))
+    err64 = _pq(g64 * (mu @ aw + np.abs(b1)) + _ETA64 * (np.abs(w1).sum(0) + d + 1),
+                g64 * aw.max(0))
+    mag32 = (1 + g) * _pq(b_hat + _ETA32 * p32.sum(0), (1 + _U32) * p32.max(0))
+    mag64 = 2 * _pq(mu @ aw + np.abs(b1), aw.max(0))
+    limits = [(_pq(_ETA32, 1 + _U32), 2.0 ** 126),                  # x^
+              (_pq(2 * np.abs(vm.x_mean), 2.0), 2.0 ** 1000),       # x - x_mean
+              (_pq(2 * mu + _ETA64, 2 * inv), 2.0 ** 1000),         # a~_0
+              (mag32, 2.0 ** 126), (mag64, 2.0 ** 1000)]            # the layer's sums
+    for w, w_f32, b, b_f32 in zip(weights[1:], w32[1:], biases[1:], b32[1:]):
+        err32[:, 0] += _TANH32_ULPS * 2.0 ** -23
+        err64[:, 0] += _TANH64_ULPS * 2.0 ** -52
+        k = w.shape[0]
+        aw, p32, b_hat = np.abs(w), np.abs(w_f32).astype(float), np.abs(b_f32).astype(float)
+        g, g64 = _gamma(k + 1, _U32), _gamma(k + 1, _U64)
+        err32 = aw.T @ err32
+        err32[:, 0] += (g * (p32.sum(0) + b_hat) + np.abs(w_f32 - w).sum(0)
+                        + np.abs(b_f32 - b) + k * _ETA32)
+        err64 = aw.T @ err64
+        err64[:, 0] += g64 * (aw.sum(0) + np.abs(b)) + k * _ETA64
+        mag32 = _pq((1 + g) * (p32.sum(0) + b_hat), 0.0)
+        mag64 = _pq(2 * (aw.sum(0) + np.abs(b)), 0.0)
+        limits += [(mag32, 2.0 ** 126), (mag64, 2.0 ** 1000)]
+    c0, c1 = (err32[0] + err64[0]) * (1 + 2.0 ** -20)
+    ys, ym = vm.y_scale, abs(vm.y_mean)
+    (p_y, q_y), = mag32[:1]                                         # |y^| <= p_y + q_y r
+    slack = (ys * c0 + 2.0 ** -48 * (ym + ys * p_y) + 2.0 ** -1000,
+             ys * c1 + 2.0 ** -48 * ys * q_y)
+    limits += [(_pq(ym, 0.0) + 2 * ys * np.maximum(mag32[:1], mag64[:1]), 2.0 ** 1000),
+               (_pq(slack[0], slack[1]), 2.0 ** 1000)]
+    r_max = min(_largest_r(pq, bound) for pq, bound in limits)
+    finite = all(np.isfinite(a).all() for a in w32 + b32) and math.isfinite(c0 + c1)
+    return _Float32Net(weights=w32, biases=b32, slack=slack,
+                       r_max=r_max if finite and r_max >= 0 else -1.0, ones=np.ones(d))
+
+
+def _pq(p, q) -> np.ndarray:
+    """A (units, 2) bound p + q r, from p and q, each per unit or shared."""
+    return np.stack(np.broadcast_arrays(np.atleast_1d(p), np.atleast_1d(q)), axis=-1).astype(float)
+
+
+def _largest_r(pq: np.ndarray, bound: float) -> float:
+    """The largest r with p + q r < bound on every unit of ``pq``, or -1."""
+    p, q = pq[:, 0], pq[:, 1]
+    if not (p < bound).all():
+        return -1.0
+    return float(np.divide(bound - p, q, out=np.full(len(p), math.inf), where=q > 0).min())
 
 
 def _layer_views(flat: np.ndarray, sizes: tuple) -> tuple:

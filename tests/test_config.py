@@ -11,7 +11,7 @@ import pytest
 
 from riskfilter import ConfigError, ExperimentConfig, config_with, parse_config, serialize_config
 from riskfilter import cli
-from riskfilter.config import _certify_pass_bytes, _rollout_bytes
+from riskfilter.config import _certify_pass_bytes, _fit_bytes, _rollout_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -217,6 +217,31 @@ class TestValidation:
             with pytest.raises(ConfigError) as err:
                 parse_config(text.format(rollouts, steps))
             assert err.value.code == "invalid-value" and "run.steps" in str(err.value)
+
+    def test_fit_memory_bound(self):
+        # A fit holds about 8·(6·P + 3·N·sum(hidden) + 2·1024·max(hidden))
+        # bytes.  Spring's 64x64 network has P = 4,673 parameters, so N =
+        # 349,110 rows take 1,073,738,800 bytes, under the 1 GiB bound, and
+        # one row more goes over it.  Only validation runs, never a fit.
+        text = "value.states = {}\n"
+        assert _fit_bytes(parse_config(text.format(2000))) == 8 * (6 * 4673 + 3 * 2000 * 128
+                                                                   + 2 * 1024 * 64)
+        assert parse_config(text.format(349_110)).value_states == 349_110
+        for bad in (text.format(349_111), "value.hidden = 100000x100000\n",
+                    "value.states = 2\nvalue.hidden = 64x5000000\n"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(bad)
+            assert err.value.code == "invalid-value"
+            assert "value.hidden" in str(err.value) and "memory bound" in str(err.value)
+
+    def test_noise_scale_whose_draws_overflow_rejected(self):
+        # Generator.standard_normal never returns more than 13.71 in size,
+        # and 1.797e308 / 13.71 = 1.3115e307.
+        assert parse_config("model.noise_scale = 1.311e307").noise_scale == 1.311e307
+        for scale in ("1.312e307", "1e308"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(f"model.noise_scale = {scale}\n")
+            assert err.value.code == "invalid-value" and "model.noise_scale" in str(err.value)
 
     def test_shipped_and_benchmark_configs_accepted(self):
         # The defaults of both presets, every benchmark workload and every

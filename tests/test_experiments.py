@@ -318,6 +318,12 @@ class TestCli:
         text = "run.controller = nominal\nrun.steps = 1000000000000\nrun.rollouts = 1\n"
         self.assert_rejected_before_work(tmp_path, "run", text, "memory bound")
 
+    @pytest.mark.parametrize("command", ["run", "train-value"])
+    def test_overflowing_noise_scale_exit_1_before_work(self, tmp_path, command):
+        # Its first noise draws overflowed to inf after NumPy's warnings.
+        self.assert_rejected_before_work(tmp_path, command, "model.noise_scale = 1e308\n",
+                                         "largest noise draw")
+
     def assert_rejected_before_work(self, tmp_path, command, text, bound):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(FAST + text)
@@ -360,10 +366,17 @@ class TestCli:
         ("train-value", "run.preset = collision\nvalue.states = 5\nvalue.horizon = 3\n", ": "),
     ])
     def test_non_finite_state_exit_1_without_traceback(self, tmp_path, command, text, where):
-        # A valid noise scale of 1e308 overflows the first sampled successor,
-        # and validate_state's ContractViolationError was a raw traceback.
+        # A valid state near the largest float overflows a successor, and
+        # validate_state's ContractViolationError was a raw traceback.  The
+        # run's positions 1.6e308 grow by 0.1 x 1.2e308 a step: finite after
+        # step 0, not after step 1.  (A noise scale of 1e308 did this until
+        # validation rejected it.)
+        box = {"run": ("init", 1.6e308, 1.2e308), "train-value": ("value", 1.79e308, 1.79e308)}
+        name, pos, vel = box[command]
+        start = "".join(f"{name}.{key}_{end} = {value!r}\n"
+                        for key, value in (("pos", pos), ("vel", vel)) for end in ("low", "high"))
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(FAST + "model.noise_scale = 1e308\n" + text)
+        cfg.write_text(FAST + "init.mode = uniform\n" + start + text)
         proc = self.run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr

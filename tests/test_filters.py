@@ -631,6 +631,13 @@ def _full_scan(model, barrier, x, nominal, cfg, samples, h_now):
     return (cands[hits[0]], float(margins[hits[0]])) if hits.size else None
 
 
+class _PredictOnly:
+    """A value model with ``predict`` alone, as the test stubs have."""
+
+    def __init__(self, inner):
+        self.predict = inner.predict
+
+
 class TestScreen:
     """The centralized filter first evaluates every candidate at sample 0
     and drops those that the entropic operator's one-sample bound rules
@@ -675,6 +682,32 @@ class TestScreen:
                     rejected += int(np.sum(~_screen(s.model, s.barrier, x, cfg, samples,
                                                     h_now, cands)))
         assert outcomes == {True, False} and rejected > 0
+
+    def test_float32_screen_keeps_every_float64_survivor(self, spring_setup, collision_setup,
+                                                         collision3_setup):
+        # The screen bounds h at sample 0 by xi - lower(x+).  A value model
+        # without ``lower`` goes through ``predict`` in the same call, and
+        # lower <= predict, so the float32 screen keeps a superset of the
+        # float64 screen's rows: at most a few more, and it still drops most.
+        rows = kept64 = kept32 = 0
+        for s in (spring_setup, collision_setup, collision3_setup):
+            exact = Barrier(_PredictOnly(s.value_model), s.barrier.xi)
+            rng = np.random.default_rng(s.model.n_agents)
+            for beta, tolerance, epsilon in itertools.product((0.1, 1.0, 10.0), (0.0, 0.3),
+                                                              (0.0, 0.05)):
+                cfg = FilterConfig(beta=beta, tolerance=tolerance, epsilon=epsilon)
+                for seed in range(3):
+                    x = s.model.validate_state(s.box_sampler(rng))
+                    samples = draw_risk_samples(s.model, cfg.n_samples, seed)
+                    h_now = h_of(s.model, s.barrier, x)
+                    cands = _ordered_candidates(s.nominal(x), cfg, s.model.action_low,
+                                                s.model.action_high)
+                    fast = _screen(s.model, s.barrier, x, cfg, samples, h_now, cands)
+                    slow = _screen(s.model, exact, x, cfg, samples, h_now, cands)
+                    assert np.all(fast[slow])
+                    rows += len(cands)
+                    kept64, kept32 = kept64 + slow.sum(), kept32 + fast.sum()
+        assert 0 < kept64 <= kept32 <= kept64 + 0.01 * rows < rows
 
     def counting_model(self, agents=2):
         # f(x, u) = x + 0.5 u, as TestEarlyExit.drift_model; each call is

@@ -56,3 +56,15 @@ def test_counts_the_seeded_load(tmp_path):
     by_hand = tool.count_rollouts(stack, [tool.wl.extra_seed(7, i) for i in range(3)])
     assert (by_hand["calls"], by_hand["rows"]) == (seeded["calls"], seeded["rows"])
     assert by_hand["py_calls_per_step"] == seeded["py_calls_per_step"]
+
+
+def test_counts_screen_rows_apart(tmp_path):
+    # The centralized screen calls transition_batch at sample 0 with a
+    # scalar theta: one call per solve of all 9^3 + 1 = 730 candidates, as
+    # a 146 x 5 stack; the kernel gets only the survivors.
+    tool = load_tool()
+    c = tool.counts(TINY.replace("switching", "centralized"), tmp_path)
+    assert c["screen_calls"] == c["steps"] == 6 and c["screen_rows"] == 6 * 730
+    assert c["rows"] < c["screen_rows"]
+    switching = tool.counts(TINY, tmp_path)
+    assert switching["screen_calls"] == switching["screen_rows"] == 0

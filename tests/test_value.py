@@ -506,6 +506,127 @@ class TestBatchInvariance:
         assert all(r == expected[i] for i in range(2) for r in results[i])
 
 
+def _magnitude(draw, low, high):
+    """A float of either sign and of magnitude 10^k, k in [low, high]."""
+    return draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(low, high))
+
+
+@st.composite
+def _networks(draw):
+    """ValueModels with 0 to 3 hidden layers of 1 to 24 units, weights,
+    biases and input and output statistics over many magnitudes, some past
+    float32's range."""
+    sizes = (draw(st.integers(1, 6)),) + tuple(
+        draw(st.lists(st.integers(1, 24), max_size=3))) + (1,)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights, biases = [], []
+    for a, b in zip(sizes[:-1], sizes[1:]):
+        weights.append(rng.standard_normal((a, b)) * 10.0 ** draw(st.floats(-40, 40)))
+        biases.append(rng.standard_normal(b) * 10.0 ** draw(st.floats(-40, 40)))
+    return rf_value.ValueModel(
+        layer_sizes=sizes, weights=tuple(weights), biases=tuple(biases),
+        x_mean=rng.standard_normal(sizes[0]) * 10.0 ** draw(st.floats(-6, 6)),
+        x_scale=np.abs(rng.standard_normal(sizes[0])) * 10.0 ** draw(st.floats(-12, 6)) + 1e-12,
+        y_mean=_magnitude(draw, -6, 6), y_scale=abs(_magnitude(draw, -12, 6)),
+        gamma=0.99, horizon=1, train_seed=0, final_mse=0.0)
+
+
+@st.composite
+def _inputs(draw, dim):
+    """A (b, S, dim) stack whose entries span zero, float32's subnormals and
+    its overflow threshold, with a row of one magnitude or of many."""
+    b, s = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal((b, s, dim)) * 10.0 ** draw(st.floats(-45, 36))
+    spread = rng.uniform(-45, 39, size=(b, s, dim)) * rng.integers(0, 2, size=(b, s, dim))
+    x = np.where(rng.random((b, s, dim)) < draw(st.floats(0, 1)), x, np.sign(x) * 10.0 ** spread)
+    x.flat[rng.integers(0, x.size)] = draw(st.sampled_from(
+        [0.0, 3.4e38, -3.4028234e38, 3.41e38, 1e39, 1.4e-45, 1e-40, 1.0]))
+    return x
+
+
+class TestLower:
+    """``ValueModel.lower`` runs the network in float32 and subtracts a
+    rounding bound: it never exceeds ``predict``'s float64 result."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(data=st.data(), vm=_networks())
+    def test_never_exceeds_predict(self, data, vm):
+        x = data.draw(_inputs(vm.input_dim))
+        with np.errstate(all="ignore"):
+            low, high = vm.lower(x), vm.predict(x)
+            flat = vm.predict(x.reshape(-1, vm.input_dim)).reshape(high.shape)
+            # A row that could overflow float32 gets predict's value, from a
+            # 2-D call of those rows; every other row runs in float32.
+            sent = ~(np.abs(x).sum(axis=-1) <= vm._float32.r_max)
+            exact = vm.predict(x[sent])
+        assert low.shape == high.shape
+        assert np.array_equal(low[sent], exact, equal_nan=True)
+        # Below predict in any stack the row sits in: this one and a 2-D call.
+        ran = ~sent & np.isfinite(low)
+        assert np.all(low[ran] <= high[ran]) and np.all(low[ran] <= flat[ran])
+        assert np.array_equal(np.isnan(low), np.isnan(high))
+
+    def test_tight_on_trained_models(self, spring_setup, collision_setup, collision3_setup):
+        # The bound costs the screen little: within 1e-2 of V's scale.
+        for s in (spring_setup, collision_setup, collision3_setup):
+            vm = s.value_model
+            x = np.random.default_rng(0).uniform(-3, 3, size=(146, 5, vm.input_dim))
+            low, high = vm.lower(x), vm.predict(x)
+            assert np.all(low <= high) and np.all(high - low < 1e-2 * vm.y_scale)
+            one = vm.lower(x[0, 0])
+            assert isinstance(one, float) and one <= vm.predict(x[0, 0])
+
+    def test_rows_past_float32_go_to_predict(self, spring_setup):
+        vm = spring_setup.value_model
+        x = np.random.default_rng(1).uniform(-2, 2, size=(4, 5, vm.input_dim))
+        x[1, 2, 0], x[2, 0, 3], x[3, 4, 1] = 1e39, np.nan, np.inf
+        bad = np.zeros(x.shape[:-1], dtype=bool)
+        bad[1, 2] = bad[2, 0] = bad[3, 4] = True
+        with np.errstate(all="ignore"):
+            low, exact = vm.lower(x), vm.predict(x[bad])
+        assert np.array_equal(low[bad], exact, equal_nan=True) and np.isnan(low[2, 0])
+        assert np.all(low[~bad] <= vm.predict(x)[~bad])
+
+    def test_float32_net_built_once_and_never_saved(self, spring_setup, tmp_path):
+        vm = spring_setup.value_model
+        assert vm._float32 is vm._float32
+        assert all(w.dtype == np.float32 for w in vm._float32.weights)
+        save_value_model(vm, tmp_path / "v.bin")
+        loaded = load_value_model(tmp_path / "v.bin")
+        assert "_float32" not in loaded.__dict__
+        x = np.random.default_rng(2).uniform(-2, 2, size=(30, 5, vm.input_dim))
+        assert vm.lower(x).tobytes() == loaded.lower(x).tobytes()
+
+    def test_shape_checked(self, spring_setup):
+        with pytest.raises(ContractViolationError):
+            spring_setup.value_model.lower(np.zeros(3))
+
+
+def test_float32_tanh_within_the_assumed_error():
+    # lower's bound assumes np.tanh errs by at most _TANH32_ULPS units of
+    # 2^-23 in float32 and stays in [-1, 1]; numpy 2.4.6 measures 1.36 ulps
+    # of the result.  A numpy with a less accurate tanh fails here.
+    tiny = np.finfo(np.float32).tiny
+    special = np.array([0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 2 * tiny, 1e-30, 1e-10],
+                       dtype=np.float32)
+    for x in np.array_split(np.linspace(-20, 20, 4_000_001, dtype=np.float32), 4) + [special]:
+        got, ref = np.tanh(x), np.tanh(x.astype(float))
+        assert got.dtype == np.float32 and np.all(np.abs(got) <= 1)
+        ulps = np.abs(got - ref) / np.spacing(np.abs(ref).astype(np.float32))
+        assert ulps.max() <= rf_value._TANH32_ULPS
+        assert np.abs(got - ref).max() <= rf_value._TANH32_ULPS * 2.0 ** -23
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than float64 here")
+def test_float64_tanh_within_the_assumed_error():
+    x = np.random.default_rng(0).uniform(-20, 20, 1_000_000)
+    got = np.tanh(x)
+    err = np.abs(got.astype(np.longdouble) - np.tanh(x.astype(np.longdouble)))
+    assert np.all(np.abs(got) <= 1) and err.max() <= rf_value._TANH64_ULPS * 2.0 ** -52
+
+
 class TestBarrier:
     def test_arithmetic(self):
         b = Barrier(ConstantValue(3.0), 5.0)

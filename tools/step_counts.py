@@ -1,4 +1,4 @@
-"""Kernel calls, rows, Python calls and page faults of each rollout workload's steps.
+"""Kernel and screen calls and rows, Python calls and page faults of each rollout workload's steps.
 
     python3 tools/step_counts.py [--seed N] WORKLOAD [WORKLOAD ...]
 
@@ -8,8 +8,11 @@ rollout workload it builds the benchmark's reference stack (train-value,
 save and load, as the benchmark's set-up does), then runs the reference
 rollouts (``run.rollouts`` rollouts at seeds 0, 1, ...) through a model
 whose ``transition_batch`` counts its calls and rows (a row is one joint
-action of a call's ``u`` stack), and one certify.  It prints one line per
-workload: the calls, the rows, the steps, the Python-level calls per step
+action of a call's ``u`` stack), and one certify.  A call with a scalar
+theta is the centralized filter's screen at sample 0; its calls and rows
+are counted apart from the margin kernel's.  It prints one line per
+workload: the kernel calls and rows, the screen calls and rows, the
+steps, the Python-level calls per step
 (cProfile's ``total_calls`` over a third pass of the same rollouts,
 through the plain model, warmed by the second), and the minor page faults
 (``ru_minflt``) per reference step and of the certify call.  With
@@ -46,14 +49,15 @@ def minor_faults() -> int:
 
 
 def count_rollouts(stack, seeds) -> dict:
-    """Kernel calls and rows, steps, Python calls per step and page faults
-    per step of the rollouts at ``seeds``."""
-    calls = [0, 0]
+    """Kernel calls and rows, screen calls and rows, steps, Python calls per
+    step and page faults per step of the rollouts at ``seeds``."""
+    calls = {"calls": 0, "rows": 0, "screen_calls": 0, "screen_rows": 0}
     inner = stack.model.transition_batch
 
     def transition_batch(x, u, thetas, noises):
-        calls[0] += 1
-        calls[1] += int(np.prod(np.shape(u)[:-1]))
+        kind = "screen_" if np.ndim(thetas) == 0 else ""
+        calls[kind + "calls"] += 1
+        calls[kind + "rows"] += int(np.prod(np.shape(u)[:-1]))
         return inner(x, u, thetas, noises)
 
     counted = dataclasses.replace(stack.model, transition_batch=transition_batch)
@@ -71,7 +75,7 @@ def count_rollouts(stack, seeds) -> dict:
     profile = cProfile.Profile()
     profile.runcall(run, stack.model)
     steps = len(starts) * stack.cfg.steps
-    return {"calls": calls[0], "rows": calls[1], "steps": steps,
+    return {**calls, "steps": steps,
             "py_calls_per_step": pstats.Stats(profile).total_calls / max(steps, 1),
             "minflt_per_step": faults / max(steps, 1)}
 
@@ -105,14 +109,17 @@ def main(argv) -> int:
     for name in args.workloads:
         with tempfile.TemporaryDirectory() as scratch:
             c = counts(wl.WORKLOADS[name][1], Path(scratch), args.seed)
-        print(f"{name} calls={c['calls']} rows={c['rows']} steps={c['steps']} "
+        print(f"{name} calls={c['calls']} rows={c['rows']} "
+              f"screen_calls={c['screen_calls']} screen_rows={c['screen_rows']} "
+              f"steps={c['steps']} "
               f"py_calls_per_step={c['py_calls_per_step']:.2f} "
               f"minflt_per_step={c['minflt_per_step']:.2f} "
               f"minflt_per_certify={c['minflt_per_certify']}", flush=True)
         if args.seed is not None:
             s = c["seeded"]
-            print(f"{name} seed={args.seed} calls={s['calls']} "
-                  f"rows={s['rows']} steps={s['steps']} "
+            print(f"{name} seed={args.seed} calls={s['calls']} rows={s['rows']} "
+                  f"screen_calls={s['screen_calls']} screen_rows={s['screen_rows']} "
+                  f"steps={s['steps']} "
                   f"py_calls_per_step={s['py_calls_per_step']:.2f}", flush=True)
     return 0
 
