@@ -18,9 +18,10 @@ Each key is declared once, on its ``ExperimentConfig`` field, together
 with its default; the field's annotation is its type.  Parsing,
 serialization and the key check all read that one declaration.
 Validation also bounds the work of one filter solve, the memory of one
-certify pass, of one value fit and of the rollouts ``run`` keeps, and the
-noise scale, so that no noise draw overflows: a config that could not
-finish is rejected before any work.
+certify pass and of certify's states, of one value fit, of the training
+rollouts, of one cross-entropy iteration and of the rollouts ``run``
+keeps, and the noise scale, so that no noise draw overflows: a config that
+could not finish is rejected before any work.
 
 Defaults mirror the benchmark setup: alpha = 0.1, epsilon = 0, proximity
 radius 0.05, beta = 1, xi = 5, 5 risk samples, gamma = 0.99, and the
@@ -42,6 +43,7 @@ from .dynamics import MasModel, make_model
 from .errors import ConfigError, ContractViolationError
 from .filters import FilterConfig
 from .policies import Policy, make_proportional
+from .value import _BLOCK_STEPS, _CHUNK_ROWS
 
 _PRESET = object()  # sentinel: default depends on the preset
 
@@ -270,10 +272,12 @@ _MAX_BLOCK_PAIRS = 10**7
 def _filter_block_pairs(cfg: ExperimentConfig) -> int:
     """Most (row, sample) pairs one solve of the filter ``cfg.controller`` runs
     evaluates: (G^A + 1)·(S + 1) centralized (its screen evaluates every
-    candidate at one sample, then the survivors at all S; at S = 1 it skips
-    the screen and does less), (G + 1)·G^(A-1)·S pessimistic (its probe and
-    early exit only save work: each row is evaluated at most once, and a
-    survivor still meets every combo), 0 unfiltered.
+    candidate, in grid order, at one sample, then the survivors at all S;
+    no sort runs, and only the hits' distances to nominal are computed; at
+    S = 1 it skips the screen and does less), (G + 1)·G^(A-1)·S
+    pessimistic (its probe and early exit only save work: each row is
+    evaluated at most once, and a survivor still meets every combo), 0
+    unfiltered.
 
     A counts actuated action dimensions: one per agent, and none for the
     spring preset's third agent.  G >= 2, so G^64 is far over the bound,
@@ -287,8 +291,9 @@ def _filter_block_pairs(cfg: ExperimentConfig) -> int:
     return 0
 
 
-# Memory bound, in bytes, on what one certify pass, one value fit or one
-# command's rollouts hold.
+# Memory bound, in bytes, on what one certify pass, one value fit, one
+# dataset, one cross-entropy iteration or one command's states or rollouts
+# hold.
 _MAX_HELD_BYTES = 2**30
 
 # The largest |draw| of ``Generator.standard_normal``: its ziggurat tail
@@ -317,6 +322,45 @@ def _fit_bytes(cfg: ExperimentConfig) -> int:
     sizes = (cfg.agents * make_model(cfg.preset).state_dim,) + hidden + (1,)
     params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
     return 8 * (6 * params + 3 * cfg.value_states * sum(hidden) + 2 * 1024 * max(hidden))
+
+
+def _dataset_bytes(cfg: ExperimentConfig) -> int:
+    """Estimated bytes ``collect_dataset`` holds, 8·(N·(n + 1) +
+    S·n·((c + 2)·H + 25·c)) for N = value.states rows of n = M·d_x floats,
+    S = value.samples rollouts of H = value.horizon steps and c = min(256, N)
+    rows per lockstep chunk: the states and targets, one chunk's draws, one
+    row's draws and their scaled copy, and one block of 25 steps' states.
+    Measured by ``getrusage`` around ``collect_dataset`` on spring: 101 MB
+    against 100 estimated at N = 256, S = 2, H = 4,000, 54 against 51 at
+    N = 1,000, S = 4, H = 1,000, and 77 against 77 at N = 2, H = 200,000."""
+    state_size = cfg.agents * make_model(cfg.preset).state_dim
+    chunk = min(_CHUNK_ROWS, cfg.value_states)
+    return 8 * (cfg.value_states * (state_size + 1) + cfg.value_samples * state_size
+                * ((chunk + 2) * cfg.value_horizon + _BLOCK_STEPS * chunk))
+
+
+def _cem_bytes(cfg: ExperimentConfig) -> int:
+    """Estimated bytes one ``cem_improve`` iteration holds, 8·n·(2·P + 6) for
+    a population of n and P gain parameters (d_x per actuated agent), or 0
+    with the search off: per candidate, its parameters and their draw (or
+    its scaled copy), and its objective as a Python float in a list (4
+    words), in an array and in the sort order.  Measured by ``getrusage``
+    around ``cem_improve`` at n = 10^6 on spring (P = 4): 80 bytes a
+    candidate, against 112 estimated."""
+    if cfg.cem_iterations == 0:
+        return 0
+    actuated = cfg.agents - 1 if cfg.preset == "spring" else cfg.agents
+    params = actuated * make_model(cfg.preset).state_dim
+    return 8 * cfg.cem_population * (2 * params + 6)
+
+
+def _certify_states_bytes(cfg: ExperimentConfig) -> int:
+    """Estimated bytes ``certify`` holds for its certify.states states at
+    once, 512 a state: the sampled states, their stack, h(x), the policy's
+    rows, the margins and the certify.csv text.  Measured by ``getrusage``
+    around ``certify`` at 2·10^5 states: 431 bytes a state on spring, 363
+    on collision M = 2 and 392 on collision M = 6."""
+    return 512 * cfg.certify_states
 
 
 def _rollout_bytes(cfg: ExperimentConfig) -> int:
@@ -383,21 +427,24 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             cfg.filter_config(beta=beta)
     except ContractViolationError as exc:
         bad(str(exc))
-    fit_bytes = _fit_bytes(cfg)
-    if fit_bytes > _MAX_HELD_BYTES:
-        bad(f"value.hidden = {cfg.value_hidden} with value.states = {cfg.value_states} would "
-            f"hold about {fit_bytes / 1e6:.0f} MB in one fit, over the memory bound of "
-            f"{_MAX_HELD_BYTES / 2**30:g} GiB; lower value.hidden or value.states")
-    certify_bytes = _certify_pass_bytes(cfg)
-    if certify_bytes > _MAX_HELD_BYTES:
-        bad(f"certify.samples = {cfg.certify_samples} would hold about "
-            f"{certify_bytes / 1e6:.0f} MB in one certify pass, over the memory bound "
-            f"of {_MAX_HELD_BYTES / 2**30:g} GiB; lower certify.samples")
-    rollout_bytes = _rollout_bytes(cfg)
-    if rollout_bytes > _MAX_HELD_BYTES:
-        bad(f"run.rollouts = {cfg.rollouts} x run.steps = {cfg.steps} would hold about "
-            f"{rollout_bytes / 1e6:.0f} MB of rollout records, over the memory bound "
-            f"of {_MAX_HELD_BYTES / 2**30:g} GiB; lower run.steps or run.rollouts")
+    for held, setting, what, lower in (
+        (_fit_bytes(cfg), f"value.hidden = {cfg.value_hidden} with value.states = "
+         f"{cfg.value_states}", "in one fit", "value.hidden or value.states"),
+        (_dataset_bytes(cfg), f"value.states = {cfg.value_states} x value.samples = "
+         f"{cfg.value_samples} x value.horizon = {cfg.value_horizon}",
+         "of training rollouts", "value.horizon, value.samples or value.states"),
+        (_cem_bytes(cfg), f"policy.cem_population = {cfg.cem_population}",
+         "in one cross-entropy iteration", "policy.cem_population"),
+        (_certify_pass_bytes(cfg), f"certify.samples = {cfg.certify_samples}",
+         "in one certify pass", "certify.samples"),
+        (_certify_states_bytes(cfg), f"certify.states = {cfg.certify_states}",
+         "of certify states and margins", "certify.states"),
+        (_rollout_bytes(cfg), f"run.rollouts = {cfg.rollouts} x run.steps = {cfg.steps}",
+         "of rollout records", "run.steps or run.rollouts"),
+    ):
+        if held > _MAX_HELD_BYTES:     # in integers: a huge setting overflows a float
+            bad(f"{setting} would hold about {held // 10**6} MB {what}, over the memory "
+                f"bound of {_MAX_HELD_BYTES / 2**30:g} GiB; lower {lower}")
     if _filter_block_pairs(cfg) > _MAX_BLOCK_PAIRS:
         bad(f"one {cfg.controller} filter solve would evaluate more than the work bound "
             f"of {_MAX_BLOCK_PAIRS} (row, sample) pairs; lower filter.grid, "

@@ -26,10 +26,10 @@ Four variants:
   (justified by its radius, so no margin is evaluated) otherwise;
   well-defined everywhere the barrier is nonnegative.
 
-Continuous minimization is approximated by a distance-ordered grid search
-(both benchmark presets have one action dimension per agent), with the
-nominal action always tried first, so whenever the nominal action is
-feasible it is returned unchanged.
+Continuous minimization is approximated by a grid search (both benchmark
+presets have one action dimension per agent) for the nearest candidate,
+with the nominal action ahead of every grid point, so whenever the
+nominal action is feasible it is returned unchanged.
 
 Every margin comes from one kernel, ``_margins``, which evaluates the
 barrier only on successor states, over blocks of flat joint-action rows.
@@ -38,12 +38,12 @@ searches a block that fits one pass in two halves, nearest first, and
 runs every agent's search in rounds, each one kernel call on the open
 searches' next blocks with each agent's draw written over its rows, in
 passes that may cut across blocks (on spring, both agents' near halves
-share one pass).  The centralized filter sends one block per solve, of
-the candidates that survive ``_screen``: at S > 1 every candidate is
-first evaluated at sample 0 alone, by the value model's float32 lower
-bound (``ValueModel.lower``), and one that cannot clear the tolerance by
-the entropic operator's one-sample bound is dropped.  The
-filters share one state and h(x) across a block;
+share one pass).  The centralized filter works in grid order and sends
+one block per solve, of the candidates that survive ``_screen``: at S > 1
+each is first evaluated at sample 0 alone, by the value model's float32
+lower bound (``ValueModel.lower``), and dropped if the entropic operator's
+one-sample bound rules it out.  Only the hits' distances to nominal are
+computed.  The filters share one state and h(x) across a block;
 ``guarantees.certify_grid`` sends one row per sampled state, each with
 its own state, draw and h(x), through the same kernel.
 """
@@ -358,37 +358,43 @@ def _against(cols: slice, cands: np.ndarray, combos: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, combos.shape[1])
 
 
-def centralized_filter(
-    model: MasModel,
-    barrier: Barrier,
-    x,
-    nominal,
-    cfg: FilterConfig,
-    samples: tuple,
-    h_now: float,
-) -> FilterOutcome | None:
+def _grid_block(nominal: np.ndarray, cfg: FilterConfig, low: float, high: float) -> np.ndarray:
+    """The nominal row, then the ``_grid`` rows in grid order less the one at
+    the nominal's axis indices (float ==: -0.0 matches 0.0), if any."""
+    grid = _grid(nominal.size, cfg.grid_size, low, high)
+    axis = _grid(1, cfg.grid_size, low, high)[:, 0].tolist()
+    twin = 0
+    for c in nominal.tolist():
+        if c not in axis:
+            return np.concatenate((nominal[None, :], grid))
+        twin = twin * len(axis) + axis.index(c)
+    return np.concatenate((nominal[None, :], grid[:twin], grid[twin + 1:]))
+
+
+def centralized_filter(model: MasModel, barrier: Barrier, x, nominal, cfg: FilterConfig,
+                       samples: tuple, h_now: float) -> FilterOutcome | None:
     """Joint filter: nearest feasible joint row to the joint row ``nominal``.
 
-    Candidates are the nominal joint action plus the grid over every
-    actuated agent's box.  At S > 1, ``_screen`` first drops every
-    candidate whose sample 0 rules it out; the survivors, still in
-    ascending distance to nominal, are evaluated in one block under
-    ``samples``.  The screen keeps every candidate that satisfies the
-    condition and a margin does not depend on its block, so the first
-    that satisfies it is returned, as a copied row with the full scan's
-    margin, or None when none does.
+    ``_grid_block``'s candidates, over every actuated agent's box, go to
+    ``_screen`` at S > 1 and its survivors to the kernel, in grid order.
+    The screen keeps every hit and a margin does not depend on its block,
+    so the hits are the full scan's.  Only their squared distances to
+    nominal are computed, as ``_ordered_candidates`` does.  The nominal
+    (distance 0, first) wins when it is a hit, else the nearest hit, ties
+    in grid order: the distance order's first hit, as a copied row with
+    its margin, or None when nothing hits.
     """
     x = model.validate_state(x)
     nominal = model.validate_action(nominal)
-    cands = _ordered_candidates(nominal, cfg, model.action_low, model.action_high)
+    block = _grid_block(nominal, cfg, model.action_low, model.action_high)
     if len(samples[0]) > 1:     # at S = 1 the screen would repeat the kernel
-        cands = cands[_screen(model, barrier, x, cfg, samples, h_now, cands)]
-    margins = _margins(model, barrier, x, cfg, samples, h_now, cands)
+        block = block[_screen(model, barrier, x, cfg, samples, h_now, block)]
+    margins = _margins(model, barrier, x, cfg, samples, h_now, block)
     hits = np.flatnonzero(margins >= cfg.tolerance)
     if not hits.size:
         return None
-    i = hits[0]
-    return FilterOutcome(action=cands[i].copy(), branch=Branch.CENTRALIZED,
+    i = hits[np.add.reduce((block[hits] - nominal) ** 2, axis=1).argmin()]
+    return FilterOutcome(action=block[i].copy(), branch=Branch.CENTRALIZED,
                          margin=float(margins[i]))
 
 

@@ -11,7 +11,14 @@ import pytest
 
 from riskfilter import ConfigError, ExperimentConfig, config_with, parse_config, serialize_config
 from riskfilter import cli
-from riskfilter.config import _certify_pass_bytes, _fit_bytes, _rollout_bytes
+from riskfilter.config import (
+    _cem_bytes,
+    _certify_pass_bytes,
+    _certify_states_bytes,
+    _dataset_bytes,
+    _fit_bytes,
+    _rollout_bytes,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -233,6 +240,66 @@ class TestValidation:
                 parse_config(bad)
             assert err.value.code == "invalid-value"
             assert "value.hidden" in str(err.value) and "memory bound" in str(err.value)
+
+    def test_dataset_memory_bound(self):
+        # collect_dataset holds about 8·(N·(n + 1) + S·n·((c + 2)·H + 25·c))
+        # bytes for N rows of n floats, S rollouts of H steps and c rows a
+        # chunk.  value.states = 2 at value.horizon = 10^9 asked for 179 GiB
+        # of draws and ended in a raw ArrayMemoryError; spring's n = 6 and
+        # S = 2 give 384·H + 4,912 bytes at N = 2, so H = 2,796,189 is the
+        # last horizon under the 1 GiB bound.  Only validation runs.
+        text = "value.states = {}\nvalue.horizon = {}\n"
+        assert _dataset_bytes(parse_config(text.format(2000, 200))) == 8 * (
+            2000 * 7 + 2 * 6 * (258 * 200 + 25 * 256))
+        assert _dataset_bytes(parse_config(text.format(2, 10))) == 384 * 10 + 4912
+        assert parse_config(text.format(2, 2_796_189)).value_horizon == 2_796_189
+        for bad in (text.format(2, 2_796_190), text.format(2, 10**9),
+                    "value.samples = 10000000\n",
+                    "value.states = 300\nvalue.samples = 100\nvalue.horizon = 1000\n"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(bad)
+            assert err.value.code == "invalid-value" and "memory bound" in str(err.value)
+            assert "value.horizon" in str(err.value)
+
+    def test_cem_memory_bound(self):
+        # One cross-entropy iteration holds about 8·n·(2·P + 6) bytes for a
+        # population of n and P gain parameters: 112·n on spring (P = 4), so
+        # n = 9,586,980 is the last population under the 1 GiB bound.  A
+        # population of 10^13 asked for 291 TiB in cem_improve's draw; with
+        # the search off the population holds nothing.
+        text = "policy.cem_iterations = {}\npolicy.cem_population = {}\n"
+        assert _cem_bytes(parse_config(text.format(1, 16))) == 112 * 16
+        assert _cem_bytes(parse_config("run.preset = collision\nrun.agents = 3\n"
+                                       + text.format(2, 16))) == 8 * 16 * (2 * 6 + 6)
+        assert parse_config(text.format(1, 9_586_980)).cem_population == 9_586_980
+        assert parse_config(text.format(0, 10**13)).cem_population == 10**13
+        for bad in (text.format(1, 9_586_981), text.format(1, 10**13)):
+            with pytest.raises(ConfigError) as err:
+                parse_config(bad)
+            assert err.value.code == "invalid-value" and "memory bound" in str(err.value)
+            assert "policy.cem_population" in str(err.value)
+
+    def test_certify_states_memory_bound(self):
+        # certify holds every sampled state, its h(x), policy row and margin
+        # and its certify.csv line at once: about 512 bytes a state (363-431
+        # measured), so 2^21 states are the most under the 1 GiB bound.
+        text = "certify.states = {}\n"
+        assert _certify_states_bytes(parse_config(text.format(50))) == 512 * 50
+        assert parse_config(text.format(2**21)).certify_states == 2**21
+        for bad in (text.format(2**21 + 1), text.format(10**8)):
+            with pytest.raises(ConfigError) as err:
+                parse_config(bad)
+            assert err.value.code == "invalid-value" and "memory bound" in str(err.value)
+            assert "certify.states" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["value.states", "run.steps", "certify.samples",
+                                     "certify.states", "value.horizon"])
+    def test_size_too_large_for_a_float_rejected(self, key):
+        # A 401-digit size overflowed the float conversion of the byte
+        # estimate's message: a raw OverflowError, not a configuration error.
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{key} = 1{'0' * 400}\n")
+        assert err.value.code == "invalid-value" and "memory bound" in str(err.value)
 
     def test_noise_scale_whose_draws_overflow_rejected(self):
         # Generator.standard_normal never returns more than 13.71 in size,

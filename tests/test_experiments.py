@@ -318,6 +318,19 @@ class TestCli:
         text = "run.controller = nominal\nrun.steps = 1000000000000\nrun.rollouts = 1\n"
         self.assert_rejected_before_work(tmp_path, "run", text, "memory bound")
 
+    @pytest.mark.parametrize("command, text", [
+        # collect_dataset's draws: a raw ArrayMemoryError ("179. GiB").
+        ("train-value", "value.states = 2\nvalue.horizon = 1000000000\n"),
+        # cem_improve's population draw: a raw ArrayMemoryError ("291. TiB").
+        ("train-value", "policy.cem_iterations = 1\npolicy.cem_population = 10000000000000\n"),
+        # certify held every state at once, with no bound.
+        ("certify", "certify.states = 100000000\n"),
+        # A raw OverflowError from the estimate's message.
+        ("run", f"run.steps = 1{'0' * 400}\n"),
+    ], ids=["dataset", "cem", "certify-states", "huge-steps"])
+    def test_held_memory_bound_exit_1_before_work(self, tmp_path, command, text):
+        self.assert_rejected_before_work(tmp_path, command, text, "memory bound")
+
     @pytest.mark.parametrize("command", ["run", "train-value"])
     def test_overflowing_noise_scale_exit_1_before_work(self, tmp_path, command):
         # Its first noise draws overflowed to inf after NumPy's warnings.

@@ -735,16 +735,21 @@ class TestScreen:
         # No grid sum of squares lies in (1.5, 1.5 + 2 log(5)/100], so the
         # screen keeps exactly the feasible candidates.
         out, calls = self.solve(alpha=0.5, beta=100.0)
-        # 81 candidates ((1, 1) is a grid point), padded to 17 slices of 5.
+        # The nominal, then the grid in grid order less its last point, (1, 1),
+        # which equals the nominal: 81 rows, padded to 17 slices of 5 by
+        # repeating the first rows.
+        block = np.vstack([[1.0, 1.0], _grid(2, 9, -1.0, 1.0)[:-1]])
         (screen, one), *kernel = calls
-        assert one == () and len(screen) == 85
-        assert {r.tobytes() for r in screen} == {r.tobytes() for r in _grid(2, 9, -1.0, 1.0)}
+        assert one == () and screen.tobytes() == np.resize(block, (85, 2)).tobytes()
         assert kernel and all(n == (5,) for _, n in kernel)
-        cands, sent = screen[:81], np.vstack([rows for rows, _ in kernel])
-        feasible = cands[np.sum(cands ** 2, axis=1) <= 1.5]
-        assert sent.tobytes() == feasible.tobytes()        # in distance order
-        assert 0 < len(sent) < len(cands)
-        assert out.action.tolist() == feasible[0].tolist()
+        sent = np.vstack([rows for rows, _ in kernel])
+        feasible = block[np.sum(block ** 2, axis=1) <= 1.5]
+        assert sent.tobytes() == feasible.tobytes()        # in grid order
+        assert 0 < len(sent) < len(block)
+        # The nearest feasible row to (1, 1): the first of the distance order.
+        ordered = reference_ordered_candidates(np.array([1.0, 1.0]), FilterConfig(), -1.0, 1.0)
+        first = ordered[np.sum(ordered ** 2, axis=1) <= 1.5][0]
+        assert out.action.tolist() == first.tolist() == [0.75, 0.75]
 
     def test_hopeless_solve_sends_no_full_rows(self):
         out, calls = self.solve(epsilon=10.0)
@@ -752,10 +757,14 @@ class TestScreen:
         assert [(len(rows), n) for rows, n in calls] == [(85, ())]
 
     def test_single_sample_skips_screen(self):
-        # At S = 1 the screen would repeat the kernel's only sample.
+        # At S = 1 the screen would repeat the kernel's only sample: the
+        # kernel takes the whole block, the nominal and then the grid in
+        # grid order less the nominal's duplicate (1, 1), its last point.
         out, calls = self.solve(n_samples=1, epsilon=10.0)
         assert out is None
         assert [(len(rows), n) for rows, n in calls] == [(81, (1,))]
+        block = np.vstack([[1.0, 1.0], _grid(2, 9, -1.0, 1.0)[:-1]])
+        assert calls[0][0].tobytes() == block.tobytes()
 
     def tagged_model(self, agents=2):
         # f(x, u) = x + 0.5 u in the first coordinate; the second carries
@@ -870,6 +879,56 @@ class TestHelpersMatchReferences:
         assert _bits(cands) == _bits(reference_ordered_candidates(np.array([high]), cfg,
                                                                   low, high))
         assert cands[:, 0].tolist() == [high, low]
+
+    class HashValue:
+        """V(x) in {0, 1, 2}, from a salted hash of the successor's bits: many
+        candidates tie in margin, and -0.0 and 0.0 may differ."""
+
+        def __init__(self, salt):
+            self.salt = np.uint64(salt)
+
+        def predict(self, x):
+            bits = np.ascontiguousarray(x, dtype=float).view(np.uint64)
+            mixed = np.bitwise_xor.reduce(bits * np.uint64(0x9E3779B97F4A7C15), axis=-1)
+            return ((mixed ^ self.salt) * np.uint64(0xBF58476D1CE4E5B9) >> np.uint64(62)) % 3
+
+    @staticmethod
+    def action_model(dims, low, high):
+        # One agent per action column, whose successor holds its action:
+        # a row's value depends on its bits alone.
+        def transition_batch(x, u, thetas, noises):
+            out = np.zeros(np.broadcast_shapes(u.shape[:-1], np.shape(thetas)) + x.shape[-2:])
+            out[..., 0] = u
+            return out
+
+        return replace(make_static_model(dims), action_low=low, action_high=high,
+                       transition_batch=transition_batch)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_nominals(), salt=st.integers(0, 2**16),
+           tolerance=st.sampled_from([0.5, 1.5, 2.5, 3.5]))
+    def test_centralized_is_first_hit_of_candidate_order(self, case, salt, tolerance):
+        # The grid-order solve returns the first hit of the distance order,
+        # with its margin, bit for bit: the nominal when it is a hit, never
+        # its duplicate on the grid, and ties in distance in grid order.  At
+        # beta = 10 the screen's one-sample bound is v_0 + 0.16, so at S = 5 it
+        # drops every row with h = 1 below tolerance 1.5, and every row at 3.5.
+        nominal, g, (low, high) = case
+        model = self.action_model(nominal.size, low, high)
+        barrier = Barrier(self.HashValue(salt), 3.0)
+        x = np.zeros((nominal.size, 2))
+        for n_samples in (1, 5):
+            cfg = FilterConfig(alpha=0.0, beta=10.0, grid_size=g, n_samples=n_samples,
+                               tolerance=tolerance)
+            samples = draw_risk_samples(model, n_samples, salt)
+            cands = reference_ordered_candidates(nominal, cfg, low, high)
+            margins = _margins(model, barrier, x, cfg, samples, 3.0, cands)
+            hits = np.flatnonzero(margins >= tolerance)
+            out = centralized_filter(model, barrier, x, nominal, cfg, samples, 3.0)
+            assert (out is None) == (hits.size == 0)
+            if out is not None:
+                assert _bits(out.action) == _bits(cands[hits[0]])
+                assert _bits(out.margin) == _bits(margins[hits[0]])
 
     @settings(max_examples=200, deadline=None)
     @given(dims=st.lists(st.sampled_from([0, 1, 2]), min_size=2, max_size=4),

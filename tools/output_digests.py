@@ -21,6 +21,9 @@ per-state ``alpha * h + epsilon`` of ``certify`` are hashed away from 0,
 ``spring-centralized`` runs ``train-value`` and ``run`` on spring under the
 centralized filter, the one config whose joint rows skip an unactuated
 agent, with both centralized and proximity steps,
+``spring-centralized-s1`` runs the same at ``filter.samples = 1``, where
+the centralized filter has no screen and the kernel takes its whole block,
+and where nominals clipped to the box sit on grid points,
 ``spring-certify700`` runs ``train-value`` and ``certify`` at 700 samples,
 one state per kernel pass, and ``train-value-hidden32`` and
 ``train-value-hidden16x3`` run ``train-value`` alone with one and three
@@ -58,6 +61,7 @@ COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 # that mixes near-half, far-half and infeasible solves,
 # collision M=2 centralized with a nonzero tolerance and epsilon (run and
 # certify), spring centralized, whose joint rows skip the unactuated mass,
+# also at one sample, with no screen,
 # spring certify at more samples than one kernel pass holds, and fits with
 # one and with three hidden layers.
 CONFIGS = {name: (text, COMMANDS) for name, (_, text) in WORKLOADS.items()}
@@ -112,6 +116,8 @@ value.horizon = 60
 value.samples = 2
 value.epochs = 200
 """, ("train-value", "run"))
+CONFIGS["spring-centralized-s1"] = (CONFIGS["spring-centralized"][0] + "filter.samples = 1\n",
+                                    ("train-value", "run"))
 CONFIGS["spring-certify700"] = ("""
 run.preset = spring
 value.states = 60
