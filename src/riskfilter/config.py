@@ -291,6 +291,13 @@ def _filter_block_pairs(cfg: ExperimentConfig) -> int:
     return 0
 
 
+# Work bound on one sweep, in rollout steps (values x run.rollouts x
+# run.steps): about 3 hours at the ~1 ms a filtered step takes on spring or
+# collision M = 3.  A sweep of the default three values at the largest run
+# the memory bound admits (about 10^6 steps at M = 2) stays under it.
+_MAX_SWEEP_STEPS = 10**7
+
+
 # Memory bound, in bytes, on what one certify pass, one value fit, one
 # dataset, one cross-entropy iteration or one command's states or rollouts
 # hold.
@@ -420,10 +427,9 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.certify_states < 1 or cfg.certify_samples < 1 or cfg.certify_k < 1:
         bad("certify sizes must be >= 1")
     cfg.hidden_sizes()
-    cfg.beta_values()
-    cfg.xi_values()
+    sweeps = {"sweep.beta": cfg.beta_values(), "sweep.xi": cfg.xi_values()}
     try:
-        for beta in [cfg.beta] + cfg.beta_values():
+        for beta in [cfg.beta] + sweeps["sweep.beta"]:
             cfg.filter_config(beta=beta)
     except ContractViolationError as exc:
         bad(str(exc))
@@ -445,6 +451,11 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         if held > _MAX_HELD_BYTES:     # in integers: a huge setting overflows a float
             bad(f"{setting} would hold about {held // 10**6} MB {what}, over the memory "
                 f"bound of {_MAX_HELD_BYTES / 2**30:g} GiB; lower {lower}")
+    for key, values in sweeps.items():
+        if len(values) * cfg.rollouts * cfg.steps > _MAX_SWEEP_STEPS:
+            bad(f"{key} of {len(values)} values x run.rollouts = {cfg.rollouts} x run.steps = "
+                f"{cfg.steps} would run more than the work bound of {_MAX_SWEEP_STEPS} "
+                f"rollout steps in one sweep; lower {key}, run.rollouts or run.steps")
     if _filter_block_pairs(cfg) > _MAX_BLOCK_PAIRS:
         bad(f"one {cfg.controller} filter solve would evaluate more than the work bound "
             f"of {_MAX_BLOCK_PAIRS} (row, sample) pairs; lower filter.grid, "

@@ -33,17 +33,22 @@ nominal action is feasible it is returned unchanged.
 
 Every margin comes from one kernel, ``_margins``, which evaluates the
 barrier only on successor states, over blocks of flat joint-action rows.
-The pessimistic search stops trying a candidate once a combo fails it,
-searches a block that fits one pass in two halves, nearest first, and
-runs every agent's search in rounds, each one kernel call on the open
+At S > 1 both filters first send rows through one screen, ``_screen``,
+which evaluates each at sample 0 alone, by the value model's float32
+lower bound (``ValueModel.lower``), and drops it if the entropic
+operator's one-sample bound rules it out; the kernel decides every row
+the screen keeps.  A dropped row's later samples are never evaluated, so
+a non-finite value there goes unseen.  The pessimistic search stops
+trying a candidate once a combo fails it, searches a block that fits one
+pass in two halves, nearest first, starts one that does not with a probe
+of combo 0 (every agent's probe rows share one screen call), and runs
+every agent's search in rounds, each one kernel call on the open
 searches' next blocks with each agent's draw written over its rows, in
 passes that may cut across blocks (on spring, both agents' near halves
-share one pass).  The centralized filter works in grid order and sends
-one block per solve, of the candidates that survive ``_screen``: at S > 1
-each is first evaluated at sample 0 alone, by the value model's float32
-lower bound (``ValueModel.lower``), and dropped if the entropic operator's
-one-sample bound rules it out.  Only the hits' distances to nominal are
-computed.  The filters share one state and h(x) across a block;
+share one pass).  The centralized
+filter works in grid order and sends one block per solve, of the
+candidates that survive the screen; only the hits' distances to nominal
+are computed.  The filters share one state and h(x) across a block;
 ``guarantees.certify_grid`` sends one row per sampled state, each with
 its own state, draw and h(x), through the same kernel.
 """
@@ -245,48 +250,61 @@ def _one_sample_bound(values: np.ndarray, n_samples: int, beta: float) -> np.nda
 # screen on a 2-core box.
 _SCREEN_ROWS = 2 * _PASS_PAIRS
 
+# Rows per 2-D block of a screen pass's ``lower`` call.  A product of 64
+# rows by a 64-wide layer is 64^3 = 262,144 multiply-adds, OpenBLAS's
+# default limit for one thread (65536 * GEMM_MULTITHREAD_THRESHOLD 4), so
+# every product stays on one thread; a larger one is spread over threads,
+# and that doubled the step time when another process held a core.
+_SCREEN_BLOCK = 64
+
 
 def _screen(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig,
             samples: tuple, h_now: float, rows: np.ndarray) -> np.ndarray:
     """Mask of the (B, A) rows that may clear the tolerance, from sample 0 alone.
 
-    Per pass over up to _SCREEN_ROWS rows, one ``transition_batch`` call at
-    sample 0 gives the successors, and v_0 = xi - ``value_model.lower`` of
-    them bounds h there from above: ``lower`` runs the network in float32
-    and never exceeds ``predict``'s float64 value (a value model without
-    ``lower`` goes through ``predict`` in the same call).  A row is dropped
-    when its ``_one_sample_bound`` less alpha * h(x) + epsilon, in the
-    kernel's order of operations, stays under the tolerance.  Float
-    subtraction is monotone, so the kernel's margin of a dropped row would
-    stay under it too, and the kernel never sees the row: like a candidate
-    the pessimistic search drops at its first failing combo, a dropped
-    row's later samples are never evaluated (a non-finite value there goes
-    unseen).  The screen only drops rows; the kernel evaluates every
-    survivor in float64 and decides the solve.  Non-finite values at
-    sample 0 raise as in the kernel: ``lower`` sends a row that float32
-    cannot hold to ``predict``.
+    The validated state x and ``h_now`` are shared by every row; the draw
+    ``samples = (thetas, noises)`` is shared, as thetas (S,) and noises
+    (S, M, d_x), or given per row, as thetas (B, S) and noises (B, S, M,
+    d_x), as in ``_margins``, and only its sample 0 is read.  Per pass over
+    up to _SCREEN_ROWS rows, one ``transition_batch`` call at sample 0 gives
+    the successors, and v_0 = xi - ``value_model.lower`` of them bounds h
+    there from above: ``lower`` runs the network in float32 and never
+    exceeds ``predict``'s float64 value, for a row in any stack (a value
+    model without ``lower`` goes through ``predict`` in the same call).  A
+    row is dropped when its ``_one_sample_bound`` less alpha * h(x) +
+    epsilon, in the kernel's order of operations, stays under the
+    tolerance.  Float subtraction is monotone, so the kernel's margin of a
+    dropped row would stay under it too, and the kernel never sees the
+    row: like a candidate the pessimistic search drops at its first failing
+    combo, a dropped row's later samples are never evaluated (a non-finite
+    value there goes unseen).  The screen only drops rows; the kernel
+    evaluates every survivor in float64 and decides the solve.  Non-finite
+    values at sample 0 raise as in the kernel: ``lower`` sends a row that
+    float32 cannot hold to ``predict``.
 
-    The rows go to the value model as a (b / S, S, d) stack, padded with
-    repeated rows: the kernel's slice shape, so it runs small products.
-    One 2-D call runs larger ones, which OpenBLAS spreads over threads,
-    and that doubled the step time when another process held a core.
+    The successors go to ``lower`` as a stack of 2-D blocks of at most
+    _SCREEN_BLOCK rows, as even as the pass allows (730 rows go as 12 x 61),
+    padded with repeated rows, so each product runs on one thread.
     """
     thetas, noises = samples
-    n = len(thetas)
+    n = thetas.shape[-1]
+    thetas, noises = thetas[..., 0], noises[..., 0, :, :]
     value_model = barrier.value_model
     lower = getattr(value_model, "lower", value_model.predict)
     keep = np.empty(len(rows), dtype=bool)
     for start in range(0, len(rows), _SCREEN_ROWS):
-        block = rows[start:start + _SCREEN_ROWS]
-        stack = np.resize(block, (-(-len(block) // n), n, block.shape[1]))
-        nexts = model.transition_batch(x, stack, thetas[0], noises[0])
-        values = barrier.xi - np.asarray(lower(nexts.reshape(*nexts.shape[:2], -1)),
-                                         dtype=float).reshape(-1)[:len(block)]
+        part = slice(start, start + _SCREEN_ROWS)
+        block = rows[part]
+        nexts = model.transition_batch(x, block, thetas[part] if thetas.ndim else thetas,
+                                       noises[part] if noises.ndim == 3 else noises)
+        blocks = -(-len(block) // _SCREEN_BLOCK)
+        stack = np.resize(nexts.reshape(len(block), -1),
+                          (blocks, -(-len(block) // blocks), nexts[0].size))
+        values = barrier.xi - np.asarray(lower(stack), dtype=float).reshape(-1)[:len(block)]
         if not np.all(np.isfinite(values)):
             raise ContractViolationError("barrier produced non-finite values")
         bound = _one_sample_bound(values, n, cfg.beta)
-        keep[start:start + _SCREEN_ROWS] = (
-            bound - cfg.alpha * h_now - cfg.epsilon >= cfg.tolerance)
+        keep[part] = bound - cfg.alpha * h_now - cfg.epsilon >= cfg.tolerance
     return keep
 
 
@@ -426,15 +444,25 @@ class _Search:
         self.worst = np.inf
         self.done = 0
 
+    def probing(self) -> bool:
+        """Whether the next pass is a probe of combo 0: a first pass that
+        cannot hold every combo."""
+        return self.done == 0 and len(self.cands) * len(self.combos) > self.budget
+
     def block(self) -> np.ndarray:
         """The next pass's rows: the candidates × the next combos, all that
         remain when they fit the budget, else as many as fit, except that a
-        first pass which cannot hold every combo is a probe of combo 0.  On
-        a block that fits one pass, the candidates are one half of it, so
-        each half takes one pass against every combo."""
-        probe = self.done == 0 and len(self.cands) * len(self.combos) > self.budget
-        take = 1 if probe else max(1, self.budget // len(self.cands))
+        probe takes combo 0 alone.  On a block that fits one pass, the
+        candidates are one half of it, so each half takes one pass against
+        every combo."""
+        take = 1 if self.probing() else max(1, self.budget // len(self.cands))
         return _against(self.cols, self.cands, self.combos[self.done:self.done + take])
+
+    def screened(self, keep: np.ndarray) -> bool:
+        """Keep the candidates whose probe rows ``_screen`` kept, in order.
+        True while any is left."""
+        self.cands = self.cands[keep]
+        return len(self.cands) > 0
 
     def meet(self, margins: np.ndarray) -> bool:
         """Fold in the margins of ``block``'s rows and drop every candidate a
@@ -458,6 +486,22 @@ class _Search:
             return None
         return FilterOutcome(action=self.cands[0], branch=Branch.PESSIMISTIC,
                              margin=float(self.worst[0]))
+
+
+def _round(searches: list, live: list, samples) -> tuple:
+    """(rows, draw, spans) of one round: the next blocks of the searches
+    ``live``, in order, with each search's draw written over its rows, as
+    per-row thetas (B, S) and noises (B, S, M, d_x), and each search's
+    (index, start, stop) slice of the rows."""
+    blocks = [searches[k].block() for k in live]
+    rows = np.concatenate(blocks)
+    ends = list(accumulate(len(block) for block in blocks))
+    spans = list(zip(live, [0] + ends[:-1], ends))
+    draw = tuple(np.empty((len(rows),) + a.shape) for a in samples[0])
+    for k, start, stop in spans:
+        for out, a in zip(draw, samples[k]):
+            out[start:stop] = a
+    return rows, draw, spans
 
 
 def pessimistic_filter(
@@ -486,11 +530,21 @@ def pessimistic_filter(
     Otherwise a pass takes as many combos as fit, except that a first
     pass which cannot hold every combo pairs the candidates with combo 0
     alone: on hopeless solves every candidate fails there, and that one
-    pass of C rows settles them.  A survivor meets every combo and a near
+    probe of C rows settles them.  A survivor meets every combo and a near
     one precedes every far candidate, so the result is the full scan's:
     the nearest candidate whose worst-case margin clears the tolerance,
     with that margin, or None: infeasibility is an expected outcome near
     the constraint boundary, not a fault.
+
+    At S > 1 the probe rows of every search that starts with a probe go
+    through one ``_screen`` call first, each row under its own agent's
+    sample 0, and a candidate the screen drops leaves the search: the
+    probe's kernel pass would have dropped it.  A search left with no
+    candidate ends as None without a kernel row, and the survivors search
+    as above.  So a dropped candidate's later samples of combo 0 are never
+    evaluated, and a non-finite value there goes unseen, as at the later
+    combos of a candidate that a probe drops.  At S = 1 the screen would
+    repeat the probe, and the probe stays a kernel pass.
 
     The agents search in rounds.  A round is one ``_margins`` call on
     every open search's next block, in agent order, under per-row draws
@@ -499,24 +553,24 @@ def pessimistic_filter(
     A margin has the same bits in any block or pass, so each agent's rows
     and outcome are those of its search alone.
     """
-    n_samples = {len(thetas) for thetas, _ in samples}
-    if len(samples) != len(agents) or len(n_samples) > 1:
+    counts = {len(thetas) for thetas, _ in samples}
+    if len(samples) != len(agents) or len(counts) > 1:
         raise ContractViolationError(
             "pessimistic_filter needs one draw per agent, all of one sample count")
     x = model.validate_state(x)
     nominal = model.validate_action(nominal)
-    budget = _PASS_PAIRS // max(n_samples, default=1)     # rows in one kernel pass
+    n_samples = max(counts, default=1)
+    budget = _PASS_PAIRS // n_samples       # rows in one kernel pass
     searches = [_Search(model, agent, nominal, cfg, budget) for agent in agents]
     live = list(range(len(searches)))
+    probing = [k for k in live if searches[k].probing()] if n_samples > 1 else []
+    if probing:
+        rows, draw, spans = _round(searches, probing, samples)
+        keep = _screen(model, barrier, x, cfg, draw, h_now, rows)
+        emptied = {k for k, start, stop in spans if not searches[k].screened(keep[start:stop])}
+        live = [k for k in live if k not in emptied]
     while live:
-        blocks = [searches[k].block() for k in live]
-        rows = np.concatenate(blocks)
-        ends = list(accumulate(len(block) for block in blocks))
-        spans = list(zip(live, [0] + ends[:-1], ends))      # (search, its rows' slice)
-        draw = tuple(np.empty((len(rows),) + a.shape) for a in samples[0])
-        for k, start, stop in spans:
-            for out, a in zip(draw, samples[k]):
-                out[start:stop] = a
+        rows, draw, spans = _round(searches, live, samples)
         margins = _margins(model, barrier, x, cfg, draw, h_now, rows)
         live = [k for k, start, stop in spans if searches[k].meet(margins[start:stop])]
     return [search.outcome() for search in searches]

@@ -219,7 +219,8 @@ class ValueModel:
     ``predict`` runs in float64 and gives every value the filters decide
     on.  ``lower`` runs a float32 copy of the network, built on first use
     and never saved, and returns a proven lower bound on ``predict``: the
-    centralized filter's screen needs only that.
+    filters' screen (the centralized candidates and the pessimistic
+    probes) needs only that.
     """
 
     layer_sizes: tuple
@@ -257,7 +258,8 @@ class ValueModel:
         """
         x = self._checked(x)
         z = (np.atleast_2d(x) - self.x_mean) / self.x_scale
-        z = _hidden_layers(z, self.weights, self.biases, max(self.layer_sizes[1:-1], default=0))
+        z = _hidden_layers(z, self.weights, self.biases, max(self.layer_sizes[1:-1], default=0),
+                           self._tiles)
         out = (z @ self.weights[-1] + self.biases[-1])[..., 0]
         out = np.maximum(out * self.y_scale + self.y_mean, 0.0)
         return float(out[0]) if x.ndim == 1 else out
@@ -268,7 +270,8 @@ class ValueModel:
 
         Same input contract and result shapes as ``predict``, and the same
         per-slice products on a stack.  The result never exceeds
-        ``predict``'s float64 result for the row, in any stack it sits in:
+        ``predict``'s float64 result for the row, in any stack either call
+        sits in, so the screen may give it 2-D blocks of its own shape:
         it is the float32 output less ``_Float32Net``'s bound on the two
         evaluations' distance, which grows with the row's r = sum |x_k|.
         A row whose r could overflow a float32 intermediate, or whose
@@ -283,7 +286,7 @@ class ValueModel:
         if not ok.all():           # zeros run in float32, NaN slack sends them to predict
             run, r = np.where(ok[..., None], xs, 0.0), np.where(ok, r, np.nan)
         z = _hidden_layers(run.astype(np.float32), net.weights, net.biases,
-                           max(self.layer_sizes[1:-1], default=0))
+                           max(self.layer_sizes[1:-1], default=0), self._tiles)
         y = (z @ net.weights[-1] + net.biases[-1])[..., 0].astype(float)
         low = np.maximum(y * self.y_scale + self.y_mean - (net.slack[0] + net.slack[1] * r), 0.0)
         bad = ~(low < math.inf)    # NaN or inf
@@ -295,6 +298,11 @@ class ValueModel:
     def _float32(self) -> _Float32Net:
         """The float32 network ``lower`` runs; built on first use, never saved."""
         return _float32_net(self)
+
+    @cached_property
+    def _tiles(self) -> dict:
+        """``_hidden_layers``' bias tiles of both networks; filled on use."""
+        return {}
 
 
 # Rows of the largest float64 stack whose hidden activations go to reused
@@ -319,20 +327,41 @@ def _hidden_buffers(width: int) -> tuple:
     return pair
 
 
-def _hidden_layers(z: np.ndarray, weights: tuple, biases: tuple, width: int) -> np.ndarray:
+# Most rows r of a (..., r, w) hidden layer whose bias is added from a
+# cached (r * w,) tile: at most 64 rows of one layer's bias, per layer and
+# dtype, and never _BUFFER_ROWS, which would hold memory that grows with the
+# stacks seen.
+_TILE_ROWS = 64
+
+
+def _hidden_layers(z: np.ndarray, weights: tuple, biases: tuple, width: int,
+                   tiles: dict) -> np.ndarray:
     """The last hidden layer's activations of input stack z (..., input_dim),
     in z's dtype: tanh(z W + b) per hidden layer, each one matmul on the
     stack as given, then the bias and tanh in place.  A stack of at most
     _BUFFER_ROWS rows in float64, or twice as many in float32, writes its
     layers into the thread's two buffers of ``width`` (the widest hidden
-    layer) floats a row, alternately, viewed as z's dtype."""
-    rows = z.size // z.shape[-1]
+    layer) floats a row, alternately, viewed as z's dtype.
+
+    With r <= _TILE_ROWS rows a slice, the bias goes in over a (lead, r * w)
+    view of the (..., r, w) layer, from the (r * w,) tile of it that
+    ``tiles`` caches by (layer, r, dtype): the same elementwise add as the
+    broadcast ``z += b``, in one inner loop a slice, not one a row."""
+    rows, r = z.size // z.shape[-1], z.shape[-2]
     buffers = _hidden_buffers(width) if rows * z.itemsize <= _BUFFER_ROWS * 8 else None
     for i, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
         out = (None if buffers is None else buffers[i % 2].view(z.dtype)[:rows * w.shape[1]]
                .reshape(z.shape[:-1] + w.shape[1:]))
         z = np.matmul(z, w, out=out)
-        z += b  # in place: same bits, fewer live activation arrays
+        if 0 < r <= _TILE_ROWS:
+            key = (i, r, z.dtype)
+            tile = tiles.get(key)
+            if tile is None:
+                tile = tiles[key] = np.tile(b, r)
+            flat = z.reshape(-1, tile.size)     # a view: z is C-contiguous
+            flat += tile
+        else:
+            z += b  # in place: same bits, fewer live activation arrays
         np.tanh(z, out=z)
     return z
 

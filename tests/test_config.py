@@ -225,6 +225,27 @@ class TestValidation:
                 parse_config(text.format(rollouts, steps))
             assert err.value.code == "invalid-value" and "run.steps" in str(err.value)
 
+    def test_sweep_work_bound(self, tmp_path, monkeypatch, capsys):
+        # A sweep runs run.rollouts x run.steps steps per value, and over
+        # 10^7 steps in all it exits 1 before any work.  At one rollout of
+        # 666,667 steps (under the memory bound), 15 values go just over.
+        text = "run.rollouts = 1\nrun.steps = {}\nsweep.beta = " + ",".join(["1"] * 15) + "\n"
+        assert parse_config(text.format(666_666)).steps == 666_666
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.format(666_667))
+        assert err.value.code == "invalid-value" and "sweep.beta" in str(err.value)
+        # A million values, through validation only.
+        path, out = tmp_path / "exp.cfg", tmp_path / "out"
+        path.write_text("run.steps = 100\nsweep.xi = " + ",".join(["5"] * 10**6) + "\n")
+        monkeypatch.setattr(sys, "argv", ["riskfilter", "sweep-xi", "--config", str(path),
+                                          "--out", str(out)])
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert exited.value.code == 1
+        err = capsys.readouterr().err
+        assert "work bound" in err and "sweep.xi of 1000000 values" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_fit_memory_bound(self):
         # A fit holds about 8·(6·P + 3·N·sum(hidden) + 2·1024·max(hidden))
         # bytes.  Spring's 64x64 network has P = 4,673 parameters, so N =

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -499,38 +500,44 @@ class TestThreeAgentAdversaries:
 class TestEarlyExit:
     """The pessimistic search drops a candidate at its first failing combo
     and evaluates a survivor on every combo.  Rows are counted at the
-    model's transition_batch, one call per kernel pass."""
+    model's transition_batch, one call per kernel pass, and the screen's
+    calls at sample 0 apart: a screen sends a 2-D (B, A) block, the kernel
+    (b, 1, A) stacks."""
 
     G = 9
 
     def drift_model(self, agents=3):
         # f(x, u) = x + 0.5 u in every coordinate of every agent, so from
         # x = 0 the first combo in grid order, (-1, ..., -1), is the worst one.
-        calls = []
+        calls, screens = [], []
 
         def transition_batch(x, u, thetas, noises):
-            calls.append(u.reshape(-1, u.shape[-1]).copy())
+            (screens if u.ndim == 2 else calls).append(u.reshape(-1, u.shape[-1]).copy())
             return x + 0.5 * u[..., :, None] + noises
 
-        return replace(make_static_model(agents), transition_batch=transition_batch), calls
+        return (replace(make_static_model(agents), transition_batch=transition_batch),
+                calls, screens)
 
     def solve(self, alpha, value=None, agents=3, nominal=1.0):
-        m, calls = self.drift_model(agents)
+        m, calls, screens = self.drift_model(agents)
         b = Barrier(value or QuadraticValue(1.0), 1.5)
         nom = np.array([nominal] + [0.0] * (agents - 1))
         cfg = FilterConfig(alpha=alpha, grid_size=self.G, n_samples=5)
         out = pessimistic_filter(m, b, [0], np.zeros((agents, 2)), nom, cfg,
                                  [draw_risk_samples(m, cfg.n_samples, 0)], 1.5)[0]
-        return out, calls, (m, b, cfg)
+        return out, calls, screens, (m, b, cfg)
 
     def test_all_fail_on_first_combo(self):
         # margin = 1.5 - 0.5 * (u0^2 + u1^2 + u2^2) - 1.5 * alpha: at
         # alpha = 0.5 every candidate fails on (-1, -1) and passes on (0, 0).
-        # The 9 x 81 block takes several passes, so the first pass pairs the
-        # 9 candidates (the nominal 1.0 is a grid point, counted once) with
-        # combo 0 alone, and settles the solve.
-        out, calls, _ = self.solve(alpha=0.5)
+        # The 9 x 81 block takes several passes, so the search starts with a
+        # probe of the 9 candidates (the nominal 1.0 is a grid point, counted
+        # once) against combo 0 alone.  Every sample is alike here, so the
+        # one-sample bound's log(5) / beta of slack keeps every candidate in
+        # the screen, and the probe's kernel pass settles the solve.
+        out, calls, screens, _ = self.solve(alpha=0.5)
         assert out is None
+        assert len(screens) == 1 and screens[0].tobytes() == calls[0].tobytes()
         assert len(calls) == 1 and calls[0].shape == (self.G, 3)
         assert np.all(calls[0][:, 1:] == -1.0)
         assert sorted(calls[0][:, 0]) == list(np.linspace(-1, 1, self.G))
@@ -542,8 +549,8 @@ class TestEarlyExit:
         # the candidates first, although at alpha = 1 every candidate fails
         # combo 0.  The far half goes in a second pass once the near half
         # has failed.
-        out, calls, _ = self.solve(alpha=1.0, agents=2, nominal=0.3)
-        assert out is None
+        out, calls, screens, _ = self.solve(alpha=1.0, agents=2, nominal=0.3)
+        assert out is None and not screens         # no probe, no screen
         assert [len(u) for u in calls] == [5 * self.G, 5 * self.G]
         axis = np.linspace(-1, 1, self.G)
         for u in calls:
@@ -564,8 +571,8 @@ class TestEarlyExit:
         # far candidate is evaluated; a far-half winner costs a second
         # pass.  Each row goes in once, and the winner's margin is its
         # worst case over the whole grid.
-        out, calls, (m, b, cfg) = self.solve(alpha=alpha, agents=2, nominal=0.9)
-        assert out is not None and out.action[0] == winner
+        out, calls, screens, (m, b, cfg) = self.solve(alpha=alpha, agents=2, nominal=0.9)
+        assert out is not None and out.action[0] == winner and not screens
         assert [len(u) for u in calls] == [5 * self.G] * passes
         rows = np.vstack(calls)
         assert len({r.tobytes() for r in rows}) == len(rows)
@@ -577,11 +584,13 @@ class TestEarlyExit:
 
     def test_feasible_survivor_sees_every_combo(self):
         # At alpha = 0.2 a candidate is feasible iff u0^2 <= 0.4: from the
-        # nominal 1.0 the probe of combo 0 drops 1.0, 0.75, -0.75 and -1.0,
-        # then the 5 survivors meet the other 80 combos, 25 per pass, and
-        # 0.5 is the first of them.
-        out, calls, (m, b, cfg) = self.solve(alpha=0.2)
+        # nominal 1.0 the screen keeps all 9 probe rows (see
+        # test_all_fail_on_first_combo), the probe of combo 0 drops 1.0,
+        # 0.75, -0.75 and -1.0, then the 5 survivors meet the other 80
+        # combos, 25 per pass, and 0.5 is the first of them.
+        out, calls, screens, (m, b, cfg) = self.solve(alpha=0.2)
         assert out is not None and out.action[0] == 0.5
+        assert [len(u) for u in screens] == [9]
         assert [len(u) for u in calls] == [9, 125, 125, 125, 25]
         rows = np.vstack(calls)
         combos = {tuple(r[1:]) for r in rows if r[0] == 0.5}
@@ -594,13 +603,14 @@ class TestEarlyExit:
     def test_proximity_switch_sends_only_its_search_rows(self):
         # The proximity action is justified by its radius: after the
         # search fails, the switching solve evaluates no further margin.
-        _, search, (_, b, cfg) = self.solve(alpha=0.5)
-        m, calls = self.drift_model()
+        _, search, screened, (_, b, cfg) = self.solve(alpha=0.5)
+        m, calls, screens = self.drift_model()
         nom = np.array([1.0, 0.0, 0.0])
         out = switching_filter(m, b, [0], np.zeros((3, 2)), nom, m.zero_action(), cfg,
                                [draw_risk_samples(m, cfg.n_samples, 0)], 1.5)[0]
         assert out.branch is Branch.PROXIMITY
         assert np.array_equal(np.vstack(calls), np.vstack(search))
+        assert np.array_equal(np.vstack(screens), np.vstack(screened))
 
     class NanAtLastCombo(QuadraticValue):
         # NaN only where agents 1 and 2 both moved to +0.5, which the last
@@ -617,8 +627,8 @@ class TestEarlyExit:
     def test_non_finite_on_last_combo_of_dropped_candidate_unseen(self):
         # A candidate dropped at its first failing combo never meets its
         # later ones: at alpha = 0.5 the probe drops every candidate.
-        out, calls, _ = self.solve(alpha=0.5, value=self.NanAtLastCombo(1.0))
-        assert out is None and len(calls) == 1
+        out, calls, screens, _ = self.solve(alpha=0.5, value=self.NanAtLastCombo(1.0))
+        assert out is None and len(calls) == 1 and len(screens) == 1
 
 
 def _full_scan(model, barrier, x, nominal, cfg, samples, h_now):
@@ -629,6 +639,34 @@ def _full_scan(model, barrier, x, nominal, cfg, samples, h_now):
     margins = _margins(model, barrier, x, cfg, samples, h_now, cands)
     hits = np.flatnonzero(margins >= cfg.tolerance)
     return (cands[hits[0]], float(margins[hits[0]])) if hits.size else None
+
+
+def _tagged_model(agents):
+    """f(x, u) = x + 0.5 u in the first coordinate; the second carries the
+    sample's theta, so a value stub can tell the samples apart."""
+    def transition_batch(x, u, thetas, noises):
+        pos = x[..., 0] + 0.5 * u[..., :, None][..., 0]
+        out = np.empty(np.broadcast_shapes(pos.shape, np.shape(thetas) + (1,)) + (2,))
+        out[..., 0] = pos
+        out[..., 1] = np.asarray(thetas)[..., None]
+        return out
+
+    return replace(make_static_model(agents), transition_batch=transition_batch)
+
+
+class _NanAt:
+    """V = the sum of the squared positions of a ``_tagged_model`` state, NaN
+    at the successor of one joint action from x = 0 at one sample, told
+    apart by the sample's theta."""
+
+    def __init__(self, theta, action):
+        self.theta, self.target = theta, 0.5 * np.asarray(action)
+
+    def predict(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.sum(x[..., 0::2] ** 2, axis=-1)
+        hit = (x[..., 1] == self.theta) & np.all(x[..., 0::2] == self.target, axis=-1)
+        return np.where(hit, np.nan, out)
 
 
 class _PredictOnly:
@@ -712,7 +750,7 @@ class TestScreen:
     def counting_model(self, agents=2):
         # f(x, u) = x + 0.5 u, as TestEarlyExit.drift_model; each call is
         # recorded as (its rows, the shape of its thetas): () for the
-        # screen's one sample, (S,) for a kernel pass.
+        # screen's one shared sample, (S,) for a kernel pass.
         calls = []
 
         def transition_batch(x, u, thetas, noises):
@@ -736,11 +774,10 @@ class TestScreen:
         # screen keeps exactly the feasible candidates.
         out, calls = self.solve(alpha=0.5, beta=100.0)
         # The nominal, then the grid in grid order less its last point, (1, 1),
-        # which equals the nominal: 81 rows, padded to 17 slices of 5 by
-        # repeating the first rows.
+        # which equals the nominal: 81 rows in one 2-D block.
         block = np.vstack([[1.0, 1.0], _grid(2, 9, -1.0, 1.0)[:-1]])
         (screen, one), *kernel = calls
-        assert one == () and screen.tobytes() == np.resize(block, (85, 2)).tobytes()
+        assert one == () and screen.tobytes() == block.tobytes()
         assert kernel and all(n == (5,) for _, n in kernel)
         sent = np.vstack([rows for rows, _ in kernel])
         feasible = block[np.sum(block ** 2, axis=1) <= 1.5]
@@ -754,7 +791,7 @@ class TestScreen:
     def test_hopeless_solve_sends_no_full_rows(self):
         out, calls = self.solve(epsilon=10.0)
         assert out is None
-        assert [(len(rows), n) for rows, n in calls] == [(85, ())]
+        assert [(len(rows), n) for rows, n in calls] == [(81, ())]
 
     def test_single_sample_skips_screen(self):
         # At S = 1 the screen would repeat the kernel's only sample: the
@@ -766,36 +803,15 @@ class TestScreen:
         block = np.vstack([[1.0, 1.0], _grid(2, 9, -1.0, 1.0)[:-1]])
         assert calls[0][0].tobytes() == block.tobytes()
 
-    def tagged_model(self, agents=2):
-        # f(x, u) = x + 0.5 u in the first coordinate; the second carries
-        # the sample's theta, so a value stub can tell the samples apart.
-        def transition_batch(x, u, thetas, noises):
-            pos = x[..., 0] + 0.5 * u[..., :, None][..., 0]
-            out = np.empty(np.broadcast_shapes(pos.shape, np.shape(thetas) + (1,)) + (2,))
-            out[..., 0] = pos
-            out[..., 1] = np.asarray(thetas)[..., None]
-            return out
-
-        return replace(make_static_model(agents), transition_batch=transition_batch)
-
     def nan_solve(self, sample, action, epsilon=0.0):
         # h(x+) = 1.5 - (0.5 u0)^2 - (0.5 u1)^2, NaN at one sample of one
         # action; at alpha = 0.8 a candidate is feasible iff u0^2 + u1^2 <= 1.2.
-        m = self.tagged_model()
+        m = _tagged_model(2)
         cfg = FilterConfig(alpha=0.8, beta=100.0, epsilon=epsilon)
         samples = draw_risk_samples(m, cfg.n_samples, 0)
-        theta, target = samples[0][sample], 0.5 * np.asarray(action)
-
-        class NanAt:
-            def predict(self, x):
-                x = np.asarray(x, dtype=float)
-                out = np.sum(x[..., 0::2] ** 2, axis=-1)
-                hit = (x[..., 1] == theta) & np.all(x[..., 0::2] == target, axis=-1)
-                return np.where(hit, np.nan, out)
-
         nom = np.array([1.0, 1.0])
-        return centralized_filter(m, Barrier(NanAt(), 1.5), np.zeros((2, 2)), nom, cfg,
-                                  samples, 1.5)
+        return centralized_filter(m, Barrier(_NanAt(samples[0][sample], action), 1.5),
+                                  np.zeros((2, 2)), nom, cfg, samples, 1.5)
 
     def test_non_finite_on_sample_0_rejected(self):
         # Every candidate meets the screen at sample 0, also on a hopeless
@@ -815,6 +831,140 @@ class TestScreen:
         # search drops never meets its later combos.
         out = self.nan_solve(4, (-1.0, -1.0))
         assert out is not None and out.action.tolist() == [0.75, 0.75]
+
+
+class TestProbeScreen:
+    """At S > 1 the pessimistic search sends the probe rows of every search
+    that starts with a probe (its C candidates x combo 0, each row under its
+    agent's sample 0) through one ``_screen`` call, and the candidates the
+    screen drops leave the search before the probe's kernel pass."""
+
+    def case(self, name, collision3_setup):
+        """(model, barrier, grid size, state sampler) of a case whose
+        searches start with a probe at S = 1 and 5.  The trained barrier
+        runs at xi = 20: at the fixture's xi = 5 nearly every state has
+        h < 0 and every solve is infeasible."""
+        if name == "trained":
+            s = collision3_setup
+            return s.model, Barrier(s.value_model, 20.0), 9, s.box_sampler
+        agents, grid, coeff = {"collision3": (3, 9, 0.4 / 3), "collision4": (4, 5, 0.1)}[name]
+        return (make_model("collision", n_agents=agents, noise_scale=0.05),
+                Barrier(QuadraticValue(coeff), 2.0), grid,
+                lambda rng: rng.uniform(-1, 1, size=(agents, 2)))
+
+    def check(self, m, b, x, nom, cfg, seed) -> tuple:
+        """Every agent's outcome against the search with no screen (one that
+        keeps every row), bit for bit; (the outcomes, the screen's masks)."""
+        masks = []
+
+        def recorded(*args):
+            masks.append(_screen(*args))
+            return masks[-1]
+
+        def keep_all(*args):
+            return np.ones(len(args[-1]), dtype=bool)
+
+        draws = [draw_risk_samples(m, cfg.n_samples, [seed, agent]) for agent in m.actuated_agents]
+        h_now = h_of(m, b, x)
+        solve = (m, b, m.actuated_agents, x, nom, cfg, draws, h_now)
+        with mock.patch.object(filters_module, "_screen", recorded):
+            outs = pessimistic_filter(*solve)
+        with mock.patch.object(filters_module, "_screen", keep_all):
+            refs = pessimistic_filter(*solve)
+        for out, ref in zip(outs, refs):
+            assert (out is None) == (ref is None)
+            if out is not None:
+                assert out.action.tobytes() == ref.action.tobytes()
+                assert out.margin == ref.margin
+        return outs, masks
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=st.sampled_from(["collision3", "collision4", "trained"]),
+           n_samples=st.sampled_from([1, 5]), beta=st.sampled_from([0.1, 1.0, 10.0]),
+           alpha=st.floats(0.0, 1.0), tolerance=st.floats(1e-3, 0.3),
+           epsilon=st.floats(1e-3, 0.1), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_no_screen_search_bitwise(self, collision3_setup, case, n_samples, beta,
+                                              alpha, tolerance, epsilon, seed):
+        m, b, grid, sampler = self.case(case, collision3_setup)
+        rng = np.random.default_rng(seed)
+        x = m.validate_state(sampler(rng))
+        nom = rng.uniform(-1, 1, size=sum(m.action_dims))
+        cfg = FilterConfig(grid_size=grid, n_samples=n_samples, beta=beta, alpha=alpha,
+                           tolerance=tolerance, epsilon=epsilon)
+        _, masks = self.check(m, b, x, nom, cfg, seed)
+        assert len(masks) == (n_samples > 1)       # one screen call, none at S = 1
+
+    @pytest.mark.parametrize("case", ["collision3", "collision4", "trained"])
+    def test_property_cases_reach_drops_survivors_and_both_outcomes(self, collision3_setup,
+                                                                    case):
+        # The cases of test_matches_no_screen_search_bitwise, at beta = 10,
+        # meet screens that drop probe rows and keep others, and feasible
+        # and infeasible agents, each checked against the search with no screen.
+        m, b, grid, sampler = self.case(case, collision3_setup)
+        rng = np.random.default_rng(3)
+        dropped = kept = 0
+        outcomes = set()
+        for seed in range(40):
+            x = m.validate_state(sampler(rng))
+            nom = rng.uniform(-1, 1, size=sum(m.action_dims))
+            cfg = FilterConfig(grid_size=grid, beta=10.0, alpha=float(rng.uniform(0, 1)),
+                               tolerance=0.05, epsilon=0.02)
+            outs, (mask,) = self.check(m, b, x, nom, cfg, seed)
+            dropped, kept = dropped + np.sum(~mask), kept + np.sum(mask)
+            outcomes |= {out is None for out in outs}
+            if dropped and kept and len(outcomes) == 2:
+                return
+        pytest.fail(f"dropped {dropped}, kept {kept}, outcomes {outcomes}")
+
+    def test_per_row_draw_matches_shared(self, collision3_setup):
+        # A draw given per row, as the pessimistic probes send it, screens
+        # each row as the shared draw does, over 2-D blocks of up to 64 rows.
+        m, b, _, sampler = self.case("trained", collision3_setup)
+        rng = np.random.default_rng(0)
+        x = m.validate_state(sampler(rng))
+        rows = rng.uniform(-1, 1, size=(150, 3))
+        cfg = FilterConfig(beta=10.0)
+        thetas, noises = draw_risk_samples(m, cfg.n_samples, 4)
+        per_row = (np.broadcast_to(thetas, (150,) + thetas.shape),
+                   np.broadcast_to(noises, (150,) + noises.shape))
+        h_now = h_of(m, b, x)
+        shared = _screen(m, b, x, cfg, (thetas, noises), h_now, rows)
+        assert 0 < shared.sum() < len(rows)
+        assert np.array_equal(_screen(m, b, x, cfg, per_row, h_now, rows), shared)
+
+    def nan_solve(self, sample, action, epsilon=0.0):
+        # Agent 0's search on three agents from x = 0: h(x+) = 1.5 -
+        # sum_i (0.5 u_i)^2, NaN at one sample of one joint action.  Against
+        # combo 0, (-1, -1), a candidate's margin at alpha = 0.6 is 0.1 -
+        # 0.25 u0^2 - epsilon, so from the nominal 1.0 the winner is 0.5;
+        # the one-sample bound adds log(5) / 100, so the screen drops
+        # |u0| >= 0.75 and keeps the rest.
+        m = _tagged_model(3)
+        cfg = FilterConfig(alpha=0.6, beta=100.0, epsilon=epsilon)
+        samples = draw_risk_samples(m, cfg.n_samples, 0)
+        b = Barrier(_NanAt(samples[0][sample], action), 1.5)
+        return pessimistic_filter(m, b, [0], np.zeros((3, 2)), np.array([1.0, 0.0, 0.0]), cfg,
+                                  [samples], 1.5)[0]
+
+    def test_non_finite_on_sample_0_rejected(self):
+        # Every probe row meets the screen at sample 0, also on a hopeless
+        # solve and when the screen drops the row.
+        for action, epsilon in (((-1.0, -1.0, -1.0), 0.0), ((-1.0, -1.0, -1.0), 10.0),
+                                ((0.5, -1.0, -1.0), 0.0)):
+            with pytest.raises(ContractViolationError):
+                self.nan_solve(0, action, epsilon)
+
+    def test_non_finite_on_later_sample_of_survivor_rejected(self):
+        # 0.5 survives the screen, so its probe row meets sample 4 in the kernel.
+        with pytest.raises(ContractViolationError):
+            self.nan_solve(4, (0.5, -1.0, -1.0))
+
+    def test_non_finite_on_later_sample_of_screened_out_candidate_unseen(self):
+        # -1 fails combo 0 by the bound of its sample 0, so its later samples
+        # are never evaluated, as a candidate the probe drops never meets
+        # its later combos.
+        out = self.nan_solve(4, (-1.0, -1.0, -1.0))
+        assert out is not None and out.action.tolist() == [0.5]
 
 
 def _bits(a) -> bytes:
@@ -1212,8 +1362,10 @@ class TestJointSearch:
 
     def test_hopeless_collision3_step_is_one_call(self):
         # Every margin fails at epsilon = 10, so each agent's search ends
-        # after its probe of C = 10 rows (nominal off the grid), and the three
-        # probes share one call with per-row draws, in agent order.
+        # at its probe of C = 10 rows (nominal off the grid), and the three
+        # probes share one screen call with per-row draws, in agent order:
+        # each row at its agent's sample 0, as a 2-D block.  The screen
+        # drops every candidate, so no kernel call follows.
         m, calls = self.counted(make_model("collision", n_agents=3))
         b = Barrier(QuadraticValue(0.5), 2.0)
         cfg = FilterConfig(epsilon=10.0)
@@ -1222,10 +1374,10 @@ class TestJointSearch:
         outs = pessimistic_filter(m, b, range(3), np.zeros((3, 2)), nom, cfg, draws, 1.0)
         assert outs == [None, None, None]
         ((rows, thetas),) = calls
-        assert rows.shape == (30, 3) and thetas.shape == (30, cfg.n_samples)
+        assert rows.shape == (30, 3) and thetas.shape == (30,)
         for agent in range(3):
             part = slice(10 * agent, 10 * agent + 10)
-            assert np.all(thetas[part] == draws[agent][0])
+            assert np.all(thetas[part] == draws[agent][0][0])
             assert rows[part][0, agent] == nom[agent]           # the nominal leads
             others = np.delete(rows[part], agent, axis=1)
             assert np.all(others == -1.0)                       # combo 0
@@ -1274,6 +1426,8 @@ class TestJointSearch:
         monkeypatch.setattr(filters_module, "_margins", margins)
         outs = pessimistic_filter(m, b, range(3), np.zeros((3, 2)), np.ones(3), cfg, draws, 1.5)
         assert [out.action[0] for out in outs] == [0.5, 0.5, 0.5]
+        # The three probes' one screen call, which keeps every row, comes first.
+        assert [(len(rows), thetas.ndim) for rows, thetas in calls[:kernel_calls[0]]] == [(27, 1)]
         kernel_calls.append(len(calls))
         passes = [[len(rows) for rows, _ in calls[a:z]]
                   for a, z in zip(kernel_calls, kernel_calls[1:])]
@@ -1299,8 +1453,9 @@ class TestJointSearch:
     def test_dropped_agent_leaves_the_others_passes_alone(self):
         # f(x, u) = x + 0.5 u (TestEarlyExit.drift_model) under a barrier
         # that weighs agent 2 four times: agents 0 and 1 fail their probes,
-        # agent 2 goes on alone.  Each agent's rows, told apart by its draw,
-        # come in the blocks of its own one-agent call.
+        # agent 2 goes on alone.  Each agent's rows, told apart by its draw
+        # at sample 0, come in the blocks of its own one-agent call, in the
+        # screen call and in the kernel's.
         def transition_batch(x, u, thetas, noises):
             return x + 0.5 * u[..., :, None] + noises
 
@@ -1312,8 +1467,8 @@ class TestJointSearch:
         def blocks_by_agent():
             out = {agent: [] for agent in range(3)}
             for rows, thetas in calls:
-                owner = [next(a for a in range(3) if np.array_equal(t, draws[a][0]))
-                         for t in np.broadcast_to(thetas, (len(rows), cfg.n_samples))]
+                owner = [next(a for a in range(3) if t == draws[a][0][0])
+                         for t in thetas.reshape(len(rows), -1)[:, 0]]
                 for agent in range(3):
                     mine = rows[np.array(owner) == agent]
                     if len(mine):
@@ -1323,7 +1478,10 @@ class TestJointSearch:
         joint = pessimistic_filter(m, b, range(3), np.zeros((3, 2)), m.zero_action(), cfg,
                                    draws, 1.5)
         assert [out is None for out in joint] == [True, True, False]
-        assert [len(rows) for rows, _ in calls] == [27, 126, 114]
+        # The screen of the three 9-row probes keeps 7 rows of each; the
+        # kernel's probe then drops agents 0 and 1.
+        assert [(len(rows), thetas.ndim) for rows, thetas in calls] == [
+            (27, 1), (21, 2), (126, 2), (114, 2)]
         together = blocks_by_agent()
         for agent in range(3):
             calls.clear()

@@ -14,6 +14,11 @@ several kernel passes are hashed, ``collision2-switching`` runs the same two
 commands on collision M=2, whose 10 x 9-row blocks fit one pass and are
 searched nearer half first, at ``filter.xi = 12``, where its 90 solves
 mix near-half winners (50), far-half winners (13) and infeasible ones (27),
+``collision3-switching-slack`` runs the same two commands on collision M=3
+with a nonzero tolerance and epsilon at ``filter.xi = 17``, so that the
+screen of the pessimistic search's probes is hashed away from 0: its 135
+solves mix winners (34) and infeasible ones (101), and the screen drops 579
+of its 1,285 probe rows,
 ``collision2-centralized-slack`` runs ``train-value``, ``run`` and
 ``certify`` under the centralized filter with a nonzero tolerance and
 epsilon, so that its candidate screen and the
@@ -59,6 +64,8 @@ COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 # switching, whose 10 x 729-row pessimistic blocks take several passes,
 # collision M=2 switching, whose 10 x 9-row blocks fit one pass, at an xi
 # that mixes near-half, far-half and infeasible solves,
+# collision M=3 switching with a nonzero tolerance and epsilon, at an xi
+# where the probes' screen drops some rows and keeps others,
 # collision M=2 centralized with a nonzero tolerance and epsilon (run and
 # certify), spring centralized, whose joint rows skip the unactuated mass,
 # also at one sample, with no screen,
@@ -93,6 +100,19 @@ value.states = 60
 value.horizon = 60
 value.samples = 2
 filter.xi = 12
+""", ("train-value", "run"))
+CONFIGS["collision3-switching-slack"] = ("""
+run.preset = collision
+run.agents = 3
+run.controller = switching
+run.rollouts = 3
+run.steps = 15
+value.states = 60
+value.horizon = 60
+value.samples = 2
+filter.xi = 17
+filter.tolerance = 0.3
+filter.epsilon = 0.05
 """, ("train-value", "run"))
 CONFIGS["collision2-centralized-slack"] = ("""
 run.preset = collision

@@ -8,9 +8,11 @@ rollout workload it builds the benchmark's reference stack (train-value,
 save and load, as the benchmark's set-up does), then runs the reference
 rollouts (``run.rollouts`` rollouts at seeds 0, 1, ...) through a model
 whose ``transition_batch`` counts its calls and rows (a row is one joint
-action of a call's ``u`` stack), and one certify.  A call with a scalar
-theta is the centralized filter's screen at sample 0; its calls and rows
-are counted apart from the margin kernel's.  It prints one line per
+action of a call's ``u`` stack), and one certify.  A call whose ``u`` has
+no sample axis, a 2-D (B, A) block, is a filter's screen at sample 0 (the
+centralized filter's, or the pessimistic search's screen of its probes);
+the kernel sends (b, 1, A) stacks.  Screen calls and rows are counted
+apart from the margin kernel's.  It prints one line per
 workload: the kernel calls and rows, the screen calls and rows, the
 steps, the Python-level calls per step
 (cProfile's ``total_calls`` over a third pass of the same rollouts,
@@ -55,7 +57,7 @@ def count_rollouts(stack, seeds) -> dict:
     inner = stack.model.transition_batch
 
     def transition_batch(x, u, thetas, noises):
-        kind = "screen_" if np.ndim(thetas) == 0 else ""
+        kind = "screen_" if np.ndim(u) == 2 else ""
         calls[kind + "calls"] += 1
         calls[kind + "rows"] += int(np.prod(np.shape(u)[:-1]))
         return inner(x, u, thetas, noises)
