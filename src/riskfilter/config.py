@@ -275,9 +275,9 @@ def _filter_block_pairs(cfg: ExperimentConfig) -> int:
     candidate, in grid order, at one sample, then the survivors at all S;
     no sort runs, and only the hits' distances to nominal are computed; at
     S = 1 it skips the screen and does less), (G + 1)·G^(A-1)·S
-    pessimistic (its probe and early exit only save work: each row is
-    evaluated at most once, and a survivor still meets every combo), 0
-    unfiltered.
+    pessimistic (its probe, its corner combos first and its early exit
+    only save work: each row is evaluated at most once, and a survivor
+    still meets every combo), 0 unfiltered.
 
     A counts actuated action dimensions: one per agent, and none for the
     spring preset's third agent.  G >= 2, so G^64 is far over the bound,
@@ -296,6 +296,24 @@ def _filter_block_pairs(cfg: ExperimentConfig) -> int:
 # collision M = 3.  A sweep of the default three values at the largest run
 # the memory bound admits (about 10^6 steps at M = 2) stays under it.
 _MAX_SWEEP_STEPS = 10**7
+
+
+# Work bound on one value fit, in row-epochs (value.epochs x value.states):
+# about 3 hours at the ~1.9 us a row-epoch the default 64x64 network takes
+# on a 2-core box.  The defaults run 3 * 10^6.
+_MAX_FIT_ROW_EPOCHS = 5 * 10**9
+
+# The cross-entropy search's objective (``experiments._cmd_train_value``):
+# each call simulates this many states for this many steps, this many
+# samples each, 800 simulated state steps in one lockstep stack.
+_CEM_STATES, _CEM_HORIZON, _CEM_SAMPLES = 8, 50, 2
+
+# Work bound on one cross-entropy search, in simulated state steps
+# (policy.cem_iterations x policy.cem_population objective calls of 800
+# steps): about 11 hours at the ~4 us a step one 3.2 ms call takes on
+# spring.  It admits one iteration of the largest population the memory
+# bound does (9,586,980 candidates, 7.7 * 10^9 steps).
+_MAX_CEM_STEPS = 10**10
 
 
 # Memory bound, in bytes, on what one certify pass, one value fit, one
@@ -456,6 +474,16 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             bad(f"{key} of {len(values)} values x run.rollouts = {cfg.rollouts} x run.steps = "
                 f"{cfg.steps} would run more than the work bound of {_MAX_SWEEP_STEPS} "
                 f"rollout steps in one sweep; lower {key}, run.rollouts or run.steps")
+    if cfg.value_epochs * cfg.value_states > _MAX_FIT_ROW_EPOCHS:
+        bad(f"value.epochs = {cfg.value_epochs} x value.states = {cfg.value_states} would "
+            f"run more than the work bound of {_MAX_FIT_ROW_EPOCHS} row-epochs in one fit; "
+            "lower value.epochs or value.states")
+    cem_steps = cfg.cem_iterations * cfg.cem_population * _CEM_STATES * _CEM_HORIZON * _CEM_SAMPLES
+    if cem_steps > _MAX_CEM_STEPS:
+        bad(f"policy.cem_iterations = {cfg.cem_iterations} x policy.cem_population = "
+            f"{cfg.cem_population} would run more than the work bound of {_MAX_CEM_STEPS} "
+            "simulated steps in the cross-entropy search; lower policy.cem_iterations or "
+            "policy.cem_population")
     if _filter_block_pairs(cfg) > _MAX_BLOCK_PAIRS:
         bad(f"one {cfg.controller} filter solve would evaluate more than the work bound "
             f"of {_MAX_BLOCK_PAIRS} (row, sample) pairs; lower filter.grid, "

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, serialize_config
+from .config import _CEM_HORIZON, _CEM_SAMPLES, _CEM_STATES, ExperimentConfig, serialize_config
 from .dynamics import _initial_state_rng
 from .errors import (
     ConfigError,
@@ -200,10 +200,10 @@ def _cmd_train_value(cfg: ExperimentConfig, out_dir: Path) -> list:
         sampler = cfg.value_sampler(model)
         eval_states = [
             sampler(np.random.default_rng(np.random.SeedSequence([cfg.seed, 31, i])))
-            for i in range(8)
+            for i in range(_CEM_STATES)
         ]
-        objective = mean_cost_objective(model, eval_states, horizon=50,
-                                        n_samples=2, seed=cfg.seed)
+        objective = mean_cost_objective(model, eval_states, horizon=_CEM_HORIZON,
+                                        n_samples=_CEM_SAMPLES, seed=cfg.seed)
         result = cem_improve(model, safe, objective, cfg.cem_iterations,
                              cfg.cem_population, cfg.cem_elite, cfg.seed)
         safe = result.policy

@@ -39,13 +39,14 @@ lower bound (``ValueModel.lower``), and drops it if the entropic
 operator's one-sample bound rules it out; the kernel decides every row
 the screen keeps.  A dropped row's later samples are never evaluated, so
 a non-finite value there goes unseen.  The pessimistic search stops
-trying a candidate once a combo fails it, searches a block that fits one
-pass in two halves, nearest first, starts one that does not with a probe
-of combo 0 (every agent's probe rows share one screen call), and runs
-every agent's search in rounds, each one kernel call on the open
-searches' next blocks with each agent's draw written over its rows, in
-passes that may cut across blocks (on spring, both agents' near halves
-share one pass).  The centralized
+trying a candidate once a combo fails it.  A block that fits one pass
+meets the other agents' corner combos first, then its first survivor the
+rest alone, then, if that fails, the other survivors; a block that does
+not starts with a probe of combo 0 (every agent's probe rows share one
+screen call).  Every agent's search runs in rounds, each one kernel call
+on the open searches' next blocks with each agent's draw written over its
+rows, in passes that may cut across blocks (on spring, both agents'
+corner rows share one pass).  The centralized
 filter works in grid order and sends one block per solve, of the
 candidates that survive the screen; only the hits' distances to nominal
 are computed.  The filters share one state and h(x) across a block;
@@ -425,22 +426,38 @@ def _actuated_columns(model: MasModel, agent: int) -> slice:
     return model.agent_columns(agent)
 
 
+@lru_cache(maxsize=32)
+def _corners_first(width: int, start: int, stop: int, grid_size: int, low: float,
+                   high: float) -> tuple:
+    """(rows, corners): the ``_combo_rows`` rows with the corner combos
+    first, every column outside [start, stop) at ``low`` or ``high`` (grid
+    points 0 and G - 1), then the rest, each part in grid order; and the
+    number of corners, 2^d for d other action dimensions.  Read-only."""
+    rows = _combo_rows(width, start, stop, grid_size, low, high)
+    others = np.delete(rows, np.s_[start:stop], axis=1)
+    corner = np.all((others == low) | (others == high), axis=1)
+    ordered = np.concatenate((rows[corner], rows[~corner]))
+    ordered.flags.writeable = False
+    return ordered, int(corner.sum())
+
+
 class _Search:
     """One agent's worst-case search: its candidates still in the running,
     nearest to its nominal action first, their running minimum margins, how
-    many of the other agents' grid combos they have met, and the far
-    candidates held back until the near ones all fail."""
+    many of the other agents' grid combos they have met, and, on a block
+    that fits one pass, the corner survivors held back behind the first."""
 
     def __init__(self, model: MasModel, agent: int, nominal: np.ndarray, cfg: FilterConfig,
                  budget: int):
         cols = self.cols = _actuated_columns(model, agent)
-        cands = _ordered_candidates(nominal[cols], cfg, model.action_low, model.action_high)
-        self.combos = _combo_rows(len(nominal), cols.start, cols.stop, cfg.grid_size,
-                                  model.action_low, model.action_high)
+        self.cands = _ordered_candidates(nominal[cols], cfg, model.action_low, model.action_high)
+        grid = (len(nominal), cols.start, cols.stop, cfg.grid_size,
+                model.action_low, model.action_high)
+        self.combos, self.corners = _combo_rows(*grid), 0
+        if len(self.cands) * len(self.combos) <= budget:
+            self.combos, self.corners = _corners_first(*grid)
         self.budget, self.tolerance = budget, cfg.tolerance
-        # A block that fits one pass is searched nearer half first.
-        half = -(-len(cands) // 2) if len(cands) * len(self.combos) <= budget else len(cands)
-        self.cands, self.far = cands[:half], cands[half:]
+        self.held = None
         self.worst = np.inf
         self.done = 0
 
@@ -452,10 +469,10 @@ class _Search:
     def block(self) -> np.ndarray:
         """The next pass's rows: the candidates × the next combos, all that
         remain when they fit the budget, else as many as fit, except that a
-        probe takes combo 0 alone.  On a block that fits one pass, the
-        candidates are one half of it, so each half takes one pass against
-        every combo."""
-        take = 1 if self.probing() else max(1, self.budget // len(self.cands))
+        probe takes combo 0 alone and the first pass of a block that fits
+        one pass takes the corner combos."""
+        take = (1 if self.probing() else self.corners if self.done < self.corners
+                else max(1, self.budget // len(self.cands)))
         return _against(self.cols, self.cands, self.combos[self.done:self.done + take])
 
     def screened(self, keep: np.ndarray) -> bool:
@@ -466,8 +483,9 @@ class _Search:
 
     def meet(self, margins: np.ndarray) -> bool:
         """Fold in the margins of ``block``'s rows and drop every candidate a
-        combo failed; when none is left, reopen the search on the far
-        candidates.  True while the search is still open."""
+        combo failed.  After the corners, the first survivor goes on alone
+        and the others are held back; if it fails, the search reopens on
+        them.  True while the search is still open."""
         margins = margins.reshape(len(self.cands), -1)
         worst = np.minimum(self.worst, margins.min(axis=1))
         keep = worst >= self.tolerance
@@ -475,9 +493,12 @@ class _Search:
             self.cands, worst = self.cands[keep], worst[keep]
         self.worst = worst
         self.done += margins.shape[1]
-        if not len(self.cands) and len(self.far):
-            self.cands, self.far = self.far, self.far[:0]
-            self.worst, self.done = np.inf, 0
+        if self.done == self.corners < len(self.combos) and len(self.cands) > 1:
+            self.held = self.cands[1:], worst[1:]
+            self.cands, self.worst = self.cands[:1], worst[:1]
+        elif not len(self.cands) and self.held is not None:
+            (self.cands, self.worst), self.held = self.held, None
+            self.done = self.corners
             return True
         return len(self.cands) > 0 and self.done < len(self.combos)
 
@@ -522,19 +543,22 @@ def pessimistic_filter(
     distance to nominal) must clear the tolerance on every grid
     combination of the other actuated agents' actions, under the agent's
     draw.  Each pass pairs the surviving candidates with the next combos
-    in grid order and drops every candidate that a combo failed.  When
-    all C candidates × K combos fit _PASS_PAIRS (row, sample) pairs, the
-    first pass pairs the nearer ceil(C/2) candidates with every combo,
-    and a second pass the far half only if no near candidate survives:
-    on spring most solves end in the near half, at half the rows.
-    Otherwise a pass takes as many combos as fit, except that a first
-    pass which cannot hold every combo pairs the candidates with combo 0
-    alone: on hopeless solves every candidate fails there, and that one
-    probe of C rows settles them.  A survivor meets every combo and a near
-    one precedes every far candidate, so the result is the full scan's:
-    the nearest candidate whose worst-case margin clears the tolerance,
-    with that margin, or None: infeasibility is an expected outcome near
-    the constraint boundary, not a fault.
+    and drops every candidate that a combo failed.  When all C candidates
+    × K combos fit _PASS_PAIRS (row, sample) pairs, the search takes up to
+    three passes: every candidate meets the corner combos (each other
+    action dimension at grid point 0 or G - 1: 2 on spring, all K at
+    G = 2), where on spring almost every failing candidate fails; the
+    first survivor meets the remaining combos alone and wins if it clears
+    them; and only if it fails do the other survivors meet the remaining
+    combos, in one pass.  Otherwise the combos go in grid order and a pass
+    takes as many as fit, except that a first pass which cannot hold
+    every combo pairs the candidates with combo 0 alone: on hopeless
+    solves every candidate fails there, and that one probe of C rows
+    settles them.  A survivor meets every combo and each pass keeps the
+    candidates in distance order, so the result is the full scan's: the
+    nearest candidate whose worst-case margin clears the tolerance, with
+    that margin (a minimum, exact in any order), or None: infeasibility is
+    an expected outcome near the constraint boundary, not a fault.
 
     At S > 1 the probe rows of every search that starts with a probe go
     through one ``_screen`` call first, each row under its own agent's
@@ -549,8 +573,9 @@ def pessimistic_filter(
     The agents search in rounds.  A round is one ``_margins`` call on
     every open search's next block, in agent order, under per-row draws
     with each agent's draw written over its rows; its passes may cut
-    across blocks, and each search meets its own slice of the margins.
-    A margin has the same bits in any block or pass, so each agent's rows
+    across blocks, and each search meets its own slice of the margins, so
+    a step whose blocks all fit one pass (spring) takes at most three
+    calls.  A margin has the same bits in any block or pass, so each agent's rows
     and outcome are those of its search alone.
     """
     counts = {len(thetas) for thetas, _ in samples}

@@ -246,6 +246,36 @@ class TestValidation:
         assert "work bound" in err and "sweep.xi of 1000000 values" in err
         assert "Traceback" not in err and not out.exists()
 
+    def test_fit_and_policy_search_work_bounds(self, tmp_path, monkeypatch, capsys):
+        # A fit runs value.epochs x value.states row-epochs, at most 5 * 10^9
+        # (2,500,000 epochs of the default 2,000 states), and the
+        # cross-entropy search policy.cem_iterations x cem_population
+        # objective calls of 8 states x 50 steps x 2 samples, at most 10^10
+        # simulated steps (781,250 iterations of the default 16).  Over
+        # either bound a config exits 1 before any work; only validation
+        # runs, never the huge values.
+        assert parse_config("value.epochs = 2500000\n").value_epochs == 2_500_000
+        assert parse_config("policy.cem_iterations = 781250\n").cem_iterations == 781_250
+        for text, key in (("value.epochs = 2500001\n", "value.epochs"),
+                          ("value.states = 4000\nvalue.epochs = 1250001\n", "value.epochs"),
+                          ("policy.cem_iterations = 781251\n", "policy.cem_iterations"),
+                          ("policy.cem_iterations = 2\npolicy.cem_population = 6250001\n",
+                           "policy.cem_iterations")):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert err.value.code == "invalid-value" and key in str(err.value)
+            assert "work bound" in str(err.value)
+        path, out = tmp_path / "exp.cfg", tmp_path / "out"
+        path.write_text("value.epochs = 1000000000000\npolicy.cem_iterations = 1000000000\n")
+        monkeypatch.setattr(sys, "argv", ["riskfilter", "train-value", "--config", str(path),
+                                          "--out", str(out)])
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert exited.value.code == 1
+        err = capsys.readouterr().err
+        assert "work bound" in err and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err and not out.exists()
+
     def test_fit_memory_bound(self):
         # A fit holds about 8·(6·P + 3·N·sum(hidden) + 2·1024·max(hidden))
         # bytes.  Spring's 64x64 network has P = 4,673 parameters, so N =

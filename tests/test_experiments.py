@@ -307,6 +307,8 @@ class TestCli:
         "run.preset = collision\nrun.agents = 12\n",   # 10 x 9^11 x 5 pairs per solve
         "filter.samples = 100000000000000000000\n",
         "certify.samples = 10000001\n",                 # about 12 GB in one certify pass
+        "value.epochs = 1000000000000\n",               # years of fitting
+        "policy.cem_iterations = 1000000000\n",         # years of policy search
     ])
     def test_work_bound_exit_1_before_work(self, tmp_path, text):
         bound = "memory bound" if text.startswith("certify") else "work bound"

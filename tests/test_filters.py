@@ -497,6 +497,23 @@ class TestThreeAgentAdversaries:
         assert np.isfinite(got)
 
 
+class _PeakedValue:
+    """V = the sum over agents of exp(-4 ||x_i||^2) of a state of 2-D agents:
+    from x = 0 under f(x, u) = x + 0.5 u, exp(-2 u_i^2) per agent, so an
+    agent's worst combo puts the others near u = 0, inside the grid, and
+    the corners are the others' best combos."""
+
+    def predict(self, x):
+        x = np.asarray(x, dtype=float)
+        x = x.reshape(x.shape[:-1] + (-1, 2))
+        return np.sum(np.exp(-4.0 * np.sum(x * x, axis=-1)), axis=-1)
+
+
+def _drift(x, u, thetas, noises):
+    """f(x, u) = x + 0.5 u + noise in every coordinate of every agent."""
+    return x + 0.5 * u[..., :, None] + noises
+
+
 class TestEarlyExit:
     """The pessimistic search drops a candidate at its first failing combo
     and evaluates a survivor on every combo.  Rows are counted at the
@@ -513,7 +530,7 @@ class TestEarlyExit:
 
         def transition_batch(x, u, thetas, noises):
             (screens if u.ndim == 2 else calls).append(u.reshape(-1, u.shape[-1]).copy())
-            return x + 0.5 * u[..., :, None] + noises
+            return _drift(x, u, thetas, noises)
 
         return (replace(make_static_model(agents), transition_batch=transition_batch),
                 calls, screens)
@@ -545,39 +562,50 @@ class TestEarlyExit:
     def test_block_that_fits_one_pass_takes_every_combo(self):
         # Two agents, as on spring: the 10 candidates around a nominal off
         # the grid times 9 combos times 5 samples is 450 pairs, which fit
-        # one pass, so the search takes every combo at once, nearer half of
-        # the candidates first, although at alpha = 1 every candidate fails
-        # combo 0.  The far half goes in a second pass once the near half
-        # has failed.
+        # one pass, so the search first pairs every candidate with the two
+        # corner combos, u1 = -1 and u1 = 1, in one pass of 20 rows, in
+        # distance order.  At alpha = 1 every candidate fails there, and no
+        # other combo is evaluated.
         out, calls, screens, _ = self.solve(alpha=1.0, agents=2, nominal=0.3)
         assert out is None and not screens         # no probe, no screen
-        assert [len(u) for u in calls] == [5 * self.G, 5 * self.G]
-        axis = np.linspace(-1, 1, self.G)
-        for u in calls:
-            assert np.array_equal(u[:, 1], np.tile(axis, 5))
-        assert list(calls[0][::self.G, 0]) == [0.3, 0.25, 0.5, 0.0, 0.75]
-        assert list(calls[1][::self.G, 0]) == [-0.25, 1.0, -0.5, -0.75, -1.0]
+        assert [len(u) for u in calls] == [2 * 10]
+        assert np.array_equal(calls[0][:, 1], np.tile([-1.0, 1.0], 10))
+        assert list(calls[0][::2, 0]) == [0.3, 0.25, 0.5, 0.0, 0.75,
+                                          -0.25, 1.0, -0.5, -0.75, -1.0]
 
-    # With two agents the worst combo is u1 = -1 (or +1), so a candidate
-    # is feasible iff u0^2 <= 2 - 3 alpha.  Around the nominal 0.9 the
-    # nearer half is 0.9, 1.0, 0.75, 0.5, 0.25 and the far half 0.0,
-    # -0.25, -0.5, -0.75, -1.0.
-    @pytest.mark.parametrize("alpha, winner, passes", [
-        pytest.param(0.5, 0.5, 1, id="near"),
-        pytest.param(0.66, 0.0, 2, id="far"),
+    # Under QuadraticValue the worst combo is u1 = -1 (or +1), a corner, so a
+    # candidate is feasible iff u0^2 <= 2 - 3 alpha.  Around the nominal 0.9
+    # the candidates are 0.9, 1.0, 0.75, 0.5, 0.25, 0.0, -0.25, -0.5,
+    # -0.75, -1.0; the corners drop those nearer than the winner.  Under
+    # _PeakedValue at alpha = 0 the corners drop nothing around the nominal
+    # 0.3, a candidate is feasible iff exp(-2 u0^2) <= 0.5, and the first
+    # feasible one, 0.75, is the fifth.
+    @pytest.mark.parametrize("alpha, value, nominal, winner, passes", [
+        pytest.param(0.5, None, 0.9, 0.5, [20, 7], id="near"),
+        pytest.param(0.66, None, 0.9, 0.0, [20, 7], id="far"),
+        pytest.param(0.0, _PeakedValue(), 0.3, 0.75, [20, 7, 9 * 7], id="third"),
     ])
-    def test_half_block_passes(self, alpha, winner, passes):
-        # A near-half winner costs one pass of ceil(C / 2) * K rows and no
-        # far candidate is evaluated; a far-half winner costs a second
-        # pass.  Each row goes in once, and the winner's margin is its
-        # worst case over the whole grid.
-        out, calls, screens, (m, b, cfg) = self.solve(alpha=alpha, agents=2, nominal=0.9)
+    def test_half_block_passes(self, alpha, value, nominal, winner, passes):
+        # The corners take one pass of C x 2 = 20 rows, then the first
+        # survivor meets the other K - 2 = 7 combos alone in a second.  When
+        # it fails, the other survivors meet those 7 in a third.  Each row
+        # goes in once, and the winner's margin is its worst case over the
+        # whole grid.
+        out, calls, screens, (m, b, cfg) = self.solve(alpha=alpha, value=value, agents=2,
+                                                      nominal=nominal)
         assert out is not None and out.action[0] == winner and not screens
-        assert [len(u) for u in calls] == [5 * self.G] * passes
+        assert [len(u) for u in calls] == passes
         rows = np.vstack(calls)
         assert len({r.tobytes() for r in rows}) == len(rows)
-        cands = [0.9, 1.0, 0.75, 0.5, 0.25, 0.0, -0.25, -0.5, -0.75, -1.0]
-        assert sorted(set(rows[:, 0])) == sorted(cands[:5 * passes])
+        inner = list(np.linspace(-1, 1, self.G)[1:-1])
+        for u in calls[1:]:
+            assert np.array_equal(u[:, 1], np.tile(inner, len(u) // 7))
+        first = calls[1][0, 0]
+        assert np.all(calls[1][:, 0] == first)
+        if len(passes) == 3:
+            assert first == nominal and first not in calls[2][:, 0]
+        else:
+            assert first == winner
         samples = draw_risk_samples(m, cfg.n_samples, 0)
         assert out.margin == worst_case_margin(m, b, 0, out.action, np.zeros((2, 2)),
                                                cfg, samples, 1.5)
@@ -755,7 +783,7 @@ class TestScreen:
 
         def transition_batch(x, u, thetas, noises):
             calls.append((u.reshape(-1, u.shape[-1]).copy(), np.shape(thetas)))
-            return x + 0.5 * u[..., :, None] + noises
+            return _drift(x, u, thetas, noises)
 
         return replace(make_static_model(agents), transition_batch=transition_batch), calls
 
@@ -1324,12 +1352,19 @@ class TestJointSearch:
 
     @pytest.mark.parametrize("case", ["spring", "collision2"])
     @pytest.mark.parametrize("n_samples", [1, 5])
-    def test_candidate_loop_cases_reach_both_halves(self, spring_setup, case, n_samples):
-        # The two-agent cases of test_every_agent_matches_candidate_loop, at
-        # the sample counts where the 10 x 9 block fits one pass, meet
-        # winners in the nearer half of the candidates, winners in the far
-        # half and infeasible solves, each checked against the loop.
-        m, b, grid, sampler = self.setup(case, spring_setup)
+    def test_candidate_loop_cases_reach_both_halves(self, spring_setup, collision_setup, case,
+                                                    n_samples):
+        # The two-agent cases, at the sample counts where the 10 x 9 block
+        # fits one pass, meet every way such a search goes, each outcome
+        # checked against the loop: a candidate dropped at a corner combo, a
+        # first corner survivor that wins, a third round (the first survivor
+        # fails an inner combo and others survived the corners), and an
+        # infeasible solve.  The kinds are read off every candidate's margins
+        # on the whole grid.  Both run on trained barriers: under the convex
+        # QuadraticValue stub every worst combo is a corner, and no third
+        # round runs.
+        s = spring_setup if case == "spring" else collision_setup
+        m, b, grid, sampler = s.model, s.barrier, 9, s.box_sampler
         rng = np.random.default_rng(5)
         kinds = set()
         for seed in range(60):
@@ -1338,16 +1373,58 @@ class TestJointSearch:
             cfg = FilterConfig(grid_size=grid, n_samples=n_samples,
                                alpha=float(rng.uniform(0, 1)))
             for agent, out in zip(m.actuated_agents, self.check(m, b, x, nom, cfg, seed)):
+                own, combos = reference_other_grid(m, agent, cfg)
+                cands = _ordered_candidates(nom[own], cfg, m.action_low, m.action_high)
+                draw = draw_risk_samples(m, cfg.n_samples, [seed, agent])
+                margins = _margins(m, b, x, cfg, draw, h_of(m, b, x),
+                                   reference_against(own, cands, combos))
+                margins = margins.reshape(len(cands), -1)
+                corner = np.all((combos == m.action_low) | (combos == m.action_high), axis=1)
+                survivors = np.flatnonzero(margins[:, corner].min(axis=1) >= cfg.tolerance)
+                if len(survivors) < len(cands):
+                    kinds.add("corner drop")
+                if len(survivors) and margins[survivors[0]].min() >= cfg.tolerance:
+                    kinds.add("first survivor")
+                elif len(survivors) > 1:
+                    kinds.add("third round")
                 if out is None:
                     kinds.add("infeasible")
-                    continue
-                cands = _ordered_candidates(nom[m.agent_columns(agent)], cfg,
-                                            m.action_low, m.action_high)
-                index = next(i for i, c in enumerate(cands) if np.array_equal(c, out.action))
-                kinds.add("near" if index < -(-len(cands) // 2) else "far")
-            if len(kinds) == 3:
+            if len(kinds) == 4:
                 return
         pytest.fail(f"only {sorted(kinds)} reached")
+
+    @settings(deadline=None, max_examples=60)
+    @given(n_samples=st.sampled_from([1, 5]), grid=st.sampled_from([2, 3, 9]),
+           alpha=st.floats(0.0, 1.0), tolerance=st.floats(1e-6, 0.5),
+           nom=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_pass_search_where_the_corners_miss(self, n_samples, grid, alpha, tolerance,
+                                                    nom, seed):
+        # Under _PeakedValue an agent's worst combo is inside the grid and
+        # the corners are its best, so the corner pass drops few candidates
+        # and the first survivor often fails: the third pass runs (at G = 2
+        # every combo is a corner).  Each outcome matches the loop bit for
+        # bit, no row goes to the kernel twice (a row is told apart from the
+        # other agent's by its draw), and the step takes at most 3 calls.
+        plain = replace(make_static_model(2), transition_batch=_drift)
+        m, calls = self.counted(plain)
+        b = Barrier(_PeakedValue(), 1.5)
+        cfg = FilterConfig(alpha=alpha, grid_size=grid, n_samples=n_samples,
+                           tolerance=tolerance)
+        rng = np.random.default_rng(seed)
+        draws = [(rng.standard_normal(n_samples), 0.05 * rng.standard_normal((n_samples, 2, 2)))
+                 for _ in range(2)]
+        x, nom = np.zeros((2, 2)), np.array(nom)
+        outs = pessimistic_filter(m, b, range(2), x, nom, cfg, draws, 1.0)
+        for agent, draw, out in zip(range(2), draws, outs):
+            ref = _pessimistic_loop(plain, b, agent, x, nom, cfg, draw, 1.0)
+            assert (out is None) == (ref is None)
+            if out is not None:
+                assert out.action.tobytes() == ref[0].tobytes() and out.margin == ref[1]
+        assert len(calls) <= 3
+        keys = [row.tobytes() + theta.tobytes() for rows, thetas in calls
+                for row, theta in zip(rows, thetas.reshape(len(rows), -1))]
+        assert len(set(keys)) == len(keys)
 
     def counted(self, model):
         """``model`` whose transition_batch records each call's rows and thetas."""
@@ -1384,9 +1461,11 @@ class TestJointSearch:
 
     def test_spring_step_packs_both_near_halves_in_one_call(self, spring_setup):
         # 10 candidates x 9 combos fill 90 of a pass's 128 rows, so each
-        # agent searches its nearer 5 candidates first, and the two agents'
-        # 45-row half-blocks share one call, each row with its agent's draw.
-        # Both agents find a winner there, so the step is that one call.
+        # agent's search fits one pass.  The two agents' corner rows, 10 x 2
+        # each, share the first call, and their first survivors' 7 rows
+        # against the inner combos share the second, each row with its
+        # agent's draw.  Both first survivors win, so the step is those two
+        # calls.
         s = spring_setup
         m, calls = self.counted(s.model)
         x = np.array([[1.7, 0.1], [1.6, -0.2], [0.5, 0.0]])
@@ -1395,13 +1474,17 @@ class TestJointSearch:
         ctrl = SwitchingController(barrier=s.barrier, nominal=s.nominal, safe=s.safe,
                                    cfg=FilterConfig())
         ctrl.act(m, x, 4, 7)
-        ((rows, thetas),) = calls
-        assert rows.shape == (90, 2) and thetas.shape == (90, 5)
+        (corners, corner_thetas), (inner, inner_thetas) = calls
+        assert corners.shape == (40, 2) and corner_thetas.shape == (40, 5)
+        assert inner.shape == (14, 2) and inner_thetas.shape == (14, 5)
         for agent in range(2):
             draw = draw_risk_samples(m, 5, np.random.SeedSequence([4, 7, agent]))
-            part = slice(45 * agent, 45 * agent + 45)
-            assert np.all(thetas[part] == draw[0])
-            assert rows[part][0, agent] == nom[agent]           # the nominal leads
+            part, mine = slice(20 * agent, 20 * agent + 20), slice(7 * agent, 7 * agent + 7)
+            assert np.all(corner_thetas[part] == draw[0]) and np.all(inner_thetas[mine] == draw[0])
+            assert corners[part][0, agent] == nom[agent]           # the nominal leads
+            assert np.array_equal(corners[part][:, 1 - agent], np.tile([-1.0, 1.0], 10))
+            assert np.all(inner[mine][:, agent] == inner[mine][0, agent])
+            assert np.array_equal(inner[mine][:, 1 - agent], np.linspace(-1, 1, 9)[1:-1])
 
     def test_round_of_three_large_blocks_is_one_kernel_call(self, monkeypatch):
         # TestEarlyExit.test_feasible_survivor_sees_every_combo for all
@@ -1409,10 +1492,7 @@ class TestJointSearch:
         # then meet 25 combos per block, 125 rows.  Such a round of three
         # blocks is one _margins call of 375 rows, split into
         # ceil(375 / 128) = 3 passes that cut across the blocks.
-        def transition_batch(x, u, thetas, noises):
-            return x + 0.5 * u[..., :, None] + noises
-
-        m, calls = self.counted(replace(make_static_model(3), transition_batch=transition_batch))
+        m, calls = self.counted(replace(make_static_model(3), transition_batch=_drift))
         b = Barrier(QuadraticValue(1.0), 1.5)
         cfg = FilterConfig(alpha=0.2)
         draws = [draw_risk_samples(m, cfg.n_samples, [6, agent]) for agent in range(3)]
@@ -1456,10 +1536,7 @@ class TestJointSearch:
         # agent 2 goes on alone.  Each agent's rows, told apart by its draw
         # at sample 0, come in the blocks of its own one-agent call, in the
         # screen call and in the kernel's.
-        def transition_batch(x, u, thetas, noises):
-            return x + 0.5 * u[..., :, None] + noises
-
-        m, calls = self.counted(replace(make_static_model(3), transition_batch=transition_batch))
+        m, calls = self.counted(replace(make_static_model(3), transition_batch=_drift))
         b = Barrier(self.AgentWeightedValue([1.0, 1.0, 4.0]), 1.5)
         cfg = FilterConfig(alpha=0.2)
         draws = [draw_risk_samples(m, cfg.n_samples, [9, agent]) for agent in range(3)]

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
+
+import riskfilter as rf
+from riskfilter import filters
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -13,6 +17,19 @@ run.agents = 3
 run.controller = switching
 run.rollouts = 2
 run.steps = 3
+value.states = 5
+value.horizon = 12
+value.epochs = 25
+certify.states = 6
+certify.samples = 20
+"""
+
+# Spring's two actuated agents: each search's 10 x 9 block fits one pass.
+SPRING = """
+run.preset = spring
+run.controller = switching
+run.rollouts = 2
+run.steps = 4
 value.states = 5
 value.horizon = 12
 value.epochs = 25
@@ -73,3 +90,38 @@ def test_counts_screen_rows_apart(tmp_path):
     switching = tool.counts(TINY, tmp_path)
     assert switching["screen_calls"] == switching["steps"] == 6
     assert 6 * 27 <= switching["screen_rows"] <= 6 * 30
+
+
+def test_spring_steps_take_at_most_three_kernel_calls(tmp_path, monkeypatch):
+    # A search whose block fits one pass takes at most three rounds (the
+    # corner combos, the first survivor, the other survivors), each one
+    # kernel call shared by both agents, of at most 2 x 9 x 7 = 126 rows:
+    # one pass at S = 5.  Spring's searches never probe, so no screen runs.
+    tool = load_tool()
+    c = tool.counts(SPRING, tmp_path)
+    again = tool.counts(SPRING, tmp_path)
+    assert (again["calls"], again["rows"]) == (c["calls"], c["rows"])
+    assert c["screen_calls"] == 0 and c["steps"] == 8
+    per_step = []
+    inner = filters.pessimistic_filter
+
+    def pessimistic_filter(model, *args):
+        calls = []
+        batch = model.transition_batch
+
+        def transition_batch(x, u, thetas, noises):
+            calls.append(len(u))
+            return batch(x, u, thetas, noises)
+
+        out = inner(replace(model, transition_batch=transition_batch), *args)
+        per_step.append(len(calls))
+        return out
+
+    monkeypatch.setattr(filters, "pessimistic_filter", pessimistic_filter)
+    stack = tool.wl.build_stack(SPRING, tmp_path)
+    controller = tool.wl.make_controller(stack)
+    for seed in range(stack.cfg.rollouts):
+        rf.rollout(stack.model, controller, tool.wl.initial_state(stack, seed),
+                   stack.cfg.steps, seed)
+    assert len(per_step) == c["steps"] and sum(per_step) == c["calls"]
+    assert 1 <= min(per_step) and max(per_step) <= 3

@@ -11,9 +11,10 @@ temporary output directory.  One more config, ``train-value-cem``, runs
 ``safe_policy.bin`` is hashed too, and ``collision4-switching`` runs
 ``train-value`` and ``run`` on collision M=4, so that pessimistic solves of
 several kernel passes are hashed, ``collision2-switching`` runs the same two
-commands on collision M=2, whose 10 x 9-row blocks fit one pass and are
-searched nearer half first, at ``filter.xi = 12``, where its 90 solves
-mix near-half winners (50), far-half winners (13) and infeasible ones (27),
+commands on collision M=2, whose 10 x 9-row blocks fit one pass and meet
+the corner combos first, at ``filter.xi = 12``, where its 90 solves mix
+first corner survivors that win (60), winners of a third pass (3) and
+infeasible ones (27), and 66 of them drop a candidate at a corner,
 ``collision3-switching-slack`` runs the same two commands on collision M=3
 with a nonzero tolerance and epsilon at ``filter.xi = 17``, so that the
 screen of the pessimistic search's probes is hashed away from 0: its 135
@@ -63,7 +64,8 @@ COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 # the cross-entropy search, which no workload turns on, collision M=4
 # switching, whose 10 x 729-row pessimistic blocks take several passes,
 # collision M=2 switching, whose 10 x 9-row blocks fit one pass, at an xi
-# that mixes near-half, far-half and infeasible solves,
+# that mixes first-survivor winners, third-pass winners and infeasible
+# solves,
 # collision M=3 switching with a nonzero tolerance and epsilon, at an xi
 # where the probes' screen drops some rows and keeps others,
 # collision M=2 centralized with a nonzero tolerance and epsilon (run and
