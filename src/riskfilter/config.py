@@ -17,11 +17,11 @@ comma-separated strings.  Unknown keys are rejected.
 Each key is declared once, on its ``ExperimentConfig`` field, together
 with its default; the field's annotation is its type.  Parsing,
 serialization and the key check all read that one declaration.
-Validation also bounds the work of one filter solve, the memory of one
-certify pass and of certify's states, of one value fit, of the training
-rollouts, of one cross-entropy iteration and of the rollouts ``run``
-keeps, and the noise scale, so that no noise draw overflows: a config that
-could not finish is rejected before any work.
+Validation also bounds the work of one filter solve and of one certify,
+the memory of one certify pass and of certify's states, of one value
+fit, of the training rollouts, of one cross-entropy iteration and of the
+rollouts ``run`` keeps, and the noise scale, so that no noise draw
+overflows: a config that could not finish is rejected before any work.
 
 Defaults mirror the benchmark setup: alpha = 0.1, epsilon = 0, proximity
 radius 0.05, beta = 1, xi = 5, 5 risk samples, gamma = 0.99, and the
@@ -275,9 +275,10 @@ def _filter_block_pairs(cfg: ExperimentConfig) -> int:
     candidate, in grid order, at one sample, then the survivors at all S;
     no sort runs, and only the hits' distances to nominal are computed; at
     S = 1 it skips the screen and does less), (G + 1)·G^(A-1)·S
-    pessimistic (its probe, its corner combos first and its early exit
-    only save work: each row is evaluated at most once, and a survivor
-    still meets every combo), 0 unfiltered.
+    pessimistic (its corner combos first and its early exit only save
+    work: each row goes to the kernel at most once, and a survivor still
+    meets every combo; at S > 1 its screen adds at most G + 1 rows at one
+    sample), 0 unfiltered.
 
     A counts actuated action dimensions: one per agent, and none for the
     spring preset's third agent.  G >= 2, so G^64 is far over the bound,
@@ -296,6 +297,14 @@ def _filter_block_pairs(cfg: ExperimentConfig) -> int:
 # collision M = 3.  A sweep of the default three values at the largest run
 # the memory bound admits (about 10^6 steps at M = 2) stays under it.
 _MAX_SWEEP_STEPS = 10**7
+
+# Work bound on one certify, in (state, sample) pairs (certify.states x
+# certify.samples, as if every state lay in the sublevel set, where each
+# costs a kernel row of certify.samples samples): about 3 hours at the
+# ~1 us a pair certify takes on spring and collision M = 3 (1.0-1.1 at
+# M = 6), measured at 400 states x 1,000 samples and 40 x 10,000 on a
+# 2-core box.
+_MAX_CERTIFY_PAIRS = 10**10
 
 
 # Work bound on one value fit, in row-epochs (value.epochs x value.states):
@@ -357,7 +366,15 @@ def _dataset_bytes(cfg: ExperimentConfig) -> int:
     row's draws and their scaled copy, and one block of 25 steps' states.
     Measured by ``getrusage`` around ``collect_dataset`` on spring: 101 MB
     against 100 estimated at N = 256, S = 2, H = 4,000, 54 against 51 at
-    N = 1,000, S = 4, H = 1,000, and 77 against 77 at N = 2, H = 200,000."""
+    N = 1,000, S = 4, H = 1,000, and 77 against 77 at N = 2, H = 200,000.
+
+    Under the memory bound, with ``_fit_bytes``, a spring dataset at the
+    default 64x64 network takes at most about 2.6·10^10 simulated row-steps
+    (N·S·H, near N = 3·10^5, H = 85,000, S = 1): about 3.3 hours at the
+    ~0.45-0.5 us a row-step collection takes on a 2-core box.  A network
+    of one hidden unit holds so little per row that N reaches 10^7, and the
+    bound admits about 4·10^11 row-steps on spring (8·10^11 on collision
+    M = 2): some 50 to 100 hours."""
     state_size = cfg.agents * make_model(cfg.preset).state_dim
     chunk = min(_CHUNK_ROWS, cfg.value_states)
     return 8 * (cfg.value_states * (state_size + 1) + cfg.value_samples * state_size
@@ -478,6 +495,11 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         bad(f"value.epochs = {cfg.value_epochs} x value.states = {cfg.value_states} would "
             f"run more than the work bound of {_MAX_FIT_ROW_EPOCHS} row-epochs in one fit; "
             "lower value.epochs or value.states")
+    if cfg.certify_states * cfg.certify_samples > _MAX_CERTIFY_PAIRS:
+        bad(f"certify.states = {cfg.certify_states} x certify.samples = "
+            f"{cfg.certify_samples} would run more than the work bound of "
+            f"{_MAX_CERTIFY_PAIRS} (state, sample) pairs in one certify; lower "
+            "certify.states or certify.samples")
     cem_steps = cfg.cem_iterations * cfg.cem_population * _CEM_STATES * _CEM_HORIZON * _CEM_SAMPLES
     if cem_steps > _MAX_CEM_STEPS:
         bad(f"policy.cem_iterations = {cfg.cem_iterations} x policy.cem_population = "

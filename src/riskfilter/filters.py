@@ -39,14 +39,14 @@ lower bound (``ValueModel.lower``), and drops it if the entropic
 operator's one-sample bound rules it out; the kernel decides every row
 the screen keeps.  A dropped row's later samples are never evaluated, so
 a non-finite value there goes unseen.  The pessimistic search stops
-trying a candidate once a combo fails it.  A block that fits one pass
-meets the other agents' corner combos first, then its first survivor the
-rest alone, then, if that fails, the other survivors; a block that does
-not starts with a probe of combo 0 (every agent's probe rows share one
-screen call).  Every agent's search runs in rounds, each one kernel call
-on the open searches' next blocks with each agent's draw written over its
-rows, in passes that may cut across blocks (on spring, both agents'
-corner rows share one pass).  The centralized
+trying a candidate once a combo fails it.  Each search meets the other
+agents' corner combos first, then its first survivor the rest alone,
+then, if that fails, the other survivors; a search whose whole block does
+not fit one pass screens its candidates at the first corner (every
+agent's such rows share one screen call).  Every agent's search runs in
+rounds, each one kernel call on the open searches' next blocks with each
+agent's draw written over its rows, in passes that may cut across blocks
+(on spring, both agents' corner rows share one pass).  The centralized
 filter works in grid order and sends one block per solve, of the
 candidates that survive the screen; only the hits' distances to nominal
 are computed.  The filters share one state and h(x) across a block;
@@ -444,40 +444,32 @@ def _corners_first(width: int, start: int, stop: int, grid_size: int, low: float
 class _Search:
     """One agent's worst-case search: its candidates still in the running,
     nearest to its nominal action first, their running minimum margins, how
-    many of the other agents' grid combos they have met, and, on a block
-    that fits one pass, the corner survivors held back behind the first."""
+    many of the other agents' grid combos, corners first, they have met,
+    and the corner survivors held back behind the first."""
 
     def __init__(self, model: MasModel, agent: int, nominal: np.ndarray, cfg: FilterConfig,
                  budget: int):
         cols = self.cols = _actuated_columns(model, agent)
         self.cands = _ordered_candidates(nominal[cols], cfg, model.action_low, model.action_high)
-        grid = (len(nominal), cols.start, cols.stop, cfg.grid_size,
-                model.action_low, model.action_high)
-        self.combos, self.corners = _combo_rows(*grid), 0
-        if len(self.cands) * len(self.combos) <= budget:
-            self.combos, self.corners = _corners_first(*grid)
+        self.combos, self.corners = _corners_first(len(nominal), cols.start, cols.stop,
+                                                   cfg.grid_size, model.action_low,
+                                                   model.action_high)
         self.budget, self.tolerance = budget, cfg.tolerance
         self.held = None
         self.worst = np.inf
         self.done = 0
 
-    def probing(self) -> bool:
-        """Whether the next pass is a probe of combo 0: a first pass that
-        cannot hold every combo."""
-        return self.done == 0 and len(self.cands) * len(self.combos) > self.budget
-
     def block(self) -> np.ndarray:
-        """The next pass's rows: the candidates × the next combos, all that
-        remain when they fit the budget, else as many as fit, except that a
-        probe takes combo 0 alone and the first pass of a block that fits
-        one pass takes the corner combos."""
-        take = (1 if self.probing() else self.corners if self.done < self.corners
-                else max(1, self.budget // len(self.cands)))
-        return _against(self.cols, self.cands, self.combos[self.done:self.done + take])
+        """The next pass's rows: the candidates × as many of the next combos
+        as fit the budget, at least one, never past the last corner."""
+        stop = self.done + max(1, self.budget // len(self.cands))
+        if self.done < self.corners:
+            stop = min(stop, self.corners)
+        return _against(self.cols, self.cands, self.combos[self.done:stop])
 
     def screened(self, keep: np.ndarray) -> bool:
-        """Keep the candidates whose probe rows ``_screen`` kept, in order.
-        True while any is left."""
+        """Keep the candidates whose first-corner rows ``_screen`` kept, in
+        order.  True while any is left."""
         self.cands = self.cands[keep]
         return len(self.cands) > 0
 
@@ -509,15 +501,14 @@ class _Search:
                              margin=float(self.worst[0]))
 
 
-def _round(searches: list, live: list, samples) -> tuple:
-    """(rows, draw, spans) of one round: the next blocks of the searches
-    ``live``, in order, with each search's draw written over its rows, as
+def _round(blocks: list, owners: list, samples) -> tuple:
+    """(rows, draw, spans) of one round: ``blocks`` in order, block i of the
+    search ``owners[i]``, with each search's draw written over its rows, as
     per-row thetas (B, S) and noises (B, S, M, d_x), and each search's
     (index, start, stop) slice of the rows."""
-    blocks = [searches[k].block() for k in live]
     rows = np.concatenate(blocks)
     ends = list(accumulate(len(block) for block in blocks))
-    spans = list(zip(live, [0] + ends[:-1], ends))
+    spans = list(zip(owners, [0] + ends[:-1], ends))
     draw = tuple(np.empty((len(rows),) + a.shape) for a in samples[0])
     for k, start, stop in spans:
         for out, a in zip(draw, samples[k]):
@@ -542,41 +533,39 @@ def pessimistic_filter(
     Each candidate u_i (nominal first, then the grid in ascending
     distance to nominal) must clear the tolerance on every grid
     combination of the other actuated agents' actions, under the agent's
-    draw.  Each pass pairs the surviving candidates with the next combos
-    and drops every candidate that a combo failed.  When all C candidates
-    × K combos fit _PASS_PAIRS (row, sample) pairs, the search takes up to
-    three passes: every candidate meets the corner combos (each other
-    action dimension at grid point 0 or G - 1: 2 on spring, all K at
-    G = 2), where on spring almost every failing candidate fails; the
-    first survivor meets the remaining combos alone and wins if it clears
-    them; and only if it fails do the other survivors meet the remaining
-    combos, in one pass.  Otherwise the combos go in grid order and a pass
-    takes as many as fit, except that a first pass which cannot hold
-    every combo pairs the candidates with combo 0 alone: on hopeless
-    solves every candidate fails there, and that one probe of C rows
-    settles them.  A survivor meets every combo and each pass keeps the
-    candidates in distance order, so the result is the full scan's: the
-    nearest candidate whose worst-case margin clears the tolerance, with
-    that margin (a minimum, exact in any order), or None: infeasibility is
-    an expected outcome near the constraint boundary, not a fault.
+    draw.  The combos go corners first (each other action dimension at
+    grid point 0 or G - 1: 2 on spring, 4 at collision M = 3, all of them
+    at G = 2), where almost every failing candidate fails.  Each pass pairs
+    the surviving candidates with as many of the next combos as fit
+    _PASS_PAIRS (row, sample) pairs, at least one and never past the last
+    corner, and drops every candidate that a combo failed.  After the
+    corners the first survivor meets the remaining combos alone and wins
+    if it clears them; only if it fails do the other survivors meet them.
+    A survivor meets every combo and each pass keeps the candidates in
+    distance order, so the result is the full scan's: the nearest
+    candidate whose worst-case margin clears the tolerance, with that
+    margin (a minimum, exact in any order), or None: infeasibility is an
+    expected outcome near the constraint boundary, not a fault.
 
-    At S > 1 the probe rows of every search that starts with a probe go
-    through one ``_screen`` call first, each row under its own agent's
-    sample 0, and a candidate the screen drops leaves the search: the
-    probe's kernel pass would have dropped it.  A search left with no
-    candidate ends as None without a kernel row, and the survivors search
-    as above.  So a dropped candidate's later samples of combo 0 are never
+    At S > 1 a search whose C candidates × K combos do not fit one pass
+    first sends its C rows against the first corner, every other agent at
+    grid point 0, through ``_screen``; every such search's rows go in one
+    call, each under its own agent's sample 0.  A candidate the screen
+    drops leaves the search, since that corner would have dropped it, and
+    a search left with no candidate ends as None without a kernel row.  So
+    a dropped candidate's later samples of that corner are never
     evaluated, and a non-finite value there goes unseen, as at the later
-    combos of a candidate that a probe drops.  At S = 1 the screen would
-    repeat the probe, and the probe stays a kernel pass.
+    combos of a candidate that an earlier combo drops.  On hopeless solves
+    the screen settles the search in C rows.  At S = 1 the screen would
+    repeat the kernel, and none runs.
 
     The agents search in rounds.  A round is one ``_margins`` call on
     every open search's next block, in agent order, under per-row draws
     with each agent's draw written over its rows; its passes may cut
     across blocks, and each search meets its own slice of the margins, so
     a step whose blocks all fit one pass (spring) takes at most three
-    calls.  A margin has the same bits in any block or pass, so each agent's rows
-    and outcome are those of its search alone.
+    calls.  A margin has the same bits in any block or pass, so each
+    agent's rows and outcome are those of its search alone.
     """
     counts = {len(thetas) for thetas, _ in samples}
     if len(samples) != len(agents) or len(counts) > 1:
@@ -588,14 +577,16 @@ def pessimistic_filter(
     budget = _PASS_PAIRS // n_samples       # rows in one kernel pass
     searches = [_Search(model, agent, nominal, cfg, budget) for agent in agents]
     live = list(range(len(searches)))
-    probing = [k for k in live if searches[k].probing()] if n_samples > 1 else []
-    if probing:
-        rows, draw, spans = _round(searches, probing, samples)
+    wide = [k for k in live if len(searches[k].cands) * len(searches[k].combos) > budget]
+    if wide and n_samples > 1:
+        rows, draw, spans = _round([_against(searches[k].cols, searches[k].cands,
+                                             searches[k].combos[:1]) for k in wide],
+                                   wide, samples)
         keep = _screen(model, barrier, x, cfg, draw, h_now, rows)
         emptied = {k for k, start, stop in spans if not searches[k].screened(keep[start:stop])}
         live = [k for k in live if k not in emptied]
     while live:
-        rows, draw, spans = _round(searches, live, samples)
+        rows, draw, spans = _round([searches[k].block() for k in live], live, samples)
         margins = _margins(model, barrier, x, cfg, draw, h_now, rows)
         live = [k for k, start, stop in spans if searches[k].meet(margins[start:stop])]
     return [search.outcome() for search in searches]

@@ -220,7 +220,7 @@ class ValueModel:
     on.  ``lower`` runs a float32 copy of the network, built on first use
     and never saved, and returns a proven lower bound on ``predict``: the
     filters' screen (the centralized candidates and the pessimistic
-    probes) needs only that.
+    search's first corner) needs only that.
     """
 
     layer_sizes: tuple

@@ -330,6 +330,32 @@ class TestValidation:
             assert err.value.code == "invalid-value" and "memory bound" in str(err.value)
             assert "policy.cem_population" in str(err.value)
 
+    def test_certify_work_bound(self, tmp_path, monkeypatch, capsys):
+        # certify evaluates certify.states x certify.samples (state, sample)
+        # pairs when every state lies in the sublevel set, at most 10^10
+        # (about 3 hours at ~1 us a pair).  10^6 states x 10^5 samples on
+        # collision M = 3 holds about 122 + 512 MB, under the memory bound,
+        # and is over the work bound: it exits 1 before any work, with one
+        # line and no traceback.  Only validation runs, never the work.
+        collision3 = "run.preset = collision\nrun.agents = 3\ncertify.states = {}\n" \
+                     "certify.samples = {}\n"
+        assert parse_config(collision3.format(10**5, 10**5)).certify_samples == 10**5
+        for states, samples in ((10**5, 10**5 + 1), (10**6, 10**5), (2 * 10**6, 5001)):
+            with pytest.raises(ConfigError) as err:
+                parse_config(collision3.format(states, samples))
+            assert err.value.code == "invalid-value" and "work bound" in str(err.value)
+            assert "certify.states" in str(err.value) and "certify.samples" in str(err.value)
+        path, out = tmp_path / "exp.cfg", tmp_path / "out"
+        path.write_text(collision3.format(10**6, 10**5))
+        monkeypatch.setattr(sys, "argv", ["riskfilter", "certify", "--config", str(path),
+                                          "--out", str(out)])
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert exited.value.code == 1
+        err = capsys.readouterr().err
+        assert "work bound" in err and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err and not out.exists()
+
     def test_certify_states_memory_bound(self):
         # certify holds every sampled state, its h(x), policy row and margin
         # and its certify.csv line at once: about 512 bytes a state (363-431

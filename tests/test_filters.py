@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ConstantValue, QuadraticValue, h_of, make_static_model
@@ -525,7 +525,7 @@ class TestEarlyExit:
 
     def drift_model(self, agents=3):
         # f(x, u) = x + 0.5 u in every coordinate of every agent, so from
-        # x = 0 the first combo in grid order, (-1, ..., -1), is the worst one.
+        # x = 0 the corner combos, (-1, ..., -1) first, are the worst ones.
         calls, screens = [], []
 
         def transition_batch(x, u, thetas, noises):
@@ -546,18 +546,22 @@ class TestEarlyExit:
 
     def test_all_fail_on_first_combo(self):
         # margin = 1.5 - 0.5 * (u0^2 + u1^2 + u2^2) - 1.5 * alpha: at
-        # alpha = 0.5 every candidate fails on (-1, -1) and passes on (0, 0).
-        # The 9 x 81 block takes several passes, so the search starts with a
-        # probe of the 9 candidates (the nominal 1.0 is a grid point, counted
-        # once) against combo 0 alone.  Every sample is alike here, so the
-        # one-sample bound's log(5) / beta of slack keeps every candidate in
-        # the screen, and the probe's kernel pass settles the solve.
+        # alpha = 0.5 every candidate fails at every corner, such as
+        # (-1, -1), and passes on (0, 0).  The 9 x 81 block takes several
+        # passes, so the 9 candidates (the nominal 1.0 is a grid point,
+        # counted once) meet the screen at the first corner, (-1, -1).
+        # Every sample is alike here, so the one-sample bound's log(5) / beta
+        # of slack keeps every candidate, and one kernel pass of the 9
+        # candidates x the 4 corners settles the solve.
         out, calls, screens, _ = self.solve(alpha=0.5)
         assert out is None
-        assert len(screens) == 1 and screens[0].tobytes() == calls[0].tobytes()
-        assert len(calls) == 1 and calls[0].shape == (self.G, 3)
-        assert np.all(calls[0][:, 1:] == -1.0)
-        assert sorted(calls[0][:, 0]) == list(np.linspace(-1, 1, self.G))
+        assert len(screens) == 1 and screens[0].shape == (self.G, 3)
+        assert np.all(screens[0][:, 1:] == -1.0)
+        assert sorted(screens[0][:, 0]) == list(np.linspace(-1, 1, self.G))
+        assert len(calls) == 1 and calls[0].shape == (4 * self.G, 3)
+        assert calls[0][::4].tobytes() == screens[0].tobytes()
+        corners = [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]
+        assert np.array_equal(calls[0][:, 1:], np.tile(corners, (self.G, 1)))
 
     def test_block_that_fits_one_pass_takes_every_combo(self):
         # Two agents, as on spring: the 10 candidates around a nominal off
@@ -567,7 +571,7 @@ class TestEarlyExit:
         # distance order.  At alpha = 1 every candidate fails there, and no
         # other combo is evaluated.
         out, calls, screens, _ = self.solve(alpha=1.0, agents=2, nominal=0.3)
-        assert out is None and not screens         # no probe, no screen
+        assert out is None and not screens         # the block fits: no screen
         assert [len(u) for u in calls] == [2 * 10]
         assert np.array_equal(calls[0][:, 1], np.tile([-1.0, 1.0], 10))
         assert list(calls[0][::2, 0]) == [0.3, 0.25, 0.5, 0.0, 0.75,
@@ -612,14 +616,15 @@ class TestEarlyExit:
 
     def test_feasible_survivor_sees_every_combo(self):
         # At alpha = 0.2 a candidate is feasible iff u0^2 <= 0.4: from the
-        # nominal 1.0 the screen keeps all 9 probe rows (see
-        # test_all_fail_on_first_combo), the probe of combo 0 drops 1.0,
-        # 0.75, -0.75 and -1.0, then the 5 survivors meet the other 80
-        # combos, 25 per pass, and 0.5 is the first of them.
+        # nominal 1.0 the screen keeps all 9 first-corner rows (see
+        # test_all_fail_on_first_combo), the 4 corners drop 1.0, 0.75,
+        # -0.75 and -1.0 in one pass of 36 rows, then the first of the 5
+        # survivors, 0.5, meets the other 77 combos alone and wins.
         out, calls, screens, (m, b, cfg) = self.solve(alpha=0.2)
         assert out is not None and out.action[0] == 0.5
         assert [len(u) for u in screens] == [9]
-        assert [len(u) for u in calls] == [9, 125, 125, 125, 25]
+        assert [len(u) for u in calls] == [36, 77]
+        assert np.all(calls[1][:, 0] == 0.5)
         rows = np.vstack(calls)
         combos = {tuple(r[1:]) for r in rows if r[0] == 0.5}
         assert combos == set(itertools.product(np.linspace(-1, 1, self.G), repeat=2))
@@ -640,13 +645,22 @@ class TestEarlyExit:
         assert np.array_equal(np.vstack(calls), np.vstack(search))
         assert np.array_equal(np.vstack(screens), np.vstack(screened))
 
-    class NanAtLastCombo(QuadraticValue):
-        # NaN only where agents 1 and 2 both moved to +0.5, which the last
+    class NanAtCorner(QuadraticValue):
+        # NaN only where agents 1 and 2 both moved to +0.5, which the corner
         # combo (1, 1) alone reaches.
         def predict(self, x):
             x = np.asarray(x, dtype=float)
             out = np.asarray(super().predict(x), dtype=float)
             return np.where((x[..., 3] >= 0.5) & (x[..., 5] >= 0.5), np.nan, out)
+
+    class NanAtLastCombo(QuadraticValue):
+        # NaN only where agent 1 moved to +0.5 and agent 2 to +0.375, which
+        # the search's last combo, (1, 0.75), the last one off the corners
+        # in grid order, alone reaches.
+        def predict(self, x):
+            x = np.asarray(x, dtype=float)
+            out = np.asarray(super().predict(x), dtype=float)
+            return np.where((x[..., 3] >= 0.5) & (x[..., 5] == 0.375), np.nan, out)
 
     def test_non_finite_on_last_combo_of_survivor_rejected(self):
         with pytest.raises(ContractViolationError):
@@ -654,9 +668,16 @@ class TestEarlyExit:
 
     def test_non_finite_on_last_combo_of_dropped_candidate_unseen(self):
         # A candidate dropped at its first failing combo never meets its
-        # later ones: at alpha = 0.5 the probe drops every candidate.
+        # later ones: at alpha = 0.5 the corners drop every candidate.
         out, calls, screens, _ = self.solve(alpha=0.5, value=self.NanAtLastCombo(1.0))
         assert out is None and len(calls) == 1 and len(screens) == 1
+
+    def test_non_finite_at_corner_of_screen_survivor_rejected(self):
+        # Every candidate that the screen keeps at the first corner meets
+        # every corner in the kernel, so a NaN at the corner (1, 1) is seen
+        # even when the corners drop every candidate.
+        with pytest.raises(ContractViolationError):
+            self.solve(alpha=0.5, value=self.NanAtCorner(1.0))
 
 
 def _full_scan(model, barrier, x, nominal, cfg, samples, h_now):
@@ -862,14 +883,15 @@ class TestScreen:
 
 
 class TestProbeScreen:
-    """At S > 1 the pessimistic search sends the probe rows of every search
-    that starts with a probe (its C candidates x combo 0, each row under its
-    agent's sample 0) through one ``_screen`` call, and the candidates the
-    screen drops leave the search before the probe's kernel pass."""
+    """At S > 1 the pessimistic search sends the first-corner rows of every
+    search whose block does not fit one pass (its C candidates x the first
+    corner, every other agent at grid point 0, each row under its agent's
+    sample 0) through one ``_screen`` call, and the candidates the screen
+    drops leave the search before its first kernel pass."""
 
     def case(self, name, collision3_setup):
         """(model, barrier, grid size, state sampler) of a case whose
-        searches start with a probe at S = 1 and 5.  The trained barrier
+        blocks do not fit one pass at S = 1 and 5.  The trained barrier
         runs at xi = 20: at the fixture's xi = 5 nearly every state has
         h < 0 and every solve is infeasible."""
         if name == "trained":
@@ -926,8 +948,9 @@ class TestProbeScreen:
     def test_property_cases_reach_drops_survivors_and_both_outcomes(self, collision3_setup,
                                                                     case):
         # The cases of test_matches_no_screen_search_bitwise, at beta = 10,
-        # meet screens that drop probe rows and keep others, and feasible
-        # and infeasible agents, each checked against the search with no screen.
+        # meet screens that drop first-corner rows and keep others, and
+        # feasible and infeasible agents, each checked against the search
+        # with no screen.
         m, b, grid, sampler = self.case(case, collision3_setup)
         rng = np.random.default_rng(3)
         dropped = kept = 0
@@ -945,7 +968,7 @@ class TestProbeScreen:
         pytest.fail(f"dropped {dropped}, kept {kept}, outcomes {outcomes}")
 
     def test_per_row_draw_matches_shared(self, collision3_setup):
-        # A draw given per row, as the pessimistic probes send it, screens
+        # A draw given per row, as the pessimistic search sends it, screens
         # each row as the shared draw does, over 2-D blocks of up to 64 rows.
         m, b, _, sampler = self.case("trained", collision3_setup)
         rng = np.random.default_rng(0)
@@ -963,8 +986,8 @@ class TestProbeScreen:
     def nan_solve(self, sample, action, epsilon=0.0):
         # Agent 0's search on three agents from x = 0: h(x+) = 1.5 -
         # sum_i (0.5 u_i)^2, NaN at one sample of one joint action.  Against
-        # combo 0, (-1, -1), a candidate's margin at alpha = 0.6 is 0.1 -
-        # 0.25 u0^2 - epsilon, so from the nominal 1.0 the winner is 0.5;
+        # the first corner, (-1, -1), a candidate's margin at alpha = 0.6 is
+        # 0.1 - 0.25 u0^2 - epsilon, so from the nominal 1.0 the winner is 0.5;
         # the one-sample bound adds log(5) / 100, so the screen drops
         # |u0| >= 0.75 and keeps the rest.
         m = _tagged_model(3)
@@ -975,22 +998,23 @@ class TestProbeScreen:
                                   [samples], 1.5)[0]
 
     def test_non_finite_on_sample_0_rejected(self):
-        # Every probe row meets the screen at sample 0, also on a hopeless
-        # solve and when the screen drops the row.
+        # Every first-corner row meets the screen at sample 0, also on a
+        # hopeless solve and when the screen drops the row.
         for action, epsilon in (((-1.0, -1.0, -1.0), 0.0), ((-1.0, -1.0, -1.0), 10.0),
                                 ((0.5, -1.0, -1.0), 0.0)):
             with pytest.raises(ContractViolationError):
                 self.nan_solve(0, action, epsilon)
 
     def test_non_finite_on_later_sample_of_survivor_rejected(self):
-        # 0.5 survives the screen, so its probe row meets sample 4 in the kernel.
+        # 0.5 survives the screen, so its first-corner row meets sample 4 in
+        # the kernel.
         with pytest.raises(ContractViolationError):
             self.nan_solve(4, (0.5, -1.0, -1.0))
 
     def test_non_finite_on_later_sample_of_screened_out_candidate_unseen(self):
-        # -1 fails combo 0 by the bound of its sample 0, so its later samples
-        # are never evaluated, as a candidate the probe drops never meets
-        # its later combos.
+        # -1 fails the first corner by the bound of its sample 0, so its
+        # later samples are never evaluated, as a candidate that a combo
+        # drops never meets its later combos.
         out = self.nan_solve(4, (-1.0, -1.0, -1.0))
         assert out is not None and out.action.tolist() == [0.5]
 
@@ -1329,8 +1353,9 @@ class TestJointSearch:
            alpha=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
     def test_every_agent_matches_candidate_loop(self, spring_setup, case, n_samples, alpha,
                                                 seed):
-        # At S = 20 and 40 a pass holds 32 and 16 rows, so probes of several
-        # agents share a call, and the rest of a search takes several passes.
+        # At S = 20 and 40 a pass holds 32 and 16 rows, so the screen rows of
+        # several agents share a call, and the rest of a search takes
+        # several passes.
         m, b, grid, sampler = self.setup(case, spring_setup)
         rng = np.random.default_rng(seed)
         x = m.validate_state(sampler(rng))
@@ -1394,38 +1419,67 @@ class TestJointSearch:
         pytest.fail(f"only {sorted(kinds)} reached")
 
     @settings(deadline=None, max_examples=60)
-    @given(n_samples=st.sampled_from([1, 5]), grid=st.sampled_from([2, 3, 9]),
+    @given(n_samples=st.sampled_from([1, 5, 20]),
+           case=st.sampled_from([(2, 2), (2, 3), (2, 9), (3, 2), (3, 3), (3, 9), (4, 2), (4, 3),
+                                 (4, 5)]),
            alpha=st.floats(0.0, 1.0), tolerance=st.floats(1e-6, 0.5),
-           nom=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           nom=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_one_pass_search_where_the_corners_miss(self, n_samples, grid, alpha, tolerance,
+    # At S = 20 a pass holds 32 rows: 10 candidates x 4 corners at M = 3,
+    # and 6 x 8 at M = 4 on G = 5, take two passes.
+    @example(n_samples=20, case=(3, 9), alpha=0.3, tolerance=0.01, nom=[0.3, -0.2, 0.1, 0.0],
+             seed=1)
+    @example(n_samples=20, case=(4, 5), alpha=0.0, tolerance=0.1, nom=[0.3, -0.2, 0.1, 0.6],
+             seed=2)
+    def test_one_pass_search_where_the_corners_miss(self, n_samples, case, alpha, tolerance,
                                                     nom, seed):
         # Under _PeakedValue an agent's worst combo is inside the grid and
-        # the corners are its best, so the corner pass drops few candidates
-        # and the first survivor often fails: the third pass runs (at G = 2
-        # every combo is a corner).  Each outcome matches the loop bit for
+        # the corners are its best, so the corners drop few candidates and
+        # the first survivor often fails: the third round runs (at G = 2
+        # every combo is a corner).  Every block size goes by the one rule:
+        # blocks that fit one pass, blocks that take several, and corner
+        # passes that take several.  Each outcome matches the loop bit for
         # bit, no row goes to the kernel twice (a row is told apart from the
-        # other agent's by its draw), and the step takes at most 3 calls.
-        plain = replace(make_static_model(2), transition_batch=_drift)
+        # other agents' by its draw), and each agent's kernel rows meet every
+        # corner, candidate by candidate, before any other combo.  At M = 2
+        # and S <= 5, where every block fits one pass, the step takes at
+        # most 3 passes.
+        agents, grid = case
+        plain = replace(make_static_model(agents), transition_batch=_drift)
         m, calls = self.counted(plain)
         b = Barrier(_PeakedValue(), 1.5)
         cfg = FilterConfig(alpha=alpha, grid_size=grid, n_samples=n_samples,
                            tolerance=tolerance)
         rng = np.random.default_rng(seed)
-        draws = [(rng.standard_normal(n_samples), 0.05 * rng.standard_normal((n_samples, 2, 2)))
-                 for _ in range(2)]
-        x, nom = np.zeros((2, 2)), np.array(nom)
-        outs = pessimistic_filter(m, b, range(2), x, nom, cfg, draws, 1.0)
-        for agent, draw, out in zip(range(2), draws, outs):
+        draws = [(rng.standard_normal(n_samples),
+                  0.05 * rng.standard_normal((n_samples, agents, 2))) for _ in range(agents)]
+        x, nom = np.zeros((agents, 2)), np.array(nom[:agents])
+        outs = pessimistic_filter(m, b, range(agents), x, nom, cfg, draws, 1.0)
+        for agent, draw, out in zip(range(agents), draws, outs):
             ref = _pessimistic_loop(plain, b, agent, x, nom, cfg, draw, 1.0)
             assert (out is None) == (ref is None)
             if out is not None:
                 assert out.action.tobytes() == ref[0].tobytes() and out.margin == ref[1]
-        assert len(calls) <= 3
-        keys = [row.tobytes() + theta.tobytes() for rows, thetas in calls
-                for row, theta in zip(rows, thetas.reshape(len(rows), -1))]
+        kernel = [(rows, thetas) for rows, thetas in calls if thetas.ndim == 2]
+        assert len(kernel) >= len(calls) - 1          # at most one screen call
+        if agents == 2 and n_samples <= 5:
+            assert len(kernel) <= 3
+        keys = [row.tobytes() + theta.tobytes() for rows, thetas in kernel
+                for row, theta in zip(rows, thetas)]
         assert len(set(keys)) == len(keys)
-
+        met = [{} for _ in range(agents)]       # per agent, candidate -> corners met
+        inner = [False] * agents                # whether the agent met a non-corner
+        for rows, thetas in kernel:
+            for row, theta in zip(rows, thetas):
+                agent = next(a for a in range(agents) if np.array_equal(theta, draws[a][0]))
+                others = np.delete(row, agent)
+                corners = met[agent].setdefault(row[agent], set())
+                if np.all((others == -1.0) | (others == 1.0)):
+                    assert not inner[agent]
+                    corners.add(others.tobytes())
+                else:
+                    inner[agent] = True
+                    assert len(corners) == 2 ** (agents - 1)
     def counted(self, model):
         """``model`` whose transition_batch records each call's rows and thetas."""
         calls = []
@@ -1439,10 +1493,10 @@ class TestJointSearch:
 
     def test_hopeless_collision3_step_is_one_call(self):
         # Every margin fails at epsilon = 10, so each agent's search ends
-        # at its probe of C = 10 rows (nominal off the grid), and the three
-        # probes share one screen call with per-row draws, in agent order:
-        # each row at its agent's sample 0, as a 2-D block.  The screen
-        # drops every candidate, so no kernel call follows.
+        # at its screen of C = 10 rows at the first corner (nominal off the
+        # grid), and the three agents' rows share one call with per-row
+        # draws, in agent order: each row at its agent's sample 0, as a 2-D
+        # block.  The screen drops every candidate, so no kernel call follows.
         m, calls = self.counted(make_model("collision", n_agents=3))
         b = Barrier(QuadraticValue(0.5), 2.0)
         cfg = FilterConfig(epsilon=10.0)
@@ -1457,7 +1511,7 @@ class TestJointSearch:
             assert np.all(thetas[part] == draws[agent][0][0])
             assert rows[part][0, agent] == nom[agent]           # the nominal leads
             others = np.delete(rows[part], agent, axis=1)
-            assert np.all(others == -1.0)                       # combo 0
+            assert np.all(others == -1.0)                       # the first corner
 
     def test_spring_step_packs_both_near_halves_in_one_call(self, spring_setup):
         # 10 candidates x 9 combos fill 90 of a pass's 128 rows, so each
@@ -1488,10 +1542,11 @@ class TestJointSearch:
 
     def test_round_of_three_large_blocks_is_one_kernel_call(self, monkeypatch):
         # TestEarlyExit.test_feasible_survivor_sees_every_combo for all
-        # three agents at once: each probe of 9 candidates keeps 5, which
-        # then meet 25 combos per block, 125 rows.  Such a round of three
-        # blocks is one _margins call of 375 rows, split into
-        # ceil(375 / 128) = 3 passes that cut across the blocks.
+        # three agents at once: the screen keeps each agent's 9 candidates,
+        # whose 36 corner rows share one pass; each agent's first survivor
+        # then meets the other 77 combos alone.  That round of three blocks
+        # is one _margins call of 231 rows, split into ceil(231 / 128) = 2
+        # passes that cut across the blocks.
         m, calls = self.counted(replace(make_static_model(3), transition_batch=_drift))
         b = Barrier(QuadraticValue(1.0), 1.5)
         cfg = FilterConfig(alpha=0.2)
@@ -1506,15 +1561,16 @@ class TestJointSearch:
         monkeypatch.setattr(filters_module, "_margins", margins)
         outs = pessimistic_filter(m, b, range(3), np.zeros((3, 2)), np.ones(3), cfg, draws, 1.5)
         assert [out.action[0] for out in outs] == [0.5, 0.5, 0.5]
-        # The three probes' one screen call, which keeps every row, comes first.
+        # The one screen call of the three agents' first-corner rows, which
+        # keeps every row, comes first.
         assert [(len(rows), thetas.ndim) for rows, thetas in calls[:kernel_calls[0]]] == [(27, 1)]
         kernel_calls.append(len(calls))
         passes = [[len(rows) for rows, _ in calls[a:z]]
                   for a, z in zip(kernel_calls, kernel_calls[1:])]
-        assert [sum(p) for p in passes] == [27, 375, 375, 375, 75]     # one call a round
+        assert [sum(p) for p in passes] == [108, 231]     # one call a round
         per_pass = 640 // cfg.n_samples
         assert [len(p) for p in passes] == [-(-sum(p) // per_pass) for p in passes]
-        assert passes[1] == [128, 128, 119]
+        assert passes[1] == [128, 103]
         for agent, out in enumerate(outs):
             assert out.margin == worst_case_margin(m, b, agent, out.action, np.zeros((3, 2)),
                                                    cfg, draws[agent], 1.5)
@@ -1532,8 +1588,8 @@ class TestJointSearch:
 
     def test_dropped_agent_leaves_the_others_passes_alone(self):
         # f(x, u) = x + 0.5 u (TestEarlyExit.drift_model) under a barrier
-        # that weighs agent 2 four times: agents 0 and 1 fail their probes,
-        # agent 2 goes on alone.  Each agent's rows, told apart by its draw
+        # that weighs agent 2 four times: agents 0 and 1 fail at the
+        # corners, agent 2 goes on alone.  Each agent's rows, told apart by its draw
         # at sample 0, come in the blocks of its own one-agent call, in the
         # screen call and in the kernel's.
         m, calls = self.counted(replace(make_static_model(3), transition_batch=_drift))
@@ -1555,10 +1611,12 @@ class TestJointSearch:
         joint = pessimistic_filter(m, b, range(3), np.zeros((3, 2)), m.zero_action(), cfg,
                                    draws, 1.5)
         assert [out is None for out in joint] == [True, True, False]
-        # The screen of the three 9-row probes keeps 7 rows of each; the
-        # kernel's probe then drops agents 0 and 1.
+        # The screen of the three agents' 9 first-corner rows keeps 7 of
+        # each; the kernel's corner pass, 7 x 4 rows an agent, then drops
+        # agents 0 and 1, and agent 2's first survivor meets the other 77
+        # combos alone.
         assert [(len(rows), thetas.ndim) for rows, thetas in calls] == [
-            (27, 1), (21, 2), (126, 2), (114, 2)]
+            (27, 1), (84, 2), (77, 2)]
         together = blocks_by_agent()
         for agent in range(3):
             calls.clear()

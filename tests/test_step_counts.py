@@ -49,8 +49,9 @@ def test_counts_the_reference_steps(tmp_path, capsys):
     tool = load_tool()
     c = tool.counts(TINY, tmp_path)
     assert c["steps"] == 6 and "seeded" not in c
-    # At least one kernel call per step (on this loose barrier some probe
-    # rows survive the screen on every step), and every call holds rows.
+    # At least one kernel call per step (on this loose barrier some
+    # first-corner rows survive the screen on every step), and every call
+    # holds rows.
     assert 6 <= c["calls"] <= c["rows"]
     assert c["minflt_per_step"] >= 0 and c["minflt_per_certify"] >= 0
     # A step makes dozens of Python-level calls, the same on every run.
@@ -58,7 +59,24 @@ def test_counts_the_reference_steps(tmp_path, capsys):
     again = tool.counts(TINY, tmp_path)
     assert (again["calls"], again["py_calls_per_step"]) == (c["calls"], c["py_calls_per_step"])
     assert tool.main(["train-certify"]) == 2
-    assert "rollout workloads" in capsys.readouterr().err
+    assert "rollout configs" in capsys.readouterr().err
+
+
+def test_counts_digest_configs_that_run(capsys):
+    # The digest configs that run ``run`` are counted by the same command
+    # as the rollout workloads; train-certify and the train-only configs
+    # are not rollout configs.
+    tool = load_tool()
+    names = tool.rollout_configs()
+    assert {"collision2-switching", "collision4-switching", "collision3-switching-slack",
+            "spring-switching", "collision3-switching"} <= set(names)
+    assert not {"train-certify", "train-value-cem", "spring-certify700"} & set(names)
+    assert tool.main(["collision2-switching"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    # 3 rollouts x 15 steps; collision M = 2's 10 x 9 blocks fit one pass,
+    # so no screen runs.
+    assert line.startswith("collision2-switching calls=")
+    assert " screen_calls=0 screen_rows=0 steps=45 " in line
 
 
 def test_counts_the_seeded_load(tmp_path):
@@ -84,9 +102,9 @@ def test_counts_screen_rows_apart(tmp_path):
     c = tool.counts(TINY.replace("switching", "centralized"), tmp_path)
     assert c["screen_calls"] == c["steps"] == 6 and c["screen_rows"] == 6 * 730
     assert c["rows"] < c["screen_rows"]
-    # Switching on collision M = 3: every agent's search starts with a probe
-    # of its 9 or 10 candidates against combo 0, and the three probes share
-    # one screen call a step, with per-row draws.
+    # Switching on collision M = 3: every agent's search first screens its
+    # 9 or 10 candidates at the first corner, and the three agents' rows
+    # share one screen call a step, with per-row draws.
     switching = tool.counts(TINY, tmp_path)
     assert switching["screen_calls"] == switching["steps"] == 6
     assert 6 * 27 <= switching["screen_rows"] <= 6 * 30
@@ -96,7 +114,7 @@ def test_spring_steps_take_at_most_three_kernel_calls(tmp_path, monkeypatch):
     # A search whose block fits one pass takes at most three rounds (the
     # corner combos, the first survivor, the other survivors), each one
     # kernel call shared by both agents, of at most 2 x 9 x 7 = 126 rows:
-    # one pass at S = 5.  Spring's searches never probe, so no screen runs.
+    # one pass at S = 5.  Spring's blocks fit one pass, so no screen runs.
     tool = load_tool()
     c = tool.counts(SPRING, tmp_path)
     again = tool.counts(SPRING, tmp_path)

@@ -9,17 +9,18 @@ default) the config runs at ``run.seed = 0`` through ``train-value``,
 temporary output directory.  One more config, ``train-value-cem``, runs
 ``train-value`` alone with the cross-entropy policy search on, so that
 ``safe_policy.bin`` is hashed too, and ``collision4-switching`` runs
-``train-value`` and ``run`` on collision M=4, so that pessimistic solves of
-several kernel passes are hashed, ``collision2-switching`` runs the same two
-commands on collision M=2, whose 10 x 9-row blocks fit one pass and meet
-the corner combos first, at ``filter.xi = 12``, where its 90 solves mix
-first corner survivors that win (60), winners of a third pass (3) and
-infeasible ones (27), and 66 of them drop a candidate at a corner,
-``collision3-switching-slack`` runs the same two commands on collision M=3
-with a nonzero tolerance and epsilon at ``filter.xi = 17``, so that the
-screen of the pessimistic search's probes is hashed away from 0: its 135
-solves mix winners (34) and infeasible ones (101), and the screen drops 579
-of its 1,285 probe rows,
+``train-value`` and ``run`` on collision M=4, whose 10 x 729-row
+pessimistic blocks do not fit one pass, so that searches screened at their
+first corner and run over several passes are hashed,
+``collision2-switching`` runs the same two commands on collision M=2, whose
+10 x 9-row blocks fit one pass with no screen, at ``filter.xi = 12``, where
+its 90 solves mix first corner survivors that win (60), winners of a third
+pass (3) and infeasible ones (27), and 66 of them drop a candidate at a
+corner, ``collision3-switching-slack`` runs the same two commands on
+collision M=3 with a nonzero tolerance and epsilon at ``filter.xi = 17``,
+so that the pessimistic search's screen at the first corner is hashed away
+from 0: its 135 solves mix winners (34) and infeasible ones (101), and the
+screen drops 579 of its 1,285 rows,
 ``collision2-centralized-slack`` runs ``train-value``, ``run`` and
 ``certify`` under the centralized filter with a nonzero tolerance and
 epsilon, so that its candidate screen and the
@@ -62,12 +63,12 @@ COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 
 # name -> (config text, commands): every workload through every command,
 # the cross-entropy search, which no workload turns on, collision M=4
-# switching, whose 10 x 729-row pessimistic blocks take several passes,
-# collision M=2 switching, whose 10 x 9-row blocks fit one pass, at an xi
-# that mixes first-survivor winners, third-pass winners and infeasible
-# solves,
+# switching, whose 10 x 729-row pessimistic blocks are screened at their
+# first corner and take several passes, collision M=2 switching, whose
+# 10 x 9-row blocks fit one pass with no screen, at an xi that mixes
+# first-survivor winners, third-pass winners and infeasible solves,
 # collision M=3 switching with a nonzero tolerance and epsilon, at an xi
-# where the probes' screen drops some rows and keeps others,
+# where the first-corner screen drops some rows and keeps others,
 # collision M=2 centralized with a nonzero tolerance and epsilon (run and
 # certify), spring centralized, whose joint rows skip the unactuated mass,
 # also at one sample, with no screen,
