@@ -1,6 +1,6 @@
 """Risk-sensitive safety filters for uncertain discrete-time multi-agent systems."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .config import ExperimentConfig, config_with, parse_config, serialize_config
 from .dynamics import JointState, MasModel, make_model
@@ -24,15 +24,8 @@ from .filters import (
     switching_filter,
 )
 from .guarantees import GuaranteeReport, certify_grid, compute_delta
-from .persist import load_policy, load_value_model, save_policy, save_value_model
-from .policies import (
-    CemResult,
-    Policy,
-    cem_improve,
-    eval_policy,
-    make_proportional,
-    mean_cost_objective,
-)
+from .persist import load_value_model, save_value_model
+from .policies import Policy, eval_policy, make_proportional
 from .risk import entropic_risk, risk_lower
 from .simulate import (
     CentralizedController,
@@ -60,7 +53,6 @@ __all__ = [
     "ApproxConfig",
     "Barrier",
     "Branch",
-    "CemResult",
     "CentralizedController",
     "ConfigError",
     "ContractViolationError",
@@ -81,7 +73,6 @@ __all__ = [
     "SwitchingController",
     "ValueDataset",
     "ValueModel",
-    "cem_improve",
     "centralized_filter",
     "certify_grid",
     "check_condition",
@@ -93,19 +84,16 @@ __all__ = [
     "entropic_risk",
     "eval_policy",
     "fit_value",
-    "load_policy",
     "load_value_model",
     "make_model",
     "make_proportional",
     "mc_cost_to_go",
-    "mean_cost_objective",
     "parse_config",
     "pessimistic_filter",
     "proximity_filter",
     "risk_lower",
     "rollout",
     "run_experiment",
-    "save_policy",
     "save_value_model",
     "serialize_config",
     "sweep",

@@ -17,11 +17,12 @@ comma-separated strings.  Unknown keys are rejected.
 Each key is declared once, on its ``ExperimentConfig`` field, together
 with its default; the field's annotation is its type.  Parsing,
 serialization and the key check all read that one declaration.
-Validation also bounds the work of one filter solve and of one certify,
-the memory of one certify pass and of certify's states, of one value
-fit, of the training rollouts, of one cross-entropy iteration and of the
-rollouts ``run`` keeps, and the noise scale, so that no noise draw
-overflows: a config that could not finish is rejected before any work.
+Validation also bounds the work of one filter solve, of one sweep, of
+one certify, of one value fit and of the training rollouts, the memory
+of one certify pass and of certify's states, of one value fit, of the
+training rollouts and of the rollouts ``run`` keeps, and the noise scale,
+so that no noise draw overflows: a config that could not finish is
+rejected before any work.
 
 Defaults mirror the benchmark setup: alpha = 0.1, epsilon = 0, proximity
 radius 0.05, beta = 1, xi = 5, 5 risk samples, gamma = 0.99, and the
@@ -123,10 +124,6 @@ class ExperimentConfig:
     safe_kp: float = _setting("policy.safe_kp", _PRESET)
     safe_kd: float = _setting("policy.safe_kd", _PRESET)
     safe_spread: float = _setting("policy.safe_spread", _PRESET)
-    cem_iterations: int = _setting("policy.cem_iterations", 0)
-    cem_population: int = _setting("policy.cem_population", 16)
-    cem_elite: float = _setting("policy.cem_elite", 0.25)
-    policy_path: str = _setting("policy.path", "")
     init_mode: str = _setting("init.mode", _PRESET)
     init_pos_low: float = _setting("init.pos_low", -1.0)
     init_pos_high: float = _setting("init.pos_high", 1.0)
@@ -312,22 +309,15 @@ _MAX_CERTIFY_PAIRS = 10**10
 # on a 2-core box.  The defaults run 3 * 10^6.
 _MAX_FIT_ROW_EPOCHS = 5 * 10**9
 
-# The cross-entropy search's objective (``experiments._cmd_train_value``):
-# each call simulates this many states for this many steps, this many
-# samples each, 800 simulated state steps in one lockstep stack.
-_CEM_STATES, _CEM_HORIZON, _CEM_SAMPLES = 8, 50, 2
-
-# Work bound on one cross-entropy search, in simulated state steps
-# (policy.cem_iterations x policy.cem_population objective calls of 800
-# steps): about 11 hours at the ~4 us a step one 3.2 ms call takes on
-# spring.  It admits one iteration of the largest population the memory
-# bound does (9,586,980 candidates, 7.7 * 10^9 steps).
-_MAX_CEM_STEPS = 10**10
+# Work bound on one training dataset, in simulated row-steps (value.states
+# x value.samples x value.horizon): about 3 hours at the ~0.45-0.5 us a
+# row-step ``collect_dataset`` takes on a 2-core box (512 x 2,000 and
+# 2,048 x 500 rows x steps).  The defaults run 8 * 10^5.
+_MAX_DATASET_ROW_STEPS = 2 * 10**10
 
 
 # Memory bound, in bytes, on what one certify pass, one value fit, one
-# dataset, one cross-entropy iteration or one command's states or rollouts
-# hold.
+# dataset or one command's states or rollouts hold.
 _MAX_HELD_BYTES = 2**30
 
 # The largest |draw| of ``Generator.standard_normal``: its ziggurat tail
@@ -372,28 +362,14 @@ def _dataset_bytes(cfg: ExperimentConfig) -> int:
     default 64x64 network takes at most about 2.6·10^10 simulated row-steps
     (N·S·H, near N = 3·10^5, H = 85,000, S = 1): about 3.3 hours at the
     ~0.45-0.5 us a row-step collection takes on a 2-core box.  A network
-    of one hidden unit holds so little per row that N reaches 10^7, and the
-    bound admits about 4·10^11 row-steps on spring (8·10^11 on collision
-    M = 2): some 50 to 100 hours."""
+    of one hidden unit holds so little per row that N reaches 10^7, where
+    the memory bound alone admits about 4·10^11 row-steps on spring
+    (8·10^11 on collision M = 2), some 50 to 100 hours;
+    ``_MAX_DATASET_ROW_STEPS`` bounds the row-steps themselves."""
     state_size = cfg.agents * make_model(cfg.preset).state_dim
     chunk = min(_CHUNK_ROWS, cfg.value_states)
     return 8 * (cfg.value_states * (state_size + 1) + cfg.value_samples * state_size
                 * ((chunk + 2) * cfg.value_horizon + _BLOCK_STEPS * chunk))
-
-
-def _cem_bytes(cfg: ExperimentConfig) -> int:
-    """Estimated bytes one ``cem_improve`` iteration holds, 8·n·(2·P + 6) for
-    a population of n and P gain parameters (d_x per actuated agent), or 0
-    with the search off: per candidate, its parameters and their draw (or
-    its scaled copy), and its objective as a Python float in a list (4
-    words), in an array and in the sort order.  Measured by ``getrusage``
-    around ``cem_improve`` at n = 10^6 on spring (P = 4): 80 bytes a
-    candidate, against 112 estimated."""
-    if cfg.cem_iterations == 0:
-        return 0
-    actuated = cfg.agents - 1 if cfg.preset == "spring" else cfg.agents
-    params = actuated * make_model(cfg.preset).state_dim
-    return 8 * cfg.cem_population * (2 * params + 6)
 
 
 def _certify_states_bytes(cfg: ExperimentConfig) -> int:
@@ -457,8 +433,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         bad("init box is empty")
     if cfg.value_pos_high < cfg.value_pos_low or cfg.value_vel_high < cfg.value_vel_low:
         bad("value-training box is empty")
-    if cfg.cem_iterations < 0 or cfg.cem_population < 2 or not 0 < cfg.cem_elite <= 1:
-        bad("bad cross-entropy settings")
     if cfg.certify_states < 1 or cfg.certify_samples < 1 or cfg.certify_k < 1:
         bad("certify sizes must be >= 1")
     cfg.hidden_sizes()
@@ -474,8 +448,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         (_dataset_bytes(cfg), f"value.states = {cfg.value_states} x value.samples = "
          f"{cfg.value_samples} x value.horizon = {cfg.value_horizon}",
          "of training rollouts", "value.horizon, value.samples or value.states"),
-        (_cem_bytes(cfg), f"policy.cem_population = {cfg.cem_population}",
-         "in one cross-entropy iteration", "policy.cem_population"),
         (_certify_pass_bytes(cfg), f"certify.samples = {cfg.certify_samples}",
          "in one certify pass", "certify.samples"),
         (_certify_states_bytes(cfg), f"certify.states = {cfg.certify_states}",
@@ -495,17 +467,16 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         bad(f"value.epochs = {cfg.value_epochs} x value.states = {cfg.value_states} would "
             f"run more than the work bound of {_MAX_FIT_ROW_EPOCHS} row-epochs in one fit; "
             "lower value.epochs or value.states")
+    if cfg.value_states * cfg.value_samples * cfg.value_horizon > _MAX_DATASET_ROW_STEPS:
+        bad(f"value.states = {cfg.value_states} x value.samples = {cfg.value_samples} x "
+            f"value.horizon = {cfg.value_horizon} would run more than the work bound of "
+            f"{_MAX_DATASET_ROW_STEPS} row-steps of training rollouts; lower value.horizon, "
+            "value.samples or value.states")
     if cfg.certify_states * cfg.certify_samples > _MAX_CERTIFY_PAIRS:
         bad(f"certify.states = {cfg.certify_states} x certify.samples = "
             f"{cfg.certify_samples} would run more than the work bound of "
             f"{_MAX_CERTIFY_PAIRS} (state, sample) pairs in one certify; lower "
             "certify.states or certify.samples")
-    cem_steps = cfg.cem_iterations * cfg.cem_population * _CEM_STATES * _CEM_HORIZON * _CEM_SAMPLES
-    if cem_steps > _MAX_CEM_STEPS:
-        bad(f"policy.cem_iterations = {cfg.cem_iterations} x policy.cem_population = "
-            f"{cfg.cem_population} would run more than the work bound of {_MAX_CEM_STEPS} "
-            "simulated steps in the cross-entropy search; lower policy.cem_iterations or "
-            "policy.cem_population")
     if _filter_block_pairs(cfg) > _MAX_BLOCK_PAIRS:
         bad(f"one {cfg.controller} filter solve would evaluate more than the work bound "
             f"of {_MAX_BLOCK_PAIRS} (row, sample) pairs; lower filter.grid, "

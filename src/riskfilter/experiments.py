@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _CEM_HORIZON, _CEM_SAMPLES, _CEM_STATES, ExperimentConfig, serialize_config
+from .config import ExperimentConfig, serialize_config
 from .dynamics import _initial_state_rng
 from .errors import (
     ConfigError,
@@ -42,8 +42,7 @@ from .errors import (
 )
 from .filters import FilterConfig
 from .guarantees import GuaranteeReport, certify_grid
-from .persist import load_policy, load_value_model, save_policy, save_value_model
-from .policies import cem_improve, mean_cost_objective
+from .persist import load_value_model, save_value_model
 from .simulate import (
     CentralizedController,
     PolicyController,
@@ -167,22 +166,9 @@ def _load_barrier(cfg: ExperimentConfig, out_dir: Path, model) -> Barrier:
     return Barrier(vm, cfg.xi)
 
 
-def _safe_policy(cfg: ExperimentConfig, model):
-    """The configured safe policy; a loaded one must act in the model's action space."""
-    if not cfg.policy_path:
-        return cfg.safe_policy(model)
-    policy = load_policy(cfg.policy_path)
-    loaded = (policy.action_dims, policy.action_low, policy.action_high)
-    wanted = (model.action_dims, model.action_low, model.action_high)
-    if loaded != wanted:
-        raise ConfigError("invalid-value", f"policy.path {cfg.policy_path} acts on "
-                          f"(dims, low, high) = {loaded}, but the model needs {wanted}")
-    return policy
-
-
 def _make_controller(cfg: ExperimentConfig, model, barrier, fcfg: FilterConfig):
     nominal = cfg.nominal_policy(model)
-    safe = _safe_policy(cfg, model)
+    safe = cfg.safe_policy(model)
     if cfg.controller == "nominal":
         return PolicyController(nominal)
     if cfg.controller == "safe":
@@ -194,25 +180,8 @@ def _make_controller(cfg: ExperimentConfig, model, barrier, fcfg: FilterConfig):
 
 def _cmd_train_value(cfg: ExperimentConfig, out_dir: Path) -> list:
     model = cfg.build_model()
-    safe = _safe_policy(cfg, model)
-    outputs = []
-    if cfg.cem_iterations > 0:
-        sampler = cfg.value_sampler(model)
-        eval_states = [
-            sampler(np.random.default_rng(np.random.SeedSequence([cfg.seed, 31, i])))
-            for i in range(_CEM_STATES)
-        ]
-        objective = mean_cost_objective(model, eval_states, horizon=_CEM_HORIZON,
-                                        n_samples=_CEM_SAMPLES, seed=cfg.seed)
-        result = cem_improve(model, safe, objective, cfg.cem_iterations,
-                             cfg.cem_population, cfg.cem_elite, cfg.seed)
-        safe = result.policy
-        save_policy(safe, out_dir / "safe_policy.bin")
-        outputs.append("safe_policy.bin")
-        print(f"cross-entropy objective: {result.objective_trace[0]:.6g} "
-              f"-> {result.objective_trace[-1]:.6g}")
     dataset = collect_dataset(
-        model, safe, cfg.value_states, cfg.value_horizon, cfg.value_samples,
+        model, cfg.safe_policy(model), cfg.value_states, cfg.value_horizon, cfg.value_samples,
         cfg.seed, cfg.value_sampler(model),
     )
     approx = ApproxConfig(hidden=cfg.hidden_sizes(), epochs=cfg.value_epochs,
@@ -223,10 +192,9 @@ def _cmd_train_value(cfg: ExperimentConfig, out_dir: Path) -> list:
         raise ConfigError("invalid-value", f"value.learning_rate = {cfg.value_lr:g}: "
                                            f"{exc}; lower it") from exc
     save_value_model(vm, out_dir / "value_model.bin")
-    outputs.append("value_model.bin")
     print(f"trained value model on {len(dataset)} states "
           f"(training MSE {vm.final_mse:.6g}) -> {out_dir / 'value_model.bin'}")
-    return outputs
+    return ["value_model.bin"]
 
 
 def _cmd_run(cfg: ExperimentConfig, out_dir: Path) -> list:
@@ -282,7 +250,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out_dir: Path, axis: str) -> list:
 def _cmd_certify(cfg: ExperimentConfig, out_dir: Path) -> list:
     model = cfg.build_model()
     barrier = _load_barrier(cfg, out_dir, model)
-    policy = _safe_policy(cfg, model)
+    policy = cfg.safe_policy(model)
     sampler = cfg.value_sampler(model)
     states = [
         sampler(_initial_state_rng(cfg.seed, i))

@@ -1,4 +1,4 @@
-"""Versioned flat binary container for value models and policies.
+"""Versioned flat binary container for value models.
 
 Layout (all integers little-endian, arrays row-major float64):
 
@@ -12,9 +12,8 @@ Layout (all integers little-endian, arrays row-major float64):
         strings: uint32 byte length, then the bytes
 
 A value-model file stores the layer sizes, normalization statistics,
-discount/horizon metadata and weight matrices; a policy file stores the
-gain matrix, reference state, and action-space description.  Files are
-independent of the barrier threshold, which stays a runtime parameter.
+discount/horizon metadata and weight matrices.  Files are independent of
+the barrier threshold, which stays a runtime parameter.
 
 Loading never trusts the file: anything but a complete, consistent
 container of the expected type raises MissingModelError (exit 2).
@@ -29,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingModelError
-from .policies import Policy
 from .value import ValueModel
 
 MAGIC = b"RFC1"
@@ -163,42 +161,4 @@ def load_value_model(path) -> ValueModel:
         horizon=int(horizon),
         train_seed=int(train_seed),
         final_mse=float(final_mse),
-    )
-
-
-def save_policy(policy: Policy, path) -> None:
-    records = {
-        "type": "policy",
-        "kind": policy.kind,
-        "gains": policy.gains,
-        "x_ref": policy.x_ref,
-        "action_dims": np.array(policy.action_dims, dtype=float),
-        "action_box": np.array([policy.action_low, policy.action_high]),
-    }
-    if policy.setpoints is not None:
-        records["setpoints"] = policy.setpoints
-    write_container(path, records)
-
-
-def load_policy(path) -> Policy:
-    rec = read_container(path)
-    if _string(rec, "type", path) != "policy":
-        raise MissingModelError(f"{path} does not hold a policy")
-    kind = _string(rec, "kind", path)
-    if kind not in ("proportional", "improved"):
-        raise MissingModelError(f"{path} holds a policy of unknown kind {kind!r}")
-    action_dims = tuple(int(d) for d in _array(rec, "action_dims", path).ravel())
-    gains = _array(rec, "gains", path)
-    if gains.ndim != 2 or gains.shape[0] != len(action_dims) or min(action_dims, default=0) < 0:
-        raise MissingModelError(f"{path} has no valid 'gains' or 'action_dims' record")
-    low, high = _array(rec, "action_box", path, (2,))
-    return Policy(
-        kind=kind,
-        gains=gains,
-        x_ref=_array(rec, "x_ref", path, gains.shape[1:]),
-        action_dims=action_dims,
-        action_low=float(low),
-        action_high=float(high),
-        setpoints=(_array(rec, "setpoints", path, (len(action_dims),))
-                   if "setpoints" in rec else None),
     )

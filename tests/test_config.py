@@ -12,7 +12,6 @@ import pytest
 from riskfilter import ConfigError, ExperimentConfig, config_with, parse_config, serialize_config
 from riskfilter import cli
 from riskfilter.config import (
-    _cem_bytes,
     _certify_pass_bytes,
     _certify_states_bytes,
     _dataset_bytes,
@@ -246,27 +245,29 @@ class TestValidation:
         assert "work bound" in err and "sweep.xi of 1000000 values" in err
         assert "Traceback" not in err and not out.exists()
 
-    def test_fit_and_policy_search_work_bounds(self, tmp_path, monkeypatch, capsys):
+    def test_fit_and_dataset_work_bounds(self, tmp_path, monkeypatch, capsys):
         # A fit runs value.epochs x value.states row-epochs, at most 5 * 10^9
-        # (2,500,000 epochs of the default 2,000 states), and the
-        # cross-entropy search policy.cem_iterations x cem_population
-        # objective calls of 8 states x 50 steps x 2 samples, at most 10^10
-        # simulated steps (781,250 iterations of the default 16).  Over
-        # either bound a config exits 1 before any work; only validation
-        # runs, never the huge values.
+        # (2,500,000 epochs of the default 2,000 states), and the training
+        # rollouts value.states x value.samples x value.horizon row-steps,
+        # at most 2 * 10^10 (250,000 states x 2 samples x 40,000 steps, which
+        # the memory bounds admit).  Over either bound a config exits 1
+        # before any work; only validation runs, never the huge values.
+        dataset = "value.states = 250000\nvalue.horizon = {}\n"
         assert parse_config("value.epochs = 2500000\n").value_epochs == 2_500_000
-        assert parse_config("policy.cem_iterations = 781250\n").cem_iterations == 781_250
+        assert parse_config(dataset.format(40_000)).value_horizon == 40_000
         for text, key in (("value.epochs = 2500001\n", "value.epochs"),
                           ("value.states = 4000\nvalue.epochs = 1250001\n", "value.epochs"),
-                          ("policy.cem_iterations = 781251\n", "policy.cem_iterations"),
-                          ("policy.cem_iterations = 2\npolicy.cem_population = 6250001\n",
-                           "policy.cem_iterations")):
+                          (dataset.format(40_001), "value.horizon")):
             with pytest.raises(ConfigError) as err:
                 parse_config(text)
             assert err.value.code == "invalid-value" and key in str(err.value)
             assert "work bound" in str(err.value)
+        # One hidden unit holds so little per row that 10^7 states pass
+        # every memory bound, and only the work bound stops 4 * 10^11
+        # row-steps (some 50 hours of rollouts).
         path, out = tmp_path / "exp.cfg", tmp_path / "out"
-        path.write_text("value.epochs = 1000000000000\npolicy.cem_iterations = 1000000000\n")
+        path.write_text("value.hidden = 1\nvalue.epochs = 1\nvalue.states = 10000000\n"
+                        "value.horizon = 20000\n")
         monkeypatch.setattr(sys, "argv", ["riskfilter", "train-value", "--config", str(path),
                                           "--out", str(out)])
         with pytest.raises(SystemExit) as exited:
@@ -311,24 +312,6 @@ class TestValidation:
                 parse_config(bad)
             assert err.value.code == "invalid-value" and "memory bound" in str(err.value)
             assert "value.horizon" in str(err.value)
-
-    def test_cem_memory_bound(self):
-        # One cross-entropy iteration holds about 8·n·(2·P + 6) bytes for a
-        # population of n and P gain parameters: 112·n on spring (P = 4), so
-        # n = 9,586,980 is the last population under the 1 GiB bound.  A
-        # population of 10^13 asked for 291 TiB in cem_improve's draw; with
-        # the search off the population holds nothing.
-        text = "policy.cem_iterations = {}\npolicy.cem_population = {}\n"
-        assert _cem_bytes(parse_config(text.format(1, 16))) == 112 * 16
-        assert _cem_bytes(parse_config("run.preset = collision\nrun.agents = 3\n"
-                                       + text.format(2, 16))) == 8 * 16 * (2 * 6 + 6)
-        assert parse_config(text.format(1, 9_586_980)).cem_population == 9_586_980
-        assert parse_config(text.format(0, 10**13)).cem_population == 10**13
-        for bad in (text.format(1, 9_586_981), text.format(1, 10**13)):
-            with pytest.raises(ConfigError) as err:
-                parse_config(bad)
-            assert err.value.code == "invalid-value" and "memory bound" in str(err.value)
-            assert "policy.cem_population" in str(err.value)
 
     def test_certify_work_bound(self, tmp_path, monkeypatch, capsys):
         # certify evaluates certify.states x certify.samples (state, sample)

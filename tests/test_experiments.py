@@ -156,16 +156,6 @@ class TestRunExperiment:
         text = (tmp_path / "out" / "trajectories.csv").read_text()
         assert "centralized" in text
 
-    def test_cem_improved_policy_saved_and_used(self, tmp_path):
-        cfg = cfg_with_out(FAST + "policy.cem_iterations = 2\n"
-                           "policy.cem_population = 6\n", tmp_path / "out")
-        assert run_experiment(cfg, "train-value") == 0
-        saved = tmp_path / "out" / "safe_policy.bin"
-        assert saved.exists()
-        cfg_run = cfg_with_out(
-            FAST + f"policy.path = {saved}\n", tmp_path / "out")
-        assert run_experiment(cfg_run, "run") == 0
-
     @pytest.mark.parametrize("controller", ["nominal", "safe"])
     def test_sweep_without_filter_rejected_before_work(self, tmp_path, capsys, controller):
         # No value model exists: the controller check must come first.
@@ -248,6 +238,21 @@ class TestCli:
         assert proc.returncode == 1
         assert "missing-file" in proc.stderr
 
+    @pytest.mark.parametrize("key", ["policy.cem_iterations", "policy.cem_population",
+                                     "policy.cem_elite", "policy.path"])
+    def test_removed_policy_key_exit_1_before_work(self, tmp_path, key):
+        # The cross-entropy policy search and the policy file it wrote were
+        # removed in 0.3.0; a config that still sets one of their keys is
+        # rejected with one line.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(FAST + f"{key} = 1\n")
+        out = tmp_path / "out"
+        proc = self.run_cli("train-value", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"configuration error [unknown-key]: line 8: unknown key {key!r}"]
+        assert not out.exists()
+
     def test_invalid_command_exit_1(self, tmp_path):
         proc = self.run_cli("explode", "--out", str(tmp_path))
         assert proc.returncode == 1
@@ -308,7 +313,8 @@ class TestCli:
         "filter.samples = 100000000000000000000\n",
         "certify.samples = 10000001\n",                 # about 12 GB in one certify pass
         "value.epochs = 1000000000000\n",               # years of fitting
-        "policy.cem_iterations = 1000000000\n",         # years of policy search
+        # 4 * 10^11 row-steps of training rollouts, under every memory bound.
+        "value.hidden = 1\nvalue.states = 10000000\nvalue.horizon = 20000\n",
     ])
     def test_work_bound_exit_1_before_work(self, tmp_path, text):
         bound = "memory bound" if text.startswith("certify") else "work bound"
@@ -323,13 +329,11 @@ class TestCli:
     @pytest.mark.parametrize("command, text", [
         # collect_dataset's draws: a raw ArrayMemoryError ("179. GiB").
         ("train-value", "value.states = 2\nvalue.horizon = 1000000000\n"),
-        # cem_improve's population draw: a raw ArrayMemoryError ("291. TiB").
-        ("train-value", "policy.cem_iterations = 1\npolicy.cem_population = 10000000000000\n"),
         # certify held every state at once, with no bound.
         ("certify", "certify.states = 100000000\n"),
         # A raw OverflowError from the estimate's message.
         ("run", f"run.steps = 1{'0' * 400}\n"),
-    ], ids=["dataset", "cem", "certify-states", "huge-steps"])
+    ], ids=["dataset", "certify-states", "huge-steps"])
     def test_held_memory_bound_exit_1_before_work(self, tmp_path, command, text):
         self.assert_rejected_before_work(tmp_path, command, text, "memory bound")
 
@@ -397,21 +401,3 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if "contract violation" in line]
         assert errors == [f"contract violation{where}state contains non-finite entries"]
-
-    def test_loaded_policy_for_another_box_exit_1_before_work(self, tmp_path):
-        trained = tmp_path / "trained"
-        cfg = tmp_path / "wide.cfg"
-        cfg.write_text(FAST + "model.u_max = 3\npolicy.cem_iterations = 1\n")
-        proc = self.run_cli("train-value", "--config", str(cfg), "--out", str(trained))
-        assert proc.returncode == 0, proc.stderr
-        cfg = tmp_path / "default.cfg"
-        cfg.write_text(FAST + f"policy.path = {trained / 'safe_policy.bin'}\n")
-        fresh = tmp_path / "fresh"
-        for command, out, output in (("run", trained, "trajectories.csv"),
-                                     ("train-value", fresh, "value_model.bin")):
-            proc = self.run_cli(command, "--config", str(cfg), "--out", str(out))
-            assert proc.returncode == 1
-            assert "configuration error [invalid-value]" in proc.stderr
-            assert "policy.path" in proc.stderr
-            assert "Traceback" not in proc.stderr
-            assert not (out / output).exists()

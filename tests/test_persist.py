@@ -13,11 +13,7 @@ from riskfilter import (
     RiskFilterError,
     ValueDataset,
     fit_value,
-    load_policy,
     load_value_model,
-    make_model,
-    make_proportional,
-    save_policy,
     save_value_model,
 )
 
@@ -30,12 +26,8 @@ def containers(tmp_path_factory):
     dataset = ValueDataset(states=rng.normal(size=(8, 1, 2)), targets=rng.uniform(size=8))
     save_value_model(fit_value(dataset, ApproxConfig(hidden=(3,), epochs=5), 0),
                      root / "value.bin")
-    model = make_model("collision", n_agents=2)
-    save_policy(make_proportional(model, (2.0, 0.3), setpoints=[-3.0, 3.0]),
-                root / "policy.bin")
     return {
         "value": (load_value_model, (root / "value.bin").read_bytes(), root / "v.bin"),
-        "policy": (load_policy, (root / "policy.bin").read_bytes(), root / "p.bin"),
     }
 
 
@@ -44,13 +36,13 @@ def load_bytes(loader, data: bytes, path):
     return loader(path)
 
 
-@pytest.mark.parametrize("kind", ["value", "policy"])
+@pytest.mark.parametrize("kind", ["value"])
 def test_valid_container_loads(containers, kind):
     loader, data, path = containers[kind]
     assert load_bytes(loader, data, path) is not None
 
 
-@pytest.mark.parametrize("kind", ["value", "policy"])
+@pytest.mark.parametrize("kind", ["value"])
 def test_every_truncation_rejected(containers, kind):
     loader, data, path = containers[kind]
     for length in range(len(data)):
@@ -58,7 +50,7 @@ def test_every_truncation_rejected(containers, kind):
             load_bytes(loader, data[:length], path)
 
 
-@pytest.mark.parametrize("kind", ["value", "policy"])
+@pytest.mark.parametrize("kind", ["value"])
 def test_trailing_bytes_rejected(containers, kind):
     loader, data, path = containers[kind]
     with pytest.raises(MissingModelError):
@@ -66,10 +58,9 @@ def test_trailing_bytes_rejected(containers, kind):
 
 
 @settings(deadline=None, max_examples=600)
-@given(kind=st.sampled_from(["value", "policy"]), where=st.floats(0.0, 1.0, exclude_max=True),
-       flip=st.integers(1, 255))
-def test_single_byte_flip_returns_or_raises_typed(containers, kind, where, flip):
-    loader, data, path = containers[kind]
+@given(where=st.floats(0.0, 1.0, exclude_max=True), flip=st.integers(1, 255))
+def test_single_byte_flip_returns_or_raises_typed(containers, where, flip):
+    loader, data, path = containers["value"]
     buf = bytearray(data)
     buf[int(where * len(buf))] ^= flip
     try:

@@ -70,7 +70,7 @@ def test_counts_digest_configs_that_run(capsys):
     names = tool.rollout_configs()
     assert {"collision2-switching", "collision4-switching", "collision3-switching-slack",
             "spring-switching", "collision3-switching"} <= set(names)
-    assert not {"train-certify", "train-value-cem", "spring-certify700"} & set(names)
+    assert not {"train-certify", "train-value-hidden32", "spring-certify700"} & set(names)
     assert tool.main(["collision2-switching"]) == 0
     (line,) = capsys.readouterr().out.splitlines()
     # 3 rollouts x 15 steps; collision M = 2's 10 x 9 blocks fit one pass,

@@ -6,10 +6,8 @@ Run from anywhere; the package is imported from ``src/`` and the workload
 configs from ``perfbench/workloads.py``.  For each workload (all of them by
 default) the config runs at ``run.seed = 0`` through ``train-value``,
 ``run``, ``sweep-beta``, ``sweep-xi`` and ``certify``, in that order, in one
-temporary output directory.  One more config, ``train-value-cem``, runs
-``train-value`` alone with the cross-entropy policy search on, so that
-``safe_policy.bin`` is hashed too, and ``collision4-switching`` runs
-``train-value`` and ``run`` on collision M=4, whose 10 x 729-row
+temporary output directory.  More configs follow: ``collision4-switching``
+runs ``train-value`` and ``run`` on collision M=4, whose 10 x 729-row
 pessimistic blocks do not fit one pass, so that searches screened at their
 first corner and run over several passes are hashed,
 ``collision2-switching`` runs the same two commands on collision M=2, whose
@@ -62,11 +60,11 @@ from workloads import WORKLOADS  # noqa: E402
 COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 
 # name -> (config text, commands): every workload through every command,
-# the cross-entropy search, which no workload turns on, collision M=4
-# switching, whose 10 x 729-row pessimistic blocks are screened at their
-# first corner and take several passes, collision M=2 switching, whose
-# 10 x 9-row blocks fit one pass with no screen, at an xi that mixes
-# first-survivor winners, third-pass winners and infeasible solves,
+# collision M=4 switching, whose 10 x 729-row pessimistic blocks are
+# screened at their first corner and take several passes, collision M=2
+# switching, whose 10 x 9-row blocks fit one pass with no screen, at an xi
+# that mixes first-survivor winners, third-pass winners and infeasible
+# solves,
 # collision M=3 switching with a nonzero tolerance and epsilon, at an xi
 # where the first-corner screen drops some rows and keeps others,
 # collision M=2 centralized with a nonzero tolerance and epsilon (run and
@@ -75,14 +73,6 @@ COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 # spring certify at more samples than one kernel pass holds, and fits with
 # one and with three hidden layers.
 CONFIGS = {name: (text, COMMANDS) for name, (_, text) in WORKLOADS.items()}
-CONFIGS["train-value-cem"] = ("""
-run.preset = collision
-run.agents = 3
-value.states = 60
-value.horizon = 100
-value.samples = 2
-policy.cem_iterations = 2
-""", ("train-value",))
 CONFIGS["collision4-switching"] = ("""
 run.preset = collision
 run.agents = 4
