@@ -406,6 +406,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         bad("spring preset has exactly 3 agents")
     if cfg.preset == "collision" and cfg.agents < 2:
         bad("collision preset needs at least 2 agents")
+    if cfg.seed < 0:
+        bad("run.seed must be >= 0")
     if cfg.steps < 0:
         bad("run.steps must be >= 0")
     if cfg.rollouts < 1:

@@ -192,6 +192,13 @@ def check_condition(
 _PASS_PAIRS = 640
 
 
+def _margin_of(risk, cfg: FilterConfig, h_now):
+    """The condition's margin at risk value ``risk``: ``risk`` less the
+    right-hand side alpha * h(x) + epsilon, in the one order of operations
+    that ``_margins`` and ``_screen`` share."""
+    return risk - cfg.alpha * h_now - cfg.epsilon
+
+
 def _margins(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig,
              samples: tuple, h_now, rows: np.ndarray) -> np.ndarray:
     """Risk margins of a (B, A) block of flat joint actions.
@@ -221,7 +228,7 @@ def _margins(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig
         if not np.isfinite(values).all():
             raise ContractViolationError("barrier produced non-finite values")
         h = h_now[part] if np.ndim(h_now) == 1 else h_now
-        out[part] = risk_lower(values, cfg.beta) - cfg.alpha * h - cfg.epsilon
+        out[part] = _margin_of(risk_lower(values, cfg.beta), cfg, h)
     return out
 
 
@@ -273,7 +280,7 @@ def _screen(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig,
     exceeds ``predict``'s float64 value, for a row in any stack (a value
     model without ``lower`` goes through ``predict`` in the same call).  A
     row is dropped when its ``_one_sample_bound`` less alpha * h(x) +
-    epsilon, in the kernel's order of operations, stays under the
+    epsilon, by the kernel's own ``_margin_of``, stays under the
     tolerance.  Float subtraction is monotone, so the kernel's margin of a
     dropped row would stay under it too, and the kernel never sees the
     row: like a candidate the pessimistic search drops at its first failing
@@ -305,7 +312,7 @@ def _screen(model: MasModel, barrier: Barrier, x: np.ndarray, cfg: FilterConfig,
         if not np.all(np.isfinite(values)):
             raise ContractViolationError("barrier produced non-finite values")
         bound = _one_sample_bound(values, n, cfg.beta)
-        keep[part] = bound - cfg.alpha * h_now - cfg.epsilon >= cfg.tolerance
+        keep[part] = _margin_of(bound, cfg, h_now) >= cfg.tolerance
     return keep
 
 
@@ -321,56 +328,9 @@ def _grid(dims: int, grid_size: int, low: float, high: float) -> np.ndarray:
     return grid
 
 
-def _ordered_candidates(nominal: np.ndarray, cfg: FilterConfig, low: float, high: float) -> np.ndarray:
-    """Nominal action first, then the per-dimension grid in ascending
-    distance to nominal, ties in grid order (a stable sort).
-
-    The nominal action goes in front, so a feasible nominal action is
-    always returned exactly.  A grid point equal to the nominal is
-    dropped: it would repeat the nominal's rows after them.  Only a point
-    at distance 0, which sorts first, can equal it, and the grid holds it
-    at most once; the nearer points at distance 0 (an offset whose square
-    underflows) shift one row over it.
-    """
-    grid = _grid(nominal.size, cfg.grid_size, low, high)
-    d2 = np.add.reduce((grid - nominal) ** 2, axis=1)
-    order = d2.argsort(kind="stable")
-    cands = np.empty((len(grid) + 1, nominal.size))
-    grid.take(order, axis=0, out=cands[1:])
-    k = 0
-    while k < len(order) and d2[order[k]] == 0.0:
-        if cands[k + 1].tolist() == nominal.tolist():     # float ==: -0.0 equals 0.0
-            if k:
-                cands[2:k + 2] = cands[1:k + 1]
-            cands[1] = nominal
-            return cands[1:]
-        k += 1
-    cands[0] = nominal
-    return cands
-
-
-@lru_cache(maxsize=32)
-def _combo_rows(width: int, start: int, stop: int, grid_size: int, low: float,
-                high: float) -> np.ndarray:
-    """The K joint rows of one agent's worst case: row k holds point k of
-    the grid over every column outside [start, stop), the other agents'
-    actions, and zeros in the agent's own columns.
-
-    An agent with d > 1 gets all G^d points, not only the diagonal; with no
-    other actuated agent K = 1 and the worst case is the plain condition.
-    Built once per argument tuple and read-only.
-    """
-    combos = _grid(width - (stop - start), grid_size, low, high)
-    rows = np.zeros((len(combos), width))
-    rows[:, :start] = combos[:, :start]
-    rows[:, stop:] = combos[:, start:]
-    rows.flags.writeable = False
-    return rows
-
-
 def _against(cols: slice, cands: np.ndarray, combos: np.ndarray) -> np.ndarray:
     """(C * K, A) rows pairing C own candidates, written to columns ``cols``,
-    with K ``_combo_rows`` rows, candidate-major."""
+    with K ``_corners_first`` rows, candidate-major."""
     rows = np.empty((len(cands),) + combos.shape)
     rows[...] = combos
     rows[:, :, cols] = cands[:, None, :]
@@ -388,6 +348,18 @@ def _grid_block(nominal: np.ndarray, cfg: FilterConfig, low: float, high: float)
             return np.concatenate((nominal[None, :], grid))
         twin = twin * len(axis) + axis.index(c)
     return np.concatenate((nominal[None, :], grid[:twin], grid[twin + 1:]))
+
+
+def _ordered_candidates(nominal: np.ndarray, cfg: FilterConfig, low: float, high: float) -> np.ndarray:
+    """``_grid_block``'s rows in ascending distance to nominal, ties in grid
+    order (a stable sort).
+
+    The nominal sits first at distance exactly 0, so the stable sort keeps
+    it ahead of every grid point, even one whose offset's square underflows
+    to 0, and a feasible nominal action is always returned exactly.
+    """
+    block = _grid_block(nominal, cfg, low, high)
+    return block[np.add.reduce((block - nominal) ** 2, axis=1).argsort(kind="stable")]
 
 
 def centralized_filter(model: MasModel, barrier: Barrier, x, nominal, cfg: FilterConfig,
@@ -429,16 +401,26 @@ def _actuated_columns(model: MasModel, agent: int) -> slice:
 @lru_cache(maxsize=32)
 def _corners_first(width: int, start: int, stop: int, grid_size: int, low: float,
                    high: float) -> tuple:
-    """(rows, corners): the ``_combo_rows`` rows with the corner combos
-    first, every column outside [start, stop) at ``low`` or ``high`` (grid
-    points 0 and G - 1), then the rest, each part in grid order; and the
-    number of corners, 2^d for d other action dimensions.  Read-only."""
-    rows = _combo_rows(width, start, stop, grid_size, low, high)
-    others = np.delete(rows, np.s_[start:stop], axis=1)
-    corner = np.all((others == low) | (others == high), axis=1)
-    ordered = np.concatenate((rows[corner], rows[~corner]))
-    ordered.flags.writeable = False
-    return ordered, int(corner.sum())
+    """(rows, corners): the K joint rows of one agent's worst case and the
+    number of corner combos among them.  Each row holds one point of the
+    grid over every column outside [start, stop), the other agents'
+    actions, and zeros in the agent's own columns.  The corners come first,
+    every other column at ``low`` or ``high`` (grid points 0 and G - 1),
+    2^d of them for d other action dimensions, then the rest, each part in
+    grid order.
+
+    An agent with d > 1 gets all G^d points, not only the diagonal; with no
+    other actuated agent K = 1 and the worst case is the plain condition.
+    Built once per argument tuple and read-only.
+    """
+    combos = _grid(width - (stop - start), grid_size, low, high)
+    corner = np.all((combos == low) | (combos == high), axis=1)
+    combos = np.concatenate((combos[corner], combos[~corner]))
+    rows = np.zeros((len(combos), width))
+    rows[:, :start] = combos[:, :start]
+    rows[:, stop:] = combos[:, start:]
+    rows.flags.writeable = False
+    return rows, int(corner.sum())
 
 
 class _Search:

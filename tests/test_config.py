@@ -113,6 +113,7 @@ class TestValidation:
         "run.agents = 4",                       # spring has exactly 3
         "run.preset = collision\nrun.agents = 1",
         "run.controller = mpc",
+        "run.seed = -1",                        # no seed sequence takes it
         "model.gamma = 1.5",
         "model.u_min = 2\nmodel.u_max = 1",
         "filter.beta = 0",

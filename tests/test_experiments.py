@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import src_env
+from riskfilter import cli
 from riskfilter import (
     PolicyController,
     SweepRow,
@@ -19,7 +26,10 @@ from riskfilter import (
     rollout,
     run_experiment,
 )
+from riskfilter.config import _SCHEMA
+from riskfilter.errors import ConfigError
 from riskfilter.experiments import (
+    COMMANDS,
     SWEEP_HEADER,
     TRAJECTORY_HEADER,
     write_sweep_csv,
@@ -401,3 +411,78 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if "contract violation" in line]
         assert errors == [f"contract violation{where}state contains non-finite entries"]
+
+
+# Each string setting's valid choices; "<out>" stands for the output directory.
+_STRING_CHOICES = {
+    "run.preset": ("spring", "collision"),
+    "run.controller": ("nominal", "safe", "switching", "centralized"),
+    "run.out": ("out",),
+    "filter.radius_mode": ("fixed", "margin"),
+    "value.hidden": ("64x64", "4x4", "3"),
+    "value.model_path": ("<out>/value_model.bin",),
+    "init.mode": ("origin", "uniform"),
+    "sweep.beta": ("0.1,1,10", "1"),
+    "sweep.xi": ("2,5,10", "5"),
+}
+_FUZZ_VALUES = {
+    "int": st.sampled_from([-1, 0, 1, 2, 3, 10**12]),
+    "float": st.sampled_from([float("nan"), float("inf"), -1.0, 0.0, 1e-3, 0.5, 1.0, 1e308]),
+    **{key: st.sampled_from(choices + ("", "bogus")) for key, choices in _STRING_CHOICES.items()},
+}
+# Tiny sizes, so a drawn config that keeps them runs every command in well under a second.
+_FUZZ_BASE = (
+    "run.steps = 3\nrun.rollouts = 2\nvalue.states = 8\nvalue.horizon = 5\n"
+    "value.samples = 1\nvalue.epochs = 5\nvalue.hidden = 4x4\n"
+    "certify.states = 4\ncertify.samples = 20\n"
+)
+
+
+@st.composite
+def _fuzz_settings(draw) -> dict:
+    """A few settings over the whole schema, each drawn by its field's type."""
+    keys = draw(st.lists(st.sampled_from(sorted(_SCHEMA)), unique=True, max_size=6))
+    return {key: draw(_FUZZ_VALUES[key if key in _FUZZ_VALUES else _SCHEMA[key].type])
+            for key in keys}
+
+
+def _tiny(cfg) -> bool:
+    """Whether every command of ``cfg`` runs at most 10^3 value row-steps,
+    20 epochs, 50 rollout steps (a sweep's values included) and 10^3
+    certify (state, sample) pairs."""
+    values = max(len(cfg.beta_values()), len(cfg.xi_values()))
+    return (cfg.value_states * cfg.value_samples * cfg.value_horizon <= 10**3
+            and cfg.value_epochs <= 20 and values * cfg.rollouts * cfg.steps <= 50
+            and cfg.certify_states * cfg.certify_samples <= 10**3)
+
+
+class TestExitCodeFuzz:
+    def test_string_choices_cover_the_schema(self):
+        assert sorted(_STRING_CHOICES) == sorted(k for k, f in _SCHEMA.items() if f.type == "str")
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=_fuzz_settings())
+    @example(drawn={"run.seed": -1})    # a raw ValueError from the seed sequence
+    def test_every_command_exits_with_a_documented_code(self, tmp_path, drawn):
+        # Every command runs in-process on a config whose sizes stay tiny; a
+        # larger one is only parsed, accepted or rejected, never run.
+        out = tempfile.mkdtemp(dir=tmp_path)
+        text = _FUZZ_BASE + "".join(f"{key} = {value}\n" for key, value in drawn.items())
+        text = text.replace("<out>", out)
+        try:
+            if not _tiny(parse_config(text)):
+                return
+        except ConfigError:
+            pass
+        path = os.path.join(out, "exp.cfg")
+        with open(path, "w") as f:
+            f.write(text)
+        for command in COMMANDS:
+            stderr = io.StringIO()
+            argv = ["riskfilter", command, "--config", path, "--out", out]
+            with (mock.patch.object(sys, "argv", argv), contextlib.redirect_stderr(stderr),
+                  contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exited):
+                cli.main()
+            assert exited.value.code in (0, 1, 2, 3, 4), (command, text, stderr.getvalue())
+            assert "Traceback" not in stderr.getvalue(), (command, text, stderr.getvalue())

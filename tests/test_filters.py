@@ -32,7 +32,7 @@ from riskfilter import (
 from riskfilter import filters as filters_module
 from riskfilter.filters import (
     _against,
-    _combo_rows,
+    _corners_first,
     _grid,
     _margins,
     _one_sample_bound,
@@ -1149,8 +1149,14 @@ class TestHelpersMatchReferences:
             cands = rng.uniform(-2.0, 2.0, (n_cands, dims[agent]))
             cands[0, 0] = -0.0
             own, combos = reference_other_grid(model, agent, cfg)
-            rows = _combo_rows(sum(dims), cols.start, cols.stop, g, *box)
+            # corners first (every column at box[0] or box[1]), each part in grid order
+            combos = combos[sorted(range(len(combos)),
+                                   key=lambda k: not all(v in box for v in combos[k]))]
+            rows, corners = _corners_first(sum(dims), cols.start, cols.stop, g, *box)
             assert rows.shape == (len(combos), sum(dims)) and not rows.flags.writeable
+            assert corners == 2 ** (sum(dims) - dims[agent])
+            assert _bits(rows[:, own]) == _bits(np.zeros((len(combos), dims[agent])))
+            assert _bits(rows[:, ~own]) == _bits(combos)
             part = slice(start, start + take)
             assert _bits(_against(cols, cands, rows[part])) == _bits(
                 reference_against(own, cands, combos[part]))
