@@ -266,6 +266,12 @@ def _parse_lines(text: str) -> dict:
 _MAX_BLOCK_PAIRS = 10**7
 
 
+def _action_dims(cfg: ExperimentConfig) -> int:
+    """Actuated action dimensions: one per agent, and none for the spring
+    preset's third agent."""
+    return cfg.agents - 1 if cfg.preset == "spring" else cfg.agents
+
+
 def _filter_block_pairs(cfg: ExperimentConfig) -> int:
     """Most (row, sample) pairs one solve of the filter ``cfg.controller`` runs
     evaluates: (G^A + 1)·(S + 1) centralized (its screen evaluates every
@@ -277,11 +283,11 @@ def _filter_block_pairs(cfg: ExperimentConfig) -> int:
     meets every combo; at S > 1 its screen adds at most G + 1 rows at one
     sample), 0 unfiltered.
 
-    A counts actuated action dimensions: one per agent, and none for the
-    spring preset's third agent.  G >= 2, so G^64 is far over the bound,
-    and capping A at 64 keeps the comparison exact without huge powers.
+    A counts actuated action dimensions (``_action_dims``).  G >= 2, so
+    G^64 is far over the bound, and capping A at 64 keeps the comparison
+    exact without huge powers.
     """
-    dims = min(cfg.agents - 1 if cfg.preset == "spring" else cfg.agents, 64)
+    dims = min(_action_dims(cfg), 64)
     if cfg.controller == "centralized":
         return (cfg.grid ** dims + 1) * (cfg.samples + 1)
     if cfg.controller == "switching":
@@ -421,6 +427,9 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if not math.isfinite(_MAX_NORMAL_DRAW * cfg.noise_scale):
         bad(f"model.noise_scale = {cfg.noise_scale!r} overflows the largest noise draw, "
             f"{_MAX_NORMAL_DRAW:.4g} standard deviations; lower model.noise_scale")
+    if not math.isfinite(2 * cfg.safe_spread):
+        bad(f"policy.safe_spread = {cfg.safe_spread!r} overflows the safe policy's setpoint "
+            "fan, which spans twice it; lower policy.safe_spread")
     if not 0 < cfg.gamma < 1:
         bad("model.gamma must lie in (0, 1)")
     if cfg.value_states < 1 or cfg.value_samples < 1 or cfg.value_epochs < 1:
@@ -465,6 +474,12 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             bad(f"{key} of {len(values)} values x run.rollouts = {cfg.rollouts} x run.steps = "
                 f"{cfg.steps} would run more than the work bound of {_MAX_SWEEP_STEPS} "
                 f"rollout steps in one sweep; lower {key}, run.rollouts or run.steps")
+    # After the memory bounds, which cap run.agents.
+    dims, width = _action_dims(cfg), cfg.u_max - cfg.u_min
+    if not math.isfinite(dims * width * width):
+        bad(f"the action box from model.u_min = {cfg.u_min!r} to model.u_max = {cfg.u_max!r} "
+            f"overflows the squared distances over {dims} action dimensions "
+            "by which the filters rank candidates; narrow it")
     if cfg.value_epochs * cfg.value_states > _MAX_FIT_ROW_EPOCHS:
         bad(f"value.epochs = {cfg.value_epochs} x value.states = {cfg.value_states} would "
             f"run more than the work bound of {_MAX_FIT_ROW_EPOCHS} row-epochs in one fit; "

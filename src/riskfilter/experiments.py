@@ -48,7 +48,7 @@ from .simulate import (
     PolicyController,
     SwitchingController,
     compute_metrics,
-    rollout,
+    rollouts,
     sweep,
 )
 from .value import ApproxConfig, Barrier, collect_dataset, fit_value
@@ -189,8 +189,9 @@ def _cmd_train_value(cfg: ExperimentConfig, out_dir: Path) -> list:
     try:
         vm = fit_value(dataset, approx, cfg.seed)
     except ContractViolationError as exc:   # the dataset is valid, so the fit diverged
-        raise ConfigError("invalid-value", f"value.learning_rate = {cfg.value_lr:g}: "
-                                           f"{exc}; lower it") from exc
+        raise ConfigError("invalid-value", f"value.learning_rate = {cfg.value_lr:g}: {exc}; "
+                          "lower it, or narrow the value-training box (value.pos_*, "
+                          "value.vel_*) if its states are too large to fit") from exc
     save_value_model(vm, out_dir / "value_model.bin")
     print(f"trained value model on {len(dataset)} states "
           f"(training MSE {vm.final_mse:.6g}) -> {out_dir / 'value_model.bin'}")
@@ -204,12 +205,8 @@ def _cmd_run(cfg: ExperimentConfig, out_dir: Path) -> list:
     if cfg.controller in ("switching", "centralized"):
         barrier = _load_barrier(cfg, out_dir, model)
     controller = _make_controller(cfg, model, barrier, fcfg)
-    sampler = cfg.init_sampler(model)
-    records = []
-    for i in range(cfg.rollouts):
-        seed = cfg.seed + i
-        x0 = sampler(_initial_state_rng(seed))
-        records.append(rollout(model, controller, x0, cfg.steps, seed))
+    records = list(rollouts(model, controller, cfg.init_sampler(model), cfg.rollouts,
+                            cfg.steps, cfg.seed))
     write_trajectories_csv(records, model, out_dir / "trajectories.csv")
     metrics = compute_metrics(records, model)
     print(f"{cfg.rollouts} rollouts x {cfg.steps} steps "

@@ -1,13 +1,14 @@
 """Seeded closed-loop rollouts and experiment metrics.
 
-Seeding scheme: rollout i of a batch uses seed ``base + i``; within a
-rollout the coupling parameter is drawn once (it is resampled per
-rollout, not per step) and process noise fresh per step, while each
-agent's filter solve draws its samples from (rollout seed, step, agent),
-and every solve of a step shares its one nominal and one safe policy
-call.  The switching controller makes one ``switching_filter`` call per
-step, which searches for every actuated agent together, each under its
-own draw.
+Seeding scheme: rollout i of a batch uses seed ``base + i`` and starts
+from ``sampler(_initial_state_rng(base + i))``; ``rollouts`` holds this
+rule for every batch.  Within a rollout the coupling parameter is drawn
+once (it is resampled per rollout, not per step) and process noise fresh
+per step, while each agent's filter solve draws its samples from
+(rollout seed, step, agent), and every solve of a step shares its one
+nominal and one safe policy call.  The switching controller makes one
+``switching_filter`` call per step, which searches for every actuated
+agent together, each under its own draw.
 A joint action is one flat (A,) row from policy to filter to transition;
 a record splits it into per-agent vectors only on access.
 This reproduces every byte of output from (config, base seed) while
@@ -297,6 +298,16 @@ class SweepRow:
     feas_rate_mean: float
 
 
+def rollouts(model: MasModel, controller, init_sampler, n_rollouts: int, n_steps: int,
+             base_seed: int):
+    """Yield the records of rollouts i = 0..n_rollouts-1, one at a time:
+    rollout i runs at seed ``base_seed + i`` from
+    ``init_sampler(_initial_state_rng(base_seed + i))``."""
+    for i in range(n_rollouts):
+        seed = base_seed + i
+        yield rollout(model, controller, init_sampler(_initial_state_rng(seed)), n_steps, seed)
+
+
 def sweep(
     model: MasModel,
     controller_factory,
@@ -305,15 +316,14 @@ def sweep(
     n_rollouts: int,
     n_steps: int,
     base_seed: int,
-    init_state,
+    init_sampler,
 ) -> list:
     """Run n_rollouts per parameter value and aggregate per-rollout metrics.
 
     ``controller_factory(value)`` builds the controller for one setting;
-    ``init_state`` is either a fixed joint state or a callable drawing one
-    from a generator (each rollout derives its own).  Rollout seeds are
-    shared across parameter values, so comparisons use common random
-    numbers.
+    ``init_sampler`` draws each rollout's initial joint state from a
+    generator, as in ``rollouts``.  Rollout seeds are shared across
+    parameter values, so comparisons use common random numbers.
     """
     values = list(values)
     if not values:
@@ -322,17 +332,9 @@ def sweep(
         raise ContractViolationError(f"sweep needs n_rollouts >= 1, got {n_rollouts}")
     rows = []
     for v in values:
-        controller = controller_factory(v)
-        per_rollout = []
-        for i in range(n_rollouts):
-            seed = base_seed + i
-            x0 = (
-                init_state(_initial_state_rng(seed))
-                if callable(init_state)
-                else init_state
-            )
-            rec = rollout(model, controller, x0, n_steps, seed)
-            per_rollout.append(compute_metrics([rec], model))
+        per_rollout = [compute_metrics([rec], model)
+                       for rec in rollouts(model, controller_factory(v), init_sampler,
+                                           n_rollouts, n_steps, base_seed)]
         viol = np.array([m.violation_count for m in per_rollout], dtype=float)
         mses = np.array([m.mse for m in per_rollout])
         rews = np.array([m.cumulative_reward for m in per_rollout])

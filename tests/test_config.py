@@ -371,6 +371,22 @@ class TestValidation:
                 parse_config(f"model.noise_scale = {scale}\n")
             assert err.value.code == "invalid-value" and "model.noise_scale" in str(err.value)
 
+    def test_action_box_whose_squared_distances_overflow_rejected(self):
+        # 2 x (1e150 + 1)^2 is finite; (1e308 + 1)^2 is not.
+        cfg = parse_config("run.preset = collision\nrun.agents = 2\nmodel.u_max = 1e150\n")
+        assert cfg.u_max == 1e150
+        for text in ("model.u_max = 1e308\n", "model.u_min = -1e154\nmodel.u_max = 1e154\n"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert err.value.code == "invalid-value" and "model.u_max" in str(err.value)
+
+    def test_safe_spread_whose_setpoints_overflow_rejected(self):
+        # np.linspace(-s, s, M) spans 2 s, which overflows past 8.99e307.
+        assert parse_config("policy.safe_spread = 8e307\n").safe_spread == 8e307
+        with pytest.raises(ConfigError) as err:
+            parse_config("policy.safe_spread = 1e308\n")
+        assert err.value.code == "invalid-value" and "policy.safe_spread" in str(err.value)
+
     def test_shipped_and_benchmark_configs_accepted(self):
         # The defaults of both presets, every benchmark workload and every
         # config tools/output_digests.py hashes stay inside every bound.

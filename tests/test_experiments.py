@@ -353,6 +353,15 @@ class TestCli:
         self.assert_rejected_before_work(tmp_path, command, "model.noise_scale = 1e308\n",
                                          "largest noise draw")
 
+    @pytest.mark.parametrize("text, key", [
+        # The filters' squared distances overflowed: far candidates tied at inf.
+        ("model.u_max = 1e308\n", "model.u_max"),
+        # The safe policy's setpoint fan came out as [nan, 1e308].
+        ("run.preset = collision\npolicy.safe_spread = 1e308\n", "policy.safe_spread"),
+    ], ids=["action-box", "safe-spread"])
+    def test_overflowing_setting_exit_1_before_work(self, tmp_path, text, key):
+        self.assert_rejected_before_work(tmp_path, "run", text, key)
+
     def assert_rejected_before_work(self, tmp_path, command, text, bound):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(FAST + text)
@@ -387,6 +396,19 @@ class TestCli:
         assert proc.returncode == 1
         assert "configuration error [invalid-value]" in proc.stderr
         assert "value.learning_rate" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / "value_model.bin").exists()
+
+    def test_divergent_fit_names_rate_and_box(self, tmp_path):
+        # Training states near 1e308 overflow the input statistics, which no
+        # learning rate can fit; the message named only the learning rate.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(_FUZZ_BASE + "run.preset = collision\nvalue.pos_high = 1e308\n")
+        out = tmp_path / "out"
+        proc = self.run_cli("train-value", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        assert "configuration error [invalid-value]" in proc.stderr
+        assert "value.learning_rate" in proc.stderr and "value.pos_" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (out / "value_model.bin").exists()
 

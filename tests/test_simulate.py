@@ -27,9 +27,10 @@ from riskfilter import (
     rollout,
     sweep,
 )
+from riskfilter.dynamics import _initial_state_rng
 from riskfilter.experiments import write_trajectories_csv
 from riskfilter.filters import proximity_radius
-from riskfilter.simulate import StepDecision
+from riskfilter.simulate import StepDecision, rollouts
 
 
 class TestRollout:
@@ -346,6 +347,35 @@ def test_transition_seam(config):
     assert calls["transition"] == 0 and calls["transition_batch"] > 0
 
 
+def test_rollouts_seed_each_record_from_base_plus_index():
+    # Record i is rollout(...) at seed base + i from the state the sampler
+    # draws from _initial_state_rng(base + i), bit for bit, and records
+    # come one at a time: the sampler runs once per record taken.
+    model, ctrl, _ = collision3_switching()
+    drawn = []
+
+    def sampler(rng):
+        drawn.append(rng.uniform(-1.0, 1.0, size=(3, 2)))
+        return drawn[-1]
+
+    gen = rollouts(model, ctrl, sampler, 3, 4, 17)
+    first = next(gen)
+    assert len(drawn) == 1
+    records = [first] + list(gen)
+    assert len(records) == 3 and len(drawn) == 3
+    for i, rec in enumerate(records):
+        x0 = sampler(_initial_state_rng(17 + i))
+        assert np.array_equal(x0, drawn[i])
+        ref = rollout(model, ctrl, x0, 4, 17 + i)
+        assert rec.seed == ref.seed == 17 + i
+        assert rec.theta == ref.theta
+        for a, b in ((rec.states, ref.states), (rec.actions.rows, ref.actions.rows),
+                     (rec.rewards, ref.rewards)):
+            assert a.tobytes() == b.tobytes()
+        for name in ("safe", "branches", "feasible"):
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+
+
 class TestActionRows:
     """A rollout keeps its actions as one (T, A) array; item k is split on access."""
 
@@ -480,7 +510,7 @@ class TestSweep:
     def test_single_value_single_rollout(self):
         m = make_model("collision", n_agents=2)
         rows = sweep(m, self.factory(m), "gain", [1.0], 1, 10, 0,
-                     np.zeros((2, 2)))
+                     lambda rng: np.zeros((2, 2)))
         assert len(rows) == 1
         assert rows[0].param_name == "gain"
         assert rows[0].param_value == 1.0
@@ -496,7 +526,7 @@ class TestSweep:
     def test_row_per_value(self):
         m = make_model("collision", n_agents=2)
         rows = sweep(m, self.factory(m), "gain", [0.5, 1.0, 2.0], 2, 5, 0,
-                     np.zeros((2, 2)))
+                     lambda rng: np.zeros((2, 2)))
         assert [r.param_value for r in rows] == [0.5, 1.0, 2.0]
 
     def test_no_rollouts_rejected(self):
