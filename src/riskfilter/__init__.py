@@ -3,7 +3,7 @@
 __version__ = "0.3.0"
 
 from .config import ExperimentConfig, config_with, parse_config, serialize_config
-from .dynamics import JointState, MasModel, make_model
+from .dynamics import MasModel, make_model
 from .errors import (
     ConfigError,
     ContractViolationError,
@@ -61,7 +61,6 @@ __all__ = [
     "FilterOutcome",
     "GuaranteeDomainError",
     "GuaranteeReport",
-    "JointState",
     "MasModel",
     "Metrics",
     "MissingModelError",

@@ -44,7 +44,7 @@ from .dynamics import MasModel, make_model
 from .errors import ConfigError, ContractViolationError
 from .filters import FilterConfig
 from .policies import Policy, make_proportional
-from .value import _BLOCK_STEPS, _CHUNK_ROWS
+from .value import _BLOCK_STEPS, _BUFFER_ROWS, _CHUNK_ROWS
 
 _PRESET = object()  # sentinel: default depends on the preset
 
@@ -344,14 +344,14 @@ def _certify_pass_bytes(cfg: ExperimentConfig) -> int:
 
 def _fit_bytes(cfg: ExperimentConfig) -> int:
     """Estimated bytes ``fit_value`` holds, 8·(6·P + 3·N·sum(hidden) +
-    2·1024·max(hidden)) for P parameters and N = value.states rows: the
+    2·_BUFFER_ROWS·max(hidden)) for P parameters and N = value.states rows: the
     flat parameters, gradients, two Adam moments and two step arrays,
     about three activation-sized arrays per hidden layer (activations,
     deltas and tanh factors), and ``predict``'s two per-thread buffers."""
     hidden = cfg.hidden_sizes()
     sizes = (cfg.agents * make_model(cfg.preset).state_dim,) + hidden + (1,)
     params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
-    return 8 * (6 * params + 3 * cfg.value_states * sum(hidden) + 2 * 1024 * max(hidden))
+    return 8 * (6 * params + 3 * cfg.value_states * sum(hidden) + 2 * _BUFFER_ROWS * max(hidden))
 
 
 def _dataset_bytes(cfg: ExperimentConfig) -> int:

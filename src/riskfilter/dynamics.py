@@ -44,11 +44,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolationError
 
-# A joint state is an (M, d_x) array; a joint action is one flat (A,) row
-# holding the agents' actions in agent order (none for unactuated agents).
-JointState = np.ndarray
-
-
 @dataclass(frozen=True)
 class MasModel:
     """Immutable multi-agent system model.

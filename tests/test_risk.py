@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from riskfilter import ContractViolationError, entropic_risk, risk_lower
@@ -131,11 +132,58 @@ class TestStacks:
                     min_size=1, max_size=8) | finite_values,
            st.sampled_from((0.0,) + BETAS))
     def test_lower_is_the_negated_upper_bitwise(self, values, beta):
-        # risk_lower folds its two negations into beta; the result keeps the
-        # bits, signed zeros included, of negating the samples and the result.
+        # entropic_risk is risk_lower of the negated samples, negated; the
+        # two keep the bits, signed zeros included, of each other's mirror.
         v = np.array(values)
         for sample in (v, v.reshape(1, -1)):
             ref = np.asarray(-entropic_risk(-sample, beta)).tobytes()
             assert np.asarray(risk_lower(sample, beta)).tobytes() == ref
         assert np.float64(risk_lower(v, beta)).tobytes() == np.float64(
             -_np_mean_reference(-v, beta)).tobytes()
+
+
+MAX_FLOAT = np.finfo(float).max
+
+
+class TestOverflowLimit:
+    # Where beta * |v| overflows, a row whose shift, beta times its minimum,
+    # is not finite takes the minimum, the beta -> infinity limit, and the
+    # upper operator a row whose beta times its maximum is not finite takes
+    # the maximum; the other rows keep the formula, and no floating-point
+    # warning escapes.  The operator returned NaN there.
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 8), st.data(),
+           st.floats(min_value=1e300, max_value=MAX_FLOAT) | st.sampled_from([1e308, MAX_FLOAT]))
+    def test_rows_past_overflow_take_the_extreme(self, rows, n, data, beta):
+        entry = st.floats(min_value=-1e12, max_value=1e12) | st.sampled_from(
+            [0.0, -0.0, 2.0, -3.5, 1e-300, 1e308, -1e308, MAX_FLOAT])
+        v = np.array(data.draw(st.lists(entry, min_size=rows * n, max_size=rows * n)))
+        assume(not math.isfinite(float(beta) * float(np.abs(v).max())))
+        for sample in (v[:n], v.reshape(rows, n)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lower = np.atleast_1d(risk_lower(sample, beta))
+                upper = np.atleast_1d(entropic_risk(sample, beta))
+            assert np.isfinite(lower).all() and np.isfinite(upper).all()
+            for row, low, up in zip(np.atleast_2d(sample), lower, upper):
+                if not math.isfinite(float(beta) * float(row.min())):
+                    assert np.float64(low).tobytes() == row.min().tobytes()
+                if not math.isfinite(float(beta) * float(row.max())):
+                    assert np.float64(up).tobytes() == row.max().tobytes()
+
+    def test_every_product_past_overflow_gives_the_extremes(self):
+        stack = np.array([[2.0, 3.0], [-5.0, 7.0], [4.0, -1e308]])
+        assert np.array_equal(risk_lower(stack, 1e308), [2.0, -5.0, -1e308])
+        assert np.array_equal(entropic_risk(stack, 1e308), [3.0, 7.0, 4.0])
+        assert risk_lower([2.0, 3.0], 1e308) == 2.0
+
+    def test_overflowing_exponent_spread_warns_nothing(self):
+        # beta * |v| is finite, but the shifted exponent z - max(z) is not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert risk_lower([-1.5e308, 1.5e308], 1.0) == -1.5e308
+            assert entropic_risk([-1.5e308, 1.5e308], 1.0) == 1.5e308
+
+    def test_nan_beta_rejected(self):
+        with pytest.raises(ContractViolationError):
+            risk_lower([1.0, 2.0], float("nan"))

@@ -47,7 +47,7 @@ class TestRollout:
     def test_origin_fixed_point_without_uncertainty(self):
         m = make_model("spring", noise_scale=0.0)
         pol = make_proportional(m, (0.0, 0.0))
-        rec = rollout(m, PolicyController(pol), np.zeros((3, 2)), 25, 3, theta=0.0)
+        rec = rollout(m, PolicyController(pol), np.zeros((3, 2)), 25, 3)
         assert np.all(rec.states == 0.0)
         assert np.all(rec.safe)
 

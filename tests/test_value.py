@@ -54,6 +54,11 @@ class TestMcCostToGo:
         with pytest.raises(ContractViolationError):
             mc_cost_to_go(m, zero_policy(m), np.zeros((2, 2)), 5, 0, 0)
 
+    def test_stack_of_states_rejected(self):
+        m = make_static_model()
+        with pytest.raises(ContractViolationError):
+            mc_cost_to_go(m, zero_policy(m), np.zeros((3, 2, 2)), 5, 1, 0)
+
     def test_monotone_in_horizon_shared_draws(self):
         m = make_model("spring")
         pol = make_proportional(m, (0.3, 1.5))
@@ -138,7 +143,7 @@ def ref_policy(policy, x) -> list:
         if d == 0:
             out.append(np.zeros(0))
             continue
-        raw = -float(policy.gains[i] @ err[i])
+        raw = -float(policy.gains @ err[i])
         out.append(np.clip(np.array([raw]), policy.action_low, policy.action_high))
     return out
 
@@ -195,8 +200,8 @@ def ref_cost_to_go(model, policy, x0, horizon, n_samples, seed) -> float:
 
 def random_policy(model, rng, with_setpoints: bool):
     setpoints = rng.uniform(-2, 2, size=model.n_agents) if with_setpoints else None
-    gains = rng.uniform(-4, 4, size=(len(model.actuated_agents), model.state_dim))
-    return make_proportional(model, gains, setpoints=setpoints)
+    return make_proportional(model, rng.uniform(-4, 4, size=model.state_dim),
+                             setpoints=setpoints)
 
 
 def box_sampler(model):
@@ -313,18 +318,6 @@ class TestLockstepBitIdentity:
         calls.clear()
         with pytest.raises(ContractViolationError, match="non-finite"):
             mc_cost_to_go(m, late_nan, np.zeros((2, 2)), 2 * BLOCK + 1, 1, 0)
-
-    def test_stacked_states_share_the_seed(self):
-        # mc_cost_to_go over a stack of states: each gets the value of its
-        # own call under the shared seed.
-        m = make_model("collision", n_agents=3)
-        pol = make_proportional(m, (1.0, 0.5), setpoints=[-1.0, 0.0, 1.0])
-        rng = np.random.default_rng(4)
-        states = rng.uniform(-1.5, 1.5, size=(8, 3, 2))
-        got = mc_cost_to_go(m, pol, states.reshape(2, 4, 3, 2), 10, 2, 9)
-        ref = [ref_cost_to_go(m, pol, x, 10, 2, 9) for x in states]
-        assert got.shape == (2, 4)
-        assert np.array_equal(got.ravel(), ref)
 
 
 def grid_dataset(fn, n=64):

@@ -29,6 +29,11 @@ agent, with both centralized and proximity steps,
 ``spring-centralized-s1`` runs the same at ``filter.samples = 1``, where
 the centralized filter has no screen and the kernel takes its whole block,
 and where nominals clipped to the box sit on grid points,
+``collision2-switching-beta-limit`` runs the same two commands as
+``collision2-switching`` at ``filter.beta = 1e308``, where the risk
+operator's products overflow and every margin is the worst case over the
+samples, its beta -> infinity limit, so that this limit path is hashed
+before any rewrite of the operator,
 ``spring-certify700`` runs ``train-value`` and ``certify`` at 700 samples,
 one state per kernel pass, and ``train-value-hidden32`` and
 ``train-value-hidden16x3`` run ``train-value`` alone with one and three
@@ -71,7 +76,8 @@ COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 # certify), spring centralized, whose joint rows skip the unactuated mass,
 # also at one sample, with no screen,
 # spring certify at more samples than one kernel pass holds, and fits with
-# one and with three hidden layers.
+# one and with three hidden layers; then collision M=2 switching at a beta
+# whose products overflow, where the operator takes its worst-case limit.
 CONFIGS = {name: (text, COMMANDS) for name, (_, text) in WORKLOADS.items()}
 CONFIGS["collision4-switching"] = ("""
 run.preset = collision
@@ -146,6 +152,9 @@ value.horizon = 60
 value.samples = 2
 value.hidden = {hidden}
 """, ("train-value",))
+
+CONFIGS["collision2-switching-beta-limit"] = (
+    CONFIGS["collision2-switching"][0] + "filter.beta = 1e308\n", ("train-value", "run"))
 
 
 def digests(name: str) -> list:
