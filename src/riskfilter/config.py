@@ -412,8 +412,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         bad("spring preset has exactly 3 agents")
     if cfg.preset == "collision" and cfg.agents < 2:
         bad("collision preset needs at least 2 agents")
-    if cfg.seed < 0:
-        bad("run.seed must be >= 0")
+    if not 0 <= cfg.seed < 2**64:     # value_model.bin records it as a uint64
+        bad(f"run.seed must lie in [0, 2**64), got {cfg.seed}")
     if cfg.steps < 0:
         bad("run.steps must be >= 0")
     if cfg.rollouts < 1:
@@ -480,6 +480,20 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         bad(f"the action box from model.u_min = {cfg.u_min!r} to model.u_max = {cfg.u_max!r} "
             f"overflows the squared distances over {dims} action dimensions "
             "by which the filters rank candidates; narrow it")
+    model = cfg.build_model()
+    pos = max(map(abs, (cfg.value_pos_low, cfg.value_pos_high, cfg.init_pos_low,
+                        cfg.init_pos_high)))
+    vel = max(map(abs, (cfg.value_vel_low, cfg.value_vel_high, cfg.init_vel_low,
+                        cfg.init_vel_high)))
+    for name, policy in (("nominal", cfg.nominal_policy(model)), ("safe", cfg.safe_policy(model))):
+        setpoints = policy.x_ref[:1] if policy.setpoints is None else policy.setpoints
+        ref = float(np.abs(setpoints).max())
+        kp, kd = policy.gains.tolist()
+        if not math.isfinite(abs(kp) * (pos + ref) + abs(kd) * vel):
+            bad(f"policy.{name}_kp = {kp!r} and policy.{name}_kd = {kd!r} overflow the "
+                f"{name} policy's gain product over the value.* and init.* boxes "
+                f"(|position - setpoint| up to {pos + ref:.4g}, |velocity| up to {vel:.4g}); "
+                "lower the gains or narrow the boxes")
     if cfg.value_epochs * cfg.value_states > _MAX_FIT_ROW_EPOCHS:
         bad(f"value.epochs = {cfg.value_epochs} x value.states = {cfg.value_states} would "
             f"run more than the work bound of {_MAX_FIT_ROW_EPOCHS} row-epochs in one fit; "

@@ -35,4 +35,4 @@ class GuaranteeDomainError(RiskFilterError):
 
 class MissingModelError(RiskFilterError):
     """A required model file is missing or unreadable: truncated, corrupt,
-    of an unknown version or kind, or holding the wrong type of model."""
+    or of another format version."""

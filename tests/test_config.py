@@ -387,6 +387,27 @@ class TestValidation:
             parse_config("policy.safe_spread = 1e308\n")
         assert err.value.code == "invalid-value" and "policy.safe_spread" in str(err.value)
 
+    def test_gains_whose_products_overflow_rejected(self):
+        # On spring, |position - setpoint| reaches 2.5 + 1.75 and |velocity|
+        # 4: 4e307 x 4.25 + 1.5 x 4 is finite, 5e307 x 4.25 is not.  A
+        # setpoint fan of 8e307 bounds the safe gains (3 x 8e307 overflows),
+        # but not the nominal ones, which never see it (the test above).
+        assert parse_config("policy.safe_kp = 4e307\n").safe_kp == 4e307
+        for text, key in (("policy.safe_kp = 5e307\n", "policy.safe_kp"),
+                          ("policy.nominal_kd = 1e308\n", "policy.nominal_kd"),
+                          ("run.preset = collision\npolicy.safe_spread = 8e307\n"
+                           "policy.safe_kp = 3\n", "policy.safe_kp")):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert err.value.code == "invalid-value" and key in str(err.value)
+
+    def test_seed_past_uint64_rejected(self):
+        # value_model.bin records the training seed, run.seed, as a uint64.
+        assert parse_config(f"run.seed = {2**64 - 1}\n").seed == 2**64 - 1
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"run.seed = {2**64}\n")
+        assert err.value.code == "invalid-value" and "run.seed" in str(err.value)
+
     def test_shipped_and_benchmark_configs_accepted(self):
         # The defaults of both presets, every benchmark workload and every
         # config tools/output_digests.py hashes stay inside every bound.

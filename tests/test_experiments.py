@@ -362,9 +362,17 @@ class TestCli:
     def test_overflowing_setting_exit_1_before_work(self, tmp_path, text, key):
         self.assert_rejected_before_work(tmp_path, "run", text, key)
 
-    def assert_rejected_before_work(self, tmp_path, command, text, bound):
+    @pytest.mark.parametrize("command", ["run", "train-value"])
+    def test_overflowing_gain_exit_1_before_work(self, tmp_path, command):
+        # The safe policy's gain products overflowed ("overflow encountered
+        # in matmul"), the clip saturated them to the action box, and both
+        # commands exited 0 with a bang-bang safe policy.
+        self.assert_rejected_before_work(tmp_path, command, "policy.safe_kp = 1e308\n",
+                                         "policy.safe_kp", base=_FUZZ_BASE)
+
+    def assert_rejected_before_work(self, tmp_path, command, text, bound, base=FAST):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(FAST + text)
+        cfg.write_text(base + text)
         out = tmp_path / "out"
         proc = self.run_cli(command, "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 1
@@ -422,7 +430,10 @@ class TestCli:
         # Training states near 1e308 overflow the input statistics, which no
         # learning rate can fit; the message named only the learning rate.
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(_FUZZ_BASE + "run.preset = collision\nvalue.pos_high = 1e308\n")
+        # (The safe policy's default Kp of 2 would overflow its gain product
+        # over this box, which validation rejects; Kp = 1 does not.)
+        cfg.write_text(_FUZZ_BASE + "run.preset = collision\nvalue.pos_high = 1e308\n"
+                       "policy.safe_kp = 1\n")
         out = tmp_path / "out"
         proc = self.run_cli("train-value", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 1
@@ -440,11 +451,14 @@ class TestCli:
         # validate_state's ContractViolationError was a raw traceback.  The
         # run's positions 1.6e308 grow by 0.1 x 1.2e308 a step: finite after
         # step 0, not after step 1.  (A noise scale of 1e308 did this until
-        # validation rejected it.)
+        # validation rejected it.)  Zero gains keep the policies' products
+        # finite over these boxes, as validation requires.
         box = {"run": ("init", 1.6e308, 1.2e308), "train-value": ("value", 1.79e308, 1.79e308)}
         name, pos, vel = box[command]
         start = "".join(f"{name}.{key}_{end} = {value!r}\n"
                         for key, value in (("pos", pos), ("vel", vel)) for end in ("low", "high"))
+        start += "".join(f"policy.{gain} = 0\n"
+                         for gain in ("nominal_kp", "nominal_kd", "safe_kp", "safe_kd"))
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(FAST + "init.mode = uniform\n" + start + text)
         proc = self.run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"))

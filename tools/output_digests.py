@@ -4,12 +4,13 @@
 
 Run from anywhere; the package is imported from ``src/`` and the workload
 configs from ``perfbench/workloads.py``.  For each workload (all of them by
-default) the config runs at ``run.seed = 0`` through ``train-value``,
-``run``, ``sweep-beta``, ``sweep-xi`` and ``certify``, in that order, in one
-temporary output directory.  More configs follow: ``collision4-switching``
-runs ``train-value`` and ``run`` on collision M=4, whose 10 x 729-row
-pessimistic blocks do not fit one pass, so that searches screened at their
-first corner and run over several passes are hashed,
+default) the config runs at ``run.seed = 0``, the default, through
+``train-value``, ``run``, ``sweep-beta``, ``sweep-xi`` and ``certify``, in
+that order, in one temporary output directory.  More configs follow:
+``collision4-switching`` runs ``train-value`` and ``run`` on collision
+M=4, whose 10 x 729-row pessimistic blocks do not fit one pass, so that
+searches screened at their first corner and run over several passes are
+hashed,
 ``collision2-switching`` runs the same two commands on collision M=2, whose
 10 x 9-row blocks fit one pass with no screen, at ``filter.xi = 12``, where
 its 90 solves mix first corner survivors that win (60), winners of a third
@@ -35,9 +36,12 @@ operator's products overflow and every margin is the worst case over the
 samples, its beta -> infinity limit, so that this limit path is hashed
 before any rewrite of the operator,
 ``spring-certify700`` runs ``train-value`` and ``certify`` at 700 samples,
-one state per kernel pass, and ``train-value-hidden32`` and
+one state per kernel pass, ``train-value-hidden32`` and
 ``train-value-hidden16x3`` run ``train-value`` alone with one and three
-hidden layers, so that the fit is hashed at layer counts no workload uses.
+hidden layers, so that the fit is hashed at layer counts no workload uses,
+and ``train-value-seed2p53`` runs ``train-value`` alone at
+``run.seed = 9007199254740993`` (2**53 + 1), a seed float64 cannot hold,
+so that the exact seed bytes ``value_model.bin`` records are hashed.
 After each command, every output its manifest lists is hashed, and a line
 ``workload command/file sha256`` is printed (the commands' own messages go
 to standard error).
@@ -77,7 +81,8 @@ COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 # also at one sample, with no screen,
 # spring certify at more samples than one kernel pass holds, and fits with
 # one and with three hidden layers; then collision M=2 switching at a beta
-# whose products overflow, where the operator takes its worst-case limit.
+# whose products overflow, where the operator takes its worst-case limit,
+# and a fit at a seed past 2**53, whose model file must record it exactly.
 CONFIGS = {name: (text, COMMANDS) for name, (_, text) in WORKLOADS.items()}
 CONFIGS["collision4-switching"] = ("""
 run.preset = collision
@@ -155,6 +160,8 @@ value.hidden = {hidden}
 
 CONFIGS["collision2-switching-beta-limit"] = (
     CONFIGS["collision2-switching"][0] + "filter.beta = 1e308\n", ("train-value", "run"))
+CONFIGS["train-value-seed2p53"] = (CONFIGS["train-value-hidden32"][0]
+                                   + "run.seed = 9007199254740993\n", ("train-value",))
 
 
 def digests(name: str) -> list:
@@ -162,7 +169,7 @@ def digests(name: str) -> list:
     text, commands = CONFIGS[name]
     lines = []
     with tempfile.TemporaryDirectory() as out:
-        cfg = rf.config_with(rf.parse_config(text), seed=0, out=out)
+        cfg = rf.config_with(rf.parse_config(text), out=out)
         for command in commands:
             with contextlib.redirect_stdout(sys.stderr):   # keep stdout to digests
                 code = rf.run_experiment(cfg, command)
