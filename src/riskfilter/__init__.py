@@ -1,6 +1,6 @@
 """Risk-sensitive safety filters for uncertain discrete-time multi-agent systems."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .config import ExperimentConfig, config_with, parse_config, serialize_config
 from .dynamics import MasModel, make_model

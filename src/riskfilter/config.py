@@ -486,8 +486,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     vel = max(map(abs, (cfg.value_vel_low, cfg.value_vel_high, cfg.init_vel_low,
                         cfg.init_vel_high)))
     for name, policy in (("nominal", cfg.nominal_policy(model)), ("safe", cfg.safe_policy(model))):
-        setpoints = policy.x_ref[:1] if policy.setpoints is None else policy.setpoints
-        ref = float(np.abs(setpoints).max())
+        ref = float(np.abs(policy.setpoints).max())
         kp, kd = policy.gains.tolist()
         if not math.isfinite(abs(kp) * (pos + ref) + abs(kd) * vel):
             bad(f"policy.{name}_kp = {kp!r} and policy.{name}_kd = {kd!r} overflow the "

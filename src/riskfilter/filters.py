@@ -103,13 +103,13 @@ class FilterConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ContractViolationError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ContractViolationError(f"epsilon must be >= 0, got {self.epsilon}")
         if not 0.0 <= self.alpha_bar <= 1.0:
             raise ContractViolationError(f"alpha_bar must lie in [0, 1], got {self.alpha_bar}")
-        if self.epsilon_bar < 0:
+        if not self.epsilon_bar >= 0:
             raise ContractViolationError(f"epsilon_bar must be >= 0, got {self.epsilon_bar}")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ContractViolationError(f"beta must be > 0, got {self.beta}")
         if self.n_samples < 1:
             raise ContractViolationError(f"n_samples must be >= 1, got {self.n_samples}")
@@ -117,9 +117,9 @@ class FilterConfig:
             raise ContractViolationError(f"grid_size must be >= 2, got {self.grid_size}")
         if self.radius_mode not in ("fixed", "margin"):
             raise ContractViolationError(f"unknown radius mode {self.radius_mode!r}")
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise ContractViolationError(f"radius must be >= 0, got {self.radius}")
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:
             raise ContractViolationError(f"tolerance must be >= 0, got {self.tolerance}")
         if self.radius_mode == "margin":
             if not (self.alpha < self.alpha_bar and self.epsilon <= self.epsilon_bar):
@@ -127,7 +127,7 @@ class FilterConfig:
                     "margin-derived radius requires alpha < alpha_bar and "
                     "epsilon <= epsilon_bar"
                 )
-            if self.lipschitz_h <= 0 or self.lipschitz_fu <= 0:
+            if not (self.lipschitz_h > 0 and self.lipschitz_fu > 0):
                 raise ContractViolationError("Lipschitz constants must be > 0")
 
 
@@ -236,17 +236,22 @@ def _one_sample_bound(values: np.ndarray, n_samples: int, beta: float) -> np.nda
     """An upper bound on ``risk_lower`` of any S = n_samples sample set that
     contains ``values``, elementwise:
 
-        risk_lower(v) = -(1/beta) log((1/S) sum_s exp(-beta v_s))
+        risk_lower(v) = min(v) - log1p(m)/beta <= min(v) + log(S)/beta
                      <= v_s + log(S)/beta        for every s,
 
-    since the sum is at least its own term s.  The bound is raised by a
-    slack of 1e-9 * (1 + |v_s| + log(S)/beta), which covers the rounding of
-    the computed ``risk_lower`` (a few ulps of its terms).  ``_screen``'s v_s
-    is xi - ``lower``, at or above the kernel's value of the successor in
-    any stack; where ``lower`` falls back to ``predict`` (and for value
-    models without ``lower``), the slack also covers the few-ulp difference
-    between a successor's value in the screen's call and in the kernel's,
-    where it may sit at another row of its slice.
+    by construction: m, the mean of expm1(-beta (v - min(v))), is at least
+    -(S - 1)/S, since the minimum's own term is 0 and no term falls below
+    -1.  A row that takes the beta -> 0 limit, min(v) + mean(v - min(v)),
+    sits about 2**-960 / beta or less above min(v), under log(S)/beta for
+    S >= 2 (at S = 1 it is min(v)), and at beta = inf the spread is 0.
+    The bound is raised by a slack of 1e-9 * (1 + |v_s| + log(S)/beta),
+    which covers the rounding of the computed ``risk_lower`` (a few ulps of
+    its terms).  ``_screen``'s v_s is xi - ``lower``, at or above the
+    kernel's value of the successor in any stack; where ``lower`` falls
+    back to ``predict`` (and for value models without ``lower``), the
+    slack also covers the few-ulp difference between a successor's value
+    in the screen's call and in the kernel's, where it may sit at another
+    row of its slice.
     """
     spread = math.log(n_samples) / beta
     return values + spread + 1e-9 * (1.0 + np.abs(values) + spread)

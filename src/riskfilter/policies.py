@@ -26,18 +26,17 @@ class Policy:
 
     Calling it maps joint states (..., M, d_x) to flat joint actions
     (..., A), as ``eval_policy`` does.  ``gains`` is the one [Kp, Kd] pair
-    that every actuated agent uses.  ``setpoints`` optionally gives each
-    agent its own position reference in place of the shared one; agents
-    that must stay apart (collision constraints) need distinct setpoints,
-    since feedback to a shared reference drives them into each other.
+    that every actuated agent uses.  ``setpoints`` gives each agent its
+    position reference; agents that must stay apart (collision
+    constraints) need distinct setpoints, since feedback to a shared
+    reference drives them into each other.
     """
 
     gains: np.ndarray               # (d_x,)
-    x_ref: np.ndarray               # (d_x,)
     action_dims: tuple
     action_low: float
     action_high: float
-    setpoints: np.ndarray | None = None       # (M,) per-agent position refs
+    setpoints: np.ndarray           # (M,) per-agent position refs
 
     def __call__(self, x):
         return eval_policy(self, x)
@@ -61,10 +60,7 @@ def eval_policy(policy: Policy, x) -> np.ndarray:
             f"({m}, {policy.gains.size})"
         )
     err = x.copy()
-    if policy.setpoints is not None:
-        err[..., 0] -= policy.setpoints
-    else:
-        err[..., 0] -= policy.x_ref[0]
+    err[..., 0] -= policy.setpoints
     raw = -(err[..., None, :] @ policy.gains[:, None])[..., 0, 0]
     raw = raw.repeat(policy.action_dims, axis=-1)
     return np.minimum(np.maximum(raw, policy.action_low), policy.action_high)  # np.clip's bits
@@ -73,22 +69,22 @@ def eval_policy(policy: Policy, x) -> np.ndarray:
 def make_proportional(model: MasModel, gains, setpoints=None) -> Policy:
     """Proportional policy from one (Kp, Kd) pair shared by all actuated
     agents; ``setpoints`` optionally assigns each agent its own position
-    reference."""
+    reference in place of the model's shared one."""
     gains = np.array(gains, dtype=float)
     if gains.shape != (model.state_dim,):
         raise ContractViolationError(
             f"gain shape {gains.shape} is not one pair of state dimension "
             f"{model.state_dim}"
         )
-    if setpoints is not None:
-        setpoints = np.asarray(setpoints, dtype=float).ravel()
-        if setpoints.size != model.n_agents:
-            raise ContractViolationError(
-                f"{setpoints.size} setpoints for {model.n_agents} agents"
-            )
+    if setpoints is None:
+        setpoints = np.full(model.n_agents, model.x_ref[0])
+    setpoints = np.asarray(setpoints, dtype=float).ravel()
+    if setpoints.size != model.n_agents:
+        raise ContractViolationError(
+            f"{setpoints.size} setpoints for {model.n_agents} agents"
+        )
     return Policy(
         gains=gains,
-        x_ref=model.x_ref.copy(),
         action_dims=model.action_dims,
         action_low=model.action_low,
         action_high=model.action_high,

@@ -469,6 +469,6 @@ class TestConfigWith:
         assert fcfg.beta == 3.0
         assert fcfg.alpha == cfg.alpha
         safe = cfg.safe_policy(model)
-        assert safe.setpoints is not None
+        assert safe.setpoints.tolist() == [-cfg.safe_spread, cfg.safe_spread]
         nominal = cfg.nominal_policy(model)
-        assert nominal.setpoints is None
+        assert nominal.setpoints.tolist() == [model.x_ref[0]] * model.n_agents

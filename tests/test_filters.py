@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -143,6 +144,17 @@ class TestFilterConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ContractViolationError):
             FilterConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["epsilon", "epsilon_bar", "beta", "radius", "tolerance",
+                                       "lipschitz_h", "lipschitz_fu"])
+    def test_nan_rejected(self, field):
+        # A NaN passed every `x < 0` check, and then made every solve
+        # read infeasible with no error.  The Lipschitz constants are read
+        # only by the margin-derived radius.
+        mode = "margin" if field.startswith("lipschitz") else "fixed"
+        with pytest.raises(ContractViolationError):
+            FilterConfig(radius_mode=mode, **{field: math.nan})
+        FilterConfig(radius_mode=mode, **{field: math.inf})
 
 
 class TestCheckCondition:

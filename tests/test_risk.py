@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -103,13 +104,17 @@ class TestLaws:
 
 
 def _np_mean_reference(values, beta):
-    """The operator as written with np.mean and np.max, one row at a time."""
-    v = np.asarray(values, dtype=float)
+    """The upper operator as written with np.mean and np.min, one row at a
+    time: the lower formula on the negated row, negated."""
     if beta == 0:
-        return float(np.mean(v))
-    z = beta * v
-    m = np.max(z)
-    return float((m + np.log(np.mean(np.exp(z - m)))) / beta)
+        return float(np.mean(values))
+    v = -np.asarray(values, dtype=float)
+    vmin = np.min(v)
+    d = v - vmin
+    m = np.mean(np.expm1(-beta * d))
+    if m > -2.0 ** -960 and (beta < 1 or m < 0):
+        return -float(vmin + np.mean(d))
+    return -float(vmin - np.log1p(m) / beta)
 
 
 class TestStacks:
@@ -143,6 +148,112 @@ class TestStacks:
 
 
 MAX_FLOAT = np.finfo(float).max
+U = Decimal(2) ** -53
+
+
+def _expm1(x: Decimal) -> Decimal:
+    # Decimal has no expm1: its Taylor series below 1e-5, whose 13 terms
+    # reach 50 digits there; above it, exp(x) - 1 loses at most 5 digits.
+    if abs(x) >= Decimal("1e-5"):
+        return x.exp() - 1 if x > -1000 else Decimal(-1)
+    term = total = x
+    for k in range(2, 14):
+        term = term * x / k
+        total += term
+    return total
+
+
+def _log1p(x: Decimal) -> Decimal:
+    # Nor log1p: the Mercator series below 1e-5, as for _expm1.
+    if abs(x) >= Decimal("1e-5"):
+        return (1 + x).ln()
+    power, total = x, x
+    for k in range(2, 14):
+        power = -power * x
+        total += power / k
+    return total
+
+
+def _decimal_lower(values, beta: float) -> Decimal:
+    """-R_beta[-values] at 50 digits, shifted by the minimum as the
+    operator is, with the series above for tiny arguments: a plain
+    exp/log reference takes the log of 1 + m where m is far below 1e-50
+    and returns the minimum."""
+    v = [Decimal(float(x)) for x in values]
+    vmin, b = min(v), Decimal(beta)
+    m = sum(_expm1(-b * (x - vmin)) for x in v) / len(v)
+    return vmin - _log1p(m) / b
+
+
+def _rounding_bound(values) -> Decimal:
+    """``risk._lower``'s documented bound:
+    (S + 2)**2 u (max - min) + u max|v| + 2**-1074."""
+    v = [Decimal(float(x)) for x in values]
+    return ((len(v) + 2) ** 2 * U * (max(v) - min(v)) + U * max(abs(x) for x in v)
+            + Decimal(2) ** -1074)
+
+
+# Magnitudes from 1e-300 to 1e300, either sign, and zero.
+magnitudes = st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+                       st.floats(min_value=-300.0, max_value=300.0)) | st.just(0.0)
+sample_rows = (
+    st.lists(magnitudes, min_size=1, max_size=20)
+    | st.builds(lambda x, n: [x] * n, magnitudes, st.integers(1, 20))
+    # A cluster: offsets far below the values' own magnitude.
+    | st.builds(lambda x, scale, ks: [x + scale * k for k in ks], magnitudes, magnitudes,
+                st.lists(st.integers(-3, 3), min_size=1, max_size=20))
+)
+# beta log-uniform over [5e-324, max float], the edges included.
+betas = (st.floats(min_value=-1074.0, max_value=1023.999).map(lambda e: 2.0 ** e)
+         | st.sampled_from([5e-324, MAX_FLOAT]))
+
+
+class TestAccuracy:
+    # At every finite beta > 0 the computed value lies within
+    # ``risk._lower``'s rounding bound of the exact one, at or above the
+    # minimum exactly and at most that bound above the mean, with no
+    # floating-point warning.  The max-shifted log-mean-exp returned the
+    # minimum at beta = 1e-16 on [0, 1], and 0.50000004 at 1e-9.
+    @settings(max_examples=400, deadline=None)
+    @given(sample_rows, betas)
+    def test_within_the_rounding_bound_of_the_exact_value(self, values, beta):
+        v = np.array(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low = risk_lower(v, beta)
+            up = entropic_risk(-v, beta)
+            stacked = risk_lower(np.vstack([v, np.arange(v.size)]), beta)
+        assert np.float64(stacked[0]).tobytes() == np.float64(low).tobytes()
+        assert np.float64(-up).tobytes() == np.float64(low).tobytes()
+        bound = _rounding_bound(v)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = _decimal_lower(v, beta)
+            mean = sum(Decimal(float(x)) for x in v) / v.size
+            assert v.min() <= low
+            assert Decimal(low) <= mean + bound
+            assert abs(Decimal(low) - exact) <= bound
+
+    def test_small_beta_keeps_the_documented_bounds(self):
+        for beta in (1e-9, 1e-12, 1e-16, 1e-300, 5e-324):
+            low = risk_lower([0.0, 1.0], beta)
+            assert 0.0 < low <= 0.5
+            assert low == pytest.approx(0.5 - beta / 8, rel=1e-15)
+        assert entropic_risk([1.0, 2.0, 3.0], 1e-20) == 2.0
+
+    def test_infinite_beta_gives_the_extremes(self):
+        stack = np.array([[2.0, 3.0], [-5.0, 7.0], [4.0, -1e308]])
+        assert np.array_equal(risk_lower(stack, math.inf), [2.0, -5.0, -1e308])
+        assert np.array_equal(entropic_risk(stack, math.inf), [3.0, 7.0, 4.0])
+        assert risk_lower([0.0, 1.0], math.inf) == 0.0
+
+    @pytest.mark.parametrize("beta", [5e-324, 1e-16, 0.1, 1.0, 1e308, math.inf])
+    @pytest.mark.parametrize("value", [0.1, -2.75, 1e-300, 1e308, -MAX_FLOAT])
+    def test_equal_samples_give_that_value_exactly(self, value, beta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert risk_lower([value] * 3, beta) == value
+            assert entropic_risk([value] * 3, beta) == value
 
 
 class TestOverflowLimit:

@@ -137,7 +137,7 @@ class TestCollectDataset:
 
 def ref_policy(policy, x) -> list:
     err = x.copy()
-    err[:, 0] -= policy.x_ref[0] if policy.setpoints is None else policy.setpoints
+    err[:, 0] -= policy.setpoints
     out = []
     for i, d in enumerate(policy.action_dims):
         if d == 0:

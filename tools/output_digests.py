@@ -33,8 +33,12 @@ and where nominals clipped to the box sit on grid points,
 ``collision2-switching-beta-limit`` runs the same two commands as
 ``collision2-switching`` at ``filter.beta = 1e308``, where the risk
 operator's products overflow and every margin is the worst case over the
-samples, its beta -> infinity limit, so that this limit path is hashed
-before any rewrite of the operator,
+samples, its beta -> infinity limit, so that this limit path is hashed,
+``collision2-switching-beta-small`` runs ``train-value``, ``run`` and
+``certify`` on the same config at ``filter.beta = 1e-16``, where
+``beta * (max - min)`` is near an ulp of 1, so that the operator's
+small-beta end, which a log of a mean of exponentials gets wrong (it
+returned the minimum there), is hashed,
 ``spring-certify700`` runs ``train-value`` and ``certify`` at 700 samples,
 one state per kernel pass, ``train-value-hidden32`` and
 ``train-value-hidden16x3`` run ``train-value`` alone with one and three
@@ -82,7 +86,9 @@ COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 # spring certify at more samples than one kernel pass holds, and fits with
 # one and with three hidden layers; then collision M=2 switching at a beta
 # whose products overflow, where the operator takes its worst-case limit,
-# and a fit at a seed past 2**53, whose model file must record it exactly.
+# then the same at a beta so small that its exponents sit near an ulp
+# of 1, and a fit at a seed past 2**53, whose model file must record it
+# exactly.
 CONFIGS = {name: (text, COMMANDS) for name, (_, text) in WORKLOADS.items()}
 CONFIGS["collision4-switching"] = ("""
 run.preset = collision
@@ -160,6 +166,8 @@ value.hidden = {hidden}
 
 CONFIGS["collision2-switching-beta-limit"] = (
     CONFIGS["collision2-switching"][0] + "filter.beta = 1e308\n", ("train-value", "run"))
+CONFIGS["collision2-switching-beta-small"] = (
+    CONFIGS["collision2-switching"][0] + "filter.beta = 1e-16\n", ("train-value", "run", "certify"))
 CONFIGS["train-value-seed2p53"] = (CONFIGS["train-value-hidden32"][0]
                                    + "run.seed = 9007199254740993\n", ("train-value",))
 
