@@ -26,8 +26,8 @@ rejected before any work.
 
 Defaults mirror the benchmark setup: alpha = 0.1, epsilon = 0, proximity
 radius 0.05, beta = 1, xi = 5, 5 risk samples, gamma = 0.99, and the
-preset-specific noise scales, shrunk to desk scale for rollout counts
-and value-training sizes.
+agent count and noise scale of the preset's model, shrunk to desk scale
+for rollout counts and value-training sizes.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import MasModel, make_model
+from .dynamics import MasModel, make_model, preset_shape
 from .errors import ConfigError, ContractViolationError
 from .filters import FilterConfig
 from .policies import Policy, make_proportional
@@ -50,8 +50,6 @@ _PRESET = object()  # sentinel: default depends on the preset
 
 _PRESET_DEFAULTS = {
     "spring": {
-        "agents": 3,
-        "noise_scale": 0.01,
         "value_pos_low": -2.5, "value_pos_high": 2.5,
         "value_vel_low": -4.0, "value_vel_high": 4.0,
         "nominal_kp": 3.0, "nominal_kd": 0.3,
@@ -60,8 +58,6 @@ _PRESET_DEFAULTS = {
         "init_mode": "origin",
     },
     "collision": {
-        "agents": 2,
-        "noise_scale": 0.1,
         "value_pos_low": -1.5, "value_pos_high": 1.5,
         "value_vel_low": -2.0, "value_vel_high": 2.0,
         "nominal_kp": 1.0, "nominal_kd": 0.5,
@@ -74,7 +70,8 @@ _PRESET_DEFAULTS = {
 
 def _setting(key: str, default):
     """A config setting: its key in the text format and its default
-    (``_PRESET`` for one taken from ``_PRESET_DEFAULTS``).  No dataclass
+    (``_PRESET`` for one taken from ``_PRESET_DEFAULTS`` or, for the agent
+    count and noise scale, from the preset's default model).  No dataclass
     default, so the constructor still requires every field."""
     return dataclasses.field(metadata={"key": key, "default": default})
 
@@ -266,28 +263,21 @@ def _parse_lines(text: str) -> dict:
 _MAX_BLOCK_PAIRS = 10**7
 
 
-def _action_dims(cfg: ExperimentConfig) -> int:
-    """Actuated action dimensions: one per agent, and none for the spring
-    preset's third agent."""
-    return cfg.agents - 1 if cfg.preset == "spring" else cfg.agents
-
-
-def _filter_block_pairs(cfg: ExperimentConfig) -> int:
+def _filter_block_pairs(cfg: ExperimentConfig, dims: int) -> int:
     """Most (row, sample) pairs one solve of the filter ``cfg.controller`` runs
     evaluates: (G^A + 1)·(S + 1) centralized (its screen evaluates every
     candidate, in grid order, at one sample, then the survivors at all S;
-    no sort runs, and only the hits' distances to nominal are computed; at
-    S = 1 it skips the screen and does less), (G + 1)·G^(A-1)·S
-    pessimistic (its corner combos first and its early exit only save
-    work: each row goes to the kernel at most once, and a survivor still
-    meets every combo; at S > 1 its screen adds at most G + 1 rows at one
-    sample), 0 unfiltered.
+    no sort runs, and only the hits' distances to nominal are computed),
+    (G + 1)·G^(A-1)·S pessimistic (its corner combos first and its early
+    exit only save work: each row goes to the kernel at most once, and a
+    survivor still meets every combo; its screen adds at most G + 1 rows
+    at one sample), 0 unfiltered.
 
-    A counts actuated action dimensions (``_action_dims``).  G >= 2, so
-    G^64 is far over the bound, and capping A at 64 keeps the comparison
-    exact without huge powers.
+    A = ``dims`` counts actuated action dimensions (``preset_shape``'s).
+    G >= 2, so G^64 is far over the bound, and capping A at 64 keeps the
+    comparison exact without huge powers.
     """
-    dims = min(_action_dims(cfg), 64)
+    dims = min(dims, 64)
     if cfg.controller == "centralized":
         return (cfg.grid ** dims + 1) * (cfg.samples + 1)
     if cfg.controller == "switching":
@@ -336,9 +326,9 @@ def _certify_pass_bytes(cfg: ExperimentConfig) -> int:
     per oracle sample, the draw, the successors and the value model's input
     (about 4·M·d_x floats) and two activation arrays of the widest hidden
     layer.  It reads 122 MB at S = 10^5 on collision M = 3, where the peak
-    RSS grew by 138 MB (131 MiB).  d_x is the preset's; no M-agent model
-    is built, since M may be far too large to build."""
-    state_size = cfg.agents * make_model(cfg.preset).state_dim
+    RSS grew by 138 MB (131 MiB).  M and d_x are ``preset_shape``'s; no
+    M-agent model is built, since M may be far too large to build."""
+    state_size = math.prod(preset_shape(cfg.preset, cfg.agents)[:2])
     return 8 * cfg.certify_samples * (4 * state_size + 2 * max(cfg.hidden_sizes()))
 
 
@@ -349,7 +339,7 @@ def _fit_bytes(cfg: ExperimentConfig) -> int:
     about three activation-sized arrays per hidden layer (activations,
     deltas and tanh factors), and ``predict``'s two per-thread buffers."""
     hidden = cfg.hidden_sizes()
-    sizes = (cfg.agents * make_model(cfg.preset).state_dim,) + hidden + (1,)
+    sizes = (math.prod(preset_shape(cfg.preset, cfg.agents)[:2]),) + hidden + (1,)
     params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
     return 8 * (6 * params + 3 * cfg.value_states * sum(hidden) + 2 * _BUFFER_ROWS * max(hidden))
 
@@ -372,7 +362,7 @@ def _dataset_bytes(cfg: ExperimentConfig) -> int:
     the memory bound alone admits about 4·10^11 row-steps on spring
     (8·10^11 on collision M = 2), some 50 to 100 hours;
     ``_MAX_DATASET_ROW_STEPS`` bounds the row-steps themselves."""
-    state_size = cfg.agents * make_model(cfg.preset).state_dim
+    state_size = math.prod(preset_shape(cfg.preset, cfg.agents)[:2])
     chunk = min(_CHUNK_ROWS, cfg.value_states)
     return 8 * (cfg.value_states * (state_size + 1) + cfg.value_samples * state_size
                 * ((chunk + 2) * cfg.value_horizon + _BLOCK_STEPS * chunk))
@@ -406,12 +396,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     for f in dataclasses.fields(cfg):
         if f.type == "float" and not math.isfinite(getattr(cfg, f.name)):
             bad(f"{f.metadata['key']} must be finite, got {getattr(cfg, f.name)!r}")
-    if cfg.preset not in _PRESET_DEFAULTS:
-        bad(f"unknown preset {cfg.preset!r}")
-    if cfg.preset == "spring" and cfg.agents != 3:
-        bad("spring preset has exactly 3 agents")
-    if cfg.preset == "collision" and cfg.agents < 2:
-        bad("collision preset needs at least 2 agents")
+    dims = preset_shape(cfg.preset, cfg.agents)[2]
     if not 0 <= cfg.seed < 2**64:     # value_model.bin records it as a uint64
         bad(f"run.seed must lie in [0, 2**64), got {cfg.seed}")
     if cfg.steps < 0:
@@ -420,8 +405,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         bad("run.rollouts must be >= 1")
     if cfg.controller not in ("nominal", "safe", "switching", "centralized"):
         bad(f"unknown controller {cfg.controller!r}")
-    if cfg.u_max <= cfg.u_min:
-        bad("model.u_max must exceed model.u_min")
     if cfg.noise_scale < 0:
         bad("model.noise_scale must be >= 0")
     if not math.isfinite(_MAX_NORMAL_DRAW * cfg.noise_scale):
@@ -475,18 +458,18 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
                 f"{cfg.steps} would run more than the work bound of {_MAX_SWEEP_STEPS} "
                 f"rollout steps in one sweep; lower {key}, run.rollouts or run.steps")
     # After the memory bounds, which cap run.agents.
-    dims, width = _action_dims(cfg), cfg.u_max - cfg.u_min
+    width = cfg.u_max - cfg.u_min
     if not math.isfinite(dims * width * width):
         bad(f"the action box from model.u_min = {cfg.u_min!r} to model.u_max = {cfg.u_max!r} "
             f"overflows the squared distances over {dims} action dimensions "
             "by which the filters rank candidates; narrow it")
-    model = cfg.build_model()
+    model = cfg.build_model()     # raises for an empty action box
     pos = max(map(abs, (cfg.value_pos_low, cfg.value_pos_high, cfg.init_pos_low,
                         cfg.init_pos_high)))
     vel = max(map(abs, (cfg.value_vel_low, cfg.value_vel_high, cfg.init_vel_low,
                         cfg.init_vel_high)))
     for name, policy in (("nominal", cfg.nominal_policy(model)), ("safe", cfg.safe_policy(model))):
-        ref = float(np.abs(policy.setpoints).max())
+        ref = float(np.abs(policy.reference).max())
         kp, kd = policy.gains.tolist()
         if not math.isfinite(abs(kp) * (pos + ref) + abs(kd) * vel):
             bad(f"policy.{name}_kp = {kp!r} and policy.{name}_kd = {kd!r} overflow the "
@@ -507,7 +490,7 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             f"{cfg.certify_samples} would run more than the work bound of "
             f"{_MAX_CERTIFY_PAIRS} (state, sample) pairs in one certify; lower "
             "certify.states or certify.samples")
-    if _filter_block_pairs(cfg) > _MAX_BLOCK_PAIRS:
+    if _filter_block_pairs(cfg, dims) > _MAX_BLOCK_PAIRS:
         bad(f"one {cfg.controller} filter solve would evaluate more than the work bound "
             f"of {_MAX_BLOCK_PAIRS} (row, sample) pairs; lower filter.grid, "
             "filter.samples or run.agents")
@@ -531,9 +514,9 @@ def parse_config(source: str | os.PathLike) -> ExperimentConfig:
     raw = _parse_lines(text)
     fields = {f.name: _coerce(key, f.type, raw[key]) if key in raw else f.metadata["default"]
               for key, f in _SCHEMA.items()}
-    preset_defaults = _PRESET_DEFAULTS.get(fields["preset"])
-    if preset_defaults is None:
-        raise ConfigError("invalid-value", f"unknown preset {fields['preset']!r}")
+    model = make_model(fields["preset"])
+    preset_defaults = dict(_PRESET_DEFAULTS[model.preset], agents=model.n_agents,
+                           noise_scale=model.noise_scale)
     return _validate(ExperimentConfig(**{
         name: preset_defaults[name] if value is _PRESET else value
         for name, value in fields.items()

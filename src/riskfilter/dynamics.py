@@ -26,7 +26,10 @@ from a standard normal prior:
 Each model carries its safe-set predicate, the smooth sigmoid cost that
 encodes it, and the regulation reward used by the nominal task.  Models
 are immutable after construction; all randomness enters through the
-(theta, noise) samples supplied by the caller.  One transition function
+(theta, noise) samples supplied by the caller.  ``preset_shape`` is the
+one place that holds each preset's agent-count rule and dimensions, and
+builds nothing, so a config can be checked at any agent count before
+``make_model`` builds through it.  One transition function
 per preset maps a state, a flat joint-action row and a sample to the
 successor, and broadcasts over leading axes, so a rollout step, a
 filter's candidate block and a lockstep collection stack all go through
@@ -216,6 +219,25 @@ def _collision_cost(x):
     return _agent_mean(sigm10(0.04 - _pairwise_sq_gaps(x[..., 0])))
 
 
+def preset_shape(preset: str, n_agents: int | None = None) -> tuple:
+    """(agents, state_dim, action_dim) of ``preset`` at ``n_agents`` agents
+    (None for the preset's default), action_dim counting actuated action
+    dimensions.  ``spring`` always has M=3 (agent 3 is the unactuated mass);
+    ``collision`` takes M >= 2 actuated agents.  Raises ConfigError for
+    any other name or an invalid agent count, in O(1) at any M.
+    """
+    if preset == "spring":
+        if n_agents not in (None, 3):
+            raise ConfigError("invalid-value", "spring preset has exactly 3 agents")
+        return 3, 2, 2
+    if preset == "collision":
+        m = 2 if n_agents is None else int(n_agents)
+        if m < 2:
+            raise ConfigError("invalid-value", "collision preset needs at least 2 agents")
+        return m, 2, m
+    raise ConfigError("invalid-value", f"unknown preset {preset!r}")
+
+
 def make_model(
     preset: str,
     n_agents: int | None = None,
@@ -224,53 +246,26 @@ def make_model(
     action_low: float = -1.0,
     action_high: float = 1.0,
 ) -> MasModel:
-    """Build a benchmark model with its preset defaults.
-
-    ``spring`` always has M=3 (agent 3 is the unactuated mass);
-    ``collision`` takes M >= 2 actuated agents.  Raises ConfigError for
-    unknown presets or an invalid agent count.
+    """Build a benchmark model with its preset defaults, at the shape
+    ``preset_shape`` gives; raises its ConfigError, or one for an empty
+    action box.
     """
     if action_high <= action_low:
         raise ConfigError("invalid-value", "action box is empty (u_max <= u_min)")
+    m, state_dim, _ = preset_shape(preset, n_agents)
     if preset == "spring":
-        if n_agents not in (None, 3):
-            raise ConfigError("invalid-value", "spring preset has exactly 3 agents")
-        return MasModel(
-            preset="spring",
-            n_agents=3,
-            state_dim=2,
-            action_dims=(1, 1, 0),
-            noise_scale=0.01 if noise_scale is None else noise_scale,
-            gamma=gamma,
-            x_ref=np.array([7.0 / 4.0, 0.0]),
-            action_weight=0.01,
-            state_weights=np.array([[0.1, 0.0], [0.1, 0.0], [1.0, 0.0]]),
-            action_low=action_low,
-            action_high=action_high,
-            transition=_spring_transition_batch,
-            safe_fn=_spring_safe,
-            cost_fn=_spring_cost,
-            transition_batch=_spring_transition_batch,
-        )
-    if preset == "collision":
-        m = 2 if n_agents is None else int(n_agents)
-        if m < 2:
-            raise ConfigError("invalid-value", "collision preset needs at least 2 agents")
-        return MasModel(
-            preset="collision",
-            n_agents=m,
-            state_dim=2,
-            action_dims=tuple([1] * m),
-            noise_scale=0.1 if noise_scale is None else noise_scale,
-            gamma=gamma,
-            x_ref=np.array([0.0, 0.0]),
-            action_weight=0.1,
-            state_weights=np.tile(np.array([1.0, 0.1]), (m, 1)),
-            action_low=action_low,
-            action_high=action_high,
-            transition=_collision_transition_batch,
-            safe_fn=_collision_safe,
-            cost_fn=_collision_cost,
-            transition_batch=_collision_transition_batch,
-        )
-    raise ConfigError("invalid-value", f"unknown preset {preset!r}")
+        transition = _spring_transition_batch
+        own = dict(action_dims=(1, 1, 0), noise_scale=0.01, x_ref=np.array([7.0 / 4.0, 0.0]),
+                   action_weight=0.01,
+                   state_weights=np.array([[0.1, 0.0], [0.1, 0.0], [1.0, 0.0]]),
+                   safe_fn=_spring_safe, cost_fn=_spring_cost)
+    else:
+        transition = _collision_transition_batch
+        own = dict(action_dims=(1,) * m, noise_scale=0.1, x_ref=np.array([0.0, 0.0]),
+                   action_weight=0.1, state_weights=np.tile(np.array([1.0, 0.1]), (m, 1)),
+                   safe_fn=_collision_safe, cost_fn=_collision_cost)
+    if noise_scale is not None:
+        own["noise_scale"] = noise_scale
+    return MasModel(preset=preset, n_agents=m, state_dim=state_dim, gamma=gamma,
+                    action_low=action_low, action_high=action_high,
+                    transition=transition, transition_batch=transition, **own)

@@ -33,12 +33,14 @@ nominal action is feasible it is returned unchanged.
 
 Every margin comes from one kernel, ``_margins``, which evaluates the
 barrier only on successor states, over blocks of flat joint-action rows.
-At S > 1 both filters first send rows through one screen, ``_screen``,
-which evaluates each at sample 0 alone, by the value model's float32
+Both filters first send rows through one screen, ``_screen``, which
+evaluates each at sample 0 alone, by the value model's float32
 lower bound (``ValueModel.lower``), and drops it if the entropic
 operator's one-sample bound rules it out; the kernel decides every row
-the screen keeps.  A dropped row's later samples are never evaluated, so
-a non-finite value there goes unseen.  The pessimistic search stops
+the screen keeps.  At S = 1 sample 0 is the kernel's only sample, but the
+float32 pass costs less than the kernel's, so it screens there too.  A
+dropped row's later samples are never evaluated, so a non-finite value
+there goes unseen.  The pessimistic search stops
 trying a candidate once a combo fails it.  Each search meets the other
 agents' corner combos first, then its first survivor the rest alone,
 then, if that fails, the other survivors; a search whose whole block does
@@ -372,7 +374,7 @@ def centralized_filter(model: MasModel, barrier: Barrier, x, nominal, cfg: Filte
     """Joint filter: nearest feasible joint row to the joint row ``nominal``.
 
     ``_grid_block``'s candidates, over every actuated agent's box, go to
-    ``_screen`` at S > 1 and its survivors to the kernel, in grid order.
+    ``_screen`` and its survivors to the kernel, in grid order.
     The screen keeps every hit and a margin does not depend on its block,
     so the hits are the full scan's.  Only their squared distances to
     nominal are computed, as ``_ordered_candidates`` does.  The nominal
@@ -383,8 +385,7 @@ def centralized_filter(model: MasModel, barrier: Barrier, x, nominal, cfg: Filte
     x = model.validate_state(x)
     nominal = model.validate_action(nominal)
     block = _grid_block(nominal, cfg, model.action_low, model.action_high)
-    if len(samples[0]) > 1:     # at S = 1 the screen would repeat the kernel
-        block = block[_screen(model, barrier, x, cfg, samples, h_now, block)]
+    block = block[_screen(model, barrier, x, cfg, samples, h_now, block)]
     margins = _margins(model, barrier, x, cfg, samples, h_now, block)
     hits = np.flatnonzero(margins >= cfg.tolerance)
     if not hits.size:
@@ -534,7 +535,7 @@ def pessimistic_filter(
     margin (a minimum, exact in any order), or None: infeasibility is an
     expected outcome near the constraint boundary, not a fault.
 
-    At S > 1 a search whose C candidates × K combos do not fit one pass
+    A search whose C candidates × K combos do not fit one pass
     first sends its C rows against the first corner, every other agent at
     grid point 0, through ``_screen``; every such search's rows go in one
     call, each under its own agent's sample 0.  A candidate the screen
@@ -543,8 +544,8 @@ def pessimistic_filter(
     a dropped candidate's later samples of that corner are never
     evaluated, and a non-finite value there goes unseen, as at the later
     combos of a candidate that an earlier combo drops.  On hopeless solves
-    the screen settles the search in C rows.  At S = 1 the screen would
-    repeat the kernel, and none runs.
+    the screen settles the search in C rows.  At S = 1 the screen's float32
+    pass is cheaper than the kernel's, not a repeat of it.
 
     The agents search in rounds.  A round is one ``_margins`` call on
     every open search's next block, in agent order, under per-row draws
@@ -565,7 +566,7 @@ def pessimistic_filter(
     searches = [_Search(model, agent, nominal, cfg, budget) for agent in agents]
     live = list(range(len(searches)))
     wide = [k for k in live if len(searches[k].cands) * len(searches[k].combos) > budget]
-    if wide and n_samples > 1:
+    if wide:
         rows, draw, spans = _round([_against(searches[k].cols, searches[k].cands,
                                              searches[k].combos[:1]) for k in wide],
                                    wide, samples)

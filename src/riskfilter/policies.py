@@ -26,17 +26,17 @@ class Policy:
 
     Calling it maps joint states (..., M, d_x) to flat joint actions
     (..., A), as ``eval_policy`` does.  ``gains`` is the one [Kp, Kd] pair
-    that every actuated agent uses.  ``setpoints`` gives each agent its
-    position reference; agents that must stay apart (collision
-    constraints) need distinct setpoints, since feedback to a shared
-    reference drives them into each other.
+    that every actuated agent uses.  Row i of ``reference`` is agent i's
+    reference state: its position setpoint, and 0 velocity.  Agents that
+    must stay apart (collision constraints) need distinct setpoints, since
+    feedback to a shared reference drives them into each other.
     """
 
     gains: np.ndarray               # (d_x,)
     action_dims: tuple
     action_low: float
     action_high: float
-    setpoints: np.ndarray           # (M,) per-agent position refs
+    reference: np.ndarray           # (M, d_x) per-agent reference states
 
     def __call__(self, x):
         return eval_policy(self, x)
@@ -59,8 +59,7 @@ def eval_policy(policy: Policy, x) -> np.ndarray:
             f"state shape {x.shape} does not match policy dimensions "
             f"({m}, {policy.gains.size})"
         )
-    err = x.copy()
-    err[..., 0] -= policy.setpoints
+    err = x - policy.reference
     raw = -(err[..., None, :] @ policy.gains[:, None])[..., 0, 0]
     raw = raw.repeat(policy.action_dims, axis=-1)
     return np.minimum(np.maximum(raw, policy.action_low), policy.action_high)  # np.clip's bits
@@ -69,7 +68,8 @@ def eval_policy(policy: Policy, x) -> np.ndarray:
 def make_proportional(model: MasModel, gains, setpoints=None) -> Policy:
     """Proportional policy from one (Kp, Kd) pair shared by all actuated
     agents; ``setpoints`` optionally assigns each agent its own position
-    reference in place of the model's shared one."""
+    reference in place of the model's shared one.  They make the policy's
+    ``reference``, whose velocity column is 0."""
     gains = np.array(gains, dtype=float)
     if gains.shape != (model.state_dim,):
         raise ContractViolationError(
@@ -83,10 +83,12 @@ def make_proportional(model: MasModel, gains, setpoints=None) -> Policy:
         raise ContractViolationError(
             f"{setpoints.size} setpoints for {model.n_agents} agents"
         )
+    reference = np.zeros((model.n_agents, model.state_dim))
+    reference[:, 0] = setpoints
     return Policy(
         gains=gains,
         action_dims=model.action_dims,
         action_low=model.action_low,
         action_high=model.action_high,
-        setpoints=setpoints,
+        reference=reference,
     )

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from riskfilter import ConfigError, ExperimentConfig, config_with, parse_config, serialize_config
+from riskfilter import (ConfigError, ExperimentConfig, config_with, make_model, parse_config,
+                        serialize_config)
 from riskfilter import cli
 from riskfilter.config import (
     _certify_pass_bytes,
@@ -44,6 +45,11 @@ class TestParse:
         assert cfg.noise_scale == 0.1
         assert cfg.safe_spread == 3.0
         assert cfg.init_mode == "uniform"
+
+    def test_agents_and_noise_default_to_the_preset_model(self):
+        for preset in ("spring", "collision"):
+            cfg, model = parse_config(f"run.preset = {preset}"), make_model(preset)
+            assert (cfg.agents, cfg.noise_scale) == (model.n_agents, model.noise_scale)
 
     def test_sections_and_dotted_keys(self):
         cfg = parse_config("[filter]\nalpha = 0.2\nbeta = 2\n\nrun.steps = 50\n")
@@ -173,6 +179,19 @@ class TestValidation:
             with pytest.raises(ConfigError) as err:
                 parse_config(text)
             assert err.value.code == "invalid-value"
+
+    def test_huge_agent_count_message(self):
+        # run.agents = 10^12 builds no model: spring rejects the count
+        # itself, and collision reports the first memory bound it breaks.
+        for text, message in (
+            ("", "spring preset has exactly 3 agents"),
+            ("run.preset = collision\n", "value.hidden = 64x64 with value.states = 2000 would "
+             "hold about 6144000007 MB in one fit, over the memory bound of 1 GiB; lower "
+             "value.hidden or value.states"),
+        ):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text + "run.agents = 1000000000000\n")
+            assert err.value.code == "invalid-value" and str(err.value) == message
 
     def test_centralized_bound_counts_the_screen(self, tmp_path, monkeypatch, capsys):
         # Collision M=6 at G = 9 has 9^6 + 1 = 531,442 candidates.  The
@@ -469,6 +488,6 @@ class TestConfigWith:
         assert fcfg.beta == 3.0
         assert fcfg.alpha == cfg.alpha
         safe = cfg.safe_policy(model)
-        assert safe.setpoints.tolist() == [-cfg.safe_spread, cfg.safe_spread]
+        assert safe.reference.tolist() == [[-cfg.safe_spread, 0.0], [cfg.safe_spread, 0.0]]
         nominal = cfg.nominal_policy(model)
-        assert nominal.setpoints.tolist() == [model.x_ref[0]] * model.n_agents
+        assert nominal.reference.tolist() == [[model.x_ref[0], 0.0]] * model.n_agents

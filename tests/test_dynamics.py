@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from riskfilter import (
     draw_risk_samples,
     make_model,
 )
+from riskfilter.dynamics import preset_shape
 
 
 def zero_step(model, x, u, theta=0.0):
@@ -48,6 +50,34 @@ class TestMakeModel:
     def test_spring_agent_count_fixed(self):
         with pytest.raises(ConfigError):
             make_model("spring", n_agents=4)
+
+
+class TestPresetShape:
+    """``preset_shape`` states each preset's agent-count rule and
+    dimensions once; ``make_model`` builds through it."""
+
+    @pytest.mark.parametrize("preset, n_agents", [("spring", None), ("spring", 3),
+                                                  ("collision", None), ("collision", 2),
+                                                  ("collision", 3), ("collision", 7)])
+    def test_matches_built_model(self, preset, n_agents):
+        m = make_model(preset, n_agents=n_agents)
+        assert preset_shape(preset, n_agents) == (m.n_agents, m.state_dim, sum(m.action_dims))
+
+    @pytest.mark.parametrize("preset, n_agents", [("spring", 4), ("collision", 1),
+                                                  ("pendulum", None)])
+    def test_same_error_as_make_model(self, preset, n_agents):
+        with pytest.raises(ConfigError) as shape_err:
+            preset_shape(preset, n_agents)
+        with pytest.raises(ConfigError) as model_err:
+            make_model(preset, n_agents=n_agents)
+        assert shape_err.value.code == model_err.value.code == "invalid-value"
+        assert str(shape_err.value) == str(model_err.value)
+
+    def test_builds_nothing_at_huge_agent_counts(self):
+        # A model of 10^12 agents would need terabytes; the shape is O(1).
+        start = time.perf_counter()
+        assert preset_shape("collision", 10**12) == (10**12, 2, 10**12)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestStep:

@@ -854,14 +854,25 @@ class TestScreen:
         assert out is None
         assert [(len(rows), n) for rows, n in calls] == [(81, ())]
 
-    def test_single_sample_skips_screen(self):
-        # At S = 1 the screen would repeat the kernel's only sample: the
-        # kernel takes the whole block, the nominal and then the grid in
-        # grid order less the nominal's duplicate (1, 1), its last point.
+    def test_single_sample_screens_too(self):
+        # At S = 1 the screen reads the kernel's only sample, in its cheaper
+        # float32 pass, and the kernel takes only the survivors.  The screen
+        # takes the whole block, the nominal and then the grid in grid order
+        # less the nominal's duplicate (1, 1), its last point.  At alpha =
+        # 0.5, beta = 100 the one-sample bound adds no log(S)/beta, so the
+        # survivors are the feasible candidates, u0^2 + u1^2 <= 1.5.
+        out, calls = self.solve(n_samples=1, alpha=0.5, beta=100.0)
+        block = np.vstack([[1.0, 1.0], _grid(2, 9, -1.0, 1.0)[:-1]])
+        (screen, one), *kernel = calls
+        assert one == () and screen.tobytes() == block.tobytes()
+        assert kernel and all(n == (1,) for _, n in kernel)
+        sent = np.vstack([rows for rows, _ in kernel])
+        assert sent.tobytes() == block[np.sum(block ** 2, axis=1) <= 1.5].tobytes()
+        assert out.action.tolist() == [0.75, 0.75]
+        # A hopeless solve ends at the screen, with no kernel row.
         out, calls = self.solve(n_samples=1, epsilon=10.0)
         assert out is None
-        assert [(len(rows), n) for rows, n in calls] == [(81, (1,))]
-        block = np.vstack([[1.0, 1.0], _grid(2, 9, -1.0, 1.0)[:-1]])
+        assert [(len(rows), n) for rows, n in calls] == [(81, ())]
         assert calls[0][0].tobytes() == block.tobytes()
 
     def nan_solve(self, sample, action, epsilon=0.0):
@@ -895,7 +906,7 @@ class TestScreen:
 
 
 class TestProbeScreen:
-    """At S > 1 the pessimistic search sends the first-corner rows of every
+    """At every S the pessimistic search sends the first-corner rows of every
     search whose block does not fit one pass (its C candidates x the first
     corner, every other agent at grid point 0, each row under its agent's
     sample 0) through one ``_screen`` call, and the candidates the screen
@@ -954,7 +965,7 @@ class TestProbeScreen:
         cfg = FilterConfig(grid_size=grid, n_samples=n_samples, beta=beta, alpha=alpha,
                            tolerance=tolerance, epsilon=epsilon)
         _, masks = self.check(m, b, x, nom, cfg, seed)
-        assert len(masks) == (n_samples > 1)       # one screen call, none at S = 1
+        assert len(masks) == 1       # one screen call at every S
 
     @pytest.mark.parametrize("case", ["collision3", "collision4", "trained"])
     def test_property_cases_reach_drops_survivors_and_both_outcomes(self, collision3_setup,

@@ -137,7 +137,7 @@ class TestCollectDataset:
 
 def ref_policy(policy, x) -> list:
     err = x.copy()
-    err[:, 0] -= policy.setpoints
+    err[:, 0] -= policy.reference[:, 0]
     out = []
     for i, d in enumerate(policy.action_dims):
         if d == 0:

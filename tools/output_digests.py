@@ -28,8 +28,9 @@ per-state ``alpha * h + epsilon`` of ``certify`` are hashed away from 0,
 centralized filter, the one config whose joint rows skip an unactuated
 agent, with both centralized and proximity steps,
 ``spring-centralized-s1`` runs the same at ``filter.samples = 1``, where
-the centralized filter has no screen and the kernel takes its whole block,
-and where nominals clipped to the box sit on grid points,
+the centralized filter's screen reads the kernel's only sample and the
+kernel takes its survivors, and where nominals clipped to the box sit on
+grid points,
 ``collision2-switching-beta-limit`` runs the same two commands as
 ``collision2-switching`` at ``filter.beta = 1e308``, where the risk
 operator's products overflow and every margin is the worst case over the
@@ -82,7 +83,7 @@ COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 # where the first-corner screen drops some rows and keeps others,
 # collision M=2 centralized with a nonzero tolerance and epsilon (run and
 # certify), spring centralized, whose joint rows skip the unactuated mass,
-# also at one sample, with no screen,
+# also at one sample, where the screen reads the kernel's only sample,
 # spring certify at more samples than one kernel pass holds, and fits with
 # one and with three hidden layers; then collision M=2 switching at a beta
 # whose products overflow, where the operator takes its worst-case limit,
