@@ -10,42 +10,41 @@ COMMAND is one of train-value, run, sweep-beta, sweep-xi, certify.
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
-
-import click
 
 from .config import config_with, parse_config
 from .errors import ConfigError
 from .experiments import COMMANDS, run_experiment
 
 
-@click.command()
-@click.argument("command", type=click.Choice(COMMANDS))
-@click.option("--config", "config_path", default="", help="Configuration file path.")
-@click.option("--seed", default=None, type=int, help="Override the base seed.")
-@click.option("--out", default="", help="Override the output directory.")
-def cli(command: str, config_path: str, seed: int | None, out: str) -> int:
-    cfg = parse_config(Path(config_path) if config_path else "")
-    if seed is not None:
-        cfg = config_with(cfg, seed=seed)
-    if out:
-        cfg = config_with(cfg, out=out)
-    return run_experiment(cfg, command)
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ``ConfigError("syntax", ...)``, so it exits 1 with
+    one line; argparse's own exit 2 is the missing-model-file code."""
+
+    def error(self, message):
+        raise ConfigError("syntax", message)
 
 
 def main() -> None:
+    parser = _Parser(prog="riskfilter", allow_abbrev=False)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default="", help="Configuration file path.")
+    parser.add_argument("--seed", type=int, help="Override the base seed.")
+    parser.add_argument("--out", default="", help="Override the output directory.")
     try:
-        code = cli.main(standalone_mode=False)
+        args = parser.parse_args()
+        cfg = parse_config(Path(args.config) if args.config else "")
+        if args.seed is not None:
+            cfg = config_with(cfg, seed=args.seed)
+        if args.out:
+            cfg = config_with(cfg, out=args.out)
+        code = run_experiment(cfg, args.command)
     except ConfigError as exc:
         print(f"configuration error [{exc.code}]: {exc}", file=sys.stderr)
         code = 1
-    except click.ClickException as exc:
-        exc.show()
-        code = 1
-    except click.exceptions.Abort:
-        code = 1
-    sys.exit(code if isinstance(code, int) else 0)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

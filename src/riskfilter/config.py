@@ -24,10 +24,10 @@ training rollouts and of the rollouts ``run`` keeps, and the noise scale,
 so that no noise draw overflows: a config that could not finish is
 rejected before any work.
 
-Defaults mirror the benchmark setup: alpha = 0.1, epsilon = 0, proximity
-radius 0.05, beta = 1, xi = 5, 5 risk samples, gamma = 0.99, and the
-agent count and noise scale of the preset's model, shrunk to desk scale
-for rollout counts and value-training sizes.
+Defaults mirror the benchmark setup: ``FilterConfig``'s for the filter,
+xi = 5, gamma = 0.99, and the agent count and noise scale of the
+preset's model, shrunk to desk scale for rollout counts and
+value-training sizes.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .dynamics import MasModel, make_model, preset_shape
 from .errors import ConfigError, ContractViolationError
-from .filters import FilterConfig
+from .filters import FilterConfig, solve_pairs
 from .policies import Policy, make_proportional
 from .value import _BLOCK_STEPS, _BUFFER_ROWS, _CHUNK_ROWS
 
@@ -79,7 +79,8 @@ def _setting(key: str, default):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every experiment setting.  Each field declares its config key and
-    default once, in ``_setting``; its annotation is the type tag."""
+    default once, in ``_setting``; its annotation is the type tag.  A
+    ``filter.*`` field but ``xi`` is ``FilterConfig``'s, by name and default."""
 
     preset: str = _setting("run.preset", "spring")
     agents: int = _setting("run.agents", _PRESET)
@@ -92,19 +93,19 @@ class ExperimentConfig:
     gamma: float = _setting("model.gamma", 0.99)
     u_min: float = _setting("model.u_min", -1.0)
     u_max: float = _setting("model.u_max", 1.0)
-    alpha: float = _setting("filter.alpha", 0.1)
-    epsilon: float = _setting("filter.epsilon", 0.0)
-    alpha_bar: float = _setting("filter.alpha_bar", 0.2)
-    epsilon_bar: float = _setting("filter.epsilon_bar", 0.0)
-    beta: float = _setting("filter.beta", 1.0)
+    alpha: float = _setting("filter.alpha", FilterConfig.alpha)
+    epsilon: float = _setting("filter.epsilon", FilterConfig.epsilon)
+    alpha_bar: float = _setting("filter.alpha_bar", FilterConfig.alpha_bar)
+    epsilon_bar: float = _setting("filter.epsilon_bar", FilterConfig.epsilon_bar)
+    beta: float = _setting("filter.beta", FilterConfig.beta)
     xi: float = _setting("filter.xi", 5.0)
-    samples: int = _setting("filter.samples", 5)
-    grid: int = _setting("filter.grid", 9)
-    radius_mode: str = _setting("filter.radius_mode", "fixed")
-    radius: float = _setting("filter.radius", 0.05)
-    lipschitz_h: float = _setting("filter.lipschitz_h", 1.0)
-    lipschitz_fu: float = _setting("filter.lipschitz_fu", 1.0)
-    tolerance: float = _setting("filter.tolerance", 0.0)
+    n_samples: int = _setting("filter.samples", FilterConfig.n_samples)
+    grid_size: int = _setting("filter.grid", FilterConfig.grid_size)
+    radius_mode: str = _setting("filter.radius_mode", FilterConfig.radius_mode)
+    radius: float = _setting("filter.radius", FilterConfig.radius)
+    lipschitz_h: float = _setting("filter.lipschitz_h", FilterConfig.lipschitz_h)
+    lipschitz_fu: float = _setting("filter.lipschitz_fu", FilterConfig.lipschitz_fu)
+    tolerance: float = _setting("filter.tolerance", FilterConfig.tolerance)
     value_states: int = _setting("value.states", 2000)
     value_horizon: int = _setting("value.horizon", 200)
     value_samples: int = _setting("value.samples", 2)
@@ -158,20 +159,12 @@ class ExperimentConfig:
         )
 
     def filter_config(self, beta: float | None = None) -> FilterConfig:
-        return FilterConfig(
-            alpha=self.alpha,
-            epsilon=self.epsilon,
-            alpha_bar=self.alpha_bar,
-            epsilon_bar=self.epsilon_bar,
-            beta=self.beta if beta is None else beta,
-            n_samples=self.samples,
-            grid_size=self.grid,
-            radius_mode=self.radius_mode,
-            radius=self.radius,
-            lipschitz_h=self.lipschitz_h,
-            lipschitz_fu=self.lipschitz_fu,
-            tolerance=self.tolerance,
-        )
+        """The filters' settings, each from the field of its own name;
+        ``beta``, when given, replaces filter.beta (a sweep's value)."""
+        settings = {f.name: getattr(self, f.name) for f in dataclasses.fields(FilterConfig)}
+        if beta is not None:
+            settings["beta"] = beta
+        return FilterConfig(**settings)
 
     def nominal_policy(self, model: MasModel) -> Policy:
         return make_proportional(model, (self.nominal_kp, self.nominal_kd))
@@ -261,28 +254,6 @@ def _parse_lines(text: str) -> dict:
 # Work bound on one margin-kernel block, in (row, sample) pairs: about 12 s
 # per solve at the ~1.2 us per pair a collision M=3 centralized solve takes.
 _MAX_BLOCK_PAIRS = 10**7
-
-
-def _filter_block_pairs(cfg: ExperimentConfig, dims: int) -> int:
-    """Most (row, sample) pairs one solve of the filter ``cfg.controller`` runs
-    evaluates: (G^A + 1)·(S + 1) centralized (its screen evaluates every
-    candidate, in grid order, at one sample, then the survivors at all S;
-    no sort runs, and only the hits' distances to nominal are computed),
-    (G + 1)·G^(A-1)·S pessimistic (its corner combos first and its early
-    exit only save work: each row goes to the kernel at most once, and a
-    survivor still meets every combo; its screen adds at most G + 1 rows
-    at one sample), 0 unfiltered.
-
-    A = ``dims`` counts actuated action dimensions (``preset_shape``'s).
-    G >= 2, so G^64 is far over the bound, and capping A at 64 keeps the
-    comparison exact without huge powers.
-    """
-    dims = min(dims, 64)
-    if cfg.controller == "centralized":
-        return (cfg.grid ** dims + 1) * (cfg.samples + 1)
-    if cfg.controller == "switching":
-        return (cfg.grid + 1) * cfg.grid ** (dims - 1) * cfg.samples
-    return 0
 
 
 # Work bound on one sweep, in rollout steps (values x run.rollouts x
@@ -490,7 +461,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             f"{cfg.certify_samples} would run more than the work bound of "
             f"{_MAX_CERTIFY_PAIRS} (state, sample) pairs in one certify; lower "
             "certify.states or certify.samples")
-    if _filter_block_pairs(cfg, dims) > _MAX_BLOCK_PAIRS:
+    if cfg.controller in ("switching", "centralized") and solve_pairs(
+            cfg.filter_config(), dims, cfg.controller == "centralized") > _MAX_BLOCK_PAIRS:
         bad(f"one {cfg.controller} filter solve would evaluate more than the work bound "
             f"of {_MAX_BLOCK_PAIRS} (row, sample) pairs; lower filter.grid, "
             "filter.samples or run.agents")

@@ -11,7 +11,7 @@ for every candidate action (common random numbers), so feasibility
 comparisons are consistent and the worst-case filter's guarantee is
 exact over its grid.
 
-Four variants:
+Four variants, each returning ``FilterOutcome``s:
 
 * ``centralized_filter``   - joint minimization over all agents' actions;
   returns a joint row.
@@ -21,10 +21,10 @@ Four variants:
   agent order; each holds the agent's own columns of the row.
   Infeasibility is an expected outcome, not a fault.
 * ``proximity_filter``     - per-agent closed-form projection of the nominal
-  action onto a ball around the safe policy's action; always feasible.
+  action onto a ball around the safe policy's action; always feasible,
+  justified by its radius, so no margin is evaluated.
 * ``switching_filter``     - per agent, pessimistic when feasible, proximity
-  (justified by its radius, so no margin is evaluated) otherwise;
-  well-defined everywhere the barrier is nonnegative.
+  otherwise; well-defined everywhere the barrier is nonnegative.
 
 Continuous minimization is approximated by a grid search (both benchmark
 presets have one action dimension per agent) for the nearest candidate,
@@ -140,10 +140,11 @@ class FilterOutcome:
     ``action`` is the solving agent's columns of the joint-action row for
     the per-agent filters, whose outcomes come in the order of the agents
     they were asked for, and a copy of the full joint row for the
-    centralized one.  ``branch`` is ``PROXIMITY`` exactly when the
-    filter's own solve was infeasible; ``margin`` is the achieved risk
-    margin at the chosen action (the worst case over the others' grid per
-    agent), None on proximity.
+    centralized one.  ``branch`` names the filter that chose the action;
+    the controllers take ``PROXIMITY`` exactly when their own solve was
+    infeasible.  ``margin`` is the achieved risk margin at the chosen
+    action (the worst case over the others' grid per agent), None on
+    proximity.
     """
 
     action: object
@@ -580,6 +581,23 @@ def pessimistic_filter(
     return [search.outcome() for search in searches]
 
 
+def solve_pairs(cfg: FilterConfig, dims: int, centralized: bool) -> int:
+    """Most (row, sample) pairs one solve evaluates over A = ``dims``
+    actuated action dimensions, one per agent, at G = ``cfg.grid_size``
+    and S = ``cfg.n_samples``: (G^A + 1)·(S + 1) centralized (its screen
+    takes every candidate at one sample, the kernel the survivors at all
+    S), (G + 1)·(G^(A-1)·S + 1) for one agent's pessimistic search (its
+    screen takes at most G + 1 rows at one sample; the corners first and
+    the early exit only save work, since each row goes to the kernel at
+    most once).  G >= 2, so G^64 is far over any work bound, and capping
+    A at 64 keeps a comparison exact without huge powers."""
+    g, s = cfg.grid_size, cfg.n_samples
+    dims = min(dims, 64)
+    if centralized:
+        return (g ** dims + 1) * (s + 1)
+    return (g + 1) * (g ** (dims - 1) * s + 1)
+
+
 def proximity_radius(model: MasModel, cfg: FilterConfig, h_now: float) -> float:
     """Ball radius around the safe policy's action.
 
@@ -623,28 +641,21 @@ def proximity_filter(
     safe,
     cfg: FilterConfig,
     h_now: float,
-) -> np.ndarray:
+) -> FilterOutcome:
     """Closed-form projection of ``agent``'s nominal action onto the safety ball.
 
-    ``nominal`` and ``safe`` are joint rows.  Always feasible: returns
-    the nominal action if it already lies within the radius of the safe
+    ``nominal`` and ``safe`` are joint rows.  Always feasible: the action
+    is the nominal one if it already lies within the radius of the safe
     action, otherwise the boundary point of the ball nearest to nominal.
-    ``h_now`` = h(x) must be finite in either radius mode; only the
-    margin-derived radius uses its value.
+    It is justified by its radius, not by a margin check, so the outcome
+    carries ``margin=None``.  ``h_now`` = h(x) must be finite in either
+    radius mode; only the margin-derived radius uses its value.
     """
     cols = _actuated_columns(model, agent)
     r = proximity_radius(model, cfg, h_now)
-    return _project_ball(model.validate_action(nominal)[cols],
-                         model.validate_action(safe)[cols], r)
-
-
-def proximity_outcome(model: MasModel, agent: int, nominal, safe, cfg: FilterConfig,
-                      h_now: float) -> FilterOutcome:
-    """``agent``'s fallback when its filter's solve is infeasible: the
-    ``proximity_filter`` action, justified by its radius, not by a margin
-    check, so it carries ``margin=None``."""
-    return FilterOutcome(action=proximity_filter(model, agent, nominal, safe, cfg, h_now),
-                         branch=Branch.PROXIMITY, margin=None)
+    action = _project_ball(model.validate_action(nominal)[cols],
+                           model.validate_action(safe)[cols], r)
+    return FilterOutcome(action=action, branch=Branch.PROXIMITY, margin=None)
 
 
 def switching_filter(
@@ -664,10 +675,9 @@ def switching_filter(
     Well-defined for every state with a nonnegative barrier value; the
     branch records which path produced the action.  One
     ``pessimistic_filter`` call searches for every agent, each under its
-    own draw ``samples[k]``; a ``proximity_outcome`` adds no rows to the
-    search's.
+    own draw ``samples[k]``; a ``proximity_filter`` fallback adds no rows
+    to the search's.
     """
     outs = pessimistic_filter(model, barrier, agents, x, nominal, cfg, samples, h_now)
-    return [out if out is not None else
-            proximity_outcome(model, agent, nominal, safe, cfg, h_now)
+    return [out if out is not None else proximity_filter(model, agent, nominal, safe, cfg, h_now)
             for agent, out in zip(agents, outs)]

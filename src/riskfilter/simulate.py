@@ -33,7 +33,7 @@ from .filters import (
     FilterConfig,
     centralized_filter,
     draw_risk_samples,
-    proximity_outcome,
+    proximity_filter,
     switching_filter,
 )
 from .policies import Policy
@@ -115,7 +115,7 @@ class CentralizedController(_FilteredController):
         agents = model.actuated_agents
         if out is not None:     # views of the joint row, no per-agent outcomes
             return [out.action[model.agent_columns(a)] for a in agents], [out.branch] * len(agents)
-        outs = [proximity_outcome(model, a, nominal, safe, self.cfg, h_now) for a in agents]
+        outs = [proximity_filter(model, a, nominal, safe, self.cfg, h_now) for a in agents]
         return [out.action for out in outs], [out.branch for out in outs]
 
 

@@ -156,7 +156,7 @@ def test_criterion_4_proximity_projection():
                 np.concatenate([nom_vec, np.zeros(dim)]),
                 np.concatenate([safe_vec, np.zeros(dim)]),
                 cfg, 1.0,
-            )
+            ).action
             assert np.all(np.isfinite(u))
             assert np.linalg.norm(u - safe_vec) <= radius + 1e-12
             # Dense numeric search over the ball.

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from riskfilter import (ConfigError, ExperimentConfig, config_with, make_model, parse_config,
-                        serialize_config)
+from riskfilter import (ConfigError, ExperimentConfig, FilterConfig, config_with, make_model,
+                        parse_config, serialize_config)
 from riskfilter import cli
 from riskfilter.config import (
+    _SCHEMA,
     _certify_pass_bytes,
     _certify_states_bytes,
     _dataset_bytes,
@@ -32,7 +33,7 @@ class TestParse:
         assert cfg.epsilon == 0.0
         assert cfg.beta == 1.0
         assert cfg.xi == 5.0
-        assert cfg.samples == 5
+        assert cfg.n_samples == 5
         assert cfg.radius == 0.05
         assert cfg.gamma == 0.99
         assert cfg.noise_scale == 0.01
@@ -162,9 +163,10 @@ class TestValidation:
             config_with(parse_config(""), **{field: float(value)})
 
     def test_work_bounds(self):
-        # One solve evaluates (G^A + 1)·(S + 1) (row, sample) pairs for the
-        # centralized filter and (G + 1)·G^(A-1)·S for the pessimistic one;
-        # solves over 10^7 pairs are rejected.
+        # One solve evaluates at most (G^A + 1)·(S + 1) (row, sample) pairs
+        # for the centralized filter and (G + 1)·(G^(A-1)·S + 1) for the
+        # pessimistic one (filters.solve_pairs); solves over 10^7 pairs are
+        # rejected.
         collision = "run.preset = collision\nrun.agents = {}\nrun.controller = {}\n"
         for agents, controller in ((6, "switching"), (6, "centralized"), (12, "nominal")):
             assert parse_config(collision.format(agents, controller)).agents == agents
@@ -199,7 +201,7 @@ class TestValidation:
         # pairs, just over 10^7, while S = 17 stays under.
         text = ("run.preset = collision\nrun.agents = 6\nrun.controller = centralized\n"
                 "filter.samples = {}\n")
-        assert parse_config(text.format(17)).samples == 17
+        assert parse_config(text.format(17)).n_samples == 17
         path, out = tmp_path / "exp.cfg", tmp_path / "out"
         path.write_text(text.format(18))
         monkeypatch.setattr(sys, "argv", ["riskfilter", "run", "--config", str(path),
@@ -461,6 +463,23 @@ class TestSerialize:
         cfg = parse_config(text)
         again = parse_config(serialize_config(cfg))
         assert again == cfg
+
+    def test_filter_settings_are_filter_config_fields(self):
+        # FilterConfig declares every filter default and name: the config's
+        # defaults are its defaults, and a non-default value under each
+        # field's filter.* key reaches filter_config() and survives
+        # serialize -> parse.
+        assert parse_config("").filter_config() == FilterConfig()
+        values = {"alpha": 0.3, "epsilon": 0.5, "alpha_bar": 0.6, "epsilon_bar": 0.7,
+                  "beta": 2.5, "n_samples": 7, "grid_size": 5, "radius_mode": "margin",
+                  "radius": 0.25, "lipschitz_h": 2.0, "lipschitz_fu": 3.0, "tolerance": 0.01}
+        assert sorted(values) == sorted(f.name for f in dataclasses.fields(FilterConfig))
+        keys = {f.name: key for key, f in _SCHEMA.items()}
+        for name, value in values.items():
+            assert value != getattr(FilterConfig(), name)
+            cfg = parse_config(f"{keys[name]} = {value}\n")
+            assert getattr(cfg.filter_config(), name) == value
+            assert parse_config(serialize_config(cfg)) == cfg
 
     def test_exclusion(self):
         cfg = parse_config("run.out = somewhere")

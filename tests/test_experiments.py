@@ -267,6 +267,16 @@ class TestCli:
         proc = self.run_cli("explode", "--out", str(tmp_path))
         assert proc.returncode == 1
 
+    def test_help_exits_0_and_usage_errors_exit_1_in_one_line(self):
+        # argparse's own usage exit, 2, is the missing-model-file code; a
+        # usage error is a one-line configuration error [syntax] instead.
+        assert self.run_cli("--help").returncode == 0
+        for args in ((), ("run", "--seed", "x"), ("run", "--bogus")):
+            proc = self.run_cli(*args)
+            assert proc.returncode == 1
+            (line,) = proc.stderr.splitlines()
+            assert line.startswith("configuration error [syntax]: ")
+
     def test_seed_and_out_overrides(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(FAST)

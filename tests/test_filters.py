@@ -41,6 +41,7 @@ from riskfilter.filters import (
     _project_ball,
     _screen,
     proximity_radius,
+    solve_pairs,
 )
 
 
@@ -355,7 +356,7 @@ class TestProximity:
         nom = np.concatenate([nom_vec, np.zeros(d)])
         safe = np.concatenate([safe_vec, np.zeros(d)])
         cfg = FilterConfig(radius=radius)
-        return proximity_filter(m, 0, nom, safe, cfg, 1.0)
+        return proximity_filter(m, 0, nom, safe, cfg, 1.0).action
 
     def test_nominal_inside_ball(self):
         u = self.proximity_direct(np.array([0.0]), np.array([0.03]), 0.05)
@@ -453,7 +454,7 @@ class TestSwitching:
         out = switching_filter(static_model, unit_barrier, [0], np.zeros((2, 2)), nom, safe,
                                cfg, [draw_risk_samples(static_model, cfg.n_samples, 4)], 1.0)[0]
         assert out.branch is Branch.PROXIMITY
-        expected = proximity_filter(static_model, 0, nom, safe, cfg, 1.0)
+        expected = proximity_filter(static_model, 0, nom, safe, cfg, 1.0).action
         assert np.array_equal(out.action, expected)
         # The radius justifies the proximity action; no margin is evaluated.
         assert out.margin is None
@@ -1655,3 +1656,44 @@ class TestJointSearch:
             assert (alone is None) == (joint[agent] is None)
             if alone is not None:
                 assert alone.action == joint[agent].action and alone.margin == joint[agent].margin
+
+
+class TestSolvePairs:
+    """``solve_pairs`` bounds the (row, sample) pairs one solve evaluates,
+    counted as ``tools/step_counts.py`` counts them: a screen call's 2-D
+    ``u`` as one pair a row, a kernel call's (b, 1, A) stack as b·S."""
+
+    @pytest.mark.parametrize("preset, agents", [("spring", None), ("collision", 2),
+                                                ("collision", 3), ("collision", 4)])
+    def test_no_solve_exceeds_its_bound(self, preset, agents):
+        model = make_model(preset, n_agents=agents)
+        pairs = [0]
+
+        def transition_batch(x, u, thetas, noises):
+            pairs[0] += len(u) if np.ndim(u) == 2 else len(u) * np.shape(thetas)[-1]
+            return model.transition_batch(x, u, thetas, noises)
+
+        m = replace(model, transition_batch=transition_batch)
+        dims, actuated = sum(m.action_dims), m.actuated_agents
+        rng = np.random.default_rng(len(actuated))
+        for grid_size, n_samples in ((9, 5), (3, 3), (5, 1), (2, 7)):
+            cfg = FilterConfig(grid_size=grid_size, n_samples=n_samples)
+            centralized = []
+            for k, (coeff, xi) in enumerate(((0.1, 50.0), (1.0, 3.0), (2.0, 2.0))):
+                b = Barrier(QuadraticValue(coeff), xi)
+                for seed in range(3):
+                    x = rng.uniform(-1.0, 1.0, (m.n_agents, m.state_dim))
+                    nominal = rng.uniform(-1.2, 1.2, dims)
+                    h_now = h_of(m, b, x)
+                    pairs[0] = 0
+                    centralized_filter(m, b, x, nominal, cfg,
+                                       draw_risk_samples(m, n_samples, seed), h_now)
+                    centralized.append(pairs[0])
+                    agent = actuated[(k + seed) % len(actuated)]
+                    pairs[0] = 0
+                    pessimistic_filter(m, b, [agent], x, nominal, cfg,
+                                       [draw_risk_samples(m, n_samples, seed)], h_now)
+                    assert pairs[0] <= solve_pairs(cfg, dims, centralized=False)
+            # Every centralized solve stays within its bound, and one whose
+            # candidates all survive the screen reaches it.
+            assert max(centralized) == solve_pairs(cfg, dims, centralized=True)

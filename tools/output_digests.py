@@ -73,23 +73,6 @@ from workloads import WORKLOADS  # noqa: E402
 
 COMMANDS = ("train-value", "run", "sweep-beta", "sweep-xi", "certify")
 
-# name -> (config text, commands): every workload through every command,
-# collision M=4 switching, whose 10 x 729-row pessimistic blocks are
-# screened at their first corner and take several passes, collision M=2
-# switching, whose 10 x 9-row blocks fit one pass with no screen, at an xi
-# that mixes first-survivor winners, third-pass winners and infeasible
-# solves,
-# collision M=3 switching with a nonzero tolerance and epsilon, at an xi
-# where the first-corner screen drops some rows and keeps others,
-# collision M=2 centralized with a nonzero tolerance and epsilon (run and
-# certify), spring centralized, whose joint rows skip the unactuated mass,
-# also at one sample, where the screen reads the kernel's only sample,
-# spring certify at more samples than one kernel pass holds, and fits with
-# one and with three hidden layers; then collision M=2 switching at a beta
-# whose products overflow, where the operator takes its worst-case limit,
-# then the same at a beta so small that its exponents sit near an ulp
-# of 1, and a fit at a seed past 2**53, whose model file must record it
-# exactly.
 CONFIGS = {name: (text, COMMANDS) for name, (_, text) in WORKLOADS.items()}
 CONFIGS["collision4-switching"] = ("""
 run.preset = collision
